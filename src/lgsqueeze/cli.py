@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _oracle_check(result, out_dir) -> dict:
+def _oracle_check(result) -> dict:
     from .fock_oracle import DIMENSION_GUARD, TruncatedFockSpace, vacuum_statistics
 
     sq = result.squeeze
@@ -79,18 +79,13 @@ def _oracle_check(result, out_dir) -> dict:
         "number_variance": scaled(abs(oracle.number_variance - rep.number_variance),
                                   rep.number_variance),
     }
-    agreement = {
+    return {
         "truncation_bound": oracle.truncation_bound,
         "max_deviation": max(deviations.values()),
         "deviations": deviations,
         "within_bound": max(deviations.values())
         <= max(oracle.truncation_bound, 1e-9),
     }
-    path = os.path.join(out_dir, "oracle_agreement.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(agreement, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return agreement
 
 
 def main(argv=None) -> int:
@@ -140,17 +135,17 @@ def main(argv=None) -> int:
                 single_pump=cfg.coupling.single_pump,
             )
         if args.seed_gain is not None:
+            if not np.isfinite(args.seed_gain):
+                raise ConfigError(f"--seed-gain must be a finite number, got {args.seed_gain}")
             cfg.seed_gain = args.seed_gain
 
         out_dir = args.out or os.environ.get("OUT_DIR") or "out"
         start = time.perf_counter()
         result = run_scenario(cfg)
         wall = time.perf_counter() - start
-        files = emit_result(result, cfg, out_dir, wall_time_s=wall)
-        oracle_summary = None
         if args.oracle:
-            oracle_summary = _oracle_check(result, out_dir)
-            files.append("oracle_agreement.json")
+            result.oracle_agreement = _oracle_check(result)
+        files = emit_result(result, cfg, out_dir, wall_time_s=wall)
     except (ConfigError, QuadratureError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -161,6 +156,7 @@ def main(argv=None) -> int:
               f"gain = {result.gain:.6g}")
         for key in sorted(result.metrics):
             print(f"  {key} = {result.metrics[key]:.6g}")
+        oracle_summary = result.oracle_agreement
         if oracle_summary is not None:
             print(
                 "  oracle max deviation = %.3e (bound %.3e)"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -33,33 +34,94 @@ class ConfigError(ValueError):
     """Configuration rejected; the message names the offending key path."""
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _reprs(values) -> list:
+    """Shortest round-trip decimal of every float in ``values``, row-major.
+
+    ``float.__repr__`` is what both ``csv.writer`` and ``json.dumps`` write
+    for a finite float, so one formatting pass serves every file.
+    """
+    return list(map(float.__repr__, np.asarray(values, dtype=float).ravel().tolist()))
 
 
-def _write_rows(path: Path, rows) -> None:
-    # mode labels contain commas, so write real CSV with minimal quoting
+def _csv_field(value) -> str:
+    """``value`` exactly as ``csv.writer`` writes it inside a row."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    # the empty second field keeps csv.writer from quoting a lone empty field
+    csv.writer(buf, lineterminator="\n").writerow([value, ""])
+    return buf.getvalue()[:-2]
 
 
-def _write_matrix_csv(path: Path, matrix: np.ndarray, labels) -> None:
-    matrix = np.asarray(matrix)
-    rows = [["mode"] + list(labels)]
-    for label, row in zip(labels, matrix):
-        rows.append([label] + [_fmt(v) for v in row])
-    _write_rows(path, rows)
+def _matrix_csv(strs: list, labels: list) -> str:
+    """Square matrix CSV: a ``mode`` header of labels, then one labelled row each."""
+    n = len(labels)
+    rows = [
+        label + "," + ",".join(strs[i * n:(i + 1) * n]) + "\n"
+        for i, label in enumerate(labels)
+    ]
+    return ",".join(["mode"] + labels) + "\n" + "".join(rows)
 
 
-def _write_long_csv(path: Path, matrix: np.ndarray, labels) -> None:
-    matrix = np.asarray(matrix)
-    rows = [["row", "col", "value"]]
-    for i, li in enumerate(labels):
-        for j, lj in enumerate(labels):
-            rows.append([li, lj, _fmt(matrix[i, j])])
-    _write_rows(path, rows)
+def _long_csv(header: str, heads: list, strs: list) -> str:
+    """One ``<head><value>`` line per entry; each head ends with a comma."""
+    pieces = [None] * (3 * len(strs))
+    pieces[0::3] = heads
+    pieces[1::3] = strs
+    pieces[2::3] = ["\n"] * len(strs)
+    return header + "\n" + "".join(pieces)
+
+
+def _pair_heads(rows: list, cols: list) -> list:
+    return [r + "," + c + "," for r in rows for c in cols]
+
+
+class _Rendered(str):
+    """JSON text already laid out at its nesting level."""
+
+
+def _json_matrix(strs: list, shape: tuple, level: int) -> _Rendered:
+    """A nested list of ``strs`` laid out as ``json.dumps(indent=2)`` does at ``level``."""
+    n_rows, n_cols = shape
+    outer = "\n" + "  " * (level + 1)
+    inner = outer + "  "
+    rows = [
+        "[" + inner + ("," + inner).join(strs[i * n_cols:(i + 1) * n_cols]) + outer + "]"
+        for i in range(n_rows)
+    ]
+    return _Rendered("[" + outer + ("," + outer).join(rows) + "\n" + "  " * level + "]")
+
+
+def _json_text(value, level: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` nested at ``level``.
+
+    Dicts are laid out here so that ``_Rendered`` blocks inside them are
+    spliced in as they are; everything else goes through ``json.dumps``.
+    """
+    if isinstance(value, _Rendered):
+        return value
+    pad = "\n" + "  " * level
+    if isinstance(value, dict) and value:
+        inner = pad + "  "
+        items = (
+            json.dumps(key) + ": " + _json_text(value[key], level + 1)
+            for key in sorted(value)
+        )
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+
+
+def _require_finite(value, path: str) -> None:
+    """Raise ValueError naming the first non-finite number under ``path``."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _require_finite(item, path)
+    elif isinstance(value, (float, np.floating, np.ndarray)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(
+                f"non-finite value in {path}; a report must hold only finite numbers"
+            )
 
 
 def read_matrix_csv(path):
@@ -83,20 +145,27 @@ def _complex_from_lists(obj) -> np.ndarray:
     return np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
 
 
-def report_to_dict(report: StateReport) -> dict:
+# complex report matrices, each stored as {"re": ..., "im": ...}
+_REPORT_MATRICES = ("var_X1", "var_X2", "cross_cov", "nbar_matrix", "pair_matrix")
+
+
+def _report_scalars(report: StateReport) -> dict:
+    """The report fields other than its complex matrices."""
     return {
         "mode_labels": list(report.mode_labels),
-        "var_X1": _complex_to_lists(report.var_X1),
-        "var_X2": _complex_to_lists(report.var_X2),
         "scalar_var": [float(report.scalar_var[0]), float(report.scalar_var[1])],
-        "cross_cov": _complex_to_lists(report.cross_cov),
-        "nbar_matrix": _complex_to_lists(report.nbar_matrix),
         "nbar_total": float(report.nbar_total),
         "number_variance": float(report.number_variance),
         "number_covariance": float(report.number_covariance),
-        "pair_matrix": _complex_to_lists(report.pair_matrix),
         "squeezing_db_per_mode": [float(v) for v in report.squeezing_db_per_mode],
     }
+
+
+def report_to_dict(report: StateReport) -> dict:
+    out = _report_scalars(report)
+    for name in _REPORT_MATRICES:
+        out[name] = _complex_to_lists(getattr(report, name))
+    return out
 
 
 def report_from_dict(data: dict) -> StateReport:
@@ -172,22 +241,47 @@ def resolved_config_dict(cfg) -> dict:
 
 
 def _require_keys(obj: dict, allowed, path: str) -> None:
+    """Reject a non-object section ``path`` (``"a.b."``) or an unknown key in it."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path[:-1]} must be a JSON object, got {obj!r} (key: {path[:-1]})")
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"unknown key {path}{key}")
 
 
+def _finite(value, path: str) -> float:
+    """``value`` as a float if it is a finite number, else ConfigError naming ``path``."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+    if not math.isfinite(number):
+        raise ConfigError(f"{path} must be a finite number, got {value!r} (key: {path})")
+    return number
+
+
+def _integer(value, path: str) -> int:
+    """``value`` as an int if it is integral, else ConfigError naming ``path``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{path} must be an integer, got {value!r} (key: {path})")
+    return value
+
+
 def _geometry_from_dict(data: dict, default, path: str):
     from .modes import BeamGeometry
 
-    _require_keys(data, {"wavelength", "waist_w0", "focus_z", "rayleigh_zR"}, path)
+    fields = ("wavelength", "waist_w0", "focus_z", "rayleigh_zR")
+    _require_keys(data, set(fields), path)
     kwargs = {
-        "wavelength": data.get("wavelength", default.wavelength),
-        "waist_w0": data.get("waist_w0", default.waist_w0),
-        "focus_z": data.get("focus_z", default.focus_z),
+        "wavelength": default.wavelength,
+        "waist_w0": default.waist_w0,
+        "focus_z": default.focus_z,
     }
-    if "rayleigh_zR" in data:
-        kwargs["rayleigh_zR"] = data["rayleigh_zR"]
+    kwargs.update({key: _finite(data[key], path + key) for key in fields if key in data})
     try:
         return BeamGeometry(**kwargs)
     except ValueError as exc:
@@ -220,15 +314,15 @@ def scenario_config_from_dict(data: dict):
     _require_keys(basis_spec, {"ell_max", "p_max"}, "basis.")
     cfg = default_config(
         name,
-        ell_max=int(basis_spec.get("ell_max", 1)),
-        p_max=int(basis_spec.get("p_max", 2)),
+        ell_max=_integer(basis_spec.get("ell_max", 1), "basis.ell_max"),
+        p_max=_integer(basis_spec.get("p_max", 2), "basis.p_max"),
     )
     if "n_target" in data:
-        if not data["n_target"] > 0:
+        cfg.n_target = _finite(data["n_target"], "n_target")
+        if not cfg.n_target > 0:
             raise ConfigError("n_target must be > 0 (key: n_target)")
-        cfg.n_target = float(data["n_target"])
     if data.get("seed_gain") is not None:
-        cfg.seed_gain = float(data["seed_gain"])
+        cfg.seed_gain = _finite(data["seed_gain"], "seed_gain")
     if "convergence_check" in data:
         cfg.convergence_check = bool(data["convergence_check"])
 
@@ -254,33 +348,32 @@ def scenario_config_from_dict(data: dict):
         {"cell_length", "center_z", "chi_profile", "strength", "gain_scale"},
         "coupling.medium.",
     )
+    numbers = {
+        key: _finite(med_spec.get(key, getattr(base.medium, key)), f"coupling.medium.{key}")
+        for key in ("cell_length", "center_z", "strength", "gain_scale")
+    }
     try:
         medium = MediumConfig(
-            cell_length=float(med_spec.get("cell_length", base.medium.cell_length)),
-            center_z=float(med_spec.get("center_z", base.medium.center_z)),
-            chi_profile=med_spec.get("chi_profile", base.medium.chi_profile),
-            strength=float(med_spec.get("strength", base.medium.strength)),
-            gain_scale=float(med_spec.get("gain_scale", base.medium.gain_scale)),
+            chi_profile=med_spec.get("chi_profile", base.medium.chi_profile), **numbers
         )
     except ValueError as exc:
         raise ConfigError(f"coupling.medium: {exc}") from exc
 
-    pump_geom = _geometry_from_dict(
-        coupling_spec.get("pump", {}).get("geometry", coupling_spec.get("pump", {})),
-        base.pump1.geometry,
-        "coupling.pump.",
-    ) if "pump" in coupling_spec else base.pump1.geometry
+    def pump_geometry(key: str):
+        # a pump is either {"geometry": {...}, ...} or a bare geometry
+        spec = coupling_spec[key]
+        if isinstance(spec, dict) and "geometry" in spec:
+            return _geometry_from_dict(
+                spec["geometry"], base.pump1.geometry, f"coupling.{key}.geometry."
+            )
+        return _geometry_from_dict(spec, base.pump1.geometry, f"coupling.{key}.")
+
+    pump_geom = pump_geometry("pump") if "pump" in coupling_spec else base.pump1.geometry
     pump1 = PumpSpec(geometry=pump_geom, coefficients=base.pump1.coefficients)
 
     pump2 = None
     if coupling_spec.get("pump2") is not None:
-        pump2 = PumpSpec(
-            geometry=_geometry_from_dict(
-                coupling_spec["pump2"].get("geometry", coupling_spec["pump2"]),
-                base.pump1.geometry,
-                "coupling.pump2.",
-            )
-        )
+        pump2 = PumpSpec(geometry=pump_geometry("pump2"))
 
     collection = (
         _geometry_from_dict(
@@ -304,31 +397,31 @@ def scenario_config_from_dict(data: dict):
         _require_keys(grid, {"pump", "collection", "points"}, "grid.")
         if name != "WaistScan":
             raise ConfigError("grid is only valid for the WaistScan scenario (key: grid)")
+        ranges = {}
         for axis in ("pump", "collection"):
             rng = grid.get(axis)
-            if (
-                not isinstance(rng, (list, tuple))
-                or len(rng) != 2
-                or not 0 < rng[0] < rng[1]
-            ):
+            if not isinstance(rng, (list, tuple)) or len(rng) != 2:
                 raise ConfigError(f"grid.{axis} must be [low, high] with 0 < low < high")
-        points = int(grid.get("points", 8))
+            low, high = (_finite(v, f"grid.{axis}") for v in rng)
+            if not 0 < low < high:
+                raise ConfigError(f"grid.{axis} must be [low, high] with 0 < low < high")
+            ranges[axis] = [low, high]
+        points = _integer(grid.get("points", 8), "grid.points")
         if points < 2:
             raise ConfigError("grid.points must be >= 2 (key: grid.points)")
-        cfg.scan_grid = {
-            "pump": [float(grid["pump"][0]), float(grid["pump"][1])],
-            "collection": [float(grid["collection"][0]), float(grid["collection"][1])],
-            "points": points,
-        }
+        cfg.scan_grid = {**ranges, "points": points}
     return cfg
 
 
-def _scan_csv(path: Path, scan: dict) -> None:
-    rows = [["pump_waist", "collection_waist", "metric"]]
-    for i, wp in enumerate(scan["pump_waists"]):
-        for j, wc in enumerate(scan["collection_waists"]):
-            rows.append([_fmt(wp), _fmt(wc), _fmt(scan["metric"][i][j])])
-    _write_rows(path, rows)
+# report matrix -> stem of the CSV pair written from its real part
+_CSV_STEMS = {
+    "var_X1": "var_x1",
+    "var_X2": "var_x2",
+    "cross_cov": "cross_covariance",
+    "nbar_matrix": "nbar_matrix",
+}
+# report.json nests each matrix part as doc["report"][name]["re"]
+_MATRIX_LEVEL = 3
 
 
 def emit_result(result, cfg, out_dir, wall_time_s: float = 0.0) -> list:
@@ -336,31 +429,18 @@ def emit_result(result, cfg, out_dir, wall_time_s: float = 0.0) -> list:
 
     Returns the list of files written.  The manifest is the only file
     carrying timing information, so all data files are reproducible byte
-    for byte from the resolved configuration it embeds.
+    for byte from the resolved configuration it embeds.  Every number
+    outside the WaistScan grid must be finite: otherwise ValueError names
+    the field and no file is written.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     report = result.report
-    labels = report.mode_labels
-    written = []
-
     matrices = {
-        "var_x1": np.asarray(report.var_X1).real,
-        "var_x2": np.asarray(report.var_X2).real,
-        "cross_covariance": np.asarray(report.cross_cov).real,
-        "nbar_matrix": np.asarray(report.nbar_matrix).real,
-        "pair_abs": np.abs(report.pair_matrix),
-        "pair_arg": np.angle(report.pair_matrix),
+        name: np.asarray(getattr(report, name), dtype=complex) for name in _REPORT_MATRICES
     }
-    for stem, matrix in matrices.items():
-        _write_matrix_csv(out / f"{stem}.csv", matrix, labels)
-        _write_long_csv(out / f"{stem}_long.csv", matrix, labels)
-        written += [f"{stem}.csv", f"{stem}_long.csv"]
-
     report_doc = {
         "scenario": result.name,
         "gain": float(result.gain),
-        "report": report_to_dict(report),
+        "report": {**_report_scalars(report), **matrices},
         "metrics": {k: _json_safe(v) for k, v in result.metrics.items()},
     }
     if result.eigen_rows is not None:
@@ -374,16 +454,52 @@ def emit_result(result, cfg, out_dir, wall_time_s: float = 0.0) -> list:
             }
             for row in result.eigen_rows
         ]
-    if result.scan is not None:
-        report_doc["scan"] = _json_safe(result.scan)
-        _scan_csv(out / "scan_grid.csv", result.scan)
-        written.append("scan_grid.csv")
     if result.convergence is not None:
         report_doc["convergence_check"] = _json_safe(result.convergence)
-    (out / "report.json").write_text(
-        json.dumps(report_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    written.append("report.json")
+    # failed WaistScan cells are recorded as NaN in the grid
+    _require_finite(report_doc, "")
+    _require_finite(result.oracle_agreement, "oracle_agreement")
+    if result.scan is not None:
+        report_doc["scan"] = _json_safe(result.scan)
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+
+    def write(name: str, text: str) -> None:
+        (out / name).write_text(text, encoding="utf-8")
+        written.append(name)
+
+    labels = [_csv_field(label) for label in report.mode_labels]
+    heads = _pair_heads(labels, labels)
+
+    def write_csv_pair(stem: str, strs: list) -> None:
+        write(f"{stem}.csv", _matrix_csv(strs, labels))
+        write(f"{stem}_long.csv", _long_csv("row,col,value", heads, strs))
+
+    # one array at a time: format it once, write its CSVs, keep its JSON block
+    for name, matrix in matrices.items():
+        parts = {}
+        for part, values in (("re", matrix.real), ("im", matrix.imag)):
+            strs = _reprs(values)
+            if part == "re" and name in _CSV_STEMS:
+                write_csv_pair(_CSV_STEMS[name], strs)
+            parts[part] = _json_matrix(strs, values.shape, _MATRIX_LEVEL)
+        report_doc["report"][name] = parts
+    write_csv_pair("pair_abs", _reprs(np.abs(report.pair_matrix)))
+    write_csv_pair("pair_arg", _reprs(np.angle(report.pair_matrix)))
+
+    if result.scan is not None:
+        scan = result.scan
+        write("scan_grid.csv", _long_csv(
+            "pump_waist,collection_waist,metric",
+            _pair_heads(_reprs(scan["pump_waists"]), _reprs(scan["collection_waists"])),
+            _reprs(scan["metric"]),
+        ))
+    write("report.json", _json_text(report_doc) + "\n")
+    if result.oracle_agreement is not None:
+        write("oracle_agreement.json",
+              json.dumps(result.oracle_agreement, indent=2, sort_keys=True) + "\n")
 
     manifest = {
         "scenario": result.name,
@@ -393,10 +509,7 @@ def emit_result(result, cfg, out_dir, wall_time_s: float = 0.0) -> list:
         "outputs": sorted(written),
         "convergence_check": _json_safe(result.convergence),
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    written.append("manifest.json")
+    write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return written
 
 

@@ -138,6 +138,7 @@ class ScenarioResult:
     eigen_rows: list = None
     scan: dict = None
     convergence: dict = None
+    oracle_agreement: dict = None
 
 
 def default_config(name: str, ell_max: int = 1, p_max: int = 2) -> ScenarioConfig:

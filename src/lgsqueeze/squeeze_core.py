@@ -14,7 +14,8 @@ case produced by identical signal and idler collection geometries).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -93,24 +94,26 @@ def polar_decompose(xi: np.ndarray):
     return r_factor, phase, theta
 
 
-def _hermitian_fn(h: np.ndarray, fn) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(h)
+def _hermitian_fn(sq: SqueezeMatrix, fn) -> np.ndarray:
+    """f(R) for the polar factor R, from its cached eigendecomposition."""
+    vals, vecs = sq._r_eigh
     return (vecs * fn(vals)) @ vecs.conj().T
 
 
 @dataclass
 class SqueezeMatrix:
-    """Complex squeezing matrix with cached polar factors.
+    """Complex squeezing matrix with lazily computed, cached polar factors.
 
     Rows are signal modes, columns idler modes, both ordered per the basis.
+    The polar decomposition runs on first use of ``polar_R``,
+    ``polar_phase`` or ``theta``, and the eigendecomposition of ``polar_R``
+    on the first matrix function, so a matrix that is only rescaled is
+    never factored.
     """
 
     xi: np.ndarray
     basis: ModeBasis
     interaction: InteractionType
-    polar_R: np.ndarray = field(default=None, repr=False)
-    polar_phase: np.ndarray = field(default=None, repr=False)
-    theta: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         self.xi = np.asarray(self.xi, dtype=complex)
@@ -118,8 +121,29 @@ class SqueezeMatrix:
             raise ValueError(f"xi must be square, got shape {self.xi.shape}")
         if self.basis is not None and self.basis.size != self.xi.shape[0]:
             raise ValueError("basis size does not match matrix dimension")
-        if self.polar_R is None:
-            self.polar_R, self.polar_phase, self.theta = polar_decompose(self.xi)
+        if not np.all(np.isfinite(self.xi)):
+            raise ValueError("xi must be finite")
+
+    @cached_property
+    def _polar(self):
+        return polar_decompose(self.xi)
+
+    @property
+    def polar_R(self) -> np.ndarray:
+        return self._polar[0]
+
+    @property
+    def polar_phase(self) -> np.ndarray:
+        return self._polar[1]
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self._polar[2]
+
+    @cached_property
+    def _r_eigh(self):
+        """``np.linalg.eigh(polar_R)``, shared by every matrix function of R."""
+        return np.linalg.eigh(self.polar_R)
 
     @property
     def size(self) -> int:
@@ -146,11 +170,6 @@ class StateReport:
     squeezing_db_per_mode: np.ndarray
     mode_labels: list
 
-    def pair_probabilities(self) -> np.ndarray:
-        mod = np.abs(self.pair_matrix)
-        total = mod.sum()
-        return mod / total if total > 0 else mod
-
 
 def scalar_quadrature_variance(sq: SqueezeMatrix):
     """Total quadrature variances (v1, v2) summed over all modes.
@@ -160,8 +179,8 @@ def scalar_quadrature_variance(sq: SqueezeMatrix):
     which is exact for arbitrary xi; the compact cosh(2R), sinh(2R) cos(Theta)
     form coincides with it for symmetric xi.  Vacuum gives (N/4, N/4).
     """
-    ch = _hermitian_fn(sq.polar_R, np.cosh)
-    sh = _hermitian_fn(sq.polar_R, np.sinh)
+    ch = _hermitian_fn(sq, np.cosh)
+    sh = _hermitian_fn(sq, np.sinh)
     base = np.trace(ch @ ch).real + np.trace(sh @ sh).real
     cross = 2.0 * np.trace(sh @ sq.polar_phase @ ch.T).real
     return 0.25 * (base - cross), 0.25 * (base + cross)
@@ -174,8 +193,8 @@ def quadrature_variance_matrices(sq: SqueezeMatrix):
     + sinh(2R~) e^{-i Theta~})]; Hermitian with real diagonal for
     symmetric xi.
     """
-    ch2 = _hermitian_fn(sq.polar_R, lambda x: np.cosh(2 * x))
-    sh2 = _hermitian_fn(sq.polar_R, lambda x: np.sinh(2 * x))
+    ch2 = _hermitian_fn(sq, lambda x: np.cosh(2 * x))
+    sh2 = _hermitian_fn(sq, lambda x: np.sinh(2 * x))
     sym = ch2 + ch2.T
     cross = sh2 @ sq.polar_phase + sh2.T @ sq.polar_phase.conj()
     v1 = 0.125 * (sym - cross)
@@ -190,8 +209,8 @@ def cross_covariance(sq: SqueezeMatrix) -> np.ndarray:
     - sinh(2R~) e^{-i Theta~}]; vanishes identically for real symmetric xi
     and saturates the uncertainty relation for normal xi.
     """
-    ch2 = _hermitian_fn(sq.polar_R, lambda x: np.cosh(2 * x))
-    sh2 = _hermitian_fn(sq.polar_R, lambda x: np.sinh(2 * x))
+    ch2 = _hermitian_fn(sq, lambda x: np.cosh(2 * x))
+    sh2 = _hermitian_fn(sq, lambda x: np.sinh(2 * x))
     return 0.25j * (ch2 - ch2.T + sh2 @ sq.polar_phase - sh2.T @ sq.polar_phase.conj())
 
 
@@ -203,10 +222,10 @@ def photon_statistics(sq: SqueezeMatrix):
     per-mode occupation; the number variance and the beam-beam covariance
     both equal 1/4 Tr sinh^2(2R).
     """
-    sh = _hermitian_fn(sq.polar_R, np.sinh)
+    sh = _hermitian_fn(sq, np.sinh)
     nbar = (sh @ sh).T
     nbar = 0.5 * (nbar + nbar.conj().T)
-    sh2 = _hermitian_fn(sq.polar_R, lambda x: np.sinh(2 * x))
+    sh2 = _hermitian_fn(sq, lambda x: np.sinh(2 * x))
     quarter_tr = 0.25 * np.trace(sh2 @ sh2).real
     return nbar, float(np.trace(nbar).real), quarter_tr, quarter_tr
 
@@ -218,7 +237,7 @@ def pair_creation_matrix(sq: SqueezeMatrix):
     total; the normalized moduli give the probability of the corresponding
     signal/idler transverse-mode pairing.
     """
-    sh2 = _hermitian_fn(sq.polar_R, lambda x: np.sinh(2 * x))
+    sh2 = _hermitian_fn(sq, lambda x: np.sinh(2 * x))
     m = 0.5 * (sq.polar_phase.conj().T @ sh2)
     mod = np.abs(m)
     total = mod.sum()
@@ -232,8 +251,8 @@ def bogoliubov_matrix(sq: SqueezeMatrix) -> np.ndarray:
     a -> C a - E b^dag, b -> C b - E a^dag, and the conjugate rows.
     """
     n = sq.size
-    c = _hermitian_fn(sq.polar_R, np.cosh)
-    e = _hermitian_fn(sq.polar_R, np.sinh) @ sq.polar_phase
+    c = _hermitian_fn(sq, np.cosh)
+    e = _hermitian_fn(sq, np.sinh) @ sq.polar_phase
     z = np.zeros((n, n), dtype=complex)
     return np.block(
         [

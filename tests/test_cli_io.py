@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -83,6 +85,37 @@ class TestConfigParsing:
         assert resolved_config_dict(back) == resolved
 
 
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"basis": 3}, "basis"),
+        ({"coupling": []}, "coupling"),
+        ({"coupling": {"medium": "long"}}, "coupling.medium"),
+        ({"coupling": {"pump": 2}}, "coupling.pump"),
+        ({"coupling": {"pump": {"geometry": None}}}, "coupling.pump.geometry"),
+        ({"basis": {"p_max": 1.5}}, "basis.p_max"),
+        ({"seed_gain": float("inf")}, "seed_gain"),
+        ({"n_target": float("nan")}, "n_target"),
+        ({"coupling": {"medium": {"strength": "2"}}}, "coupling.medium.strength"),
+        ({"coupling": {"collection": {"waist_w0": True}}}, "coupling.collection.waist_w0"),
+        ({"scenario": "WaistScan", "grid": 8}, "grid"),
+        ({"scenario": "WaistScan",
+          "grid": {"pump": [50, 800], "collection": [50, 800], "points": 2.7}},
+         "grid.points"),
+        ({"scenario": "WaistScan",
+          "grid": {"pump": [50, "800"], "collection": [50, 800]}}, "grid.pump"),
+    ],
+)
+def test_bad_config_exits_2_naming_key(tmp_path, capsys, config, key):
+    path = tmp_path / "bad.json"
+    # json.dumps writes Infinity/NaN, which json.load reads back
+    path.write_text(json.dumps({"scenario": "PsrSinglePhoton", **config}))
+    assert cli_main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"(key: {key})" in err or err.startswith(f"error: {key}"), err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.fixture(scope="module")
 def emitted(tmp_path_factory, pdc_benchmark):
     out = tmp_path_factory.mktemp("emit")
@@ -150,6 +183,72 @@ class TestEmission:
         assert np.array_equal(matrix, np.eye(2) / 4)
 
 
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def test_emitted_bytes_match_json_and_csv_writers(tmp_path):
+    """Every file equals what json.dumps and csv.writer make of the same values."""
+    from lgsqueeze.eigenmodes import EigenmodeStats
+    from lgsqueeze.report_io import report_to_dict
+    from lgsqueeze.scenarios import ScenarioResult
+    from lgsqueeze.squeeze_core import StateReport
+
+    real = np.array([-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, -1.5, 1 / 3, 0.0, 2.5e-300])
+    real = real.reshape(3, 3)
+    cplx = real + 1j * real[::-1]
+    labels = ["l=0,p=0", 'say "hi"', "plain"]
+    report = StateReport(
+        var_X1=cplx, var_X2=real, scalar_var=(0.1 + 0.2, -0.0), cross_cov=cplx.T,
+        nbar_matrix=real.T, nbar_total=1e16, number_variance=5e-324,
+        number_covariance=1e-05, pair_matrix=1j * cplx,
+        squeezing_db_per_mode=np.array([-0.0, 1e-05, 1e16]), mode_labels=labels,
+    )
+    eigen_rows = [EigenmodeStats(lam=0.1 + 0.2, variance_minus=1e-05,
+                                 variance_plus=1e16, nbar=-0.0, theta=5e-324)]
+    # a failed scan cell is still recorded as NaN
+    scan = {"pump_waists": [50.0, 0.1 + 0.2], "collection_waists": [1e16, 1e-05],
+            "metric": [[float("nan"), 1.0], [-0.0, 5e-324]], "failures": []}
+    metrics = {"ratio": 1e-05, "flag": True}
+    convergence = {"basis": "ell_max=2,p_max=4", "nbar_total": 1e16}
+    result = ScenarioResult("WaistScan", report, None, 0.1 + 0.2, metrics,
+                            eigen_rows=eigen_rows, scan=scan, convergence=convergence)
+    emit_result(result, default_config("WaistScan"), tmp_path)
+
+    doc = {
+        "scenario": "WaistScan", "gain": 0.1 + 0.2, "report": report_to_dict(report),
+        "metrics": metrics, "scan": scan, "convergence_check": convergence,
+        "eigenmodes": [{"lambda": 0.1 + 0.2, "variance_minus": 1e-05,
+                        "variance_plus": 1e16, "nbar": -0.0, "theta": 5e-324}],
+    }
+    assert (tmp_path / "report.json").read_text() == (
+        json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    )
+    matrices = {
+        "var_x1": cplx.real, "var_x2": real, "cross_covariance": cplx.T.real,
+        "nbar_matrix": real.T, "pair_abs": np.abs(1j * cplx),
+        "pair_arg": np.angle(1j * cplx),
+    }
+    for stem, matrix in matrices.items():
+        wide = [["mode"] + labels] + [
+            [label] + [repr(float(v)) for v in row] for label, row in zip(labels, matrix)
+        ]
+        long = [["row", "col", "value"]] + [
+            [a, b, repr(float(matrix[i, j]))]
+            for i, a in enumerate(labels) for j, b in enumerate(labels)
+        ]
+        assert (tmp_path / f"{stem}.csv").read_text() == _csv_text(wide), stem
+        assert (tmp_path / f"{stem}_long.csv").read_text() == _csv_text(long), stem
+    grid = [["pump_waist", "collection_waist", "metric"]] + [
+        [repr(p), repr(c), repr(scan["metric"][i][j])]
+        for i, p in enumerate(scan["pump_waists"])
+        for j, c in enumerate(scan["collection_waists"])
+    ]
+    assert (tmp_path / "scan_grid.csv").read_text() == _csv_text(grid)
+
+
 class TestCli:
     def test_conflicting_flags(self, capsys):
         with pytest.raises(SystemExit):
@@ -180,6 +279,8 @@ class TestCli:
         agreement = json.loads((tmp_path / "oracle_agreement.json").read_text())
         assert agreement["within_bound"]
         jsonschema.validate(agreement, load_schema("oracle_agreement.schema.json"))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert "oracle_agreement.json" in manifest["outputs"]
 
     def test_two_beam_run_with_oracle(self, tmp_path):
         rc = cli_main([
@@ -197,6 +298,33 @@ class TestCli:
         ])
         assert rc == 2
         assert "oracle" in capsys.readouterr().err
+
+    def test_manifest_lists_every_file_written(self, tmp_path):
+        for flags in ([], ["--oracle"]):
+            out = tmp_path / ("oracle" if flags else "plain")
+            rc = cli_main(["--scenario", "PsrSinglePhoton", "--lmax", "0", "--pmax", "0",
+                           "--out", str(out), "--quiet"] + flags)
+            assert rc == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            on_disk = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+            assert manifest["outputs"] == on_disk
+
+    @pytest.mark.parametrize("gain, field", [(400, "report.scalar_var"),
+                                             (50, "report.squeezing_db_per_mode")])
+    def test_non_finite_report_refused(self, tmp_path, capsys, gain, field):
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            rc = cli_main(["--scenario", "PsrSinglePhoton", "--lmax", "0", "--pmax", "1",
+                           "--seed-gain", str(gain), "--out", str(out), "--quiet"])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_seed_gain_flag_refused(self, tmp_path, capsys):
+        rc = cli_main(["--scenario", "PsrSinglePhoton", "--seed-gain", "inf",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "--seed-gain" in capsys.readouterr().err
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OUT_DIR", str(tmp_path / "via_env"))

@@ -300,3 +300,31 @@ class TestReport:
         assert np.allclose(
             db, 10 * np.log10(report.var_X1.diagonal().real / 0.25), atol=1e-12
         )
+
+
+class TestComputeOnce:
+    def test_one_decomposition_and_one_eigh_per_scenario_matrix(self, monkeypatch):
+        from lgsqueeze import squeeze_core
+        from lgsqueeze.coupling import assemble_squeeze_matrix, scale_to_mean_photons
+        from lgsqueeze.scenarios import default_config, pair_dominance_metrics
+
+        calls = {"polar_decompose": 0, "eigh": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(squeeze_core, "polar_decompose",
+                            counting("polar_decompose", squeeze_core.polar_decompose))
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        cfg = default_config("PdcBenchmark").coupling
+        sq, _ = scale_to_mean_photons(assemble_squeeze_matrix(cfg), 1.0)
+        state_report(sq)
+        pair_dominance_metrics(sq)
+        assert calls == {"polar_decompose": 1, "eigh": 1}
+
+    def test_non_finite_matrix_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="finite"):
+            two_beam([[np.nan]])
