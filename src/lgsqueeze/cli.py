@@ -119,24 +119,19 @@ def main(argv=None) -> int:
             )
         if args.lmax is not None or args.pmax is not None:
             from .modes import build_basis
-            from .coupling import CouplingConfig
+            from .scenarios import coupling_on_basis
 
             basis = build_basis(
                 cfg.coupling.basis.ell_max if args.lmax is None else args.lmax,
                 cfg.coupling.basis.p_max if args.pmax is None else args.pmax,
             )
-            cfg.coupling = CouplingConfig(
-                interaction=cfg.coupling.interaction,
-                medium=cfg.coupling.medium,
-                pump1=cfg.coupling.pump1,
-                pump2=cfg.coupling.pump2,
-                collection=cfg.coupling.collection,
-                basis=basis,
-                single_pump=cfg.coupling.single_pump,
-            )
+            cfg.coupling = coupling_on_basis(cfg.coupling, basis)
         if args.seed_gain is not None:
             if not np.isfinite(args.seed_gain):
                 raise ConfigError(f"--seed-gain must be a finite number, got {args.seed_gain}")
+            if cfg.name == "WaistScan":
+                raise ConfigError("--seed-gain is not used by WaistScan, which calibrates "
+                                  "every cell to n_target")
             cfg.seed_gain = args.seed_gain
 
         out_dir = args.out or os.environ.get("OUT_DIR") or "out"

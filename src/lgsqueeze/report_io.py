@@ -288,6 +288,29 @@ def _geometry_from_dict(data: dict, default, path: str):
         raise ConfigError(f"{path[:-1]}: {exc}") from exc
 
 
+def _pump_coefficients(data, size: int, path: str) -> np.ndarray:
+    """Unit-norm complex pump coefficients from ``{"re": [...], "im": [...]}``.
+
+    Each part is a list of ``size`` numbers, or the one-row nested list the
+    manifest writes.
+    """
+    _require_keys(data, {"re", "im"}, path + ".")
+    parts = []
+    for part in ("re", "im"):
+        values = data.get(part)
+        if isinstance(values, list) and len(values) == 1 and isinstance(values[0], list):
+            values = values[0]
+        if not isinstance(values, list) or len(values) != size:
+            raise ConfigError(f"{path}.{part} must list {size} numbers, one per basis "
+                              f"mode (key: {path}.{part})")
+        parts.append([_finite(v, f"{path}.{part}") for v in values])
+    coefficients = np.array(parts[0]) + 1j * np.array(parts[1])
+    norm = float(np.linalg.norm(coefficients))
+    if abs(norm - 1.0) > 1e-12:
+        raise ConfigError(f"{path} must have unit norm, got {norm!r} (key: {path})")
+    return coefficients
+
+
 def scenario_config_from_dict(data: dict):
     """Build a fully-resolved ScenarioConfig from a (partial) JSON dict.
 
@@ -323,6 +346,9 @@ def scenario_config_from_dict(data: dict):
             raise ConfigError("n_target must be > 0 (key: n_target)")
     if data.get("seed_gain") is not None:
         cfg.seed_gain = _finite(data["seed_gain"], "seed_gain")
+        if name == "WaistScan":
+            raise ConfigError("WaistScan calibrates every cell to n_target; "
+                              "seed_gain is not used (key: seed_gain)")
     if "convergence_check" in data:
         cfg.convergence_check = bool(data["convergence_check"])
 
@@ -359,21 +385,29 @@ def scenario_config_from_dict(data: dict):
     except ValueError as exc:
         raise ConfigError(f"coupling.medium: {exc}") from exc
 
-    def pump_geometry(key: str):
-        # a pump is either {"geometry": {...}, ...} or a bare geometry
+    def pump_spec(key: str, default_coefficients) -> PumpSpec:
+        # a pump is either {"geometry": {...}, "coefficients": ...} or a bare geometry
         spec = coupling_spec[key]
-        if isinstance(spec, dict) and "geometry" in spec:
-            return _geometry_from_dict(
-                spec["geometry"], base.pump1.geometry, f"coupling.{key}.geometry."
-            )
-        return _geometry_from_dict(spec, base.pump1.geometry, f"coupling.{key}.")
+        path = f"coupling.{key}."
+        if not (isinstance(spec, dict) and {"geometry", "coefficients"} & set(spec)):
+            return PumpSpec(_geometry_from_dict(spec, base.pump1.geometry, path),
+                            default_coefficients)
+        _require_keys(spec, {"geometry", "coefficients"}, path)
+        geometry, coefficients = base.pump1.geometry, default_coefficients
+        if "geometry" in spec:
+            geometry = _geometry_from_dict(spec["geometry"], geometry, path + "geometry.")
+        if spec.get("coefficients") is not None:
+            if name in ("PdcEigenPump", "WaistScan"):
+                raise ConfigError(f"{name} sets its own pump modes; {path}coefficients "
+                                  f"is not used (key: {path}coefficients)")
+            coefficients = _pump_coefficients(spec["coefficients"], base.basis.size,
+                                              path + "coefficients")
+        return PumpSpec(geometry, coefficients)
 
-    pump_geom = pump_geometry("pump") if "pump" in coupling_spec else base.pump1.geometry
-    pump1 = PumpSpec(geometry=pump_geom, coefficients=base.pump1.coefficients)
-
+    pump1 = pump_spec("pump", base.pump1.coefficients) if "pump" in coupling_spec else base.pump1
     pump2 = None
     if coupling_spec.get("pump2") is not None:
-        pump2 = PumpSpec(geometry=pump_geometry("pump2"))
+        pump2 = pump_spec("pump2", None)
 
     collection = (
         _geometry_from_dict(

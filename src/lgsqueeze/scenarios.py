@@ -15,7 +15,7 @@ fixed photon budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,13 +28,14 @@ from .coupling import (
     scale_to_mean_photons,
 )
 from .eigenmodes import EigenDecomposition, decompose, eigenmode_pump, eigenmode_report
-from .modes import BeamGeometry, build_basis
+from .modes import BeamGeometry, QuadratureError, build_basis
 from .squeeze_core import SqueezeMatrix, StateReport, pair_creation_matrix, state_report
 
 __all__ = [
     "SCENARIO_NAMES",
     "ScenarioConfig",
     "ScenarioResult",
+    "coupling_on_basis",
     "default_config",
     "run_scenario",
     "pair_dominance_metrics",
@@ -286,21 +287,48 @@ def _convergence_check(cfg: ScenarioConfig) -> dict:
     }
 
 
+def _pump_on_basis(pump: PumpSpec, old, new) -> PumpSpec:
+    """The same pump with its mode coefficients moved from basis ``old`` to ``new``."""
+    if pump.coefficients is None:
+        return pump
+    coefficients = np.zeros(new.size, dtype=complex)
+    for idx, value in zip(old.order, pump.coefficients):
+        if value == 0.0:
+            continue
+        if abs(idx.ell) > new.ell_max or idx.p > new.p_max:
+            raise ValueError(f"pump coefficient on mode {idx.label()} lies outside the "
+                             f"ell_max={new.ell_max}, p_max={new.p_max} basis")
+        coefficients[new.position(idx)] = value
+    return replace(pump, coefficients=coefficients)
+
+
+def coupling_on_basis(coupling: CouplingConfig, basis) -> CouplingConfig:
+    """The same coupling over another basis, each pump coefficient kept on its mode."""
+    pump1 = _pump_on_basis(coupling.pump1, coupling.basis, basis)
+    pump2 = None
+    if coupling.pump2 is not coupling.pump1:
+        pump2 = _pump_on_basis(coupling.pump2, coupling.basis, basis)
+    return replace(coupling, basis=basis, pump1=pump1, pump2=pump2)
+
+
 def _rebuild_at_basis(cfg: ScenarioConfig, ell_max: int, p_max: int) -> ScenarioConfig:
     fresh = default_config(cfg.name, ell_max, p_max)
     fresh.n_target = cfg.n_target
     fresh.seed_gain = cfg.seed_gain
-    # keep any overridden geometry/medium, swapping only the basis
-    fresh.coupling = CouplingConfig(
-        interaction=cfg.coupling.interaction,
-        medium=cfg.coupling.medium,
-        pump1=cfg.coupling.pump1,
-        pump2=cfg.coupling.pump2,
-        collection=cfg.coupling.collection,
-        basis=build_basis(ell_max, p_max),
-        single_pump=cfg.coupling.single_pump,
-    )
+    # keep any overridden geometry/medium/pump, swapping only the basis
+    fresh.coupling = coupling_on_basis(cfg.coupling, build_basis(ell_max, p_max))
     return fresh
+
+
+def _decibels(name: str, numerator: float, denominator: float, gain: float) -> float:
+    """10 log10 of a variance ratio, or a ValueError naming the statistic and gain."""
+    ratio = numerator / denominator if denominator > 0 else math.nan
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(
+            f"{name} is undefined at gain {gain:.6g}: the variance ratio "
+            f"{numerator!r} / {denominator!r} is not positive and finite"
+        )
+    return 10.0 * math.log10(ratio)
 
 
 def _run_single(cfg: ScenarioConfig) -> ScenarioResult:
@@ -394,8 +422,9 @@ def _run_single(cfg: ScenarioConfig) -> ScenarioResult:
             "u00_variance_normalized": 4.0 * u00_var,
             "lambda_1": rows[0].lam,
             "lambda1_variance_normalized": 4.0 * rows[0].variance_minus,
-            "eigen_improvement_db": 10.0
-            * math.log10(u00_var / rows[0].variance_minus),
+            "eigen_improvement_db": _decibels(
+                "eigen_improvement_db", u00_var, rows[0].variance_minus, gain
+            ),
             "calibrated_gain": gain,
         }
         metrics.update(pair_dominance_metrics(sq))
@@ -405,8 +434,9 @@ def _run_single(cfg: ScenarioConfig) -> ScenarioResult:
             metrics["benchmark_u00_variance_normalized"] = bench.metrics[
                 "u00_variance_normalized"
             ]
-            metrics["improvement_vs_benchmark_u00_db"] = 10.0 * math.log10(
-                bench.metrics["u00_variance_x1"] / rows[0].variance_minus
+            metrics["improvement_vs_benchmark_u00_db"] = _decibels(
+                "improvement_vs_benchmark_u00_db",
+                bench.metrics["u00_variance_x1"], rows[0].variance_minus, gain,
             )
             metrics["benchmark_nbar_lambda1_share"] = (
                 math.sinh(bench.metrics["lambda_1"]) ** 2 / bench.report.nbar_total
@@ -456,7 +486,8 @@ def _run_single(cfg: ScenarioConfig) -> ScenarioResult:
                     raw = assemble_squeeze_matrix(cell)
                     sq, _ = scale_to_mean_photons(raw, cfg.n_target)
                     metric[i, j] = pair_dominance_metrics(sq)["figure_metric"]
-                except Exception as exc:  # record and continue scanning
+                except (QuadratureError, ValueError, np.linalg.LinAlgError) as exc:
+                    # a numerical failure of this cell: record it and scan on
                     failures.append({"pump": float(wp), "collection": float(wc),
                                      "error": str(exc)})
         best = np.unravel_index(np.nanargmax(metric), metric.shape)

@@ -104,6 +104,20 @@ class TestConfigParsing:
          "grid.points"),
         ({"scenario": "WaistScan",
           "grid": {"pump": [50, "800"], "collection": [50, 800]}}, "grid.pump"),
+        ({"scenario": "WaistScan", "seed_gain": 0.5}, "seed_gain"),
+        ({"coupling": {"pump": {"coefficients": [1, 0]}}}, "coupling.pump.coefficients"),
+        ({"coupling": {"pump": {"coefficients": {"re": [1.0], "im": [0.0]}}}},
+         "coupling.pump.coefficients.re"),
+        ({"coupling": {"pump": {"coefficients": {"re": [1.0] + [0.0] * 8,
+                                                 "im": [float("nan")] * 9}}}},
+         "coupling.pump.coefficients.im"),
+        ({"coupling": {"pump": {"coefficients": {"re": [0.5] * 9, "im": [0.0] * 9}}}},
+         "coupling.pump.coefficients"),
+        ({"coupling": {"pump2": {"coefficients": {"re": [1.0]}}}},
+         "coupling.pump2.coefficients.re"),
+        ({"scenario": "PdcEigenPump",
+          "coupling": {"pump": {"coefficients": {"re": [1.0] + [0.0] * 8, "im": [0.0] * 9}}}},
+         "coupling.pump.coefficients"),
     ],
 )
 def test_bad_config_exits_2_naming_key(tmp_path, capsys, config, key):
@@ -114,6 +128,16 @@ def test_bad_config_exits_2_naming_key(tmp_path, capsys, config, key):
     err = capsys.readouterr().err
     assert f"(key: {key})" in err or err.startswith(f"error: {key}"), err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("pump", ["pump", "pump2"])
+def test_unknown_pump_key_exits_2_naming_key(tmp_path, capsys, pump):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(
+        {"scenario": "PsrSinglePhoton",
+         "coupling": {pump: {"geometry": {"waist_w0": 80.0}, "bogus": 1}}}))
+    assert cli_main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"coupling.{pump}.bogus" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -326,6 +350,30 @@ class TestCli:
         assert rc == 2
         assert "--seed-gain" in capsys.readouterr().err
 
+    def test_seed_gain_flag_refused_for_waist_scan(self, tmp_path, capsys):
+        rc = cli_main(["--scenario", "WaistScan", "--seed-gain", "0.5",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "--seed-gain" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_gain_names_statistic_and_gain(self, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            rc = cli_main(["--scenario", "PdcBenchmark", "--lmax", "0", "--pmax", "1",
+                           "--seed-gain", "1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "eigen_improvement_db" in err and "gain 1" in err, err
+
+    def test_degenerate_oracle_bound_reads_the_reached_shell(self, tmp_path):
+        # photon parity keeps this three-mode state off the odd cut 83; the
+        # bound reads the highest even shell instead of reporting zero
+        rc = cli_main(["--scenario", "PsrSinglePhoton", "--lmax", "1", "--pmax", "0",
+                       "--out", str(tmp_path), "--oracle", "--quiet"])
+        assert rc == 0
+        agreement = json.loads((tmp_path / "oracle_agreement.json").read_text())
+        assert agreement["truncation_bound"] > 0.01
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OUT_DIR", str(tmp_path / "via_env"))
         rc = cli_main(["--scenario", "PsrSinglePhoton", "--lmax", "0",
@@ -349,3 +397,44 @@ class TestDeterminism:
             if name == "manifest.json":
                 continue  # carries wall time
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_pump_coefficients_round_trip_through_the_manifest(self, tmp_path):
+        config = {"scenario": "PsrSinglePhoton", "basis": {"ell_max": 0, "p_max": 1},
+                  "coupling": {"pump": {"coefficients": {"re": [0.6, 0.0],
+                                                         "im": [0.0, 0.8]}}}}
+        runs = {}
+        for name in ("plain", "custom", "again"):
+            if name == "again":
+                config = json.loads((runs["custom"] / "manifest.json").read_text())[
+                    "resolved_config"]
+                assert config["coupling"]["pump"]["coefficients"] == {
+                    "re": [[0.6, 0.0]], "im": [[0.0, 0.8]]}
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(json.dumps(
+                {**config, "coupling": {}} if name == "plain" else config))
+            runs[name] = tmp_path / name
+            assert cli_main(["--config", str(cfg_path), "--out", str(runs[name]),
+                             "--quiet"]) == 0
+        report = (runs["custom"] / "report.json").read_bytes()
+        assert report != (runs["plain"] / "report.json").read_bytes()
+        for path in runs["custom"].iterdir():
+            if path.name != "manifest.json":
+                assert path.read_bytes() == (runs["again"] / path.name).read_bytes(), path.name
+
+    @pytest.mark.parametrize("pmax, rc", [("2", 0), ("0", 2)])
+    def test_basis_flags_keep_pump_coefficients_on_their_modes(self, tmp_path, capsys,
+                                                                pmax, rc):
+        cfg_path = tmp_path / "pump.json"
+        cfg_path.write_text(json.dumps(
+            {"scenario": "PsrSinglePhoton", "basis": {"ell_max": 0, "p_max": 1},
+             "convergence_check": False,
+             "coupling": {"pump": {"coefficients": {"re": [0.6, 0.0], "im": [0.0, 0.8]}}}}))
+        out = tmp_path / "o"
+        assert cli_main(["--config", str(cfg_path), "--pmax", pmax, "--out", str(out),
+                         "--quiet"]) == rc
+        if rc == 0:
+            pump = json.loads((out / "manifest.json").read_text())[
+                "resolved_config"]["coupling"]["pump"]["coefficients"]
+            assert pump == {"re": [[0.6, 0.0, 0.0]], "im": [[0.0, 0.8, 0.0]]}
+        else:
+            assert "l=0,p=1" in capsys.readouterr().err

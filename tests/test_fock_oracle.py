@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse.csgraph import breadth_first_order
 
 from conftest import random_symmetric
 from lgsqueeze.coupling import InteractionType
@@ -15,6 +17,67 @@ from lgsqueeze.squeeze_core import (
     degenerate_statistics,
     state_report,
 )
+
+REPORT_FIELDS = ("scalar_var", "var_X1", "var_X2", "cross_cov", "nbar_matrix",
+                 "nbar_total", "number_variance", "number_covariance",
+                 "pair_matrix", "truncation_bound")
+
+
+def full_box_statistics(xi, space):
+    """Every oracle field on the whole truncated space, with dense matrices.
+
+    The vacuum is evolved by a dense exponential of the full-space exponent;
+    the truncation bound reads the shells of the states the exponent
+    connects to the vacuum, found by a graph search on that matrix.
+    """
+    xi = np.asarray(xi, dtype=complex)
+    n = xi.shape[0]
+    gen = build_hamiltonian_exponent(xi, space)
+    psi = scipy.linalg.expm(gen.toarray())[:, 0]
+    levels = space.n_cut + 1
+    lower = np.diag(np.sqrt(np.arange(1, levels)), 1)
+    ops = [np.kron(np.kron(np.eye(levels ** k), lower),
+                   np.eye(levels ** (space.n_modes - k - 1)))
+           for k in range(space.n_modes)]
+    degenerate = space.n_modes == n
+    a_ops = ops[:n]
+    b_ops = a_ops if degenerate else ops[n:]
+    scale = 0.5 if degenerate else 2.0 ** -1.5
+    x1 = [scale * (a + a.T + (0 if degenerate else b + b.T)) @ psi
+          for a, b in zip(a_ops, b_ops)]
+    x2 = [-1j * scale * (a - a.T + (0 if degenerate else b - b.T)) @ psi
+          for a, b in zip(a_ops, b_ops)]
+    a_psi = [a @ psi for a in a_ops]
+    bdag_psi = [b.T @ psi for b in b_ops]
+
+    def moments(left, right):
+        return np.array([[np.vdot(u, v) for v in right] for u in left])
+
+    na = sum(a.T @ a for a in a_ops) @ psi
+    nb = sum(b.T @ b for b in b_ops) @ psi
+    mean_na = np.vdot(psi, na).real
+    mean_nb = np.vdot(psi, nb).real
+
+    reachable = breadth_first_order(abs(gen), 0, directed=False,
+                                    return_predecessors=False)
+    occ = space.occupations()[reachable]
+    top = occ.max(axis=0)
+    shell = reachable[np.any((occ == top) & (top > 0), axis=1)]
+    v1 = moments(x1, x1)
+    v2 = moments(x2, x2)
+    nbar = moments(a_psi, a_psi)
+    return psi, {
+        "scalar_var": (np.trace(v1).real, np.trace(v2).real),
+        "var_X1": v1,
+        "var_X2": v2,
+        "cross_cov": moments(x1, x2).real,
+        "nbar_matrix": nbar,
+        "nbar_total": np.trace(nbar).real,
+        "number_variance": np.vdot(na, na).real - mean_na ** 2,
+        "number_covariance": np.vdot(na, nb).real - mean_na * mean_nb,
+        "pair_matrix": moments(a_psi, bdag_psi),
+        "truncation_bound": np.linalg.norm(psi[shell]),
+    }
 
 
 class TestSpace:
@@ -111,6 +174,33 @@ class TestVacuumStatistics:
         assert np.abs(oracle.nbar_matrix - rep.nbar_matrix).max() < tol
         assert np.abs(oracle.pair_matrix - rep.pair_matrix).max() < tol
         assert abs(oracle.number_variance - rep.number_variance) < tol
+
+    @pytest.mark.parametrize("xi, space", [
+        (random_symmetric(np.random.default_rng(3), 1, scale=0.5), TruncatedFockSpace(2, 5)),
+        (np.array([[0.3, 0.2], [0.2, 0.0]]), TruncatedFockSpace(2, 6)),
+        (np.array([[0.45]]), TruncatedFockSpace(1, 11)),
+    ], ids=["two-beam", "degenerate-two-mode", "degenerate-odd-cut"])
+    def test_matches_full_space_brute_force(self, xi, space):
+        psi, expected = full_box_statistics(xi, space)
+        if space.n_modes == 2 and xi.shape == (2, 2):
+            # |0, 2> is only reached by annihilating a pair from |2, 2>
+            assert abs(psi[2]) > 1e-3
+        rep = vacuum_statistics(xi, space)
+        for name in REPORT_FIELDS:
+            assert np.abs(np.subtract(getattr(rep, name), expected[name])).max() < 1e-12, name
+
+    def test_truncation_bound_reads_the_highest_reached_shell(self):
+        # photon parity keeps a degenerate single mode off an odd cut: the
+        # bound is the amplitude on the highest even occupation, as at the
+        # even cut below, where the evolved state is the same
+        xi = np.array([[0.4]])
+        odd = vacuum_statistics(xi, TruncatedFockSpace(1, 9))
+        even = vacuum_statistics(xi, TruncatedFockSpace(1, 8))
+        assert odd.truncation_bound > 0.1
+        for name in ("truncation_bound", "nbar_total", "number_variance"):
+            assert getattr(odd, name) == getattr(even, name), name
+        # the closed-form photon number is off by a tenth of the bound
+        assert abs(odd.nbar_total - math.sinh(0.8) ** 2) < odd.truncation_bound
 
     def test_inconclusive_flag(self):
         rep = vacuum_statistics(np.array([[0.9]]), TruncatedFockSpace(2, 4),

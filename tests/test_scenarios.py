@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from lgsqueeze.modes import ModeIndex
+from lgsqueeze import scenarios
+from lgsqueeze.modes import ModeIndex, QuadratureError
 from lgsqueeze.report_io import report_from_dict, report_to_dict
 from lgsqueeze.scenarios import default_config, run_scenario, scan_island
+
+
+def small_scan():
+    cfg = default_config("WaistScan", ell_max=0, p_max=1)
+    cfg.scan_grid = {"pump": [100.0, 200.0], "collection": [100.0, 200.0], "points": 2}
+    return cfg
 
 
 def mode_pos(result, ell, p):
@@ -188,6 +195,27 @@ class TestWaistScan:
 
     def test_no_cell_failures(self, waist_scan):
         assert waist_scan.scan["failures"] == []
+
+    def test_numerical_failure_is_recorded_per_cell(self, monkeypatch):
+        assemble = scenarios.assemble_squeeze_matrix
+
+        def failing_corner(coupling):
+            if coupling.pump1.geometry.waist_w0 == coupling.collection.waist_w0 == 100.0:
+                raise QuadratureError("no convergence", 1.0)
+            return assemble(coupling)
+
+        monkeypatch.setattr(scenarios, "assemble_squeeze_matrix", failing_corner)
+        scan = run_scenario(small_scan()).scan
+        assert [(f["pump"], f["collection"]) for f in scan["failures"]] == [(100.0, 100.0)]
+        assert math.isnan(scan["metric"][0][0])
+
+    def test_programming_error_is_not_a_failed_cell(self, monkeypatch):
+        def broken(sq):
+            raise TypeError("not a numerical failure")
+
+        monkeypatch.setattr(scenarios, "pair_dominance_metrics", broken)
+        with pytest.raises(TypeError):
+            run_scenario(small_scan())
 
     def test_argmax_in_island_containing_benchmark(self, waist_scan):
         island = waist_scan.scan["island"]
