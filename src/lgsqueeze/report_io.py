@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -317,8 +318,7 @@ def scenario_config_from_dict(data: dict):
     Unknown keys are rejected with the path of the offending key; omitted
     fields take the named scenario's stock values.
     """
-    from .coupling import CouplingConfig, InteractionType, MediumConfig, PumpSpec
-    from .modes import build_basis
+    from .coupling import InteractionType, MediumConfig, PumpSpec
     from .scenarios import SCENARIO_NAMES, default_config
 
     if not isinstance(data, dict):
@@ -350,6 +350,10 @@ def scenario_config_from_dict(data: dict):
             raise ConfigError("WaistScan calibrates every cell to n_target; "
                               "seed_gain is not used (key: seed_gain)")
     if "convergence_check" in data:
+        # the stock config turns the check on exactly where a re-run exists
+        if data["convergence_check"] and not cfg.convergence_check:
+            raise ConfigError(f"{name} has no convergence re-run; convergence_check "
+                              "must be false (key: convergence_check)")
         cfg.convergence_check = bool(data["convergence_check"])
 
     coupling_spec = data.get("coupling", {})
@@ -416,13 +420,13 @@ def scenario_config_from_dict(data: dict):
         if "collection" in coupling_spec
         else base.collection
     )
-    cfg.coupling = CouplingConfig(
+    cfg.coupling = replace(
+        base,
         interaction=interaction,
         medium=medium,
         pump1=pump1,
         pump2=pump2,
         collection=collection,
-        basis=base.basis,
         single_pump=bool(coupling_spec.get("single_pump", base.single_pump)),
     )
 
@@ -490,10 +494,10 @@ def emit_result(result, cfg, out_dir, wall_time_s: float = 0.0) -> list:
         ]
     if result.convergence is not None:
         report_doc["convergence_check"] = _json_safe(result.convergence)
-    # failed WaistScan cells are recorded as NaN in the grid
     _require_finite(report_doc, "")
     _require_finite(result.oracle_agreement, "oracle_agreement")
     if result.scan is not None:
+        # a failed WaistScan cell is NaN in the grid and null in the JSON
         report_doc["scan"] = _json_safe(result.scan)
 
     out = Path(out_dir)
@@ -555,7 +559,7 @@ def _json_safe(value):
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (np.floating, float)):
-        return float(value)
+        return float(value) if math.isfinite(value) else None
     if isinstance(value, (np.integer, int)):
         return int(value)
     return value

@@ -118,6 +118,7 @@ class TestConfigParsing:
         ({"scenario": "PdcEigenPump",
           "coupling": {"pump": {"coefficients": {"re": [1.0] + [0.0] * 8, "im": [0.0] * 9}}}},
          "coupling.pump.coefficients"),
+        ({"scenario": "PdcEigenPump", "convergence_check": True}, "convergence_check"),
     ],
 )
 def test_bad_config_exits_2_naming_key(tmp_path, capsys, config, key):
@@ -232,7 +233,7 @@ def test_emitted_bytes_match_json_and_csv_writers(tmp_path):
     )
     eigen_rows = [EigenmodeStats(lam=0.1 + 0.2, variance_minus=1e-05,
                                  variance_plus=1e16, nbar=-0.0, theta=5e-324)]
-    # a failed scan cell is still recorded as NaN
+    # a failed scan cell: NaN in memory and in scan_grid.csv, null in report.json
     scan = {"pump_waists": [50.0, 0.1 + 0.2], "collection_waists": [1e16, 1e-05],
             "metric": [[float("nan"), 1.0], [-0.0, 5e-324]], "failures": []}
     metrics = {"ratio": 1e-05, "flag": True}
@@ -243,13 +244,18 @@ def test_emitted_bytes_match_json_and_csv_writers(tmp_path):
 
     doc = {
         "scenario": "WaistScan", "gain": 0.1 + 0.2, "report": report_to_dict(report),
-        "metrics": metrics, "scan": scan, "convergence_check": convergence,
+        "metrics": metrics, "convergence_check": convergence,
+        "scan": {**scan, "metric": [[None, 1.0], [-0.0, 5e-324]]},
         "eigenmodes": [{"lambda": 0.1 + 0.2, "variance_minus": 1e-05,
                         "variance_plus": 1e16, "nbar": -0.0, "theta": 5e-324}],
     }
-    assert (tmp_path / "report.json").read_text() == (
-        json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    )
+    text = (tmp_path / "report.json").read_text()
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    assert json.loads(text, parse_constant=refuse)["scan"]["metric"][0][0] is None
     matrices = {
         "var_x1": cplx.real, "var_x2": real, "cross_covariance": cplx.T.real,
         "nbar_matrix": real.T, "pair_abs": np.abs(1j * cplx),

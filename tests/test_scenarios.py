@@ -5,7 +5,7 @@ import pytest
 
 from lgsqueeze import scenarios
 from lgsqueeze.modes import ModeIndex, QuadratureError
-from lgsqueeze.report_io import report_from_dict, report_to_dict
+from lgsqueeze.report_io import report_from_dict, report_to_dict, scenario_config_from_dict
 from lgsqueeze.scenarios import default_config, run_scenario, scan_island
 
 
@@ -17,6 +17,19 @@ def small_scan():
 
 def mode_pos(result, ell, p):
     return result.squeeze.basis.position(ModeIndex(ell, p))
+
+
+def recorded_assemblies(monkeypatch):
+    """Every coupling the scenarios assemble, in call order."""
+    assemble = scenarios.assemble_squeeze_matrix
+    couplings = []
+
+    def recording(coupling):
+        couplings.append(coupling)
+        return assemble(coupling)
+
+    monkeypatch.setattr(scenarios, "assemble_squeeze_matrix", recording)
+    return couplings
 
 
 class TestPsrSinglePhoton:
@@ -263,3 +276,42 @@ class TestConfigValidation:
         cfg = default_config("PdcBenchmark")
         with pytest.raises(ValueError):
             run_scenario(type(cfg)(name=cfg.name, coupling=cfg.coupling, n_target=-1.0))
+
+
+class TestPipeline:
+    def test_psr_crosstalk_assembles_each_matrix_once(self, monkeypatch):
+        couplings = recorded_assemblies(monkeypatch)
+        run_scenario(default_config("PsrPCrosstalk"))
+        # baseline and crosstalk, at the stock and at the convergence basis
+        kinds = {(c.interaction, c.basis.ell_max, c.basis.p_max) for c in couplings}
+        assert len(couplings) == len(kinds) == 4
+
+    def test_waist_scan_reports_its_best_cell_without_rebuilding_it(self, monkeypatch):
+        couplings = recorded_assemblies(monkeypatch)
+        run_scenario(small_scan())
+        assert len(couplings) == 4
+
+    @pytest.mark.parametrize("scenario, extra, changed, keys, same", [
+        # the frozen gain comes from the run's own baseline, so the strength cancels
+        ("PsrPCrosstalk", {}, {"medium": {"strength": 2}},
+         ("nbar_total", "u00_noise_ratio", "scalar_noise_ratio"), True),
+        ("PdcEigenPump", {"basis": {"ell_max": 0, "p_max": 2}},
+         {"pump": {"wavelength": 0.5}}, ("lambda_1", "benchmark_lambda_1"), False),
+        ("PdcHeralding", {"basis": {"ell_max": 0, "p_max": 2}},
+         {"pump": {"wavelength": 0.5}},
+         ("benchmark_diag_dominance", "benchmark_n00_share"), False),
+        ("WaistScan",
+         {"basis": {"ell_max": 0, "p_max": 1},
+          "grid": {"pump": [100.0, 200.0], "collection": [100.0, 200.0], "points": 2}},
+         {"pump": {"wavelength": 0.5}}, ("island_threshold",), False),
+    ])
+    def test_derived_runs_inherit_the_config(self, scenario, extra, changed, keys, same):
+        def figures(coupling):
+            cfg = scenario_config_from_dict({"scenario": scenario, "coupling": coupling,
+                                             "convergence_check": False, **extra})
+            metrics = run_scenario(cfg).metrics
+            return [metrics[key] for key in keys]
+
+        stock, varied = figures({}), figures(changed)
+        for key, a, b in zip(keys, stock, varied):
+            assert (b == pytest.approx(a, rel=1e-12, abs=0)) is same, (key, a, b)
