@@ -272,6 +272,13 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _boolean(value, path: str) -> bool:
+    """``value`` if it is a JSON boolean, else ConfigError naming ``path``."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path} must be true or false, got {value!r} (key: {path})")
+    return value
+
+
 def _geometry_from_dict(data: dict, default, path: str):
     from .modes import BeamGeometry
 
@@ -350,11 +357,11 @@ def scenario_config_from_dict(data: dict):
             raise ConfigError("WaistScan calibrates every cell to n_target; "
                               "seed_gain is not used (key: seed_gain)")
     if "convergence_check" in data:
-        # the stock config turns the check on exactly where a re-run exists
-        if data["convergence_check"] and not cfg.convergence_check:
-            raise ConfigError(f"{name} has no convergence re-run; convergence_check "
-                              "must be false (key: convergence_check)")
-        cfg.convergence_check = bool(data["convergence_check"])
+        check = _boolean(data["convergence_check"], "convergence_check")
+        try:
+            cfg = replace(cfg, convergence_check=check)
+        except ValueError as exc:
+            raise ConfigError(f"{exc} (key: convergence_check)") from exc
 
     coupling_spec = data.get("coupling", {})
     _require_keys(
@@ -427,7 +434,8 @@ def scenario_config_from_dict(data: dict):
         pump1=pump1,
         pump2=pump2,
         collection=collection,
-        single_pump=bool(coupling_spec.get("single_pump", base.single_pump)),
+        single_pump=_boolean(coupling_spec.get("single_pump", base.single_pump),
+                             "coupling.single_pump"),
     )
 
     if "grid" in data:
@@ -498,7 +506,10 @@ def emit_result(result, cfg, out_dir, wall_time_s: float = 0.0) -> list:
     _require_finite(result.oracle_agreement, "oracle_agreement")
     if result.scan is not None:
         # a failed WaistScan cell is NaN in the grid and null in the JSON
-        report_doc["scan"] = _json_safe(result.scan)
+        scan = _json_safe(result.scan)
+        scan["metric"] = [[v if math.isfinite(v) else None for v in row]
+                          for row in scan["metric"]]
+        report_doc["scan"] = scan
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -559,7 +570,7 @@ def _json_safe(value):
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (np.floating, float)):
-        return float(value) if math.isfinite(value) else None
+        return float(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
     return value

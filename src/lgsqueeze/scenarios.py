@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -105,11 +104,16 @@ class ScenarioConfig:
     n_target: float = 1.0
     scan_grid: dict = None
     seed_gain: float = None  # overrides the calibration protocol when set
-    convergence_check: bool = True
+    convergence_check: bool = None  # None: on exactly where a re-run exists
 
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
             raise ValueError(f"unknown scenario {self.name!r}")
+        if self.convergence_check is None:
+            self.convergence_check = self.name in _RERUNS
+        elif self.convergence_check and self.name not in _RERUNS:
+            raise ValueError(f"{self.name} has no convergence re-run; "
+                             "convergence_check must be false")
         if self.n_target <= 0:
             raise ValueError("n_target must be > 0")
         if self.name == "WaistScan" and self.scan_grid is None:
@@ -131,11 +135,8 @@ class ScenarioResult:
 
 
 def default_config(name: str, ell_max: int = 1, p_max: int = 2) -> ScenarioConfig:
-    """Materialize the stock geometry and basis for a named scenario.
-
-    ``convergence_check`` is on exactly for the scenarios that have a re-run.
-    """
-    if name not in _SCENARIOS:
+    """Materialize the stock geometry and basis for a named scenario."""
+    if name not in _RUNNERS:
         raise ValueError(f"unknown scenario {name!r}")
     grid = None
     if name in ("PsrSinglePhoton", "PsrPCrosstalk", "FwmTwoPhoton"):
@@ -163,8 +164,7 @@ def default_config(name: str, ell_max: int = 1, p_max: int = 2) -> ScenarioConfi
                 "collection": list(DEFAULT_GRID_RANGE),
                 "points": DEFAULT_GRID_POINTS,
             }
-    return ScenarioConfig(name=name, coupling=coupling, scan_grid=grid,
-                          convergence_check=_SCENARIOS[name].reruns)
+    return ScenarioConfig(name=name, coupling=coupling, scan_grid=grid)
 
 
 def pair_dominance_metrics(sq: SqueezeMatrix) -> dict:
@@ -444,27 +444,24 @@ def _run_waist_scan(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(cfg.name, report, sq, gain, metrics, scan=scan)
 
 
-class _Scenario(NamedTuple):
-    run: Callable[[ScenarioConfig], ScenarioResult]
-    reruns: bool  # convergence_check re-runs it at a larger basis
-
-
-_SCENARIOS = {
-    "PsrSinglePhoton": _Scenario(_run_psr_single, True),
-    "PsrPCrosstalk": _Scenario(_run_psr_crosstalk, True),
-    "FwmTwoPhoton": _Scenario(_run_psr_crosstalk, True),
-    "PdcBenchmark": _Scenario(_run_pdc_benchmark, True),
-    "PdcEigenPump": _Scenario(_run_pdc_eigen_pump, False),
-    "PdcHeralding": _Scenario(_run_pdc_heralding, False),
-    "WaistScan": _Scenario(_run_waist_scan, False),
+_RUNNERS = {
+    "PsrSinglePhoton": _run_psr_single,
+    "PsrPCrosstalk": _run_psr_crosstalk,
+    "FwmTwoPhoton": _run_psr_crosstalk,
+    "PdcBenchmark": _run_pdc_benchmark,
+    "PdcEigenPump": _run_pdc_eigen_pump,
+    "PdcHeralding": _run_pdc_heralding,
+    "WaistScan": _run_waist_scan,
 }
-SCENARIO_NAMES = tuple(_SCENARIOS)
+SCENARIO_NAMES = tuple(_RUNNERS)
+# the scenarios that convergence_check re-runs at a larger basis
+_RERUNS = frozenset({"PsrSinglePhoton", "PsrPCrosstalk", "FwmTwoPhoton", "PdcBenchmark"})
 
 
 def _convergence_check(cfg: ScenarioConfig) -> dict:
     """Re-run at a larger basis and report the drift of the headline numbers."""
     big = replace(cfg, coupling=coupling_on_basis(cfg.coupling, build_basis(2, 4)))
-    result = _SCENARIOS[cfg.name].run(big)
+    result = _RUNNERS[cfg.name](big)
     return {
         "basis": "ell_max=2,p_max=4",
         "nbar_total": result.report.nbar_total,
@@ -474,8 +471,7 @@ def _convergence_check(cfg: ScenarioConfig) -> dict:
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Run a scenario, with the convergence re-check where configured."""
-    scenario = _SCENARIOS[cfg.name]
-    result = scenario.run(cfg)
-    if cfg.convergence_check and scenario.reruns:
+    result = _RUNNERS[cfg.name](cfg)
+    if cfg.convergence_check:
         result.convergence = _convergence_check(cfg)
     return result

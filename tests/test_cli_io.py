@@ -119,6 +119,10 @@ class TestConfigParsing:
           "coupling": {"pump": {"coefficients": {"re": [1.0] + [0.0] * 8, "im": [0.0] * 9}}}},
          "coupling.pump.coefficients"),
         ({"scenario": "PdcEigenPump", "convergence_check": True}, "convergence_check"),
+        ({"scenario": "PdcEigenPump", "convergence_check": "false"}, "convergence_check"),
+        ({"convergence_check": "false"}, "convergence_check"),
+        ({"scenario": "PdcBenchmark", "coupling": {"single_pump": "false"}},
+         "coupling.single_pump"),
     ],
 )
 def test_bad_config_exits_2_naming_key(tmp_path, capsys, config, key):
@@ -338,6 +342,25 @@ class TestCli:
             manifest = json.loads((out / "manifest.json").read_text())
             on_disk = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
             assert manifest["outputs"] == on_disk
+
+    @pytest.mark.parametrize("field", ["metrics", "convergence"])
+    def test_non_finite_metric_or_convergence_refused(self, tmp_path, capsys,
+                                                      monkeypatch, field):
+        from lgsqueeze import scenarios
+
+        def poisoned(cfg):
+            result = run_scenario(cfg)
+            getattr(result, field)["nbar_total"] = float("nan")
+            return result
+
+        monkeypatch.setattr(scenarios, "run_scenario", poisoned)
+        out = tmp_path / "o"
+        rc = cli_main(["--scenario", "PsrSinglePhoton", "--lmax", "0", "--pmax", "1",
+                       "--out", str(out), "--quiet"])
+        assert rc == 2
+        name = {"metrics": "metrics", "convergence": "convergence_check"}[field]
+        assert f"{name}.nbar_total" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("gain, field", [(400, "report.scalar_var"),
                                              (50, "report.squeezing_db_per_mode")])

@@ -277,6 +277,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             run_scenario(type(cfg)(name=cfg.name, coupling=cfg.coupling, n_target=-1.0))
 
+    @pytest.mark.parametrize("name", scenarios.SCENARIO_NAMES)
+    def test_convergence_check_only_where_a_rerun_exists(self, name):
+        reruns = name in ("PsrSinglePhoton", "PsrPCrosstalk", "FwmTwoPhoton", "PdcBenchmark")
+        cfg = default_config(name)
+        assert cfg.convergence_check is reruns
+        checked = {"coupling": cfg.coupling, "scan_grid": cfg.scan_grid,
+                   "convergence_check": True}
+        if reruns:
+            assert type(cfg)(name, **checked).convergence_check
+        else:
+            with pytest.raises(ValueError, match="convergence_check"):
+                type(cfg)(name, **checked)
 
 class TestPipeline:
     def test_psr_crosstalk_assembles_each_matrix_once(self, monkeypatch):
