@@ -11,6 +11,7 @@ converged.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -131,8 +132,17 @@ class CouplingConfig:
             object.__setattr__(self, "pump2", self.pump1)
 
 
-def _gauss_legendre(lo: float, hi: float, n: int):
+@functools.lru_cache(maxsize=128)
+def _leggauss(n: int):
+    """Gauss-Legendre rule on [-1, 1]; shared between calls, so read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gauss_legendre(lo: float, hi: float, n: int):
+    x, w = _leggauss(n)
     return 0.5 * (hi - lo) * (x + 1.0) + lo, 0.5 * (hi - lo) * w
 
 
@@ -227,7 +237,7 @@ def _node_schedule(cfg: CouplingConfig):
     return [(nz0, nt0), (2 * nz0, 2 * nt0), (4 * nz0, 4 * nt0)], t_max
 
 
-def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float, pairs=None):
+def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
     """One fixed-grid evaluation of the coupling matrix (no gain factors)."""
     basis = cfg.basis
     med = cfg.medium
@@ -275,9 +285,16 @@ def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float, pairs=None
             else _profiles_on_grid([basis.order[i] for i in sup2], r, z - g2.focus_z, g2)
         )
         ell2 = [basis.order[i].ell for i in sup2]
-    prof_c = np.conj(_profiles_on_grid(basis.order, r, z - gc.focus_z, gc))
-
+    # a reduced profile depends on |ell| only: one stack per |ell| serves both
+    # signs, and each overlap is contracted once per (|ell_s|, |ell_i|)
     n_p = basis.p_max + 1
+    prof_c = _profiles_on_grid(
+        [ModeIndex(alpha, p) for alpha in range(basis.ell_max + 1) for p in range(n_p)],
+        r, z - gc.focus_z, gc,
+    )
+    np.conj(prof_c, out=prof_c)
+    stacks = prof_c.reshape((basis.ell_max + 1, n_p) + r.shape)
+
     block = {}  # ell -> slice of positions in basis order
     for ell in range(-basis.ell_max, basis.ell_max + 1):
         start = (ell + basis.ell_max) * n_p
@@ -292,25 +309,24 @@ def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float, pairs=None
             coeff = c1[i1] * c2[sup2[a2]]
             ell_net = basis.order[i1].ell + ell2[a2]
             pump = coeff * measure * prof1[a1] * prof2[a2]
+            overlaps = {}
             for ell_s in range(-basis.ell_max, basis.ell_max + 1):
                 ell_i = ell_net - ell_s
                 if abs(ell_i) > basis.ell_max:
                     continue
                 if same_ell_only and ell_s != ell_i:
                     continue
-                ps = prof_c[block[ell_s]]
-                pi = prof_c[block[ell_i]]
+                key = (abs(ell_s), abs(ell_i))
+                if key not in overlaps:
+                    overlaps[key] = np.einsum(
+                        "zt,pzt,pzt->p" if diag_only else "zt,pzt,qzt->pq",
+                        pump, stacks[key[0]], stacks[key[1]],
+                    )
                 if diag_only:
-                    sub = np.einsum("zt,pzt,pzt->p", pump, ps, pi)
                     rows = np.arange(block[ell_s].start, block[ell_s].stop)
-                    xi[rows, rows] += sub
+                    xi[rows, rows] += overlaps[key]
                 else:
-                    sub = np.einsum("zt,pzt,qzt->pq", pump, ps, pi)
-                    xi[block[ell_s], block[ell_i]] += sub
-
-    if pairs is not None:
-        picked = np.array([xi[s, i] for s, i in pairs])
-        return picked
+                    xi[block[ell_s], block[ell_i]] += overlaps[key]
     return xi
 
 
@@ -362,7 +378,7 @@ def coupling_element(signal: ModeIndex, idler: ModeIndex, cfg: CouplingConfig,
     schedule, t_max = _node_schedule(cfg)
     prev = None
     for nz, nt in schedule:
-        cur = _assemble_at(cfg, nz, nt, t_max, pairs=[(s, i)])[0]
+        cur = _assemble_at(cfg, nz, nt, t_max)[s, i]
         if prev is not None:
             residual = abs(cur - prev) / max(abs(cur), 1e-300)
             if residual <= rtol:

@@ -394,14 +394,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "eigen_improvement_db" in err and "gain 1" in err, err
 
-    def test_degenerate_oracle_bound_reads_the_reached_shell(self, tmp_path):
-        # photon parity keeps this three-mode state off the odd cut 83; the
-        # bound reads the highest even shell instead of reporting zero
+    def test_degenerate_oracle_check_passes_on_the_excited_mode(self, tmp_path):
+        # a Gaussian pump excites only l=0 of this three-mode basis: the oracle
+        # runs on that mode alone at cut 300, and the idle l=+-1 modes are held
+        # to their exact vacuum values
         rc = cli_main(["--scenario", "PsrSinglePhoton", "--lmax", "1", "--pmax", "0",
                        "--out", str(tmp_path), "--oracle", "--quiet"])
         assert rc == 0
         agreement = json.loads((tmp_path / "oracle_agreement.json").read_text())
-        assert agreement["truncation_bound"] > 0.01
+        assert agreement["within_bound"]
+        assert 0.0 < agreement["max_deviation"] <= agreement["truncation_bound"] < 1e-3
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OUT_DIR", str(tmp_path / "via_env"))

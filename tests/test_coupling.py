@@ -5,6 +5,9 @@ import pytest
 from scipy import integrate
 
 from lgsqueeze.coupling import (
+    _assemble_at,
+    _gauss_legendre,
+    _leggauss,
     CouplingConfig,
     InteractionType,
     MediumConfig,
@@ -164,6 +167,111 @@ class TestAssembly:
             assemble_squeeze_matrix(cfg)
         with pytest.raises(ValueError):
             PumpSpec(geometry=GEOM, coefficients=np.ones(3)).resolved_coefficients(basis)
+
+
+PUMP_GEOM = BeamGeometry(wavelength=0.405, waist_w0=60.0, focus_z=500.0)
+ASYM_BASIS = build_basis(2, 2)
+
+
+def pump_on(*weighted):
+    """Unit-norm pump coefficients on ASYM_BASIS from (ell, p, weight) triples."""
+    coeff = np.zeros(ASYM_BASIS.size, dtype=complex)
+    for ell, p, weight in weighted:
+        coeff[ASYM_BASIS.position(ModeIndex(ell, p))] = weight
+    return coeff / np.linalg.norm(coeff)
+
+
+def asymmetric_config(name, interaction):
+    """Pumps whose OAM makes the +ell and -ell blocks of xi differ."""
+    if name == "two-pump":
+        return CouplingConfig(
+            interaction=interaction,
+            medium=MediumConfig(cell_length=2.0 * GEOM.rayleigh_zR, center_z=300.0),
+            pump1=PumpSpec(GEOM, pump_on((1, 0, 0.6), (-2, 1, 0.8j))),
+            pump2=PumpSpec(PUMP_GEOM, pump_on((0, 0, 0.8), (1, 1, -0.6))),
+            collection=GEOM,
+            basis=ASYM_BASIS,
+        )
+    return CouplingConfig(
+        interaction=interaction,
+        medium=MediumConfig(cell_length=2.0 * PUMP_GEOM.rayleigh_zR),
+        pump1=PumpSpec(PUMP_GEOM, pump_on((1, 0, 1.0))),
+        collection=GEOM,
+        basis=ASYM_BASIS,
+        single_pump=True,
+    )
+
+
+def direct_overlap_sum(cfg, nz, nt, t_max):
+    """xi on the nodes of ``_assemble_at``, one lg_radial_profile product per term."""
+    # (geometry, number of fields it carries)
+    fields = [(cfg.pump1.geometry, 1), (cfg.collection, 2)]
+    if not cfg.single_pump:
+        fields.append((cfg.pump2.geometry, 1))
+    z_scale = min(g.rayleigh_zR for g, _ in fields)
+    psi_half = math.atan(0.5 * cfg.medium.cell_length / z_scale)
+    psi, wpsi = _gauss_legendre(-psi_half, psi_half, nz)
+    z = (cfg.medium.center_z + z_scale * np.tan(psi))[:, None]
+    wz = (wpsi * z_scale / np.cos(psi) ** 2)[:, None]
+    t, wt = _gauss_legendre(0.0, t_max, nt)
+    beta = sum(count / g.width(z - g.focus_z) ** 2 for g, count in fields)
+    r = np.sqrt(t / beta)
+    measure = wz * wt * math.pi / beta
+
+    def profile(idx, geom):
+        return lg_radial_profile(idx, r, z - geom.focus_z, geom)
+
+    basis = cfg.basis
+    pumps = [(basis.order[j], c) for j, c in enumerate(cfg.pump1.coefficients) if c]
+    if cfg.single_pump:
+        pairs = [(m.ell, c * profile(m, cfg.pump1.geometry)) for m, c in pumps]
+    else:
+        pumps2 = [(basis.order[j], c) for j, c in enumerate(cfg.pump2.coefficients) if c]
+        pairs = [(m1.ell + m2.ell,
+                  c1 * c2 * profile(m1, cfg.pump1.geometry) * profile(m2, cfg.pump2.geometry))
+                 for m1, c1 in pumps for m2, c2 in pumps2]
+    xi = np.zeros((basis.size, basis.size), dtype=complex)
+    for s, sig in enumerate(basis.order):
+        for i, idl in enumerate(basis.order):
+            if cfg.interaction is InteractionType.DEGENERATE_SINGLE_BEAM and s != i:
+                continue
+            if cfg.interaction is InteractionType.P_CROSSTALK_ONLY and sig.ell != idl.ell:
+                continue
+            collect = np.conj(profile(sig, cfg.collection) * profile(idl, cfg.collection))
+            for ell_net, pump in pairs:
+                if ell_net == sig.ell + idl.ell:
+                    xi[s, i] += np.sum(measure * pump * collect)
+    return xi
+
+
+class TestAsymmetricAssembly:
+    """Pumps with unequal +ell and -ell content, at one fixed grid level.
+
+    Each xi block is served by the overlap of its (|ell_s|, |ell_i|) pair, so
+    a wrong key would put an O(1) error in a block.
+    """
+
+    @pytest.mark.parametrize("interaction", list(InteractionType), ids=lambda i: i.value)
+    @pytest.mark.parametrize("name", ["two-pump", "single-pump"])
+    def test_matches_direct_profile_sum(self, name, interaction):
+        cfg = asymmetric_config(name, interaction)
+        got = _assemble_at(cfg, 24, 40, 40.0)
+        want = direct_overlap_sum(cfg, 24, 40, 40.0)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        scale = max(np.abs(want).max(), 1e-300)
+        assert np.abs(got - want).max() <= 1e-12 * scale
+        if interaction is InteractionType.FULL_CROSSTALK:
+            # the +ell and -ell halves really differ
+            assert np.abs(got - got[::-1, ::-1]).max() > 0.1 * scale
+
+    def test_cached_rules_are_read_only(self):
+        nodes, weights = _leggauss(17)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(17)
+        assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+        assert nodes is _leggauss(17)[0]
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestPhotonScaling:
