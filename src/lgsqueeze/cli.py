@@ -125,20 +125,16 @@ def main(argv=None) -> int:
                     f"unknown scenario {args.scenario!r}; choose from "
                     + ", ".join(SCENARIO_NAMES)
                 )
-            cfg = default_config(
-                args.scenario,
-                ell_max=1 if args.lmax is None else args.lmax,
-                p_max=2 if args.pmax is None else args.pmax,
-            )
+            cfg = default_config(args.scenario)
         if args.lmax is not None or args.pmax is not None:
+            from .coupling import check_basis_size
             from .modes import build_basis
             from .scenarios import coupling_on_basis
 
-            basis = build_basis(
-                cfg.coupling.basis.ell_max if args.lmax is None else args.lmax,
-                cfg.coupling.basis.p_max if args.pmax is None else args.pmax,
-            )
-            cfg.coupling = coupling_on_basis(cfg.coupling, basis)
+            ell_max = cfg.coupling.basis.ell_max if args.lmax is None else args.lmax
+            p_max = cfg.coupling.basis.p_max if args.pmax is None else args.pmax
+            check_basis_size(ell_max, p_max, ("--lmax", "--pmax"))
+            cfg.coupling = coupling_on_basis(cfg.coupling, build_basis(ell_max, p_max))
         if args.seed_gain is not None:
             if not np.isfinite(args.seed_gain):
                 raise ConfigError(f"--seed-gain must be a finite number, got {args.seed_gain}")

@@ -34,6 +34,8 @@ __all__ = [
     "coupling_element",
     "assemble_squeeze_matrix",
     "scale_to_mean_photons",
+    "ASSEMBLY_BYTES_LIMIT",
+    "check_basis_size",
 ]
 
 
@@ -146,12 +148,12 @@ def _gauss_legendre(lo: float, hi: float, n: int):
     return 0.5 * (hi - lo) * (x + 1.0) + lo, 0.5 * (hi - lo) * w
 
 
-def _profiles_on_grid(entries, r, z_rel, geom: BeamGeometry):
-    """Azimuthally-reduced profiles for a set of (ell, p) entries.
+def _beam_on_grid(r, z_rel, geom: BeamGeometry):
+    """The mode-independent factors of a beam's profiles on the (z, t) grid.
 
-    ``r`` has shape (nz, nt) and ``z_rel`` shape (nz,).  Laguerre ladders are
-    shared per |ell| so the whole set costs one recurrence sweep per ring
-    order.  Returns a complex array of shape (len(entries), nz, nt).
+    ``r`` has shape (nz, nt) and ``z_rel`` shape (nz,).  Returns the width,
+    the Laguerre argument 2 r^2 / w^2, the Gouy angle and the envelope times
+    the curvature phase, for ``_profiles_on_grid``.
     """
     z_rel = np.asarray(z_rel, dtype=float)
     zR = geom.rayleigh_zR
@@ -160,8 +162,18 @@ def _profiles_on_grid(entries, r, z_rel, geom: BeamGeometry):
     envelope = np.exp(-(r / w) ** 2)
     curvature = -geom.wavenumber * r ** 2 * (z_rel / (2.0 * (z_rel ** 2 + zR ** 2)))[:, None]
     psi = np.arctan2(z_rel, zR)[:, None]
-    base = envelope * np.exp(1j * curvature)
+    return w, targ, psi, envelope * np.exp(1j * curvature)
 
+
+def _profiles_on_grid(entries, r, beam):
+    """Azimuthally-reduced profiles for a set of (ell, p) entries.
+
+    ``beam`` is ``_beam_on_grid`` on the grid ``r``, so a beam whose profiles
+    are built in several calls computes its shared factors once.  Laguerre
+    ladders are shared per |ell| so the whole set costs one recurrence sweep
+    per ring order.  Returns a complex array of shape (len(entries), nz, nt).
+    """
+    w, targ, psi, base = beam
     out = np.empty((len(entries),) + r.shape, dtype=complex)
     by_alpha = {}
     for pos, idx in enumerate(entries):
@@ -172,13 +184,12 @@ def _profiles_on_grid(entries, r, z_rel, geom: BeamGeometry):
         ring = (np.sqrt(2.0) * r / w) ** alpha if alpha else 1.0
         for pos, idx in group:
             gouy = np.exp(1j * (2 * idx.p + alpha + 1) * psi)
-            out[pos] = (
-                (_norm_constant(idx.ell, idx.p) / w)
-                * base
-                * ring
-                * ladder[idx.p]
-                * gouy
-            )
+            # in place, in the operand order (c/w)*base*ring*L_p*gouy
+            row = out[pos]
+            np.multiply(_norm_constant(idx.ell, idx.p) / w, base, out=row)
+            row *= ring
+            row *= ladder[idx.p]
+            row *= gouy
     return out
 
 
@@ -188,6 +199,18 @@ def _pump_support_orders(pump: PumpSpec, basis: ModeBasis):
     coeff = np.asarray(pump.coefficients)
     idxs = [basis.order[i] for i in np.flatnonzero(np.abs(coeff) > 0)]
     return max(i.p for i in idxs), max(abs(i.ell) for i in idxs)
+
+
+_T_MAX_MIN = 45.0  # the radial cutoff search starts here
+
+
+def _levels(gouy_swing: float, t_max: float, roots: int):
+    """The (nz, nt) refinement ladder; every node count grows with its inputs."""
+    # z resolution follows the total Gouy phase swing over the cell
+    nz0 = max(48, int(1.4 * gouy_swing) + 32)
+    # t-node count resolves the Laguerre roots and the curvature-phase beats
+    nt0 = max(96, int(0.55 * t_max) + 6 * roots + 32)
+    return [(nz0, nt0), (2 * nz0, 2 * nt0), (4 * nz0, 4 * nt0)]
 
 
 def _node_schedule(cfg: CouplingConfig):
@@ -208,13 +231,11 @@ def _node_schedule(cfg: CouplingConfig):
     fields.append((cfg.collection, basis.p_max, basis.ell_max))
     fields.append((cfg.collection, basis.p_max, basis.ell_max))
 
-    # z resolution follows the total Gouy phase swing over the cell
     gouy_swing = sum(
         (2 * p + ell + 1)
         * math.atan((half + abs(cfg.medium.center_z - g.focus_z)) / g.rayleigh_zR)
         for g, p, ell in fields
     )
-    nz0 = max(48, int(1.4 * gouy_swing) + 32)
 
     beta = sum(1.0 / g.width(z_probe - g.focus_z) ** 2 for g, _, _ in fields)
     gammas = [
@@ -228,13 +249,45 @@ def _node_schedule(cfg: CouplingConfig):
             val += (p + 0.5 * ell) * math.log1p(2.0 * gamma * t)
         return val
 
-    t_max = 45.0
+    t_max = _T_MAX_MIN
     while log_bound(t_max) > -42.0 and t_max < 4000.0:
         t_max += 5.0
-    # t-node count resolves the Laguerre roots and the curvature-phase beats
-    roots = sum(p for _, p, _ in gammas)
-    nt0 = max(96, int(0.55 * t_max) + 6 * roots + 32)
-    return [(nz0, nt0), (2 * nz0, 2 * nt0), (4 * nz0, 4 * nt0)], t_max
+    return _levels(gouy_swing, t_max, sum(p for _, p, _ in gammas)), t_max
+
+
+# largest assembly floor (_assembly_floor_bytes) a basis may have
+ASSEMBLY_BYTES_LIMIT = 2 ** 30
+
+
+def _assembly_floor_bytes(ell_max: int, p_max: int) -> int:
+    """Fewest bytes the assembly of an (ell_max, p_max) basis holds at once.
+
+    That is xi plus the two conjugated |ell| stacks one overlap reads, on the
+    fewest nodes the finest level of ``_node_schedule`` can have: no Gouy
+    swing, the smallest radial cutoff and only the two collection fields'
+    radial orders.  It needs no mode list.
+    """
+    n_p = p_max + 1
+    n = (2 * ell_max + 1) * n_p
+    nz, nt = _levels(0.0, _T_MAX_MIN, 2 * p_max)[-1]
+    return 16 * (n * n + 2 * n_p * nz * nt)
+
+
+def check_basis_size(ell_max: int, p_max: int, names=("ell_max", "p_max")) -> None:
+    """Refuse a basis over ASSEMBLY_BYTES_LIMIT before any mode is listed.
+
+    The ValueError names ``names[1]`` (the radial bound) when it alone is
+    over the limit, else ``names[0]``.
+    """
+    need = _assembly_floor_bytes(ell_max, p_max)
+    if need <= ASSEMBLY_BYTES_LIMIT:
+        return
+    name = names[1] if _assembly_floor_bytes(0, p_max) > ASSEMBLY_BYTES_LIMIT else names[0]
+    raise ValueError(
+        f"basis ell_max={ell_max}, p_max={p_max} is too large: its assembly needs "
+        f"at least {need / 2 ** 30:.3g} GiB, above the "
+        f"{ASSEMBLY_BYTES_LIMIT / 2 ** 30:g} GiB limit; lower {name}"
+    )
 
 
 def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
@@ -270,7 +323,9 @@ def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
 
     c1 = cfg.pump1.resolved_coefficients(basis)
     sup1 = np.flatnonzero(np.abs(c1) > 0)
-    prof1 = _profiles_on_grid([basis.order[i] for i in sup1], r, z - g1.focus_z, g1)
+    prof1 = _profiles_on_grid(
+        [basis.order[i] for i in sup1], r, _beam_on_grid(r, z - g1.focus_z, g1)
+    )
     if cfg.single_pump:
         c2 = np.ones(1, dtype=complex)
         sup2 = np.zeros(1, dtype=int)
@@ -282,34 +337,34 @@ def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
         prof2 = (
             prof1
             if (cfg.pump2 is cfg.pump1 and np.array_equal(sup1, sup2))
-            else _profiles_on_grid([basis.order[i] for i in sup2], r, z - g2.focus_z, g2)
+            else _profiles_on_grid(
+                [basis.order[i] for i in sup2], r, _beam_on_grid(r, z - g2.focus_z, g2)
+            )
         )
         ell2 = [basis.order[i].ell for i in sup2]
-    # a reduced profile depends on |ell| only: one stack per |ell| serves both
-    # signs, and each overlap is contracted once per (|ell_s|, |ell_i|)
+    # a reduced profile depends on |ell| only: one conjugated stack per |ell|
+    # serves both signs, and each overlap is contracted once per pump pair and
+    # (|ell_s|, |ell_i|)
     n_p = basis.p_max + 1
-    prof_c = _profiles_on_grid(
-        [ModeIndex(alpha, p) for alpha in range(basis.ell_max + 1) for p in range(n_p)],
-        r, z - gc.focus_z, gc,
-    )
-    np.conj(prof_c, out=prof_c)
-    stacks = prof_c.reshape((basis.ell_max + 1, n_p) + r.shape)
+    collection = _beam_on_grid(r, z - gc.focus_z, gc)
+
+    def collection_stack(alpha):
+        stack = _profiles_on_grid([ModeIndex(alpha, p) for p in range(n_p)], r, collection)
+        return np.conj(stack, out=stack)
 
     block = {}  # ell -> slice of positions in basis order
     for ell in range(-basis.ell_max, basis.ell_max + 1):
         start = (ell + basis.ell_max) * n_p
         block[ell] = slice(start, start + n_p)
 
-    xi = np.zeros((basis.size, basis.size), dtype=complex)
     diag_only = cfg.interaction is InteractionType.DEGENERATE_SINGLE_BEAM
     same_ell_only = cfg.interaction is InteractionType.P_CROSSTALK_ONLY or diag_only
-
-    for a1, i1 in enumerate(sup1):
+    # (|ell_s|, |ell_i|) -> pump pair -> the (ell_s, ell_i) blocks it feeds;
+    # pairs keep their loop order, so every block sums its terms as before
+    feeds = {}
+    for a1 in range(len(sup1)):
         for a2 in range(len(sup2)):
-            coeff = c1[i1] * c2[sup2[a2]]
-            ell_net = basis.order[i1].ell + ell2[a2]
-            pump = coeff * measure * prof1[a1] * prof2[a2]
-            overlaps = {}
+            ell_net = basis.order[sup1[a1]].ell + ell2[a2]
             for ell_s in range(-basis.ell_max, basis.ell_max + 1):
                 ell_i = ell_net - ell_s
                 if abs(ell_i) > basis.ell_max:
@@ -317,16 +372,31 @@ def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
                 if same_ell_only and ell_s != ell_i:
                     continue
                 key = (abs(ell_s), abs(ell_i))
-                if key not in overlaps:
-                    overlaps[key] = np.einsum(
-                        "zt,pzt,pzt->p" if diag_only else "zt,pzt,qzt->pq",
-                        pump, stacks[key[0]], stacks[key[1]],
-                    )
+                feeds.setdefault(key, {}).setdefault((a1, a2), []).append((ell_s, ell_i))
+
+    xi = np.zeros((basis.size, basis.size), dtype=complex)
+    stacks = {}
+    # sweep the overlaps by their larger |ell|; building a stack drops the
+    # ones this overlap does not read, so at most two are alive at a time.
+    # When no pump pair carries net OAM every overlap reads one stack and each
+    # is built once; otherwise a dropped stack a later overlap reads is rebuilt.
+    for key in sorted(feeds, key=lambda k: (max(k), min(k), k)):
+        for alpha in key:
+            if alpha not in stacks:
+                stacks = {a: s for a, s in stacks.items() if a in key}
+                stacks[alpha] = collection_stack(alpha)
+        for (a1, a2), blocks in feeds[key].items():
+            pump = c1[sup1[a1]] * c2[sup2[a2]] * measure * prof1[a1] * prof2[a2]
+            overlap = np.einsum(
+                "zt,pzt,pzt->p" if diag_only else "zt,pzt,qzt->pq",
+                pump, stacks[key[0]], stacks[key[1]],
+            )
+            for ell_s, ell_i in blocks:
                 if diag_only:
                     rows = np.arange(block[ell_s].start, block[ell_s].stop)
-                    xi[rows, rows] += overlaps[key]
+                    xi[rows, rows] += overlap
                 else:
-                    xi[block[ell_s], block[ell_i]] += overlaps[key]
+                    xi[block[ell_s], block[ell_i]] += overlap
     return xi
 
 

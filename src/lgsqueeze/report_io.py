@@ -91,23 +91,26 @@ def _json_matrix(strs: list, shape: tuple, level: int) -> _Rendered:
     return _Rendered("[" + outer + ("," + outer).join(rows) + "\n" + "  " * level + "]")
 
 
-def _json_text(value, level: int = 0) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` nested at ``level``.
+def _json_text(value, level: int = 0):
+    """Yield ``json.dumps(value, indent=2, sort_keys=True)`` nested at ``level``.
 
     Dicts are laid out here so that ``_Rendered`` blocks inside them are
-    spliced in as they are; everything else goes through ``json.dumps``.
+    yielded as they are; everything else goes through ``json.dumps``.
     """
     if isinstance(value, _Rendered):
-        return value
+        yield value
+        return
     pad = "\n" + "  " * level
     if isinstance(value, dict) and value:
         inner = pad + "  "
-        items = (
-            json.dumps(key) + ": " + _json_text(value[key], level + 1)
-            for key in sorted(value)
-        )
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+        opening = "{" + inner
+        for key in sorted(value):
+            yield opening + json.dumps(key) + ": "
+            yield from _json_text(value[key], level + 1)
+            opening = "," + inner
+        yield pad + "}"
+        return
+    yield json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
 
 
 def _require_finite(value, path: str) -> None:
@@ -325,8 +328,8 @@ def scenario_config_from_dict(data: dict):
     Unknown keys are rejected with the path of the offending key; omitted
     fields take the named scenario's stock values.
     """
-    from .coupling import InteractionType, MediumConfig, PumpSpec
-    from .scenarios import SCENARIO_NAMES, default_config
+    from .coupling import InteractionType, MediumConfig, PumpSpec, check_basis_size
+    from .scenarios import HERALDING_P_MAX, SCENARIO_NAMES, default_config
 
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -342,11 +345,18 @@ def scenario_config_from_dict(data: dict):
 
     basis_spec = data.get("basis", {})
     _require_keys(basis_spec, {"ell_max", "p_max"}, "basis.")
-    cfg = default_config(
-        name,
-        ell_max=_integer(basis_spec.get("ell_max", 1), "basis.ell_max"),
-        p_max=_integer(basis_spec.get("p_max", 2), "basis.p_max"),
-    )
+    ell_max = _integer(basis_spec.get("ell_max", 1), "basis.ell_max")
+    p_max = _integer(basis_spec.get("p_max", 2), "basis.p_max")
+    try:
+        # the basis the run uses: PdcHeralding resolves at least HERALDING_P_MAX
+        check_basis_size(
+            ell_max,
+            max(p_max, HERALDING_P_MAX) if name == "PdcHeralding" else p_max,
+            ("basis.ell_max", "basis.p_max"),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    cfg = default_config(name, ell_max=ell_max, p_max=p_max)
     if "n_target" in data:
         cfg.n_target = _finite(data["n_target"], "n_target")
         if not cfg.n_target > 0:
@@ -515,8 +525,9 @@ def emit_result(result, cfg, out_dir, wall_time_s: float = 0.0) -> list:
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    def write(name: str, text: str) -> None:
-        (out / name).write_text(text, encoding="utf-8")
+    def write(name: str, *pieces: str) -> None:
+        with open(out / name, "w", encoding="utf-8") as handle:
+            handle.writelines(pieces)
         written.append(name)
 
     labels = [_csv_field(label) for label in report.mode_labels]
@@ -545,7 +556,8 @@ def emit_result(result, cfg, out_dir, wall_time_s: float = 0.0) -> list:
             _pair_heads(_reprs(scan["pump_waists"]), _reprs(scan["collection_waists"])),
             _reprs(scan["metric"]),
         ))
-    write("report.json", _json_text(report_doc) + "\n")
+    # piece by piece: the layout around blocks that are already rendered
+    write("report.json", *_json_text(report_doc), "\n")
     if result.oracle_agreement is not None:
         write("oracle_agreement.json",
               json.dumps(result.oracle_agreement, indent=2, sort_keys=True) + "\n")

@@ -135,6 +135,51 @@ def test_bad_config_exits_2_naming_key(tmp_path, capsys, config, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ({"basis": {"ell_max": 1000000}}, "basis.ell_max"),
+        ({"basis": {"p_max": 1000000}}, "basis.p_max"),
+        (["--scenario", "PsrSinglePhoton", "--lmax", "1000000"], "--lmax"),
+        (["--scenario", "PsrSinglePhoton", "--pmax", "1000000"], "--pmax"),
+        # fits at p_max 2, not at the 20 radial orders PdcHeralding resolves
+        ({"scenario": "PdcHeralding", "basis": {"ell_max": 1000}}, "basis.ell_max"),
+        (["--scenario", "PdcHeralding", "--lmax", "1000"], "--lmax"),
+    ],
+)
+def test_oversized_basis_exits_2_before_listing_modes(tmp_path, capsys, monkeypatch,
+                                                      args, name):
+    import lgsqueeze.modes
+    import lgsqueeze.scenarios
+
+    listed = []
+    real = lgsqueeze.modes.build_basis
+
+    def spy(ell_max, p_max):
+        listed.append((ell_max, p_max))
+        return real(ell_max, p_max)
+
+    monkeypatch.setattr(lgsqueeze.modes, "build_basis", spy)
+    monkeypatch.setattr(lgsqueeze.scenarios, "build_basis", spy)
+    if isinstance(args, dict):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"scenario": "PsrSinglePhoton", **args}))
+        args = ["--config", str(path)]
+    assert cli_main([*args, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: basis ") and err.rstrip().endswith(f"lower {name}"), err
+    assert all(max(bounds) <= 20 for bounds in listed), listed
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("bounds", [(1, 2), (1, 20), (2, 4), (10, 20)],
+                         ids=["stock", "heralding", "convergence", "large-basis"])
+def test_used_bases_fit_the_assembly_limit(bounds):
+    from lgsqueeze.coupling import check_basis_size
+
+    check_basis_size(*bounds)
+
+
 @pytest.mark.parametrize("pump", ["pump", "pump2"])
 def test_unknown_pump_key_exits_2_naming_key(tmp_path, capsys, pump):
     path = tmp_path / "bad.json"

@@ -1,13 +1,19 @@
+import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from lgsqueeze import coupling
 from lgsqueeze.coupling import (
+    _T_MAX_MIN,
     _assemble_at,
     _gauss_legendre,
     _leggauss,
+    _levels,
+    _node_schedule,
     CouplingConfig,
     InteractionType,
     MediumConfig,
@@ -18,6 +24,7 @@ from lgsqueeze.coupling import (
     scale_to_mean_photons,
 )
 from lgsqueeze.modes import BeamGeometry, ModeIndex, build_basis, lg_radial_profile
+from lgsqueeze.scenarios import SCENARIO_NAMES, default_config
 from lgsqueeze.squeeze_core import SqueezeMatrix
 from lgsqueeze.eigenmodes import is_normal
 
@@ -272,6 +279,65 @@ class TestAsymmetricAssembly:
         for arr in (nodes, weights):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+def track_collection_stacks(monkeypatch, collection):
+    """Record the |ell| values of each collection-profile call and the peak
+    number of its arrays alive at once, through weak references."""
+    real_beam, real_profiles = coupling._beam_on_grid, coupling._profiles_on_grid
+    beams, calls, peak = [], [], [0]
+
+    def beam_spy(r, z_rel, geom):
+        beam = real_beam(r, z_rel, geom)
+        if geom is collection:
+            beams.append(beam)
+        return beam
+
+    def profiles_spy(entries, r, beam):
+        out = real_profiles(entries, r, beam)
+        if any(beam is known for known in beams):
+            calls.append(({abs(idx.ell) for idx in entries}, weakref.ref(out)))
+            peak[0] = max(peak[0], sum(ref() is not None for _, ref in calls))
+        return out
+
+    monkeypatch.setattr(coupling, "_beam_on_grid", beam_spy)
+    monkeypatch.setattr(coupling, "_profiles_on_grid", profiles_spy)
+    return calls, peak
+
+
+class TestStreamedAssembly:
+    """The collection profiles are built one |ell| at a time, only when an
+    overlap needs them, and at most the two one overlap reads are alive."""
+
+    def test_two_pump_holds_at_most_two_stacks(self, monkeypatch):
+        # a collection geometry of its own, so its calls are told from pump1's
+        cfg = dataclasses.replace(
+            asymmetric_config("two-pump", InteractionType.FULL_CROSSTALK),
+            collection=dataclasses.replace(GEOM),
+        )
+        calls, peak = track_collection_stacks(monkeypatch, cfg.collection)
+        _assemble_at(cfg, 24, 40, 40.0)
+        assert all(len(alphas) == 1 for alphas, _ in calls)
+        assert set().union(*(alphas for alphas, _ in calls)) == {0, 1, 2}
+        assert peak[0] <= 2
+
+    def test_pdc_benchmark_holds_one_stack(self, monkeypatch):
+        cfg = default_config("PdcBenchmark", ell_max=4, p_max=4).coupling
+        calls, peak = track_collection_stacks(monkeypatch, cfg.collection)
+        assemble_squeeze_matrix(cfg)
+        # each |ell| once per grid level, in order, and never two at a time
+        built = [alpha for alphas, _ in calls for alpha in alphas]
+        assert all(len(alphas) == 1 for alphas, _ in calls)
+        assert len(built) % 5 == 0 and built == [0, 1, 2, 3, 4] * (len(built) // 5)
+        assert peak[0] == 1
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_basis_floor_counts_no_more_nodes_than_the_finest_level(name):
+    cfg = default_config(name).coupling
+    nz, nt = _node_schedule(cfg)[0][-1]
+    floor_nz, floor_nt = _levels(0.0, _T_MAX_MIN, 2 * cfg.basis.p_max)[-1]
+    assert floor_nz <= nz and floor_nt <= nt
 
 
 class TestPhotonScaling:
