@@ -7,6 +7,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,8 +20,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "bases and emit CSV/JSON reports."
         ),
     )
-    parser.add_argument("--scenario", help="named scenario to run")
-    parser.add_argument("--config", help="path to a JSON scenario configuration")
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--scenario", help="named scenario to run")
+    source.add_argument("--config", help="path to a JSON scenario configuration")
     parser.add_argument("--out", help="output directory (default $OUT_DIR or ./out)")
     parser.add_argument("--lmax", type=int, default=None, help="azimuthal basis bound")
     parser.add_argument("--pmax", type=int, default=None, help="radial basis bound")
@@ -102,17 +104,12 @@ def _oracle_check(result) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
 
     from .modes import QuadratureError
     from .report_io import ConfigError, emit_result, scenario_config_from_dict
-    from .scenarios import SCENARIO_NAMES, default_config, run_scenario
-
-    if args.scenario and args.config:
-        parser.error("--scenario and --config are mutually exclusive")
-    if not args.scenario and not args.config:
-        parser.error("one of --scenario or --config is required")
+    from .scenarios import (FieldError, coupling_on_basis, default_config, run_scenario,
+                            scenario_basis)
 
     try:
         if args.config:
@@ -120,28 +117,17 @@ def main(argv=None) -> int:
                 data = json.load(handle)
             cfg = scenario_config_from_dict(data)
         else:
-            if args.scenario not in SCENARIO_NAMES:
-                raise ConfigError(
-                    f"unknown scenario {args.scenario!r}; choose from "
-                    + ", ".join(SCENARIO_NAMES)
-                )
             cfg = default_config(args.scenario)
+        changes = {}
         if args.lmax is not None or args.pmax is not None:
-            from .coupling import check_basis_size
-            from .modes import build_basis
-            from .scenarios import coupling_on_basis
-
-            ell_max = cfg.coupling.basis.ell_max if args.lmax is None else args.lmax
-            p_max = cfg.coupling.basis.p_max if args.pmax is None else args.pmax
-            check_basis_size(ell_max, p_max, ("--lmax", "--pmax"))
-            cfg.coupling = coupling_on_basis(cfg.coupling, build_basis(ell_max, p_max))
+            old = cfg.coupling.basis
+            basis = scenario_basis(cfg.name, old.ell_max if args.lmax is None else args.lmax,
+                                   old.p_max if args.pmax is None else args.pmax,
+                                   ("--lmax", "--pmax"))
+            changes["coupling"] = coupling_on_basis(cfg.coupling, basis)
         if args.seed_gain is not None:
-            if not np.isfinite(args.seed_gain):
-                raise ConfigError(f"--seed-gain must be a finite number, got {args.seed_gain}")
-            if cfg.name == "WaistScan":
-                raise ConfigError("--seed-gain is not used by WaistScan, which calibrates "
-                                  "every cell to n_target")
-            cfg.seed_gain = args.seed_gain
+            changes["seed_gain"] = args.seed_gain
+        cfg = replace(cfg, **changes)
 
         out_dir = args.out or os.environ.get("OUT_DIR") or "out"
         start = time.perf_counter()
@@ -150,6 +136,10 @@ def main(argv=None) -> int:
         if args.oracle:
             result.oracle_agreement = _oracle_check(result)
         files = emit_result(result, cfg, out_dir, wall_time_s=wall)
+    except FieldError as exc:  # set by a flag; a config file's arrive as ConfigError
+        flag = {"name": "--scenario", "seed_gain": "--seed-gain"}.get(exc.field, exc.field)
+        print(f"error: {flag}: {exc.reason}", file=sys.stderr)
+        return 2
     except (ConfigError, QuadratureError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

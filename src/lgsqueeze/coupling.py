@@ -11,9 +11,8 @@ converged.
 from __future__ import annotations
 
 import enum
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .modes import (
     ModeIndex,
     QuadratureError,
     laguerre_ladder,
+    _gauss_legendre,
     _norm_constant,
 )
 
@@ -132,20 +132,6 @@ class CouplingConfig:
     def __post_init__(self):
         if self.pump2 is None:
             object.__setattr__(self, "pump2", self.pump1)
-
-
-@functools.lru_cache(maxsize=128)
-def _leggauss(n: int):
-    """Gauss-Legendre rule on [-1, 1]; shared between calls, so read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-def _gauss_legendre(lo: float, hi: float, n: int):
-    x, w = _leggauss(n)
-    return 0.5 * (hi - lo) * (x + 1.0) + lo, 0.5 * (hi - lo) * w
 
 
 def _beam_on_grid(r, z_rel, geom: BeamGeometry):
@@ -422,39 +408,20 @@ def coupling_element(signal: ModeIndex, idler: ModeIndex, cfg: CouplingConfig,
 
     OAM selection is applied analytically: for every pump coefficient pair
     the element vanishes identically unless ell_pump1 + ell_pump2 equals
-    ell_signal + ell_idler.
+    ell_signal + ell_idler.  Any other element is read off the assembled
+    matrix, refined to ``rtol`` as a whole.
     """
     basis = cfg.basis
-    s = basis.position(signal)
-    i = basis.position(idler)
-    c1 = cfg.pump1.resolved_coefficients(basis)
-    ell_pump2 = (
-        [0]
-        if cfg.single_pump
-        else [
-            basis.order[j].ell
-            for j in np.flatnonzero(np.abs(cfg.pump2.resolved_coefficients(basis)) > 0)
-        ]
-    )
-    ell_needed = signal.ell + idler.ell
-    reachable = any(
-        basis.order[j1].ell + e2 == ell_needed
-        for j1 in np.flatnonzero(np.abs(c1) > 0)
-        for e2 in ell_pump2
-    )
-    if not reachable:
+    s, i = basis.position(signal), basis.position(idler)
+
+    def pump_ells(pump):
+        return {basis.order[j].ell
+                for j in np.flatnonzero(np.abs(pump.resolved_coefficients(basis)) > 0)}
+
+    ells2 = {0} if cfg.single_pump else pump_ells(cfg.pump2)
+    if not any(e1 + e2 == signal.ell + idler.ell for e1 in pump_ells(cfg.pump1) for e2 in ells2):
         return 0.0 + 0.0j
-    gain = cfg.medium.strength * cfg.medium.gain_scale
-    schedule, t_max = _node_schedule(cfg)
-    prev = None
-    for nz, nt in schedule:
-        cur = _assemble_at(cfg, nz, nt, t_max)[s, i]
-        if prev is not None:
-            residual = abs(cur - prev) / max(abs(cur), 1e-300)
-            if residual <= rtol:
-                return complex(gain * cur)
-        prev = cur
-    raise QuadratureError("coupling quadrature did not converge", residual)
+    return complex(assemble_squeeze_matrix(cfg, rtol).xi[s, i])
 
 
 def assemble_squeeze_matrix(cfg: CouplingConfig, rtol: float = 1e-8):

@@ -8,6 +8,7 @@ with ell running from -ell_max to +ell_max.  All lengths are in micrometers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -144,6 +145,21 @@ def laguerre_ladder(alpha: int, t, p_max: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=128)
+def _leggauss(n: int):
+    """Gauss-Legendre rule on [-1, 1]; shared between calls, so read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gauss_legendre(lo: float, hi: float, n: int):
+    """The ``n``-node Gauss-Legendre nodes and weights on [lo, hi]."""
+    x, w = _leggauss(n)
+    return 0.5 * (hi - lo) * (x + 1.0) + lo, 0.5 * (hi - lo) * w
+
+
 def _norm_constant(ell: int, p: int) -> float:
     # sqrt(2 p! / (pi (|ell| + p)!)), via log-gammas so large p stays finite
     return math.sqrt(2.0 / math.pi) * math.exp(
@@ -202,9 +218,7 @@ def transverse_inner_product(
     t_max = 4.0 * (a.p + b.p) + 2.0 * abs(a.ell) + 45.0
 
     def evaluate(n_nodes: int) -> complex:
-        t, wt = np.polynomial.legendre.leggauss(n_nodes)
-        t = 0.5 * t_max * (t + 1.0)
-        wt = 0.5 * t_max * wt
+        t, wt = _gauss_legendre(0.0, t_max, n_nodes)
         r = w * np.sqrt(t / 2.0)
         # curvature phases cancel between u_a* and u_b at equal geometry,
         # so only the Gouy difference and the real radial integrand remain

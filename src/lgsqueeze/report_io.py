@@ -197,23 +197,19 @@ def _geometry_dict(geom) -> dict:
     }
 
 
+def _pump_dict(pump) -> dict:
+    coefficients = pump.coefficients
+    if coefficients is not None:
+        coefficients = _complex_to_lists(np.atleast_2d(coefficients))
+    return {"geometry": _geometry_dict(pump.geometry), "coefficients": coefficients}
+
+
 def resolved_config_dict(cfg) -> dict:
     """Fully-materialized scenario configuration as a JSON-ready dict."""
     coupling = cfg.coupling
-    pump1 = {
-        "geometry": _geometry_dict(coupling.pump1.geometry),
-        "coefficients": None
-        if coupling.pump1.coefficients is None
-        else _complex_to_lists(np.atleast_2d(coupling.pump1.coefficients)),
-    }
     pump2 = None
     if not coupling.single_pump and coupling.pump2 is not coupling.pump1:
-        pump2 = {
-            "geometry": _geometry_dict(coupling.pump2.geometry),
-            "coefficients": None
-            if coupling.pump2.coefficients is None
-            else _complex_to_lists(np.atleast_2d(coupling.pump2.coefficients)),
-        }
+        pump2 = _pump_dict(coupling.pump2)
     out = {
         "scenario": cfg.name,
         "n_target": float(cfg.n_target),
@@ -230,7 +226,7 @@ def resolved_config_dict(cfg) -> dict:
                 "strength": float(coupling.medium.strength),
                 "gain_scale": float(coupling.medium.gain_scale),
             },
-            "pump": pump1,
+            "pump": _pump_dict(coupling.pump1),
             "pump2": pump2,
             "collection": _geometry_dict(coupling.collection),
         },
@@ -239,7 +235,7 @@ def resolved_config_dict(cfg) -> dict:
         out["grid"] = {
             "pump": [float(v) for v in cfg.scan_grid["pump"]],
             "collection": [float(v) for v in cfg.scan_grid["collection"]],
-            "points": int(cfg.scan_grid.get("points", 8)),
+            "points": int(cfg.scan_grid["points"]),
         }
     return out
 
@@ -326,10 +322,11 @@ def scenario_config_from_dict(data: dict):
     """Build a fully-resolved ScenarioConfig from a (partial) JSON dict.
 
     Unknown keys are rejected with the path of the offending key; omitted
-    fields take the named scenario's stock values.
+    fields take the named scenario's stock values.  The field values are
+    checked by ScenarioConfig itself, and a refusal names the config key.
     """
-    from .coupling import InteractionType, MediumConfig, PumpSpec, check_basis_size
-    from .scenarios import HERALDING_P_MAX, SCENARIO_NAMES, default_config
+    from .coupling import InteractionType, MediumConfig, PumpSpec
+    from .scenarios import FieldError, default_config, scenario_basis
 
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -340,38 +337,25 @@ def scenario_config_from_dict(data: dict):
         "",
     )
     name = data.get("scenario")
-    if name not in SCENARIO_NAMES:
-        raise ConfigError(f"unknown scenario {name!r} (key: scenario)")
-
     basis_spec = data.get("basis", {})
     _require_keys(basis_spec, {"ell_max", "p_max"}, "basis.")
-    ell_max = _integer(basis_spec.get("ell_max", 1), "basis.ell_max")
-    p_max = _integer(basis_spec.get("p_max", 2), "basis.p_max")
+    bounds = [_integer(basis_spec[key], f"basis.{key}") if key in basis_spec else None
+              for key in ("ell_max", "p_max")]
     try:
-        # the basis the run uses: PdcHeralding resolves at least HERALDING_P_MAX
-        check_basis_size(
-            ell_max,
-            max(p_max, HERALDING_P_MAX) if name == "PdcHeralding" else p_max,
-            ("basis.ell_max", "basis.p_max"),
-        )
+        basis = scenario_basis(name, *bounds, names=("basis.ell_max", "basis.p_max"))
+        cfg = default_config(name, basis.ell_max, basis.p_max)
+    except FieldError as exc:
+        raise ConfigError(f"scenario: {exc.reason}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg = default_config(name, ell_max=ell_max, p_max=p_max)
+    changes = {}
     if "n_target" in data:
-        cfg.n_target = _finite(data["n_target"], "n_target")
-        if not cfg.n_target > 0:
-            raise ConfigError("n_target must be > 0 (key: n_target)")
+        changes["n_target"] = _finite(data["n_target"], "n_target")
     if data.get("seed_gain") is not None:
-        cfg.seed_gain = _finite(data["seed_gain"], "seed_gain")
-        if name == "WaistScan":
-            raise ConfigError("WaistScan calibrates every cell to n_target; "
-                              "seed_gain is not used (key: seed_gain)")
+        changes["seed_gain"] = _finite(data["seed_gain"], "seed_gain")
     if "convergence_check" in data:
-        check = _boolean(data["convergence_check"], "convergence_check")
-        try:
-            cfg = replace(cfg, convergence_check=check)
-        except ValueError as exc:
-            raise ConfigError(f"{exc} (key: convergence_check)") from exc
+        changes["convergence_check"] = _boolean(data["convergence_check"],
+                                                "convergence_check")
 
     coupling_spec = data.get("coupling", {})
     _require_keys(
@@ -437,7 +421,7 @@ def scenario_config_from_dict(data: dict):
         if "collection" in coupling_spec
         else base.collection
     )
-    cfg.coupling = replace(
+    changes["coupling"] = replace(
         base,
         interaction=interaction,
         medium=medium,
@@ -451,22 +435,21 @@ def scenario_config_from_dict(data: dict):
     if "grid" in data:
         grid = data["grid"]
         _require_keys(grid, {"pump", "collection", "points"}, "grid.")
-        if name != "WaistScan":
-            raise ConfigError("grid is only valid for the WaistScan scenario (key: grid)")
-        ranges = {}
+        scan_grid = dict(cfg.scan_grid or {})  # omitted keys keep the stock grid
         for axis in ("pump", "collection"):
-            rng = grid.get(axis)
-            if not isinstance(rng, (list, tuple)) or len(rng) != 2:
-                raise ConfigError(f"grid.{axis} must be [low, high] with 0 < low < high")
-            low, high = (_finite(v, f"grid.{axis}") for v in rng)
-            if not 0 < low < high:
-                raise ConfigError(f"grid.{axis} must be [low, high] with 0 < low < high")
-            ranges[axis] = [low, high]
-        points = _integer(grid.get("points", 8), "grid.points")
-        if points < 2:
-            raise ConfigError("grid.points must be >= 2 (key: grid.points)")
-        cfg.scan_grid = {**ranges, "points": points}
-    return cfg
+            if axis in grid:
+                rng = grid[axis]
+                if not isinstance(rng, (list, tuple)) or len(rng) != 2:
+                    raise ConfigError(f"grid.{axis} must be [low, high] (key: grid.{axis})")
+                scan_grid[axis] = [_finite(v, f"grid.{axis}") for v in rng]
+        if "points" in grid:
+            scan_grid["points"] = _integer(grid["points"], "grid.points")
+        changes["scan_grid"] = scan_grid
+    try:
+        return replace(cfg, **changes)
+    except FieldError as exc:
+        key = exc.field.replace("scan_grid", "grid")  # the one field named apart
+        raise ConfigError(f"{key}: {exc.reason}") from exc
 
 
 # report matrix -> stem of the CSV pair written from its real part

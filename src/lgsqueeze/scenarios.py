@@ -25,18 +25,21 @@ from .coupling import (
     MediumConfig,
     PumpSpec,
     assemble_squeeze_matrix,
+    check_basis_size,
     scale_to_mean_photons,
 )
 from .eigenmodes import EigenDecomposition, decompose, eigenmode_pump, eigenmode_report
-from .modes import BeamGeometry, QuadratureError, build_basis
+from .modes import BeamGeometry, ModeBasis, QuadratureError, build_basis
 from .squeeze_core import SqueezeMatrix, StateReport, pair_creation_matrix, state_report
 
 __all__ = [
     "SCENARIO_NAMES",
+    "FieldError",
     "ScenarioConfig",
     "ScenarioResult",
     "coupling_on_basis",
     "default_config",
+    "scenario_basis",
     "run_scenario",
     "pair_dominance_metrics",
     "scan_island",
@@ -95,29 +98,55 @@ def _pdc_coupling(pump_waist: float, basis) -> CouplingConfig:
     )
 
 
-@dataclass
+class FieldError(ValueError):
+    """A ScenarioConfig field is refused: ``field`` names it, ``reason`` says why."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field}: {reason}")
+        self.field = field
+        self.reason = reason
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """A named scenario with its fully-resolved coupling configuration."""
+    """A named scenario with its fully-resolved coupling configuration.
+
+    Construction, ``dataclasses.replace`` included, is the one place the
+    fields are checked; a refused field raises FieldError naming it.
+    """
 
     name: str
     coupling: CouplingConfig
     n_target: float = 1.0
-    scan_grid: dict = None
+    scan_grid: dict = None  # WaistScan only: "pump" and "collection" ranges, "points"
     seed_gain: float = None  # overrides the calibration protocol when set
     convergence_check: bool = None  # None: on exactly where a re-run exists
 
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
-            raise ValueError(f"unknown scenario {self.name!r}")
+            raise FieldError("name", f"unknown scenario {self.name!r}; choose from "
+                             + ", ".join(SCENARIO_NAMES))
         if self.convergence_check is None:
-            self.convergence_check = self.name in _RERUNS
+            object.__setattr__(self, "convergence_check", self.name in _RERUNS)
         elif self.convergence_check and self.name not in _RERUNS:
-            raise ValueError(f"{self.name} has no convergence re-run; "
-                             "convergence_check must be false")
-        if self.n_target <= 0:
-            raise ValueError("n_target must be > 0")
-        if self.name == "WaistScan" and self.scan_grid is None:
-            raise ValueError("WaistScan needs a scan_grid")
+            raise FieldError("convergence_check", f"must be false: {self.name} has no re-run")
+        if not (math.isfinite(self.n_target) and self.n_target > 0):
+            raise FieldError("n_target", f"must be finite and > 0, got {self.n_target!r}")
+        if self.seed_gain is not None and not math.isfinite(self.seed_gain):
+            raise FieldError("seed_gain", f"must be finite, got {self.seed_gain!r}")
+        if self.seed_gain is not None and self.name == "WaistScan":
+            raise FieldError("seed_gain", "is not used: WaistScan calibrates every cell")
+        if (self.scan_grid is None) == (self.name == "WaistScan"):
+            raise FieldError("scan_grid", "is needed by WaistScan and taken by no other scenario")
+        if self.scan_grid is not None:
+            for axis in ("pump", "collection"):
+                low, high = self.scan_grid[axis]
+                if not 0 < low < high < math.inf:
+                    raise FieldError(f"scan_grid.{axis}",
+                                     f"must be [low, high] with 0 < low < high, got {[low, high]}")
+            if not self.scan_grid["points"] >= 2:
+                raise FieldError("scan_grid.points",
+                                 f"must be >= 2, got {self.scan_grid['points']}")
 
 
 @dataclass
@@ -134,10 +163,27 @@ class ScenarioResult:
     oracle_agreement: dict = None
 
 
-def default_config(name: str, ell_max: int = 1, p_max: int = 2) -> ScenarioConfig:
-    """Materialize the stock geometry and basis for a named scenario."""
-    if name not in _RUNNERS:
-        raise ValueError(f"unknown scenario {name!r}")
+def scenario_basis(name: str, ell_max: int = None, p_max: int = None,
+                   names=("ell_max", "p_max")) -> ModeBasis:
+    """The basis a run of ``name`` uses, a bound left None at its stock value.
+
+    The stock basis is ell_max 1, p_max 2; PdcHeralding's heralding figures
+    need p_max 20.  A negative or oversized bound raises ValueError naming
+    it by ``names`` before any mode is listed.
+    """
+    stock_p_max = HERALDING_P_MAX if name == "PdcHeralding" else 2
+    ell_max = 1 if ell_max is None else ell_max
+    p_max = stock_p_max if p_max is None else p_max
+    for bound, label in zip((ell_max, p_max), names):
+        if bound < 0:
+            raise ValueError(f"{label} must be >= 0, got {bound}")
+    check_basis_size(ell_max, p_max, names)
+    return build_basis(ell_max, p_max)
+
+
+def default_config(name: str, ell_max: int = None, p_max: int = None) -> ScenarioConfig:
+    """Materialize the stock geometry for a named scenario over ``scenario_basis``."""
+    basis = scenario_basis(name, ell_max, p_max)
     grid = None
     if name in ("PsrSinglePhoton", "PsrPCrosstalk", "FwmTwoPhoton"):
         interaction = {
@@ -151,13 +197,12 @@ def default_config(name: str, ell_max: int = 1, p_max: int = 2) -> ScenarioConfi
             medium=_psr_medium(),
             pump1=PumpSpec(geometry=geom),
             collection=geom,
-            basis=build_basis(ell_max, p_max),
+            basis=basis,
         )
     elif name == "PdcHeralding":
-        basis = build_basis(ell_max, max(p_max, HERALDING_P_MAX))
         coupling = _pdc_coupling(PDC_HERALDING_PUMP_WAIST, basis)
     else:
-        coupling = _pdc_coupling(PDC_PUMP_WAIST, build_basis(ell_max, p_max))
+        coupling = _pdc_coupling(PDC_PUMP_WAIST, basis)
         if name == "WaistScan":
             grid = {
                 "pump": list(DEFAULT_GRID_RANGE),
@@ -400,7 +445,7 @@ def _run_waist_scan(cfg: ScenarioConfig) -> ScenarioResult:
     """Every pump/collection waist pair of the grid; the best cell is reported."""
     grid, coupling = cfg.scan_grid, cfg.coupling
     pump = coupling.pump1.geometry
-    points = int(grid.get("points", DEFAULT_GRID_POINTS))
+    points = grid["points"]
     pump_vals = np.geomspace(grid["pump"][0], grid["pump"][1], points)
     coll_vals = np.geomspace(grid["collection"][0], grid["collection"][1], points)
     metric = np.full((points, points), np.nan)
@@ -460,7 +505,7 @@ _RERUNS = frozenset({"PsrSinglePhoton", "PsrPCrosstalk", "FwmTwoPhoton", "PdcBen
 
 def _convergence_check(cfg: ScenarioConfig) -> dict:
     """Re-run at a larger basis and report the drift of the headline numbers."""
-    big = replace(cfg, coupling=coupling_on_basis(cfg.coupling, build_basis(2, 4)))
+    big = replace(cfg, coupling=coupling_on_basis(cfg.coupling, scenario_basis(cfg.name, 2, 4)))
     result = _RUNNERS[cfg.name](big)
     return {
         "basis": "ell_max=2,p_max=4",

@@ -123,6 +123,14 @@ class TestConfigParsing:
         ({"convergence_check": "false"}, "convergence_check"),
         ({"scenario": "PdcBenchmark", "coupling": {"single_pump": "false"}},
          "coupling.single_pump"),
+        ({"basis": {"ell_max": -1}}, "basis.ell_max"),
+        ({"basis": {"p_max": -3}}, "basis.p_max"),
+        ({"scenario": "PdcHeralding", "basis": {"p_max": -1}}, "basis.p_max"),
+        ({"n_target": 0}, "n_target"),
+        ({"scenario": "WaistScan",
+          "grid": {"pump": [800, 50], "collection": [50, 800]}}, "grid.pump"),
+        ({"scenario": "WaistScan", "grid": {"points": 1}}, "grid.points"),
+        ({"scenario": "Nope"}, "scenario"),
     ],
 )
 def test_bad_config_exits_2_naming_key(tmp_path, capsys, config, key):
@@ -169,6 +177,15 @@ def test_oversized_basis_exits_2_before_listing_modes(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert err.startswith("error: basis ") and err.rstrip().endswith(f"lower {name}"), err
     assert all(max(bounds) <= 20 for bounds in listed), listed
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--lmax", "-1"), ("--pmax", "-3")])
+@pytest.mark.parametrize("scenario", ["PsrSinglePhoton", "PdcHeralding"])
+def test_negative_basis_flag_exits_2_naming_it(tmp_path, capsys, scenario, flag, value):
+    assert cli_main(["--scenario", scenario, flag, value,
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be >= 0, got {value}")
     assert not (tmp_path / "o").exists()
 
 
@@ -473,6 +490,33 @@ class TestDeterminism:
             if name == "manifest.json":
                 continue  # carries wall time
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_flag_run_replays_from_its_manifest(self, tmp_path):
+        # a PdcHeralding basis below the stock p_max 20 replays at that basis
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert cli_main(["--scenario", "PdcHeralding", "--lmax", "0", "--pmax", "2",
+                         "--out", str(out1), "--quiet"]) == 0
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        cfg_path = tmp_path / "resolved.json"
+        cfg_path.write_text(json.dumps(manifest["resolved_config"]))
+        assert cli_main(["--config", str(cfg_path), "--out", str(out2), "--quiet"]) == 0
+        assert sorted(p.name for p in out2.iterdir()) == sorted(p.name for p in out1.iterdir())
+        for name in manifest["outputs"]:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_basis_flags_and_keys_agree(self, tmp_path, source):
+        if source == "flags":
+            args = ["--scenario", "PdcHeralding", "--pmax", "3"]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"scenario": "PdcHeralding",
+                                            "basis": {"p_max": 3}}))
+            args = ["--config", str(cfg_path)]
+        assert cli_main([*args, "--lmax", "0", "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        basis = json.loads((tmp_path / "o" / "manifest.json").read_text())[
+            "resolved_config"]["basis"]
+        assert basis == {"ell_max": 0, "p_max": 3}
 
     def test_pump_coefficients_round_trip_through_the_manifest(self, tmp_path):
         config = {"scenario": "PsrSinglePhoton", "basis": {"ell_max": 0, "p_max": 1},

@@ -11,7 +11,6 @@ from lgsqueeze.coupling import (
     _T_MAX_MIN,
     _assemble_at,
     _gauss_legendre,
-    _leggauss,
     _levels,
     _node_schedule,
     CouplingConfig,
@@ -23,7 +22,7 @@ from lgsqueeze.coupling import (
     mean_photons_of_scale,
     scale_to_mean_photons,
 )
-from lgsqueeze.modes import BeamGeometry, ModeIndex, build_basis, lg_radial_profile
+from lgsqueeze.modes import BeamGeometry, ModeIndex, _leggauss, build_basis, lg_radial_profile
 from lgsqueeze.scenarios import SCENARIO_NAMES, default_config
 from lgsqueeze.squeeze_core import SqueezeMatrix
 from lgsqueeze.eigenmodes import is_normal

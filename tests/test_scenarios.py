@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from lgsqueeze.scenarios import default_config, run_scenario, scan_island
 
 def small_scan():
     cfg = default_config("WaistScan", ell_max=0, p_max=1)
-    cfg.scan_grid = {"pump": [100.0, 200.0], "collection": [100.0, 200.0], "points": 2}
-    return cfg
+    return replace(cfg, scan_grid={"pump": [100.0, 200.0], "collection": [100.0, 200.0],
+                                   "points": 2})
 
 
 def mode_pos(result, ell, p):
@@ -289,6 +290,42 @@ class TestConfigValidation:
         else:
             with pytest.raises(ValueError, match="convergence_check"):
                 type(cfg)(name, **checked)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_target", math.nan), ("n_target", math.inf), ("n_target", 0.0),
+        ("seed_gain", math.nan), ("seed_gain", -math.inf),
+    ])
+    def test_non_finite_target_or_gain_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(default_config("PdcBenchmark"), **{field: value})
+
+    def test_waist_scan_refuses_a_seed_gain(self):
+        # WaistScan calibrates every cell, so a seed gain would be ignored
+        with pytest.raises(ValueError, match="seed_gain"):
+            replace(small_scan(), seed_gain=0.5)
+
+    @pytest.mark.parametrize("grid", [
+        {"pump": [200.0, 100.0], "collection": [100.0, 200.0], "points": 2},
+        {"pump": [100.0, 200.0], "collection": [0.0, 200.0], "points": 2},
+        {"pump": [100.0, 200.0], "collection": [100.0, math.inf], "points": 2},
+        {"pump": [100.0, 200.0], "collection": [100.0, 200.0], "points": 1},
+    ])
+    def test_bad_scan_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="scan_grid"):
+            replace(small_scan(), scan_grid=grid)
+
+    def test_scan_grid_only_for_waist_scan(self):
+        grid = small_scan().scan_grid
+        with pytest.raises(ValueError, match="scan_grid"):
+            replace(default_config("PdcBenchmark"), scan_grid=grid)
+        with pytest.raises(ValueError, match="scan_grid"):
+            replace(small_scan(), scan_grid=None)
+
+    def test_config_is_frozen(self):
+        import dataclasses
+
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            default_config("PdcBenchmark").n_target = 2.0
 
 class TestPipeline:
     def test_psr_crosstalk_assembles_each_matrix_once(self, monkeypatch):
