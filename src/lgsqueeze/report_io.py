@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
+from types import GeneratorType
 
 import numpy as np
 
@@ -35,13 +36,14 @@ class ConfigError(ValueError):
     """Configuration rejected; the message names the offending key path."""
 
 
-def _reprs(values) -> list:
-    """Shortest round-trip decimal of every float in ``values``, row-major.
+def _row_reprs(matrix):
+    """Each row of a real matrix as the list of its shortest round-trip decimals.
 
     ``float.__repr__`` is what both ``csv.writer`` and ``json.dumps`` write
     for a finite float, so one formatting pass serves every file.
     """
-    return list(map(float.__repr__, np.asarray(values, dtype=float).ravel().tolist()))
+    for row in np.asarray(matrix, dtype=float):
+        yield list(map(float.__repr__, row.tolist()))
 
 
 def _csv_field(value) -> str:
@@ -52,53 +54,32 @@ def _csv_field(value) -> str:
     return buf.getvalue()[:-2]
 
 
-def _matrix_csv(strs: list, labels: list) -> str:
-    """Square matrix CSV: a ``mode`` header of labels, then one labelled row each."""
-    n = len(labels)
-    rows = [
-        label + "," + ",".join(strs[i * n:(i + 1) * n]) + "\n"
-        for i, label in enumerate(labels)
-    ]
-    return ",".join(["mode"] + labels) + "\n" + "".join(rows)
+def _long_lines(head: str, cols: list, strs: list) -> str:
+    """The long-CSV lines of one matrix row; ``head`` and each of ``cols`` end with a comma."""
+    return "".join([f"{head}{col}{s}\n" for col, s in zip(cols, strs)])
 
 
-def _long_csv(header: str, heads: list, strs: list) -> str:
-    """One ``<head><value>`` line per entry; each head ends with a comma."""
-    pieces = [None] * (3 * len(strs))
-    pieces[0::3] = heads
-    pieces[1::3] = strs
-    pieces[2::3] = ["\n"] * len(strs)
-    return header + "\n" + "".join(pieces)
-
-
-def _pair_heads(rows: list, cols: list) -> list:
-    return [r + "," + c + "," for r in rows for c in cols]
-
-
-class _Rendered(str):
-    """JSON text already laid out at its nesting level."""
-
-
-def _json_matrix(strs: list, shape: tuple, level: int) -> _Rendered:
-    """A nested list of ``strs`` laid out as ``json.dumps(indent=2)`` does at ``level``."""
-    n_rows, n_cols = shape
+def _json_rows(rows, level: int):
+    """Yield a nested list of ``rows`` as ``json.dumps(indent=2)`` lays it out at ``level``."""
     outer = "\n" + "  " * (level + 1)
     inner = outer + "  "
-    rows = [
-        "[" + inner + ("," + inner).join(strs[i * n_cols:(i + 1) * n_cols]) + outer + "]"
-        for i in range(n_rows)
-    ]
-    return _Rendered("[" + outer + ("," + outer).join(rows) + "\n" + "  " * level + "]")
+    sep = "," + inner
+    opening = "[" + outer
+    for strs in rows:
+        yield opening + "[" + inner + sep.join(strs) + outer + "]"
+        opening = "," + outer
+    yield "\n" + "  " * level + "]"
 
 
 def _json_text(value, level: int = 0):
     """Yield ``json.dumps(value, indent=2, sort_keys=True)`` nested at ``level``.
 
-    Dicts are laid out here so that ``_Rendered`` blocks inside them are
-    yielded as they are; everything else goes through ``json.dumps``.
+    Dicts are laid out here so that a generator inside them, which yields
+    its own text at its nesting level, is passed through as it runs;
+    everything else goes through ``json.dumps``.
     """
-    if isinstance(value, _Rendered):
-        yield value
+    if isinstance(value, GeneratorType):
+        yield from value
         return
     pad = "\n" + "  " * level
     if isinstance(value, dict) and value:
@@ -508,42 +489,53 @@ def emit_result(result, cfg, out_dir, wall_time_s: float = 0.0) -> list:
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    def write(name: str, *pieces: str) -> None:
-        with open(out / name, "w", encoding="utf-8") as handle:
-            handle.writelines(pieces)
+    def create(name: str):
         written.append(name)
+        return open(out / name, "w", encoding="utf-8")
 
     labels = [_csv_field(label) for label in report.mode_labels]
-    heads = _pair_heads(labels, labels)
+    heads = [label + "," for label in labels]
 
-    def write_csv_pair(stem: str, strs: list) -> None:
-        write(f"{stem}.csv", _matrix_csv(strs, labels))
-        write(f"{stem}_long.csv", _long_csv("row,col,value", heads, strs))
+    def csv_pair(stem: str, rows):
+        """Pass ``rows`` on, writing each to ``<stem>.csv`` and ``<stem>_long.csv``."""
+        with create(f"{stem}.csv") as square, create(f"{stem}_long.csv") as long:
+            square.write(",".join(["mode"] + labels) + "\n")
+            long.write("row,col,value\n")
+            for head, strs in zip(heads, rows):
+                square.write(head + ",".join(strs) + "\n")
+                long.write(_long_lines(head, heads, strs))
+                yield strs
 
-    # one array at a time: format it once, write its CSVs, keep its JSON block
+    # each row is formatted once, and its strings go to every file that holds
+    # them while report.json reaches its block: no file's text is ever whole
     for name, matrix in matrices.items():
-        parts = {}
-        for part, values in (("re", matrix.real), ("im", matrix.imag)):
-            strs = _reprs(values)
-            if part == "re" and name in _CSV_STEMS:
-                write_csv_pair(_CSV_STEMS[name], strs)
-            parts[part] = _json_matrix(strs, values.shape, _MATRIX_LEVEL)
-        report_doc["report"][name] = parts
-    write_csv_pair("pair_abs", _reprs(np.abs(report.pair_matrix)))
-    write_csv_pair("pair_arg", _reprs(np.angle(report.pair_matrix)))
+        real = _row_reprs(matrix.real)
+        if name in _CSV_STEMS:
+            real = csv_pair(_CSV_STEMS[name], real)
+        report_doc["report"][name] = {
+            "re": _json_rows(real, _MATRIX_LEVEL),
+            "im": _json_rows(_row_reprs(matrix.imag), _MATRIX_LEVEL),
+        }
+    with create("report.json") as handle:
+        handle.writelines(_json_text(report_doc))
+        handle.write("\n")
+    # on the whole matrix: a per-row ufunc call may take another SIMD path
+    for stem, values in (("pair_abs", np.abs), ("pair_arg", np.angle)):
+        for _ in csv_pair(stem, _row_reprs(values(report.pair_matrix))):
+            pass
 
     if result.scan is not None:
         scan = result.scan
-        write("scan_grid.csv", _long_csv(
-            "pump_waist,collection_waist,metric",
-            _pair_heads(_reprs(scan["pump_waists"]), _reprs(scan["collection_waists"])),
-            _reprs(scan["metric"]),
-        ))
-    # piece by piece: the layout around blocks that are already rendered
-    write("report.json", *_json_text(report_doc), "\n")
+        (pumps,) = _row_reprs([scan["pump_waists"]])
+        (cols,) = _row_reprs([scan["collection_waists"]])
+        cols = [col + "," for col in cols]
+        with create("scan_grid.csv") as handle:
+            handle.write("pump_waist,collection_waist,metric\n")
+            for pump, strs in zip(pumps, _row_reprs(scan["metric"])):
+                handle.write(_long_lines(pump + ",", cols, strs))
     if result.oracle_agreement is not None:
-        write("oracle_agreement.json",
-              json.dumps(result.oracle_agreement, indent=2, sort_keys=True) + "\n")
+        with create("oracle_agreement.json") as handle:
+            handle.write(json.dumps(result.oracle_agreement, indent=2, sort_keys=True) + "\n")
 
     manifest = {
         "scenario": result.name,
@@ -553,7 +545,8 @@ def emit_result(result, cfg, out_dir, wall_time_s: float = 0.0) -> list:
         "outputs": sorted(written),
         "convergence_check": _json_safe(result.convergence),
     }
-    write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with create("manifest.json") as handle:
+        handle.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return written
 
 

@@ -428,10 +428,12 @@ def _run_pdc_heralding(cfg: ScenarioConfig) -> ScenarioResult:
     sq, gain, report = _analysed(cfg, cfg.coupling)
     metrics = {"nbar_total": report.nbar_total, "calibrated_gain": gain}
     metrics.update(pair_dominance_metrics(sq))
-    # reference: the benchmark pump waist at the same extended basis, same target
+    # reference: the benchmark pump waist at the same extended basis, calibrated
+    # to the run's photon number (the target, or what a seed gain gave)
     pump = cfg.coupling.pump1.geometry
     ref = _with_pump(cfg.coupling, geometry=_with_waist(pump, PDC_PUMP_WAIST))
-    ref_sq, _ = scale_to_mean_photons(assemble_squeeze_matrix(ref), cfg.n_target)
+    target = cfg.n_target if cfg.seed_gain is None else report.nbar_total
+    ref_sq, _ = scale_to_mean_photons(assemble_squeeze_matrix(ref), target)
     ref_metrics = pair_dominance_metrics(ref_sq)
     metrics["benchmark_diag_dominance"] = ref_metrics["diag_dominance"]
     metrics["benchmark_n00_share"] = ref_metrics["n00_share"]

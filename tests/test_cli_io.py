@@ -345,6 +345,38 @@ def test_emitted_bytes_match_json_and_csv_writers(tmp_path):
     assert (tmp_path / "scan_grid.csv").read_text() == _csv_text(grid)
 
 
+def test_emission_holds_one_row_at_a_time(tmp_path):
+    """No file's text and no array's string list is alive while a report is written."""
+    import tracemalloc
+
+    from lgsqueeze.modes import build_basis
+    from lgsqueeze.scenarios import ScenarioResult
+    from lgsqueeze.squeeze_core import StateReport
+
+    rng = np.random.default_rng(8)
+    basis = build_basis(4, 19)
+    n = basis.size
+    assert n == 180
+
+    def draw():
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    report = StateReport(
+        var_X1=draw(), var_X2=draw(), scalar_var=(0.25, 0.25), cross_cov=draw(),
+        nbar_matrix=draw(), nbar_total=1.0, number_variance=2.0, number_covariance=0.5,
+        pair_matrix=draw(), squeezing_db_per_mode=rng.standard_normal(n),
+        mode_labels=basis.labels(),
+    )
+    result = ScenarioResult("PdcBenchmark", report, None, 0.5)
+    tracemalloc.start()
+    try:
+        emit_result(result, default_config("PdcBenchmark"), tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "report.json").stat().st_size / 4
+
+
 class TestCli:
     def test_conflicting_flags(self, capsys):
         with pytest.raises(SystemExit):

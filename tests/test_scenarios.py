@@ -8,6 +8,7 @@ from lgsqueeze import scenarios
 from lgsqueeze.modes import ModeIndex, QuadratureError
 from lgsqueeze.report_io import report_from_dict, report_to_dict, scenario_config_from_dict
 from lgsqueeze.scenarios import default_config, run_scenario, scan_island
+from lgsqueeze.squeeze_core import state_report
 
 
 def small_scan():
@@ -199,6 +200,28 @@ class TestPdcHeralding:
 
     def test_extended_basis_in_use(self, pdc_heralding):
         assert pdc_heralding.squeeze.basis.p_max == 20
+
+    def test_seeded_reference_holds_the_run_photon_number(self, monkeypatch):
+        cfg = default_config("PdcHeralding", ell_max=0, p_max=2)
+        gain = run_scenario(cfg).gain
+        scale, references = scenarios.scale_to_mean_photons, []
+
+        def recording(sq, n_target):
+            scaled, s = scale(sq, n_target)
+            references.append(scaled)
+            return scaled, s
+
+        # a seeded run calibrates nothing but its reference
+        monkeypatch.setattr(scenarios, "scale_to_mean_photons", recording)
+        dominance = []
+        for factor in (0.5, 1.5):
+            result = run_scenario(replace(cfg, seed_gain=factor * gain))
+            (reference,) = references
+            references.clear()
+            assert state_report(reference).nbar_total == pytest.approx(
+                result.report.nbar_total, rel=1e-10, abs=0)
+            dominance.append(result.metrics["benchmark_diag_dominance"])
+        assert dominance[0] != dominance[1]
 
 
 class TestWaistScan:
