@@ -49,7 +49,17 @@ from .eigenmodes import (
     is_normal,
     state_coefficients,
 )
-from .fock_oracle import TruncatedFockSpace, build_hamiltonian_exponent, vacuum_statistics
 from .scenarios import SCENARIO_NAMES, ScenarioConfig, default_config, run_scenario
 
 __version__ = "0.1.0"
+
+# The Fock oracle needs scipy.sparse, so it is imported on first access only.
+_ORACLE_NAMES = ("TruncatedFockSpace", "build_hamiltonian_exponent", "vacuum_statistics")
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import fock_oracle
+
+        return getattr(fock_oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

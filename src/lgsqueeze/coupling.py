@@ -446,11 +446,107 @@ def mean_photons_of_scale(singular_values: np.ndarray, s: float) -> float:
         return float(np.sum(np.sinh(s * singular_values) ** 2))
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of ``f`` in the sign-changing bracket [xa, xb] by Brent's method.
+
+    A line-for-line transcription of ``optimize/Zeros/brentq.c`` from SciPy
+    (written by Charles Harris; SciPy is Copyright (c) SciPy Developers and
+    distributed under the BSD-3-Clause license), with the checks of SciPy's
+    Python ``brentq`` wrapper: a NaN function value raises ValueError, and
+    signs are compared with ``copysign`` as the C code compares them with
+    ``signbit``.  For the same arguments it returns the same root as SciPy's
+    ``brentq`` to the bit, without importing SciPy's optimize package.
+    """
+
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    def signbit(x):
+        return math.copysign(1.0, x) < 0.0
+
+    def div(a, b):  # a / b as in C, where a zero divisor gives +-inf or nan
+        if b != 0:
+            return a / b
+        if a != a or a == 0:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if signbit(fpre) == signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and signbit(fpre) != signbit(fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre = xcur
+            xcur = xblk
+            xblk = xpre
+
+            fpre = fcur
+            fcur = fblk
+            fblk = fpre
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = div(-fcur * (xcur - xpre), fcur - fpre)
+            else:
+                # extrapolate
+                dpre = div(fpre - fcur, xpre - xcur)
+                dblk = div(fblk - fcur, xblk - xcur)
+                stry = div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                # bisect
+                spre = sbis
+                scur = sbis
+        else:
+            # bisect
+            spre = sbis
+            scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def scale_to_mean_photons(sq, n_target: float, tol: float = 1e-10):
     """Rescale a squeezing matrix so the mean photon number equals ``n_target``.
 
     Solves sum_i sinh^2(s sigma_i) = n_target for the positive scalar s on
-    the singular values sigma_i; the map is strictly increasing in s.
+    the singular values sigma_i; the map is strictly increasing in s.  Brent's
+    method on [0, hi] finds s, and up to four Newton steps polish it until
+    the photon number is within ``tol * max(1, n_target)`` of the target:
+    absolute below one photon, relative above, where an absolute bound would
+    be finer than float resolution.  Raises ValueError, naming ``n_target``,
+    when that is not reached.
     """
     from .squeeze_core import SqueezeMatrix
 
@@ -464,15 +560,13 @@ def scale_to_mean_photons(sq, n_target: float, tol: float = 1e-10):
     def excess(s):
         return mean_photons_of_scale(sigma, s) - n_target
 
-    # bracket then bisect/Newton via brentq
     lo = 0.0
     hi = max(1.0, math.asinh(math.sqrt(n_target)) / float(np.max(sigma)))
     while excess(hi) < 0.0:
         hi *= 2.0
-    from scipy.optimize import brentq
-
-    s = brentq(excess, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    # polish with one Newton step; the derivative is sum sinh(2 s sigma) sigma
+    s = _brentq(excess, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    # polish with Newton steps; the derivative is sum sinh(2 s sigma) sigma
+    tol = tol * max(1.0, n_target)
     for _ in range(4):
         err = excess(s)
         if abs(err) <= tol:
@@ -480,5 +574,6 @@ def scale_to_mean_photons(sq, n_target: float, tol: float = 1e-10):
         deriv = float(np.sum(np.sinh(2.0 * s * sigma) * sigma))
         s -= err / deriv
     if abs(excess(s)) > tol:
-        raise RuntimeError("photon-number scaling did not reach tolerance")
+        raise ValueError(f"n_target {n_target}: the photon number of the rescaled "
+                         f"matrix did not reach {tol:.3g} of the target")
     return SqueezeMatrix(xi=s * sq.xi, basis=sq.basis, interaction=sq.interaction), float(s)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .squeeze_core import SqueezeMatrix, VACUUM_VARIANCE
 
@@ -120,6 +119,8 @@ def decompose(sq: SqueezeMatrix, tol: float = 1e-8) -> EigenDecomposition:
         raise ValueError(
             f"squeezing matrix is not normal (residual {residual:.3e} >= tol {tol:.1e})"
         )
+    import scipy.linalg
+
     t, q = scipy.linalg.schur(np.asarray(sq.xi, dtype=complex), output="complex")
     eigvals = np.diagonal(t).copy()
     order = np.argsort(-np.abs(eigvals), kind="stable")

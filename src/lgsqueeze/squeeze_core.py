@@ -4,8 +4,9 @@ The squeezing matrix xi factors as xi = R e^{i Theta} with R Hermitian
 positive semidefinite (squeeze magnitudes) and Theta Hermitian (squeeze
 phases).  R and Theta do not commute in general, so every formula here keeps
 the operand order of its derivation; matrix functions are evaluated by
-eigendecomposition of the Hermitian factor and Schur decomposition of the
-unitary phase factor.
+eigendecomposition of the Hermitian factor, and the statistics read the
+unitary phase factor e^{i Theta} itself.  Theta is computed, by Schur
+decomposition of that factor, only when it is asked for.
 
 The closed forms below describe the vacuum-seeded two-beam squeezer
 S = exp[b~ xi^dag a - a~^dag xi b^dag] and are exact for symmetric xi (the
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .coupling import InteractionType
 from .modes import ModeBasis
@@ -27,6 +27,7 @@ __all__ = [
     "SqueezeMatrix",
     "StateReport",
     "polar_decompose",
+    "phase_logarithm",
     "scalar_quadrature_variance",
     "quadrature_variance_matrices",
     "cross_covariance",
@@ -63,13 +64,13 @@ def _complete_orthonormal(cols: np.ndarray, n: int) -> np.ndarray:
 
 
 def polar_decompose(xi: np.ndarray):
-    """Left polar decomposition xi = R e^{i Theta}.
+    """Left polar decomposition xi = R e^{i Theta}, returned as (R, phase).
 
     Computed from the SVD xi = W S V^dag as R = W S W^dag and
-    phase = W V^dag; theta is the principal Hermitian logarithm of the
-    phase factor (eigenphases in (-pi, pi]).  Zero singular values leave the
-    phase underdetermined; those columns of W and V are replaced by a
+    phase = e^{i Theta} = W V^dag.  Zero singular values leave the phase
+    underdetermined; those columns of W and V are replaced by a
     deterministic Gram-Schmidt completion against the canonical basis.
+    ``phase_logarithm(phase)`` gives Theta.
     """
     xi = np.asarray(xi, dtype=complex)
     n = xi.shape[0]
@@ -85,13 +86,20 @@ def polar_decompose(xi: np.ndarray):
         vh = v.conj().T
     r_factor = (w * s) @ w.conj().T
     r_factor = 0.5 * (r_factor + r_factor.conj().T)
-    phase = w @ vh
-    # principal log of the unitary factor via its (complex) Schur form
+    return r_factor, w @ vh
+
+
+def phase_logarithm(phase: np.ndarray) -> np.ndarray:
+    """Principal Hermitian logarithm Theta of a unitary, e^{i Theta} = phase.
+
+    Eigenphases lie in (-pi, pi]; computed from the complex Schur form.
+    """
+    import scipy.linalg
+
     t, q = scipy.linalg.schur(phase, output="complex")
     angles = np.angle(np.diagonal(t))
     theta = (q * angles) @ q.conj().T
-    theta = 0.5 * (theta + theta.conj().T)
-    return r_factor, phase, theta
+    return 0.5 * (theta + theta.conj().T)
 
 
 def _hermitian_fn(sq: SqueezeMatrix, fn) -> np.ndarray:
@@ -106,9 +114,9 @@ class SqueezeMatrix:
 
     Rows are signal modes, columns idler modes, both ordered per the basis.
     The polar decomposition runs on first use of ``polar_R``,
-    ``polar_phase`` or ``theta``, and the eigendecomposition of ``polar_R``
-    on the first matrix function, so a matrix that is only rescaled is
-    never factored.
+    ``polar_phase`` or ``theta``, the eigendecomposition of ``polar_R`` on
+    the first matrix function, and the logarithm ``theta`` only when it is
+    read, so a matrix that is only rescaled is never factored.
     """
 
     xi: np.ndarray
@@ -136,9 +144,9 @@ class SqueezeMatrix:
     def polar_phase(self) -> np.ndarray:
         return self._polar[1]
 
-    @property
+    @cached_property
     def theta(self) -> np.ndarray:
-        return self._polar[2]
+        return phase_logarithm(self.polar_phase)
 
     @cached_property
     def _r_eigh(self):
@@ -321,6 +329,8 @@ def takagi_decompose(xi: np.ndarray):
         v = vh.conj().T
     z = u.conj().T @ v.conj()
     z = 0.5 * (z + z.T)
+    import scipy.linalg
+
     tz, qz = scipy.linalg.schur(z, output="complex")
     half = (qz * np.exp(0.5j * np.angle(np.diagonal(tz)))) @ qz.conj().T
     w = u @ half

@@ -1,15 +1,17 @@
 import dataclasses
+import json
 import math
 import weakref
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 
 from lgsqueeze import coupling
 from lgsqueeze.coupling import (
     _T_MAX_MIN,
     _assemble_at,
+    _brentq,
     _gauss_legendre,
     _levels,
     _node_schedule,
@@ -379,3 +381,82 @@ class TestPhotonScaling:
         scaled, s = scale_to_mean_photons(sq, 2.5)
         sigma = np.linalg.svd(scaled.xi, compute_uv=False)
         assert abs(np.sum(np.sinh(sigma) ** 2) - 2.5) < 1e-10
+
+    def test_missed_tolerance_names_n_target(self, monkeypatch):
+        # a root search that stops at the bracket end, far from the root,
+        # leaves more than the four Newton steps can polish
+        monkeypatch.setattr(coupling, "_brentq", lambda f, xa, xb, **kwargs: xb)
+        sq = SqueezeMatrix(xi=np.eye(1), basis=None,
+                           interaction=InteractionType.FULL_CROSSTALK)
+        with pytest.raises(ValueError, match="n_target 0.001"):
+            scale_to_mean_photons(sq, 1e-3)
+
+    @pytest.mark.parametrize("scenario, n_target", [
+        ("PsrSinglePhoton", 1e5), ("PdcBenchmark", 1e5), ("PdcBenchmark", 1e8),
+    ])
+    def test_large_photon_numbers_calibrate(self, tmp_path, scenario, n_target):
+        from lgsqueeze.cli import main as cli_main
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": scenario, "n_target": n_target}))
+        assert cli_main(["--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["report"]["nbar_total"] == pytest.approx(n_target, rel=1e-10)
+
+
+def sinh_sum_root(brent, sigma, n_target):
+    """``brent``'s root of sum sinh^2(s sigma) = n_target, bracketed as the calibration does."""
+    def excess(s):
+        return mean_photons_of_scale(sigma, s) - n_target
+
+    hi = max(1.0, math.asinh(math.sqrt(n_target)) / float(np.max(sigma)))
+    while excess(hi) < 0.0:
+        hi *= 2.0
+    return brent(excess, 0.0, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+
+
+class TestBrent:
+    """``coupling._brentq`` returns scipy.optimize.brentq's root to the bit."""
+
+    def test_matches_scipy_on_seeded_sinh_sums(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(1000):
+            sigma = rng.random(int(rng.integers(1, 61))) * 10.0 ** rng.uniform(-6.0, 1.0)
+            n_target = 10.0 ** rng.uniform(-3.0, 2.0)
+            ours = sinh_sum_root(_brentq, sigma, n_target)
+            assert ours == sinh_sum_root(optimize.brentq, sigma, n_target), (sigma, n_target)
+
+    def test_matches_scipy_on_every_stock_calibration(self, monkeypatch):
+        from lgsqueeze.scenarios import run_scenario
+
+        calls = []
+
+        def recording(f, xa, xb, **kwargs):
+            root = _brentq(f, xa, xb, **kwargs)
+            calls.append(root == optimize.brentq(f, xa, xb, **kwargs))
+            return root
+
+        monkeypatch.setattr(coupling, "_brentq", recording)
+        for name in SCENARIO_NAMES:
+            run_scenario(default_config(name))
+        assert len(calls) >= len(SCENARIO_NAMES) and all(calls)
+
+    def test_underflowing_step_divides_as_in_c(self):
+        # a step divisor underflows to zero: C divides to inf or nan and bisects
+        def f(x):
+            return 1e-200 * (x - 0.3)
+
+        assert _brentq(f, -1.0, 1.5, 1e-15, 8.9e-16, 200) == optimize.brentq(
+            f, -1.0, 1.5, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+
+    def test_nan_value_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(lambda x: math.nan if x > 0.3 else x - 0.5, 0.0, 1.0, 1e-15, 8.9e-16, 200)
+
+    def test_root_on_a_bracket_end_is_returned_exactly(self):
+        assert _brentq(lambda x: x, 0.0, 1.0, 1e-15, 8.9e-16, 200) == 0.0
+        assert _brentq(lambda x: x - 1.25, 0.0, 1.25, 1e-15, 8.9e-16, 200) == 1.25
+
+    def test_same_signs_raise(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x + 1.0, 0.0, 1.0, 1e-15, 8.9e-16, 200)

@@ -14,6 +14,7 @@ from lgsqueeze.squeeze_core import (
     cross_covariance,
     degenerate_statistics,
     pair_creation_matrix,
+    phase_logarithm,
     photon_statistics,
     polar_decompose,
     quadrature_variance_matrices,
@@ -32,19 +33,21 @@ def two_beam(xi):
 
 class TestPolar:
     def test_already_positive_diagonal(self):
-        r, phase, theta = polar_decompose(np.diag([0.5, 0.2]))
+        r, phase = polar_decompose(np.diag([0.5, 0.2]))
+        theta = phase_logarithm(phase)
         assert np.allclose(r, np.diag([0.5, 0.2]), atol=1e-14)
         assert np.allclose(phase, np.eye(2), atol=1e-14)
         assert np.allclose(theta, 0.0, atol=1e-14)
 
     def test_scalar_phase(self):
-        r, phase, theta = polar_decompose(np.array([[0.7 * np.exp(1j * np.pi / 3)]]))
+        r, phase = polar_decompose(np.array([[0.7 * np.exp(1j * np.pi / 3)]]))
+        theta = phase_logarithm(phase)
         assert r[0, 0].real == pytest.approx(0.7, abs=1e-14)
         assert theta[0, 0].real == pytest.approx(np.pi / 3, abs=1e-14)
 
     def test_offdiagonal_magnitude_factor(self):
         xi = np.array([[0.0, 0.3], [0.3, 0.0]])
-        r, phase, theta = polar_decompose(xi)
+        r, phase = polar_decompose(xi)
         # independent oracle: R must be the PSD square root of xi xi^dag
         oracle = scipy.linalg.sqrtm(xi @ xi.conj().T)
         assert np.allclose(r, oracle, atol=1e-12)
@@ -55,7 +58,8 @@ class TestPolar:
         rng = np.random.default_rng(5)
         for n in (1, 3, 8):
             xi = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            r, phase, theta = polar_decompose(xi)
+            r, phase = polar_decompose(xi)
+            theta = phase_logarithm(phase)
             scale = np.linalg.norm(xi)
             assert np.linalg.norm(r @ phase - xi) / scale < 1e-12
             assert np.allclose(r, r.conj().T, atol=1e-12)
@@ -67,8 +71,8 @@ class TestPolar:
     def test_rank_deficient_is_deterministic(self):
         xi = np.zeros((3, 3), dtype=complex)
         xi[0, 1] = 0.4
-        r1, phase1, theta1 = polar_decompose(xi)
-        r2, phase2, theta2 = polar_decompose(xi.copy())
+        r1, phase1 = polar_decompose(xi)
+        r2, phase2 = polar_decompose(xi.copy())
         assert np.array_equal(phase1, phase2)
         assert np.allclose(r1 @ phase1, xi, atol=1e-14)
         assert np.allclose(phase1 @ phase1.conj().T, np.eye(3), atol=1e-12)
@@ -324,6 +328,30 @@ class TestComputeOnce:
         state_report(sq)
         pair_dominance_metrics(sq)
         assert calls == {"polar_decompose": 1, "eigh": 1}
+
+    def test_report_and_pair_metrics_run_no_schur(self, monkeypatch):
+        from lgsqueeze.coupling import assemble_squeeze_matrix, scale_to_mean_photons
+        from lgsqueeze.scenarios import default_config, pair_dominance_metrics
+
+        calls = []
+        schur = scipy.linalg.schur
+        monkeypatch.setattr(scipy.linalg, "schur",
+                            lambda *a, **k: calls.append(1) or schur(*a, **k))
+        cfg = default_config("PdcBenchmark").coupling
+        sq, _ = scale_to_mean_photons(assemble_squeeze_matrix(cfg), 1.0)
+        state_report(sq)
+        pair_dominance_metrics(sq)
+        assert calls == []
+        theta = sq.theta
+        assert len(calls) == 1 and sq.theta is theta
+
+    def test_theta_is_the_principal_log_of_the_phase_factor(self, pdc_benchmark):
+        sq = SqueezeMatrix(xi=pdc_benchmark.squeeze.xi, basis=None, interaction=TWO_BEAM)
+        # the formula polar_decompose evaluated for every matrix before theta was lazy
+        t, q = scipy.linalg.schur(sq.polar_phase, output="complex")
+        expected = (q * np.angle(np.diagonal(t))) @ q.conj().T
+        expected = 0.5 * (expected + expected.conj().T)
+        assert np.array_equal(sq.theta, expected)
 
     def test_non_finite_matrix_rejected_at_construction(self):
         with pytest.raises(ValueError, match="finite"):
