@@ -31,13 +31,8 @@ from .squeeze_core import (
     StateReport,
     bogoliubov_matrix,
     bogoliubov_metric,
-    cross_covariance,
     degenerate_statistics,
-    pair_creation_matrix,
-    photon_statistics,
     polar_decompose,
-    quadrature_variance_matrices,
-    scalar_quadrature_variance,
     state_report,
     takagi_decompose,
 )

@@ -406,21 +406,12 @@ def coupling_element(signal: ModeIndex, idler: ModeIndex, cfg: CouplingConfig,
                      rtol: float = 1e-8) -> complex:
     """Single element of the coupling matrix for (signal, idler).
 
-    OAM selection is applied analytically: for every pump coefficient pair
-    the element vanishes identically unless ell_pump1 + ell_pump2 equals
-    ell_signal + ell_idler.  Any other element is read off the assembled
-    matrix, refined to ``rtol`` as a whole.
+    Read off the assembled matrix, refined to ``rtol`` as a whole.  An
+    element that OAM selection forbids (no pump coefficient pair with
+    ell_pump1 + ell_pump2 = ell_signal + ell_idler) is exactly 0.0 there,
+    because the assembly adds only to the blocks a pump pair feeds.
     """
-    basis = cfg.basis
-    s, i = basis.position(signal), basis.position(idler)
-
-    def pump_ells(pump):
-        return {basis.order[j].ell
-                for j in np.flatnonzero(np.abs(pump.resolved_coefficients(basis)) > 0)}
-
-    ells2 = {0} if cfg.single_pump else pump_ells(cfg.pump2)
-    if not any(e1 + e2 == signal.ell + idler.ell for e1 in pump_ells(cfg.pump1) for e2 in ells2):
-        return 0.0 + 0.0j
+    s, i = cfg.basis.position(signal), cfg.basis.position(idler)
     return complex(assemble_squeeze_matrix(cfg, rtol).xi[s, i])
 
 

@@ -30,7 +30,7 @@ from .coupling import (
 )
 from .eigenmodes import EigenDecomposition, decompose, eigenmode_pump, eigenmode_report
 from .modes import BeamGeometry, ModeBasis, QuadratureError, build_basis
-from .squeeze_core import SqueezeMatrix, StateReport, pair_creation_matrix, state_report
+from .squeeze_core import SqueezeMatrix, StateReport, state_report
 
 __all__ = [
     "SCENARIO_NAMES",
@@ -212,17 +212,13 @@ def default_config(name: str, ell_max: int = None, p_max: int = None) -> Scenari
     return ScenarioConfig(name=name, coupling=coupling, scan_grid=grid)
 
 
-def pair_dominance_metrics(sq: SqueezeMatrix) -> dict:
-    """Pair-matrix concentration metrics used by the scan and heralding runs."""
-    from .squeeze_core import photon_statistics
-
-    pair, _ = pair_creation_matrix(sq)
-    mod = np.abs(pair)
+def pair_dominance_metrics(report: StateReport, basis: ModeBasis) -> dict:
+    """Pair-matrix concentration metrics of ``report``, whose modes ``basis`` orders."""
+    mod = np.abs(report.pair_matrix)
     total = mod.sum()
-    i00 = sq.basis.index_of_fundamental()
-    nbar, nbar_total, _, _ = photon_statistics(sq)
-    nbar_diag = nbar.diagonal().real
-    n_share = nbar_diag[i00] / nbar_total if nbar_total > 0 else 0.0
+    i00 = basis.index_of_fundamental()
+    nbar_diag = report.nbar_matrix.diagonal().real
+    n_share = nbar_diag[i00] / report.nbar_total if report.nbar_total > 0 else 0.0
     return {
         "pair_share_00": float(mod[i00, i00] / total) if total > 0 else 0.0,
         "diag_dominance": float(np.trace(mod) / total) if total > 0 else 0.0,
@@ -335,15 +331,20 @@ def coupling_on_basis(coupling: CouplingConfig, basis) -> CouplingConfig:
     return replace(coupling, basis=basis, pump1=pump1, pump2=pump2)
 
 
-def _decibels(name: str, numerator: float, denominator: float, gain: float) -> float:
-    """10 log10 of a variance ratio, or a ValueError naming the statistic and gain."""
+def _ratio(name: str, numerator: float, denominator: float, gain: float) -> float:
+    """numerator / denominator, or a ValueError naming the statistic and gain."""
     ratio = numerator / denominator if denominator > 0 else math.nan
     if not 0.0 < ratio < math.inf:
         raise ValueError(
-            f"{name} is undefined at gain {gain:.6g}: the variance ratio "
+            f"{name} is undefined at gain {gain:.6g}: the ratio "
             f"{numerator!r} / {denominator!r} is not positive and finite"
         )
-    return 10.0 * math.log10(ratio)
+    return ratio
+
+
+def _decibels(name: str, numerator: float, denominator: float, gain: float) -> float:
+    """10 log10 of a variance ratio, or a ValueError naming the statistic and gain."""
+    return 10.0 * math.log10(_ratio(name, numerator, denominator, gain))
 
 
 def _run_psr_single(cfg: ScenarioConfig) -> ScenarioResult:
@@ -381,7 +382,13 @@ def _pdc_analysis(cfg: ScenarioConfig, coupling: CouplingConfig) -> ScenarioResu
     """Statistics, eigenmodes and pair dominance of one down-conversion coupling."""
     sq, gain, report = _analysed(cfg, coupling)
     eigen = decompose(sq)
-    rows = eigenmode_report(eigen)
+    try:
+        rows = eigenmode_report(eigen)
+    except OverflowError:  # e^(2 lambda) of variance_plus is the first to overflow
+        raise ValueError(
+            f"eigenmode variance_plus is undefined at gain {gain:.6g}: "
+            f"e^(2 lambda_1) overflows at lambda_1 = {float(eigen.lam[0])!r}"
+        ) from None
     u00_var = _u00_variance(report, sq)
     metrics = {
         "nbar_total": report.nbar_total,
@@ -394,7 +401,7 @@ def _pdc_analysis(cfg: ScenarioConfig, coupling: CouplingConfig) -> ScenarioResu
         ),
         "calibrated_gain": gain,
     }
-    metrics.update(pair_dominance_metrics(sq))
+    metrics.update(pair_dominance_metrics(report, sq.basis))
     return ScenarioResult(cfg.name, report, sq, gain, metrics, eigen=eigen, eigen_rows=rows)
 
 
@@ -416,10 +423,14 @@ def _run_pdc_eigen_pump(cfg: ScenarioConfig) -> ScenarioResult:
             "improvement_vs_benchmark_u00_db", b["u00_variance_x1"],
             result.eigen_rows[0].variance_minus, result.gain,
         ),
-        "benchmark_nbar_lambda1_share": (
-            math.sinh(b["lambda_1"]) ** 2 / bench.report.nbar_total
+        "benchmark_nbar_lambda1_share": _ratio(
+            "benchmark_nbar_lambda1_share", math.sinh(b["lambda_1"]) ** 2,
+            bench.report.nbar_total, bench.gain,
         ),
-        "nbar_lambda1_share": math.sinh(metrics["lambda_1"]) ** 2 / result.report.nbar_total,
+        "nbar_lambda1_share": _ratio(
+            "nbar_lambda1_share", math.sinh(metrics["lambda_1"]) ** 2,
+            result.report.nbar_total, result.gain,
+        ),
     })
     return result
 
@@ -427,14 +438,17 @@ def _run_pdc_eigen_pump(cfg: ScenarioConfig) -> ScenarioResult:
 def _run_pdc_heralding(cfg: ScenarioConfig) -> ScenarioResult:
     sq, gain, report = _analysed(cfg, cfg.coupling)
     metrics = {"nbar_total": report.nbar_total, "calibrated_gain": gain}
-    metrics.update(pair_dominance_metrics(sq))
+    metrics.update(pair_dominance_metrics(report, sq.basis))
     # reference: the benchmark pump waist at the same extended basis, calibrated
     # to the run's photon number (the target, or what a seed gain gave)
     pump = cfg.coupling.pump1.geometry
     ref = _with_pump(cfg.coupling, geometry=_with_waist(pump, PDC_PUMP_WAIST))
     target = cfg.n_target if cfg.seed_gain is None else report.nbar_total
+    if not 0.0 < target < math.inf:
+        raise ValueError(f"seed_gain {cfg.seed_gain!r} gives photon number {target!r}; "
+                         "the benchmark reference needs a positive, finite one")
     ref_sq, _ = scale_to_mean_photons(assemble_squeeze_matrix(ref), target)
-    ref_metrics = pair_dominance_metrics(ref_sq)
+    ref_metrics = pair_dominance_metrics(state_report(ref_sq), ref_sq.basis)
     metrics["benchmark_diag_dominance"] = ref_metrics["diag_dominance"]
     metrics["benchmark_n00_share"] = ref_metrics["n00_share"]
     nbar_diag = report.nbar_matrix.diagonal().real
@@ -459,7 +473,8 @@ def _run_waist_scan(cfg: ScenarioConfig) -> ScenarioResult:
                 cell = replace(_with_pump(coupling, geometry=_with_waist(pump, float(wp))),
                                collection=_with_waist(coupling.collection, float(wc)))
                 sq, gain = scale_to_mean_photons(assemble_squeeze_matrix(cell), cfg.n_target)
-                metric[i, j] = pair_dominance_metrics(sq)["figure_metric"]
+                report = state_report(sq)
+                metric[i, j] = pair_dominance_metrics(report, sq.basis)["figure_metric"]
             except (QuadratureError, ValueError, np.linalg.LinAlgError) as exc:
                 # a numerical failure of this cell: record it and scan on
                 failures.append({"pump": float(wp), "collection": float(wc),
@@ -467,10 +482,10 @@ def _run_waist_scan(cfg: ScenarioConfig) -> ScenarioResult:
                 continue
             # strict > in row-major order keeps the first maximum, as np.nanargmax does
             if metric[i, j] > best_metric:
-                best, best_metric = (i, j, sq, gain), metric[i, j]
+                best, best_metric = (i, j, sq, gain, report), metric[i, j]
     if best is None:
         raise ValueError("no WaistScan cell gave a finite metric")
-    i, j, sq, gain = best
+    i, j, sq, gain, report = best
     scan = {
         "pump_waists": pump_vals.tolist(),
         "collection_waists": coll_vals.tolist(),
@@ -482,7 +497,6 @@ def _run_waist_scan(cfg: ScenarioConfig) -> ScenarioResult:
     }
     island = scan_island(scan)
     scan["island"] = island
-    report = state_report(sq)
     metrics = {
         "nbar_total": report.nbar_total,
         "argmax_in_island": float(island["argmax_in_island"]),

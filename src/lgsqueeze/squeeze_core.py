@@ -28,11 +28,6 @@ __all__ = [
     "StateReport",
     "polar_decompose",
     "phase_logarithm",
-    "scalar_quadrature_variance",
-    "quadrature_variance_matrices",
-    "cross_covariance",
-    "photon_statistics",
-    "pair_creation_matrix",
     "degenerate_statistics",
     "bogoliubov_matrix",
     "bogoliubov_metric",
@@ -179,79 +174,6 @@ class StateReport:
     mode_labels: list
 
 
-def scalar_quadrature_variance(sq: SqueezeMatrix):
-    """Total quadrature variances (v1, v2) summed over all modes.
-
-    Evaluated in the primitive operand order
-    1/4 Tr{cosh^2 R + sinh^2 R -/+ 2 Re[sinh(R) e^{i Theta} cosh(R~)]},
-    which is exact for arbitrary xi; the compact cosh(2R), sinh(2R) cos(Theta)
-    form coincides with it for symmetric xi.  Vacuum gives (N/4, N/4).
-    """
-    ch = _hermitian_fn(sq, np.cosh)
-    sh = _hermitian_fn(sq, np.sinh)
-    base = np.trace(ch @ ch).real + np.trace(sh @ sh).real
-    cross = 2.0 * np.trace(sh @ sq.polar_phase @ ch.T).real
-    return 0.25 * (base - cross), 0.25 * (base + cross)
-
-
-def quadrature_variance_matrices(sq: SqueezeMatrix):
-    """Variance-covariance matrices (V1, V2) of the joint quadratures.
-
-    V_{1,2} = 1/8 [cosh 2R + cosh 2R~ -/+ (sinh(2R) e^{i Theta}
-    + sinh(2R~) e^{-i Theta~})]; Hermitian with real diagonal for
-    symmetric xi.
-    """
-    ch2 = _hermitian_fn(sq, lambda x: np.cosh(2 * x))
-    sh2 = _hermitian_fn(sq, lambda x: np.sinh(2 * x))
-    sym = ch2 + ch2.T
-    cross = sh2 @ sq.polar_phase + sh2.T @ sq.polar_phase.conj()
-    v1 = 0.125 * (sym - cross)
-    v2 = 0.125 * (sym + cross)
-    return v1, v2
-
-
-def cross_covariance(sq: SqueezeMatrix) -> np.ndarray:
-    """Symmetrized cross-covariance matrix between the two joint quadratures.
-
-    cov(X1, X2) = i/4 [cosh 2R - cosh 2R~ + sinh(2R) e^{i Theta}
-    - sinh(2R~) e^{-i Theta~}]; vanishes identically for real symmetric xi
-    and saturates the uncertainty relation for normal xi.
-    """
-    ch2 = _hermitian_fn(sq, lambda x: np.cosh(2 * x))
-    sh2 = _hermitian_fn(sq, lambda x: np.sinh(2 * x))
-    return 0.25j * (ch2 - ch2.T + sh2 @ sq.polar_phase - sh2.T @ sq.polar_phase.conj())
-
-
-def photon_statistics(sq: SqueezeMatrix):
-    """Photon-number statistics of either beam.
-
-    Returns (nbar_matrix, nbar_total, number_variance, number_covariance)
-    with nbar_matrix_{ij} = <a_i^dag a_j> = sinh^2(R~), whose diagonal is the
-    per-mode occupation; the number variance and the beam-beam covariance
-    both equal 1/4 Tr sinh^2(2R).
-    """
-    sh = _hermitian_fn(sq, np.sinh)
-    nbar = (sh @ sh).T
-    nbar = 0.5 * (nbar + nbar.conj().T)
-    sh2 = _hermitian_fn(sq, lambda x: np.sinh(2 * x))
-    quarter_tr = 0.25 * np.trace(sh2 @ sh2).real
-    return nbar, float(np.trace(nbar).real), quarter_tr, quarter_tr
-
-
-def pair_creation_matrix(sq: SqueezeMatrix):
-    """Photon-pair creation matrix M = 1/2 e^{-i Theta} sinh(2R).
-
-    Returns (M, M_normalized) where M_normalized holds |M| scaled to unit
-    total; the normalized moduli give the probability of the corresponding
-    signal/idler transverse-mode pairing.
-    """
-    sh2 = _hermitian_fn(sq, lambda x: np.sinh(2 * x))
-    m = 0.5 * (sq.polar_phase.conj().T @ sh2)
-    mod = np.abs(m)
-    total = mod.sum()
-    return m, (mod / total if total > 0 else mod)
-
-
 def bogoliubov_matrix(sq: SqueezeMatrix) -> np.ndarray:
     """Block transform of (a, b, a^dag, b^dag) under the squeezer.
 
@@ -282,25 +204,67 @@ def _squeezing_db(variances: np.ndarray) -> np.ndarray:
 
 
 def state_report(sq: SqueezeMatrix) -> StateReport:
-    """Assemble the full two-beam statistics report for a squeezing matrix."""
-    v1, v2 = quadrature_variance_matrices(sq)
-    sv1, sv2 = scalar_quadrature_variance(sq)
-    cov = cross_covariance(sq)
-    nbar, nbar_total, nvar, ncov = photon_statistics(sq)
-    pair, _ = pair_creation_matrix(sq)
-    diag1 = v1.diagonal().real
+    """The full two-beam statistics report of a squeezing matrix.
+
+    Every field is a closed form in cosh/sinh of the polar factor R and the
+    phase factor P = e^{i Theta} (X~ is the transpose of X, P* the complex
+    conjugate; Serafini, Quantum Continuous Variables, 2017):
+
+    - ``var_X1``, ``var_X2``: the joint-quadrature variance-covariance
+      matrices V_{1,2} = 1/8 [cosh 2R + cosh 2R~ -/+ (sinh(2R) P
+      + sinh(2R~) P*)]; Hermitian with real diagonal for symmetric xi.
+    - ``scalar_var``: the total variances (v1, v2) summed over all modes,
+      in the primitive operand order
+      1/4 Tr{cosh^2 R + sinh^2 R -/+ 2 Re[sinh(R) P cosh(R~)]}, which is
+      exact for arbitrary xi; the compact cosh(2R), sinh(2R) cos(Theta) form
+      coincides with it for symmetric xi.  Vacuum gives (N/4, N/4).
+    - ``cross_cov``: the symmetrized cross-covariance of the two joint
+      quadratures, cov(X1, X2) = i/4 [cosh 2R - cosh 2R~ + sinh(2R) P
+      - sinh(2R~) P*]; it vanishes identically for real symmetric xi and
+      saturates the uncertainty relation for normal xi.
+    - ``nbar_matrix``: <a_i^dag a_j> = sinh^2(R~), whose diagonal is the
+      per-mode occupation of either beam; ``nbar_total`` is its trace.
+    - ``number_variance`` and the beam-beam ``number_covariance``: both
+      1/4 Tr sinh^2(2R).
+    - ``pair_matrix``: the photon-pair creation matrix M = 1/2 P^dag sinh(2R),
+      whose moduli weigh the signal/idler transverse-mode pairings.
+    - ``squeezing_db_per_mode``: the V1 diagonal in dB against vacuum.
+
+    cosh R, sinh R, cosh 2R and sinh 2R are formed once each from the cached
+    eigendecomposition of R, and every product two fields share is formed
+    once, each in the operand order of its derivation.
+    """
+    phase = sq.polar_phase
+    ch = _hermitian_fn(sq, np.cosh)
+    sh = _hermitian_fn(sq, np.sinh)
+    ch2 = _hermitian_fn(sq, lambda x: np.cosh(2 * x))
+    sh2 = _hermitian_fn(sq, lambda x: np.sinh(2 * x))
+    sh_sh = sh @ sh
+    sh2_phase = sh2 @ phase
+    sh2t_phase = sh2.T @ phase.conj()
+    base = np.trace(ch @ ch).real + np.trace(sh_sh).real
+    cross = 2.0 * np.trace(sh @ phase @ ch.T).real
+    sym = ch2 + ch2.T
+    correlation = sh2_phase + sh2t_phase
+    v1 = 0.125 * (sym - correlation)
+    v2 = 0.125 * (sym + correlation)
+    cov = 0.25j * (ch2 - ch2.T + sh2_phase - sh2t_phase)
+    nbar = sh_sh.T
+    nbar = 0.5 * (nbar + nbar.conj().T)
+    quarter_tr = 0.25 * np.trace(sh2 @ sh2).real
+    pair = 0.5 * (phase.conj().T @ sh2)
     labels = sq.basis.labels() if sq.basis is not None else [str(i) for i in range(sq.size)]
     return StateReport(
         var_X1=v1,
         var_X2=v2,
-        scalar_var=(sv1, sv2),
+        scalar_var=(0.25 * (base - cross), 0.25 * (base + cross)),
         cross_cov=cov,
         nbar_matrix=nbar,
-        nbar_total=nbar_total,
-        number_variance=nvar,
-        number_covariance=ncov,
+        nbar_total=float(np.trace(nbar).real),
+        number_variance=quarter_tr,
+        number_covariance=quarter_tr,
         pair_matrix=pair,
-        squeezing_db_per_mode=_squeezing_db(diag1),
+        squeezing_db_per_mode=_squeezing_db(v1.diagonal().real),
         mode_labels=labels,
     )
 

@@ -20,9 +20,6 @@ from lgsqueeze.squeeze_core import (
     SqueezeMatrix,
     bogoliubov_matrix,
     bogoliubov_metric,
-    cross_covariance,
-    quadrature_variance_matrices,
-    scalar_quadrature_variance,
     state_report,
 )
 
@@ -87,8 +84,9 @@ def test_criterion_2_exact_identities():
     for n in (2, 5, 12, 25):
         sq = SqueezeMatrix(xi=random_symmetric(rng, n, scale=0.9), basis=None,
                            interaction=TWO_BEAM)
-        v1, v2 = quadrature_variance_matrices(sq)
-        s1, s2 = scalar_quadrature_variance(sq)
+        rep = state_report(sq)
+        v1, v2 = rep.var_X1, rep.var_X2
+        s1, s2 = rep.scalar_var
         worst["trace"] = max(worst["trace"],
                              abs(np.trace(v1).real - s1), abs(np.trace(v2).real - s2))
         b = bogoliubov_matrix(sq)
@@ -98,8 +96,8 @@ def test_criterion_2_exact_identities():
         # uncertainty equality on the normal (and symmetric) class
         sqn = SqueezeMatrix(xi=random_normal_symmetric(rng, n, scale=0.9),
                             basis=None, interaction=TWO_BEAM)
-        w1, w2 = quadrature_variance_matrices(sqn)
-        cov = cross_covariance(sqn)
+        rep_normal = state_report(sqn)
+        w1, w2, cov = rep_normal.var_X1, rep_normal.var_X2, rep_normal.cross_cov
         worst["uncertainty"] = max(
             worst["uncertainty"],
             np.abs(w1 @ w2 - 0.25 * (cov @ cov) - np.eye(n) / 16.0).max(),
@@ -108,18 +106,19 @@ def test_criterion_2_exact_identities():
         a = rng.normal(size=(n, n))
         sqr = SqueezeMatrix(xi=0.4 * (a + a.T) / n ** 0.5, basis=None,
                             interaction=TWO_BEAM)
-        r1, r2 = quadrature_variance_matrices(sqr)
+        rep_sym = state_report(sqr)
         worst["real_sym"] = max(
             worst["real_sym"],
-            np.abs(r1 @ r2 - np.eye(n) / 16.0).max(),
-            np.abs(cross_covariance(sqr)).max(),
+            np.abs(rep_sym.var_X1 @ rep_sym.var_X2 - np.eye(n) / 16.0).max(),
+            np.abs(rep_sym.cross_cov).max(),
         )
         # real symmetric positive semidefinite: pure exponential variances
         import scipy.linalg
 
         psd = 0.3 * (a @ a.T) / n
         sqp = SqueezeMatrix(xi=psd, basis=None, interaction=TWO_BEAM)
-        p1, p2 = quadrature_variance_matrices(sqp)
+        rep_psd = state_report(sqp)
+        p1, p2 = rep_psd.var_X1, rep_psd.var_X2
         worst["psd"] = max(
             worst["psd"],
             np.abs(p1 - 0.25 * scipy.linalg.expm(-2 * psd)).max(),

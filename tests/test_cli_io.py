@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -21,6 +24,7 @@ from lgsqueeze.report_io import (
 from lgsqueeze.scenarios import default_config, run_scenario
 
 SCHEMA_DIR = Path(lgsqueeze.__file__).parent / "schemas"
+SRC = str(Path(lgsqueeze.__file__).resolve().parent.parent)
 
 
 def load_schema(name):
@@ -487,6 +491,29 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "eigen_improvement_db" in err and "gain 1" in err, err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--scenario", "PdcEigenPump", "--seed-gain", "0"], "nbar_lambda1_share"),
+        (["--scenario", "PdcEigenPump", "--seed-gain", "1e-300"], "nbar_lambda1_share"),
+        (["--config", "tiny_target.json"], "nbar_lambda1_share"),
+        (["--scenario", "PdcBenchmark", "--seed-gain", "1e3"], "variance_plus"),
+        (["--scenario", "PdcEigenPump", "--seed-gain", "1e3"], "variance_plus"),
+        (["--scenario", "PdcHeralding", "--seed-gain", "0"], "seed_gain 0.0 gives photon"),
+        (["--scenario", "PdcHeralding", "--seed-gain", "1e3"], "seed_gain 1000.0 gives photon"),
+    ])
+    def test_extreme_gain_exits_2_naming_the_statistic(self, tmp_path, argv, named):
+        (tmp_path / "tiny_target.json").write_text(
+            json.dumps({"scenario": "PdcEigenPump", "n_target": 1e-300}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lgsqueeze", *argv, "--lmax", "0", "--pmax", "1",
+             "--out", "out"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert named in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+        if not named.startswith("seed_gain"):
+            assert "at gain " in proc.stderr, proc.stderr
 
     def test_degenerate_oracle_check_passes_on_the_excited_mode(self, tmp_path):
         # a Gaussian pump excites only l=0 of this three-mode basis: the oracle

@@ -12,12 +12,7 @@ from lgsqueeze.eigenmodes import (
     is_normal,
     state_coefficients,
 )
-from lgsqueeze.squeeze_core import (
-    SqueezeMatrix,
-    photon_statistics,
-    quadrature_variance_matrices,
-    scalar_quadrature_variance,
-)
+from lgsqueeze.squeeze_core import SqueezeMatrix, state_report
 
 TWO_BEAM = InteractionType.FULL_CROSSTALK
 
@@ -98,15 +93,16 @@ class TestEigenmodeReport:
         rng = np.random.default_rng(2)
         sq = two_beam(random_normal_symmetric(rng, 6))
         rows = eigenmode_report(decompose(sq))
-        _, total, _, _ = photon_statistics(sq)
+        total = state_report(sq).nbar_total
         assert sum(r.nbar for r in rows) == pytest.approx(total, abs=1e-10)
 
     def test_basis_invariance_of_scalar_statistics(self):
         rng = np.random.default_rng(3)
         sq = two_beam(random_normal_symmetric(rng, 5))
         lam = decompose(sq).lam
-        v1, v2 = scalar_quadrature_variance(sq)
-        _, total, nvar, _ = photon_statistics(sq)
+        report = state_report(sq)
+        v1, v2 = report.scalar_var
+        total, nvar = report.nbar_total, report.number_variance
         assert total == pytest.approx(np.sum(np.sinh(lam) ** 2), abs=1e-10)
         assert nvar == pytest.approx(0.25 * np.sum(np.sinh(2 * lam) ** 2), abs=1e-10)
         # scalar variances are trace functions, so the eigenvalues with their
@@ -121,7 +117,8 @@ class TestEigenmodeReport:
         rng = np.random.default_rng(4)
         sq = two_beam(random_normal_symmetric(rng, 8))
         lam1 = decompose(sq).lam[0]
-        v1, v2 = quadrature_variance_matrices(sq)
+        report = state_report(sq)
+        v1, v2 = report.var_X1, report.var_X2
         floor = 0.25 * math.exp(-2 * lam1) * (1 - 1e-12)
         assert v1.diagonal().real.min() >= floor
         assert v2.diagonal().real.min() >= floor

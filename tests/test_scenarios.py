@@ -247,7 +247,7 @@ class TestWaistScan:
         assert math.isnan(scan["metric"][0][0])
 
     def test_programming_error_is_not_a_failed_cell(self, monkeypatch):
-        def broken(sq):
+        def broken(report, basis):
             raise TypeError("not a numerical failure")
 
         monkeypatch.setattr(scenarios, "pair_dominance_metrics", broken)

@@ -11,14 +11,9 @@ from lgsqueeze.squeeze_core import (
     SqueezeMatrix,
     bogoliubov_matrix,
     bogoliubov_metric,
-    cross_covariance,
     degenerate_statistics,
-    pair_creation_matrix,
     phase_logarithm,
-    photon_statistics,
     polar_decompose,
-    quadrature_variance_matrices,
-    scalar_quadrature_variance,
     state_report,
     takagi_decompose,
 )
@@ -85,24 +80,25 @@ class TestPolar:
 class TestScalarVariance:
     def test_vacuum(self):
         sq = two_beam(np.zeros((9, 9)))
-        assert scalar_quadrature_variance(sq) == pytest.approx((2.25, 2.25))
+        assert state_report(sq).scalar_var == pytest.approx((2.25, 2.25))
 
     def test_single_mode(self):
         r = 0.43
-        v1, v2 = scalar_quadrature_variance(two_beam([[r]]))
+        v1, v2 = state_report(two_beam([[r]])).scalar_var
         assert v1 == pytest.approx(0.25 * math.exp(-2 * r), rel=1e-12)
         assert v2 == pytest.approx(0.25 * math.exp(2 * r), rel=1e-12)
 
     def test_one_photon_squeezing_level(self):
         r = math.asinh(1.0)
-        v1, _ = scalar_quadrature_variance(two_beam([[r]]))
+        v1, _ = state_report(two_beam([[r]])).scalar_var
         assert v1 == pytest.approx(0.042893218813452476, rel=1e-12)
         assert 10 * math.log10(v1 / 0.25) == pytest.approx(-7.66, abs=0.01)
 
 
 class TestVarianceMatrices:
     def test_vacuum(self):
-        v1, v2 = quadrature_variance_matrices(two_beam(np.zeros((4, 4))))
+        report = state_report(two_beam(np.zeros((4, 4))))
+        v1, v2 = report.var_X1, report.var_X2
         assert np.allclose(v1, np.eye(4) / 4, atol=1e-15)
         assert np.allclose(v2, np.eye(4) / 4, atol=1e-15)
 
@@ -110,34 +106,33 @@ class TestVarianceMatrices:
         rng = np.random.default_rng(1)
         a = rng.normal(size=(6, 6))
         xi = 0.2 * (a + a.T)
-        sq = two_beam(xi)
-        v1, v2 = quadrature_variance_matrices(sq)
+        report = state_report(two_beam(xi))
+        v1, v2 = report.var_X1, report.var_X2
         assert np.allclose(v1 @ v2, np.eye(6) / 16.0, atol=1e-10)
-        assert np.abs(cross_covariance(sq)).max() < 1e-10
+        assert np.abs(report.cross_cov).max() < 1e-10
 
     def test_real_psd_special_case(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=(5, 5))
         xi = 0.1 * (a @ a.T)  # real symmetric positive semidefinite
-        sq = two_beam(xi)
-        v1, v2 = quadrature_variance_matrices(sq)
+        report = state_report(two_beam(xi))
+        v1, v2 = report.var_X1, report.var_X2
         assert np.allclose(v1, 0.25 * scipy.linalg.expm(-2 * xi), atol=1e-10)
         assert np.allclose(v2, 0.25 * scipy.linalg.expm(2 * xi), atol=1e-10)
 
     def test_trace_identity(self):
         rng = np.random.default_rng(3)
         for n in (2, 7, 25):
-            sq = two_beam(random_symmetric(rng, n, scale=0.8))
-            v1, v2 = quadrature_variance_matrices(sq)
-            s1, s2 = scalar_quadrature_variance(sq)
+            report = state_report(two_beam(random_symmetric(rng, n, scale=0.8)))
+            v1, v2 = report.var_X1, report.var_X2
+            s1, s2 = report.scalar_var
             assert abs(np.trace(v1).real - s1) < 1e-10
             assert abs(np.trace(v2).real - s2) < 1e-10
 
     def test_hermitian_with_real_diagonal(self):
         rng = np.random.default_rng(4)
-        sq = two_beam(random_symmetric(rng, 6, scale=0.8))
-        v1, v2 = quadrature_variance_matrices(sq)
-        for v in (v1, v2):
+        report = state_report(two_beam(random_symmetric(rng, 6, scale=0.8)))
+        for v in (report.var_X1, report.var_X2):
             assert np.allclose(v, v.conj().T, atol=1e-12)
             assert np.abs(v.diagonal().imag).max() < 1e-13
             assert np.all(v.diagonal().real > 0)
@@ -145,11 +140,11 @@ class TestVarianceMatrices:
 
 class TestCrossCovariance:
     def test_zero_matrix(self):
-        assert np.abs(cross_covariance(two_beam(np.zeros((3, 3))))).max() == 0.0
+        assert np.abs(state_report(two_beam(np.zeros((3, 3)))).cross_cov).max() == 0.0
 
     def test_pure_imaginary_single_mode(self):
         r = 0.31
-        cov = cross_covariance(two_beam([[1j * r]]))
+        cov = state_report(two_beam([[1j * r]])).cross_cov
         # phase pi/2 rotates all pair correlation into the cross term
         assert cov[0, 0].real == pytest.approx(-0.5 * math.sinh(2 * r), rel=1e-12)
         assert abs(cov[0, 0].imag) < 1e-14
@@ -158,9 +153,8 @@ class TestCrossCovariance:
         rng = np.random.default_rng(6)
         for gen in (random_normal_symmetric, random_symmetric):
             for n in (2, 9, 25):
-                sq = two_beam(gen(rng, n, scale=0.9))
-                v1, v2 = quadrature_variance_matrices(sq)
-                cov = cross_covariance(sq)
+                report = state_report(two_beam(gen(rng, n, scale=0.9)))
+                v1, v2, cov = report.var_X1, report.var_X2, report.cross_cov
                 residual = v1 @ v2 - 0.25 * (cov @ cov) - np.eye(n) / 16.0
                 assert np.abs(residual).max() < 1e-10
 
@@ -168,25 +162,27 @@ class TestCrossCovariance:
 class TestPhotonStatistics:
     def test_one_photon_point(self):
         r = math.asinh(1.0)
-        nbar, total, nvar, ncov = photon_statistics(two_beam([[r]]))
+        report = state_report(two_beam([[r]]))
+        total, nvar, ncov = report.nbar_total, report.number_variance, report.number_covariance
         assert total == pytest.approx(1.0, rel=1e-12)
         assert nvar == pytest.approx(2.0, rel=1e-12)
         assert ncov == pytest.approx(2.0, rel=1e-12)
 
     def test_vacuum(self):
-        nbar, total, nvar, ncov = photon_statistics(two_beam(np.zeros((3, 3))))
-        assert np.abs(nbar).max() == 0.0 and total == 0.0 and nvar == 0.0
+        report = state_report(two_beam(np.zeros((3, 3))))
+        assert np.abs(report.nbar_matrix).max() == 0.0
+        assert report.nbar_total == 0.0 and report.number_variance == 0.0
 
     def test_uniform_four_modes(self):
         r = math.asinh(0.5)
-        nbar, total, nvar, ncov = photon_statistics(two_beam(r * np.eye(4)))
-        assert total == pytest.approx(1.0, rel=1e-12)
-        assert np.allclose(nbar.diagonal().real, 0.25, atol=1e-12)
+        report = state_report(two_beam(r * np.eye(4)))
+        assert report.nbar_total == pytest.approx(1.0, rel=1e-12)
+        assert np.allclose(report.nbar_matrix.diagonal().real, 0.25, atol=1e-12)
 
     def test_hyperbolic_consistency(self):
         rng = np.random.default_rng(7)
         sq = two_beam(random_symmetric(rng, 8, scale=0.9))
-        nbar, _, _, _ = photon_statistics(sq)
+        nbar = state_report(sq).nbar_matrix
         ch2 = scipy.linalg.coshm(np.asarray(2 * sq.polar_R))
         alt = (0.5 * (ch2 - np.eye(8))).T
         assert np.abs(nbar - alt).max() < 1e-12
@@ -195,20 +191,14 @@ class TestPhotonStatistics:
 class TestPairCreation:
     def test_scalar(self):
         r = 0.27
-        m, m_norm = pair_creation_matrix(two_beam([[r]]))
+        m = state_report(two_beam([[r]])).pair_matrix
         assert m[0, 0].real == pytest.approx(0.5 * math.sinh(2 * r), rel=1e-12)
-        assert m_norm[0, 0] == pytest.approx(1.0)
 
     def test_diagonal_ratio(self):
-        m, _ = pair_creation_matrix(two_beam(np.diag([0.5, 0.2])))
+        m = state_report(two_beam(np.diag([0.5, 0.2]))).pair_matrix
         assert np.abs(np.diag(np.diag(m)) - m).max() < 1e-14
         got = (m[0, 0] / m[1, 1]).real
         assert got == pytest.approx(math.sinh(1.0) / math.sinh(0.4), rel=1e-12)
-
-    def test_normalized_probabilities_sum_to_one(self):
-        rng = np.random.default_rng(8)
-        _, m_norm = pair_creation_matrix(two_beam(random_symmetric(rng, 5)))
-        assert m_norm.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 class TestBogoliubov:
@@ -312,7 +302,7 @@ class TestComputeOnce:
         from lgsqueeze.coupling import assemble_squeeze_matrix, scale_to_mean_photons
         from lgsqueeze.scenarios import default_config, pair_dominance_metrics
 
-        calls = {"polar_decompose": 0, "eigh": 0}
+        calls = {"polar_decompose": 0, "eigh": 0, "_hermitian_fn": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -323,11 +313,13 @@ class TestComputeOnce:
         monkeypatch.setattr(squeeze_core, "polar_decompose",
                             counting("polar_decompose", squeeze_core.polar_decompose))
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        # one call per function of R: cosh R, sinh R, cosh 2R, sinh 2R
+        monkeypatch.setattr(squeeze_core, "_hermitian_fn",
+                            counting("_hermitian_fn", squeeze_core._hermitian_fn))
         cfg = default_config("PdcBenchmark").coupling
         sq, _ = scale_to_mean_photons(assemble_squeeze_matrix(cfg), 1.0)
-        state_report(sq)
-        pair_dominance_metrics(sq)
-        assert calls == {"polar_decompose": 1, "eigh": 1}
+        pair_dominance_metrics(state_report(sq), sq.basis)
+        assert calls == {"polar_decompose": 1, "eigh": 1, "_hermitian_fn": 4}
 
     def test_report_and_pair_metrics_run_no_schur(self, monkeypatch):
         from lgsqueeze.coupling import assemble_squeeze_matrix, scale_to_mean_photons
@@ -339,8 +331,7 @@ class TestComputeOnce:
                             lambda *a, **k: calls.append(1) or schur(*a, **k))
         cfg = default_config("PdcBenchmark").coupling
         sq, _ = scale_to_mean_photons(assemble_squeeze_matrix(cfg), 1.0)
-        state_report(sq)
-        pair_dominance_metrics(sq)
+        pair_dominance_metrics(state_report(sq), sq.basis)
         assert calls == []
         theta = sq.theta
         assert len(calls) == 1 and sq.theta is theta

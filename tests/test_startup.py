@@ -1,7 +1,9 @@
 """What a run imports, and the ``python -m lgsqueeze`` entry point."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -58,3 +60,10 @@ def test_module_entry_point_runs_a_scenario(tmp_path):
                        "--lmax", "0", "--pmax", "0", "--out", "out"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "report.json").is_file()
+
+
+def test_every_exported_name_resolves():
+    for info in pkgutil.iter_modules(lgsqueeze.__path__):
+        module = importlib.import_module(f"lgsqueeze.{info.name}")
+        stale = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not stale, f"lgsqueeze.{info.name}.__all__ names missing {stale}"
