@@ -34,7 +34,6 @@ from .squeeze_core import (
     degenerate_statistics,
     polar_decompose,
     state_report,
-    takagi_decompose,
 )
 from .eigenmodes import (
     EigenDecomposition,

@@ -38,6 +38,9 @@ __all__ = [
     "check_basis_size",
 ]
 
+QUADRATURE_RTOL = 1e-8  # relative change of xi between quadrature levels at convergence
+PHOTON_RTOL = 1e-10  # relative photon-number error the calibration meets
+
 
 class InteractionType(enum.Enum):
     """Mode-coupling topology of the nonlinear interaction.
@@ -386,8 +389,8 @@ def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
     return xi
 
 
-def _assemble_raw(cfg: CouplingConfig, rtol: float = 1e-8):
-    """Refine the quadrature grid until the matrix is stable to ``rtol``."""
+def _assemble_raw(cfg: CouplingConfig):
+    """Refine the quadrature grid until the matrix is stable to ``QUADRATURE_RTOL``."""
     schedule, t_max = _node_schedule(cfg)
     prev = None
     residual = math.inf
@@ -396,26 +399,25 @@ def _assemble_raw(cfg: CouplingConfig, rtol: float = 1e-8):
         if prev is not None:
             scale = max(np.linalg.norm(cur), 1e-300)
             residual = np.linalg.norm(cur - prev) / scale
-            if residual <= rtol:
+            if residual <= QUADRATURE_RTOL:
                 return cur
         prev = cur
     raise QuadratureError("coupling quadrature did not converge", residual)
 
 
-def coupling_element(signal: ModeIndex, idler: ModeIndex, cfg: CouplingConfig,
-                     rtol: float = 1e-8) -> complex:
+def coupling_element(signal: ModeIndex, idler: ModeIndex, cfg: CouplingConfig) -> complex:
     """Single element of the coupling matrix for (signal, idler).
 
-    Read off the assembled matrix, refined to ``rtol`` as a whole.  An
+    Read off the assembled matrix, refined to ``QUADRATURE_RTOL`` as a whole.  An
     element that OAM selection forbids (no pump coefficient pair with
     ell_pump1 + ell_pump2 = ell_signal + ell_idler) is exactly 0.0 there,
     because the assembly adds only to the blocks a pump pair feeds.
     """
     s, i = cfg.basis.position(signal), cfg.basis.position(idler)
-    return complex(assemble_squeeze_matrix(cfg, rtol).xi[s, i])
+    return complex(assemble_squeeze_matrix(cfg).xi[s, i])
 
 
-def assemble_squeeze_matrix(cfg: CouplingConfig, rtol: float = 1e-8):
+def assemble_squeeze_matrix(cfg: CouplingConfig):
     """Assemble the full squeezing matrix for ``cfg``.
 
     Rows index the signal mode, columns the idler mode, both in the basis
@@ -424,7 +426,7 @@ def assemble_squeeze_matrix(cfg: CouplingConfig, rtol: float = 1e-8):
     """
     from .squeeze_core import SqueezeMatrix
 
-    xi = _assemble_raw(cfg, rtol=rtol)
+    xi = _assemble_raw(cfg)
     xi = xi * (cfg.medium.strength * cfg.medium.gain_scale)
     if cfg.interaction is InteractionType.DEGENERATE_SINGLE_BEAM:
         xi = 0.5 * (xi + xi.T)
@@ -528,16 +530,17 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> 
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
-def scale_to_mean_photons(sq, n_target: float, tol: float = 1e-10):
+def scale_to_mean_photons(sq, n_target: float):
     """Rescale a squeezing matrix so the mean photon number equals ``n_target``.
 
     Solves sum_i sinh^2(s sigma_i) = n_target for the positive scalar s on
     the singular values sigma_i; the map is strictly increasing in s.  Brent's
     method on [0, hi] finds s, and up to four Newton steps polish it until
-    the photon number is within ``tol * max(1, n_target)`` of the target:
-    absolute below one photon, relative above, where an absolute bound would
-    be finer than float resolution.  Raises ValueError, naming ``n_target``,
-    when that is not reached.
+    the photon number is within ``PHOTON_RTOL * n_target`` of the target.
+    Brent's absolute step bound can end at s = 0 for a target far below one
+    photon; the polish then starts from s0 = sqrt(n_target / sum sigma_i^2),
+    which bounds the root from above because sinh^2 x >= x^2.  Raises
+    ValueError, naming ``n_target``, when the target is not reached.
     """
     from .squeeze_core import SqueezeMatrix
 
@@ -556,8 +559,10 @@ def scale_to_mean_photons(sq, n_target: float, tol: float = 1e-10):
     while excess(hi) < 0.0:
         hi *= 2.0
     s = _brentq(excess, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    if s == 0.0:
+        s = math.sqrt(n_target) / float(np.linalg.norm(sigma))
     # polish with Newton steps; the derivative is sum sinh(2 s sigma) sigma
-    tol = tol * max(1.0, n_target)
+    tol = PHOTON_RTOL * n_target
     for _ in range(4):
         err = excess(s)
         if abs(err) <= tol:

@@ -27,6 +27,8 @@ __all__ = [
     "state_coefficients",
 ]
 
+NORMALITY_TOL = 1e-8  # scaled commutator residual below which xi counts as normal
+
 
 @dataclass
 class EigenDecomposition:
@@ -55,7 +57,7 @@ class EigenmodeStats:
     theta: float
 
 
-def is_normal(xi: np.ndarray, tol: float = 1e-8):
+def is_normal(xi: np.ndarray, tol: float = NORMALITY_TOL):
     """Check normality of xi via the scaled commutator residual.
 
     residual = ||xi xi^dag - xi^dag xi||_F / ||xi||_F^2 (0 for the zero
@@ -106,7 +108,7 @@ def _fix_phases(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def decompose(sq: SqueezeMatrix, tol: float = 1e-8) -> EigenDecomposition:
+def decompose(sq: SqueezeMatrix) -> EigenDecomposition:
     """Diagonalize a normal squeezing matrix by a unitary.
 
     Eigenvalues are reported as moduli lam (descending) and phases
@@ -114,10 +116,10 @@ def decompose(sq: SqueezeMatrix, tol: float = 1e-8) -> EigenDecomposition:
     component real positive, and degenerate clusters are orthonormalized
     against the canonical basis order for reproducibility.
     """
-    ok, residual = is_normal(sq.xi, tol=tol)
+    ok, residual = is_normal(sq.xi)
     if not ok:
         raise ValueError(
-            f"squeezing matrix is not normal (residual {residual:.3e} >= tol {tol:.1e})"
+            f"squeezing matrix is not normal (residual {residual:.3e} >= tol {NORMALITY_TOL:.1e})"
         )
     import scipy.linalg
 

@@ -15,7 +15,7 @@ case produced by identical signal and idler collection geometries).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -32,7 +32,6 @@ __all__ = [
     "bogoliubov_matrix",
     "bogoliubov_metric",
     "state_report",
-    "takagi_decompose",
 ]
 
 VACUUM_VARIANCE = 0.25
@@ -269,80 +268,37 @@ def state_report(sq: SqueezeMatrix) -> StateReport:
     )
 
 
-def takagi_decompose(xi: np.ndarray):
-    """Takagi factorization xi = W S W^T of a complex symmetric matrix.
-
-    W is unitary and S the non-negative singular values in descending
-    order.  Built from the SVD; the symmetric-matrix structure makes
-    U^dag conj(V) unitary-symmetric with a principal square root.
-    """
-    xi = np.asarray(xi, dtype=complex)
-    n = xi.shape[0]
-    scale = np.linalg.norm(xi)
-    if scale == 0.0:
-        return np.eye(n, dtype=complex), np.zeros(n)
-    if np.linalg.norm(xi - xi.T) / scale > 1e-8:
-        raise ValueError("Takagi factorization needs a symmetric matrix")
-    u, s, vh = np.linalg.svd(xi)
-    cutoff = n * np.finfo(float).eps * s[0]
-    rank = int(np.sum(s > cutoff))
-    if rank < n:
-        u = _complete_orthonormal(u[:, :rank], n)
-        v = _complete_orthonormal(vh.conj().T[:, :rank], n)
-    else:
-        v = vh.conj().T
-    z = u.conj().T @ v.conj()
-    z = 0.5 * (z + z.T)
-    import scipy.linalg
-
-    tz, qz = scipy.linalg.schur(z, output="complex")
-    half = (qz * np.exp(0.5j * np.angle(np.diagonal(tz)))) @ qz.conj().T
-    w = u @ half
-    s_full = np.concatenate([s[:rank], np.zeros(n - rank)]) if rank < n else s
-    return w, s_full
-
-
 def degenerate_statistics(sq: SqueezeMatrix) -> StateReport:
-    """Statistics of the degenerate (single-beam) squeezer.
+    """Statistics of the degenerate (single-beam) squeezer: ``state_report`` at 2 xi.
 
     With the idler operators identified with the signal operators, the
-    Takagi factorization xi = W S W^T splits the interaction into
-    independent single-mode squeezers with squeeze parameter 2 sigma_i:
-    quadrature variances (1/4) e^{-/+ 4 sigma_i} along the Takagi modes and
-    mean photon number sum_i sinh^2(2 sigma_i).  The report is expressed in
-    the LG basis using single-beam quadratures X = (a + a^dag)/2.
+    Takagi modes of symmetric xi = W S W^T are independent single-mode
+    squeezers with parameter 2 sigma_i, so the single-beam moments are those
+    of the two-beam squeezer at 2 xi with b = a.  In the polar factors R, P
+    of xi, <a_i a_j> = -1/2 [sinh(4R) P]_ij is the two-beam <a_i b_j> and
+    <a_i^dag a_j> = [sinh^2(2R)]_ji the two-beam signal occupation.  The
+    single-beam quadratures X = (a + a^dag)/2 therefore take ``var_X1``,
+    ``var_X2``, ``scalar_var`` and ``squeezing_db_per_mode``, and the photon
+    numbers ``nbar_matrix`` and ``nbar_total``, unchanged from the report at
+    2 xi.  Three fields follow single-beam conventions:
+
+    - ``cross_cov`` is the symmetrized moment, half the two-beam closed form;
+    - ``pair_matrix`` is <a^dag a^dag> = conj<a a> = -1/2 P^dag sinh(4R),
+      because sinh(4R) P is symmetric: the two-beam pair matrix negated;
+    - ``number_variance`` is sum_i 1/2 sinh^2(4 sigma_i), twice the two-beam
+      1/4 Tr sinh^2(4R); with one beam it is the ``number_covariance`` too.
     """
     if sq.interaction is not InteractionType.DEGENERATE_SINGLE_BEAM:
         raise ValueError("degenerate statistics require a degenerate-interaction matrix")
     if not sq.is_symmetric(tol=1e-8):
         raise ValueError("degenerate statistics require a symmetric matrix")
-    w, sigma = takagi_decompose(sq.xi)
-    n = sq.size
-    # second moments of the Takagi modes c = W^dag a, each a single-mode
-    # squeezed vacuum with parameter 2 sigma: <cc> = -1/2 sinh(4 sigma),
-    # <c^dag c> = sinh^2(2 sigma)
-    cc = -0.5 * np.sinh(4.0 * sigma)
-    ndiag = np.sinh(2.0 * sigma) ** 2
-    a_aa = (w * cc) @ w.T                 # <a_i a_j>
-    a_nn = ((w * ndiag) @ w.conj().T).conj()  # <a_i^dag a_j>
-    eye = np.eye(n)
-    v1 = 0.25 * (a_aa + a_aa.conj() + a_nn + a_nn.T + eye)
-    v2 = 0.25 * (-a_aa - a_aa.conj() + a_nn + a_nn.T + eye)
-    cov = 0.25j * (a_aa.conj() - a_aa + a_nn.T - a_nn)
-    nbar_total = float(np.sum(ndiag))
-    number_variance = float(np.sum(0.5 * np.sinh(4.0 * sigma) ** 2))
-    pair = a_aa.conj()  # <a_i^dag a_j^dag>, the single-beam pair amplitude
-    labels = sq.basis.labels() if sq.basis is not None else [str(i) for i in range(n)]
-    return StateReport(
-        var_X1=v1,
-        var_X2=v2,
-        scalar_var=(float(np.trace(v1).real), float(np.trace(v2).real)),
-        cross_cov=cov,
-        nbar_matrix=0.5 * (a_nn + a_nn.conj().T),
-        nbar_total=nbar_total,
+    rep = state_report(SqueezeMatrix(xi=2.0 * sq.xi, basis=sq.basis,
+                                     interaction=sq.interaction))
+    number_variance = 2.0 * rep.number_variance
+    return replace(
+        rep,
+        cross_cov=0.5 * rep.cross_cov,
+        pair_matrix=-rep.pair_matrix,
         number_variance=number_variance,
         number_covariance=number_variance,
-        pair_matrix=pair,
-        squeezing_db_per_mode=_squeezing_db(v1.diagonal().real),
-        mode_labels=labels,
     )

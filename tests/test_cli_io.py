@@ -495,15 +495,17 @@ class TestCli:
     @pytest.mark.parametrize("argv, named", [
         (["--scenario", "PdcEigenPump", "--seed-gain", "0"], "nbar_lambda1_share"),
         (["--scenario", "PdcEigenPump", "--seed-gain", "1e-300"], "nbar_lambda1_share"),
-        (["--config", "tiny_target.json"], "nbar_lambda1_share"),
+        (["--config", "tiny_gain.json"], "nbar_lambda1_share"),
         (["--scenario", "PdcBenchmark", "--seed-gain", "1e3"], "variance_plus"),
         (["--scenario", "PdcEigenPump", "--seed-gain", "1e3"], "variance_plus"),
         (["--scenario", "PdcHeralding", "--seed-gain", "0"], "seed_gain 0.0 gives photon"),
         (["--scenario", "PdcHeralding", "--seed-gain", "1e3"], "seed_gain 1000.0 gives photon"),
     ])
     def test_extreme_gain_exits_2_naming_the_statistic(self, tmp_path, argv, named):
-        (tmp_path / "tiny_target.json").write_text(
-            json.dumps({"scenario": "PdcEigenPump", "n_target": 1e-300}))
+        # a seed gain whose photon numbers underflow to 0; a tiny n_target
+        # calibrates (test_sub_photon_targets_calibrate)
+        (tmp_path / "tiny_gain.json").write_text(
+            json.dumps({"scenario": "PdcEigenPump", "seed_gain": 1e-200}))
         proc = subprocess.run(
             [sys.executable, "-m", "lgsqueeze", *argv, "--lmax", "0", "--pmax", "1",
              "--out", "out"],

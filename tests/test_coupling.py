@@ -341,6 +341,16 @@ def test_basis_floor_counts_no_more_nodes_than_the_finest_level(name):
     assert floor_nz <= nz and floor_nt <= nt
 
 
+def cli_nbar_total(tmp_path, scenario, n_target):
+    """``nbar_total`` of a CLI ``--config`` run of ``scenario`` calibrated to ``n_target``."""
+    from lgsqueeze.cli import main as cli_main
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": scenario, "n_target": n_target}))
+    assert cli_main(["--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    return json.loads((tmp_path / "o" / "report.json").read_text())["report"]["nbar_total"]
+
+
 class TestPhotonScaling:
     def test_single_mode_reaches_one_photon(self):
         sq = SqueezeMatrix(xi=np.array([[0.37]]), basis=build_basis(0, 0),
@@ -395,13 +405,17 @@ class TestPhotonScaling:
         ("PsrSinglePhoton", 1e5), ("PdcBenchmark", 1e5), ("PdcBenchmark", 1e8),
     ])
     def test_large_photon_numbers_calibrate(self, tmp_path, scenario, n_target):
-        from lgsqueeze.cli import main as cli_main
+        nbar_total = cli_nbar_total(tmp_path, scenario, n_target)
+        assert nbar_total == pytest.approx(n_target, rel=1e-10)
 
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"scenario": scenario, "n_target": n_target}))
-        assert cli_main(["--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 0
-        report = json.loads((tmp_path / "o" / "report.json").read_text())
-        assert report["report"]["nbar_total"] == pytest.approx(n_target, rel=1e-10)
+    @pytest.mark.parametrize("n_target", [1e-24, 1e-26, 1e-300])
+    @pytest.mark.parametrize(
+        "scenario", ["PdcBenchmark", "PdcEigenPump", "PsrSinglePhoton", "PdcHeralding"])
+    def test_sub_photon_targets_calibrate(self, tmp_path, scenario, n_target):
+        # Brent's absolute step bound alone lands PdcBenchmark 18% off at 1e-24
+        # and at gain 0, the vacuum, from 1e-26 down
+        nbar_total = cli_nbar_total(tmp_path, scenario, n_target)
+        assert nbar_total == pytest.approx(n_target, rel=1e-10, abs=0.0)
 
 
 def sinh_sum_root(brent, sigma, n_target):

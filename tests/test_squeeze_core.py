@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg
 
 from conftest import random_normal_symmetric, random_symmetric
-from lgsqueeze.coupling import InteractionType
+from lgsqueeze.coupling import InteractionType, assemble_squeeze_matrix, scale_to_mean_photons
 from lgsqueeze.modes import build_basis
+from lgsqueeze.scenarios import default_config
 from lgsqueeze.squeeze_core import (
     SqueezeMatrix,
     bogoliubov_matrix,
@@ -15,7 +16,6 @@ from lgsqueeze.squeeze_core import (
     phase_logarithm,
     polar_decompose,
     state_report,
-    takagi_decompose,
 )
 
 TWO_BEAM = InteractionType.FULL_CROSSTALK
@@ -223,22 +223,6 @@ class TestBogoliubov:
             assert np.abs(b @ k @ b.conj().T - k).max() < 1e-12
 
 
-class TestTakagi:
-    def test_reconstruction_and_order(self):
-        rng = np.random.default_rng(10)
-        for n in (1, 4, 9):
-            xi = random_symmetric(rng, n, scale=1.3)
-            w, s = takagi_decompose(xi)
-            assert np.allclose((w * s) @ w.T, xi, atol=1e-12)
-            assert np.allclose(w @ w.conj().T, np.eye(n), atol=1e-12)
-            assert np.all(np.diff(s) <= 1e-14)
-            assert np.all(s >= 0)
-
-    def test_requires_symmetric(self):
-        with pytest.raises(ValueError):
-            takagi_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 class TestDegenerate:
     def make(self, xi):
         return SqueezeMatrix(xi=np.asarray(xi, dtype=complex), basis=None,
@@ -273,6 +257,133 @@ class TestDegenerate:
         xi = np.array([[0.1, 0.2], [0.0, 0.1]])
         with pytest.raises(ValueError):
             degenerate_statistics(self.make(xi))
+
+
+def svd_degenerate_report(xi):
+    """Single-beam statistics from the plain SVD xi = W S V^dag of symmetric xi.
+
+    For odd f, W f(S) V^dag is a function of xi alone, and for even g,
+    W g(S) W^dag is too, so the Takagi-mode moments need no Takagi basis:
+    <a a> = -1/2 W sinh(4S) V^dag and <a^dag a> = conj(W sinh^2(2S) W^dag).
+    """
+    w, s, vh = np.linalg.svd(xi)
+    aa = -0.5 * (w * np.sinh(4 * s)) @ vh
+    nn = ((w * np.sinh(2 * s) ** 2) @ w.conj().T).conj()
+    eye = np.eye(len(s))
+    v1 = 0.25 * (aa + aa.conj() + nn + nn.T + eye)
+    v2 = 0.25 * (-aa - aa.conj() + nn + nn.T + eye)
+    number_variance = float(np.sum(0.5 * np.sinh(4 * s) ** 2))
+    return {
+        "var_X1": v1,
+        "var_X2": v2,
+        "scalar_var": (np.trace(v1).real, np.trace(v2).real),
+        "cross_cov": 0.25j * (aa.conj() - aa + nn.T - nn),
+        "nbar_matrix": nn,
+        "nbar_total": float(np.sum(np.sinh(2 * s) ** 2)),
+        "number_variance": number_variance,
+        "number_covariance": number_variance,
+        "pair_matrix": aa.conj(),
+        "squeezing_db_per_mode": 10 * np.log10(v1.diagonal().real / 0.25),
+    }
+
+
+def assert_report_matches(report, expected, tol=1e-12):
+    """Every expected field within ``tol`` of its own scale (at least 1)."""
+    for name, want in expected.items():
+        got = np.asarray(getattr(report, name))
+        want = np.asarray(want)
+        scale = max(1.0, np.abs(want).max())
+        assert np.abs(got - want).max() <= tol * scale, name
+
+
+def calibrated_matrix(coupling):
+    sq, _ = scale_to_mean_photons(assemble_squeeze_matrix(coupling), 1.0)
+    return sq
+
+
+class TestDegenerateAtScenarioSizes:
+    """``degenerate_statistics`` against the SVD route at the sizes runs use."""
+
+    def test_stock_psr_single_photon(self, psr_results):
+        sq = psr_results["PsrSinglePhoton"].squeeze
+        assert sq.interaction is InteractionType.DEGENERATE_SINGLE_BEAM
+        assert sq.size == 9 and np.linalg.matrix_rank(sq.xi) == 3
+        assert_report_matches(degenerate_statistics(sq), svd_degenerate_report(sq.xi))
+
+    def test_psr_single_photon_at_2_4(self):
+        sq = calibrated_matrix(default_config("PsrSinglePhoton", 2, 4).coupling)
+        assert sq.size == 25
+        assert_report_matches(degenerate_statistics(sq), svd_degenerate_report(sq.xi))
+
+    @pytest.mark.parametrize("rank", [81, 20])
+    def test_seeded_81_modes(self, rank):
+        rng = np.random.default_rng(81 + rank)
+        a = rng.normal(size=(81, rank)) + 1j * rng.normal(size=(81, rank))
+        xi = a @ a.T
+        xi *= 0.6 / np.linalg.norm(xi, 2)
+        sq = SqueezeMatrix(xi=xi, basis=None,
+                           interaction=InteractionType.DEGENERATE_SINGLE_BEAM)
+        assert np.linalg.matrix_rank(xi) == rank
+        assert_report_matches(degenerate_statistics(sq), svd_degenerate_report(xi))
+
+
+def block_exponential(x):
+    """expm([[0, x], [x^dag, 0]]) = [[cosh R, sinh(R) P], [P^dag sinh R, ...]] for x = R P."""
+    n = x.shape[0]
+    z = np.zeros((n, n))
+    return scipy.linalg.expm(np.block([[z, x], [x.conj().T, z]]))
+
+
+def block_exponential_report(xi):
+    """Every ``state_report`` field from the blocks of B(2 xi) and B(xi)."""
+    n = xi.shape[0]
+    b = block_exponential(2 * xi)
+    b11, b12, b21 = b[:n, :n], b[:n, n:], b[n:, :n]
+    h = block_exponential(xi)  # cosh R and sinh(R) P, for the scalar variances
+    base = np.trace(b11).real
+    cross = 2.0 * np.trace(h[:n, n:] @ h[:n, :n].T).real
+    v1 = 0.125 * (b11 + b11.T - (b12 + b12.conj()))
+    nbar = 0.5 * (b11 - np.eye(n)).T
+    number_variance = 0.25 * np.trace(b11 @ b11 - np.eye(n)).real
+    return {
+        "var_X1": v1,
+        "var_X2": 0.125 * (b11 + b11.T + (b12 + b12.conj())),
+        "scalar_var": (0.25 * (base - cross), 0.25 * (base + cross)),
+        "cross_cov": 0.25j * (b11 - b11.T + b12 - b12.conj()),
+        "nbar_matrix": nbar,
+        "nbar_total": np.trace(nbar).real,
+        "number_variance": number_variance,
+        "number_covariance": number_variance,
+        "pair_matrix": 0.5 * b21,
+        "squeezing_db_per_mode": 10 * np.log10(v1.diagonal().real / 0.25),
+    }
+
+
+STOCK_FIXTURES = {
+    "PsrSinglePhoton": "psr_results",
+    "PsrPCrosstalk": "psr_results",
+    "FwmTwoPhoton": "psr_results",
+    "PdcBenchmark": "pdc_benchmark",
+    "PdcEigenPump": "pdc_eigen_pump",
+    "PdcHeralding": "pdc_heralding",
+    "WaistScan": "waist_scan",
+}
+
+
+class TestBlockExponentialOracle:
+    """``state_report`` against the block exponential of the squeezer generator."""
+
+    @pytest.mark.parametrize("name", list(STOCK_FIXTURES))
+    def test_stock_scenario_reports(self, request, name):
+        result = request.getfixturevalue(STOCK_FIXTURES[name])
+        if isinstance(result, dict):
+            result = result[name]
+        assert_report_matches(result.report, block_exponential_report(result.squeeze.xi))
+
+    def test_pdc_benchmark_at_4_8(self):
+        sq = calibrated_matrix(default_config("PdcBenchmark", 4, 8).coupling)
+        assert sq.size == 81
+        assert_report_matches(state_report(sq), block_exponential_report(sq.xi))
 
 
 class TestReport:
@@ -335,6 +446,25 @@ class TestComputeOnce:
         assert calls == []
         theta = sq.theta
         assert len(calls) == 1 and sq.theta is theta
+
+    def test_degenerate_statistics_is_one_state_report_and_no_schur(self, monkeypatch,
+                                                                     psr_results):
+        from lgsqueeze import squeeze_core
+
+        calls = {"state_report": 0, "schur": 0, "_hermitian_fn": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((squeeze_core, "state_report"), (scipy.linalg, "schur"),
+                             (squeeze_core, "_hermitian_fn")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        degenerate_statistics(psr_results["PsrSinglePhoton"].squeeze)
+        # every matrix function is one of state_report's four
+        assert calls == {"state_report": 1, "schur": 0, "_hermitian_fn": 4}
 
     def test_theta_is_the_principal_log_of_the_phase_factor(self, pdc_benchmark):
         sq = SqueezeMatrix(xi=pdc_benchmark.squeeze.xi, basis=None, interaction=TWO_BEAM)
