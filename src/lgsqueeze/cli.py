@@ -46,8 +46,6 @@ def _oracle_check(result) -> dict:
 
     sq = result.squeeze
     n = sq.size
-    if n > 3:
-        raise ValueError(f"oracle cross-check needs a basis of <= 3 modes, got {n}")
     from .coupling import InteractionType
 
     degenerate = sq.interaction is InteractionType.DEGENERATE_SINGLE_BEAM
@@ -128,6 +126,9 @@ def main(argv=None) -> int:
         if args.seed_gain is not None:
             changes["seed_gain"] = args.seed_gain
         cfg = replace(cfg, **changes)
+        if args.oracle and cfg.coupling.basis.size > 3:
+            raise ValueError("--oracle: the cross-check needs a basis of <= 3 modes, "
+                             f"got {cfg.coupling.basis.size}")
 
         out_dir = args.out or os.environ.get("OUT_DIR") or "out"
         start = time.perf_counter()

@@ -248,10 +248,11 @@ def _node_schedule(cfg: CouplingConfig):
 ASSEMBLY_BYTES_LIMIT = 2 ** 30
 
 
-def _assembly_floor_bytes(ell_max: int, p_max: int) -> int:
+def _assembly_floor_bytes(ell_max: int, p_max: int, pump_on_every_mode: bool) -> int:
     """Fewest bytes the assembly of an (ell_max, p_max) basis holds at once.
 
-    That is xi plus the two conjugated |ell| stacks one overlap reads, on the
+    That is xi plus the two conjugated |ell| stacks one overlap reads, and a
+    pump profile per mode for a pump with a coefficient on every mode, on the
     fewest nodes the finest level of ``_node_schedule`` can have: no Gouy
     swing, the smallest radial cutoff and only the two collection fields'
     radial orders.  It needs no mode list.
@@ -259,19 +260,23 @@ def _assembly_floor_bytes(ell_max: int, p_max: int) -> int:
     n_p = p_max + 1
     n = (2 * ell_max + 1) * n_p
     nz, nt = _levels(0.0, _T_MAX_MIN, 2 * p_max)[-1]
-    return 16 * (n * n + 2 * n_p * nz * nt)
+    profiles = 2 * n_p + (n if pump_on_every_mode else 0)
+    return 16 * (n * n + profiles * nz * nt)
 
 
-def check_basis_size(ell_max: int, p_max: int, names=("ell_max", "p_max")) -> None:
+def check_basis_size(ell_max: int, p_max: int, names=("ell_max", "p_max"),
+                     pump_on_every_mode: bool = False) -> None:
     """Refuse a basis over ASSEMBLY_BYTES_LIMIT before any mode is listed.
 
-    The ValueError names ``names[1]`` (the radial bound) when it alone is
-    over the limit, else ``names[0]``.
+    ``pump_on_every_mode`` counts a pump profile per mode, as an eigenmode
+    pump has.  The ValueError names ``names[1]`` (the radial bound) when it
+    alone is over the limit, else ``names[0]``.
     """
-    need = _assembly_floor_bytes(ell_max, p_max)
+    need = _assembly_floor_bytes(ell_max, p_max, pump_on_every_mode)
     if need <= ASSEMBLY_BYTES_LIMIT:
         return
-    name = names[1] if _assembly_floor_bytes(0, p_max) > ASSEMBLY_BYTES_LIMIT else names[0]
+    alone = _assembly_floor_bytes(0, p_max, pump_on_every_mode)
+    name = names[1] if alone > ASSEMBLY_BYTES_LIMIT else names[0]
     raise ValueError(
         f"basis ell_max={ell_max}, p_max={p_max} is too large: its assembly needs "
         f"at least {need / 2 ** 30:.3g} GiB, above the "

@@ -402,6 +402,11 @@ def scenario_config_from_dict(data: dict):
         if "collection" in coupling_spec
         else base.collection
     )
+    single_pump = _boolean(coupling_spec.get("single_pump", base.single_pump),
+                           "coupling.single_pump")
+    if pump2 is not None and single_pump:
+        raise ConfigError("coupling.pump2 is not used: a single_pump coupling has one "
+                          "drive field (key: coupling.pump2)")
     changes["coupling"] = replace(
         base,
         interaction=interaction,
@@ -409,8 +414,7 @@ def scenario_config_from_dict(data: dict):
         pump1=pump1,
         pump2=pump2,
         collection=collection,
-        single_pump=_boolean(coupling_spec.get("single_pump", base.single_pump),
-                             "coupling.single_pump"),
+        single_pump=single_pump,
     )
 
     if "grid" in data:

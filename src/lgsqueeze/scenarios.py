@@ -169,7 +169,8 @@ def scenario_basis(name: str, ell_max: int = None, p_max: int = None,
 
     The stock basis is ell_max 1, p_max 2; PdcHeralding's heralding figures
     need p_max 20.  A negative or oversized bound raises ValueError naming
-    it by ``names`` before any mode is listed.
+    it by ``names`` before any mode is listed.  PdcEigenPump's size counts
+    its eigenmode pump, which has a profile on every mode.
     """
     stock_p_max = HERALDING_P_MAX if name == "PdcHeralding" else 2
     ell_max = 1 if ell_max is None else ell_max
@@ -177,7 +178,7 @@ def scenario_basis(name: str, ell_max: int = None, p_max: int = None,
     for bound, label in zip((ell_max, p_max), names):
         if bound < 0:
             raise ValueError(f"{label} must be >= 0, got {bound}")
-    check_basis_size(ell_max, p_max, names)
+    check_basis_size(ell_max, p_max, names, pump_on_every_mode=name == "PdcEigenPump")
     return build_basis(ell_max, p_max)
 
 
@@ -276,19 +277,15 @@ def scan_island(scan: dict, anchor_pump: float = 200.0,
     }
 
 
-def _apply_gain(cfg: ScenarioConfig, sq: SqueezeMatrix, gain: float = None):
-    """Scale by ``gain`` (default: the config's seed gain), else calibrate to n_target."""
-    gain = cfg.seed_gain if gain is None else gain
-    if gain is not None:
-        scaled = SqueezeMatrix(xi=gain * sq.xi, basis=sq.basis, interaction=sq.interaction)
-        return scaled, float(gain)
-    return scale_to_mean_photons(sq, cfg.n_target)
-
-
-def _analysed(cfg: ScenarioConfig, coupling: CouplingConfig, gain: float = None):
-    """The shared step: assemble ``coupling``, apply the gain, report the state."""
-    sq, gain = _apply_gain(cfg, assemble_squeeze_matrix(coupling), gain)
-    return sq, gain, state_report(sq)
+def _analysed(coupling: CouplingConfig, n_target: float, gain: float = None):
+    """Assemble ``coupling``, scale it by ``gain`` or else calibrate it to
+    ``n_target``, and report the state: the one path to ``(sq, gain, report)``."""
+    sq = assemble_squeeze_matrix(coupling)
+    if gain is None:
+        sq, gain = scale_to_mean_photons(sq, n_target)
+    else:
+        sq = SqueezeMatrix(xi=gain * sq.xi, basis=sq.basis, interaction=sq.interaction)
+    return sq, float(gain), state_report(sq)
 
 
 def _u00_variance(report: StateReport, sq: SqueezeMatrix) -> float:
@@ -348,7 +345,7 @@ def _decibels(name: str, numerator: float, denominator: float, gain: float) -> f
 
 
 def _run_psr_single(cfg: ScenarioConfig) -> ScenarioResult:
-    sq, gain, report = _analysed(cfg, cfg.coupling)
+    sq, gain, report = _analysed(cfg.coupling, cfg.n_target, cfg.seed_gain)
     metrics = {
         "nbar_total": report.nbar_total,
         "u00_variance_x1": _u00_variance(report, sq),
@@ -361,8 +358,8 @@ def _run_psr_single(cfg: ScenarioConfig) -> ScenarioResult:
 def _run_psr_crosstalk(cfg: ScenarioConfig) -> ScenarioResult:
     """PsrPCrosstalk / FwmTwoPhoton at the gain of their own no-crosstalk baseline."""
     baseline = replace(cfg.coupling, interaction=InteractionType.DEGENERATE_SINGLE_BEAM)
-    base_sq, gain, base = _analysed(cfg, baseline)
-    sq, gain, report = _analysed(cfg, cfg.coupling, gain)
+    base_sq, gain, base = _analysed(baseline, cfg.n_target, cfg.seed_gain)
+    sq, gain, report = _analysed(cfg.coupling, cfg.n_target, gain)
     u00 = _u00_variance(report, sq)
     u00_base = _u00_variance(base, base_sq)
     metrics = {
@@ -380,7 +377,7 @@ def _run_psr_crosstalk(cfg: ScenarioConfig) -> ScenarioResult:
 
 def _pdc_analysis(cfg: ScenarioConfig, coupling: CouplingConfig) -> ScenarioResult:
     """Statistics, eigenmodes and pair dominance of one down-conversion coupling."""
-    sq, gain, report = _analysed(cfg, coupling)
+    sq, gain, report = _analysed(coupling, cfg.n_target, cfg.seed_gain)
     eigen = decompose(sq)
     try:
         rows = eigenmode_report(eigen)
@@ -436,7 +433,7 @@ def _run_pdc_eigen_pump(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _run_pdc_heralding(cfg: ScenarioConfig) -> ScenarioResult:
-    sq, gain, report = _analysed(cfg, cfg.coupling)
+    sq, gain, report = _analysed(cfg.coupling, cfg.n_target, cfg.seed_gain)
     metrics = {"nbar_total": report.nbar_total, "calibrated_gain": gain}
     metrics.update(pair_dominance_metrics(report, sq.basis))
     # reference: the benchmark pump waist at the same extended basis, calibrated
@@ -447,8 +444,8 @@ def _run_pdc_heralding(cfg: ScenarioConfig) -> ScenarioResult:
     if not 0.0 < target < math.inf:
         raise ValueError(f"seed_gain {cfg.seed_gain!r} gives photon number {target!r}; "
                          "the benchmark reference needs a positive, finite one")
-    ref_sq, _ = scale_to_mean_photons(assemble_squeeze_matrix(ref), target)
-    ref_metrics = pair_dominance_metrics(state_report(ref_sq), ref_sq.basis)
+    ref_sq, _, ref_report = _analysed(ref, target)
+    ref_metrics = pair_dominance_metrics(ref_report, ref_sq.basis)
     metrics["benchmark_diag_dominance"] = ref_metrics["diag_dominance"]
     metrics["benchmark_n00_share"] = ref_metrics["n00_share"]
     nbar_diag = report.nbar_matrix.diagonal().real
@@ -472,8 +469,7 @@ def _run_waist_scan(cfg: ScenarioConfig) -> ScenarioResult:
             try:
                 cell = replace(_with_pump(coupling, geometry=_with_waist(pump, float(wp))),
                                collection=_with_waist(coupling.collection, float(wc)))
-                sq, gain = scale_to_mean_photons(assemble_squeeze_matrix(cell), cfg.n_target)
-                report = state_report(sq)
+                sq, gain, report = _analysed(cell, cfg.n_target)
                 metric[i, j] = pair_dominance_metrics(report, sq.basis)["figure_metric"]
             except (QuadratureError, ValueError, np.linalg.LinAlgError) as exc:
                 # a numerical failure of this cell: record it and scan on

@@ -5,8 +5,7 @@ positive semidefinite (squeeze magnitudes) and Theta Hermitian (squeeze
 phases).  R and Theta do not commute in general, so every formula here keeps
 the operand order of its derivation; matrix functions are evaluated by
 eigendecomposition of the Hermitian factor, and the statistics read the
-unitary phase factor e^{i Theta} itself.  Theta is computed, by Schur
-decomposition of that factor, only when it is asked for.
+unitary phase factor e^{i Theta} itself, so Theta is never formed.
 
 The closed forms below describe the vacuum-seeded two-beam squeezer
 S = exp[b~ xi^dag a - a~^dag xi b^dag] and are exact for symmetric xi (the
@@ -16,7 +15,6 @@ case produced by identical signal and idler collection geometries).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +25,6 @@ __all__ = [
     "SqueezeMatrix",
     "StateReport",
     "polar_decompose",
-    "phase_logarithm",
     "degenerate_statistics",
     "bogoliubov_matrix",
     "bogoliubov_metric",
@@ -64,7 +61,6 @@ def polar_decompose(xi: np.ndarray):
     phase = e^{i Theta} = W V^dag.  Zero singular values leave the phase
     underdetermined; those columns of W and V are replaced by a
     deterministic Gram-Schmidt completion against the canonical basis.
-    ``phase_logarithm(phase)`` gives Theta.
     """
     xi = np.asarray(xi, dtype=complex)
     n = xi.shape[0]
@@ -83,34 +79,24 @@ def polar_decompose(xi: np.ndarray):
     return r_factor, w @ vh
 
 
-def phase_logarithm(phase: np.ndarray) -> np.ndarray:
-    """Principal Hermitian logarithm Theta of a unitary, e^{i Theta} = phase.
+def _polar_functions(xi: np.ndarray):
+    """The phase factor P of xi = R P and the map f -> f(R), from one eigh of R."""
+    r_factor, phase = polar_decompose(xi)
+    vals, vecs = np.linalg.eigh(r_factor)
 
-    Eigenphases lie in (-pi, pi]; computed from the complex Schur form.
-    """
-    import scipy.linalg
+    def of_r(fn):
+        return (vecs * fn(vals)) @ vecs.conj().T
 
-    t, q = scipy.linalg.schur(phase, output="complex")
-    angles = np.angle(np.diagonal(t))
-    theta = (q * angles) @ q.conj().T
-    return 0.5 * (theta + theta.conj().T)
-
-
-def _hermitian_fn(sq: SqueezeMatrix, fn) -> np.ndarray:
-    """f(R) for the polar factor R, from its cached eigendecomposition."""
-    vals, vecs = sq._r_eigh
-    return (vecs * fn(vals)) @ vecs.conj().T
+    return phase, of_r
 
 
 @dataclass
 class SqueezeMatrix:
-    """Complex squeezing matrix with lazily computed, cached polar factors.
+    """Complex squeezing matrix, checked square and finite on construction.
 
     Rows are signal modes, columns idler modes, both ordered per the basis.
-    The polar decomposition runs on first use of ``polar_R``,
-    ``polar_phase`` or ``theta``, the eigendecomposition of ``polar_R`` on
-    the first matrix function, and the logarithm ``theta`` only when it is
-    read, so a matrix that is only rescaled is never factored.
+    It holds no factors: ``state_report`` and ``bogoliubov_matrix`` factor
+    ``xi`` when they run, so a matrix that is only rescaled is never factored.
     """
 
     xi: np.ndarray
@@ -125,27 +111,6 @@ class SqueezeMatrix:
             raise ValueError("basis size does not match matrix dimension")
         if not np.all(np.isfinite(self.xi)):
             raise ValueError("xi must be finite")
-
-    @cached_property
-    def _polar(self):
-        return polar_decompose(self.xi)
-
-    @property
-    def polar_R(self) -> np.ndarray:
-        return self._polar[0]
-
-    @property
-    def polar_phase(self) -> np.ndarray:
-        return self._polar[1]
-
-    @cached_property
-    def theta(self) -> np.ndarray:
-        return phase_logarithm(self.polar_phase)
-
-    @cached_property
-    def _r_eigh(self):
-        """``np.linalg.eigh(polar_R)``, shared by every matrix function of R."""
-        return np.linalg.eigh(self.polar_R)
 
     @property
     def size(self) -> int:
@@ -180,8 +145,9 @@ def bogoliubov_matrix(sq: SqueezeMatrix) -> np.ndarray:
     a -> C a - E b^dag, b -> C b - E a^dag, and the conjugate rows.
     """
     n = sq.size
-    c = _hermitian_fn(sq, np.cosh)
-    e = _hermitian_fn(sq, np.sinh) @ sq.polar_phase
+    phase, of_r = _polar_functions(sq.xi)
+    c = of_r(np.cosh)
+    e = of_r(np.sinh) @ phase
     z = np.zeros((n, n), dtype=complex)
     return np.block(
         [
@@ -229,15 +195,15 @@ def state_report(sq: SqueezeMatrix) -> StateReport:
       whose moduli weigh the signal/idler transverse-mode pairings.
     - ``squeezing_db_per_mode``: the V1 diagonal in dB against vacuum.
 
-    cosh R, sinh R, cosh 2R and sinh 2R are formed once each from the cached
+    cosh R, sinh R, cosh 2R and sinh 2R are formed once each from one
     eigendecomposition of R, and every product two fields share is formed
     once, each in the operand order of its derivation.
     """
-    phase = sq.polar_phase
-    ch = _hermitian_fn(sq, np.cosh)
-    sh = _hermitian_fn(sq, np.sinh)
-    ch2 = _hermitian_fn(sq, lambda x: np.cosh(2 * x))
-    sh2 = _hermitian_fn(sq, lambda x: np.sinh(2 * x))
+    phase, of_r = _polar_functions(sq.xi)
+    ch = of_r(np.cosh)
+    sh = of_r(np.sinh)
+    ch2 = of_r(lambda x: np.cosh(2 * x))
+    sh2 = of_r(lambda x: np.sinh(2 * x))
     sh_sh = sh @ sh
     sh2_phase = sh2 @ phase
     sh2t_phase = sh2.T @ phase.conj()

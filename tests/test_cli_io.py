@@ -71,6 +71,12 @@ class TestConfigParsing:
             )
         assert "coupling.mediun" in str(err.value)
 
+    def test_pump2_of_a_two_pump_coupling_is_kept(self):
+        cfg = scenario_config_from_dict(
+            {"scenario": "PdcBenchmark",
+             "coupling": {"single_pump": False, "pump2": {"waist_w0": 10.0}}})
+        assert cfg.coupling.pump2.geometry.waist_w0 == pytest.approx(10.0)
+
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError):
             scenario_config_from_dict({"scenario": "Nope"})
@@ -135,6 +141,8 @@ class TestConfigParsing:
           "grid": {"pump": [800, 50], "collection": [50, 800]}}, "grid.pump"),
         ({"scenario": "WaistScan", "grid": {"points": 1}}, "grid.points"),
         ({"scenario": "Nope"}, "scenario"),
+        ({"scenario": "PdcBenchmark", "coupling": {"pump2": {"waist_w0": 10.0}}},
+         "coupling.pump2"),
     ],
 )
 def test_bad_config_exits_2_naming_key(tmp_path, capsys, config, key):
@@ -184,6 +192,46 @@ def test_oversized_basis_exits_2_before_listing_modes(tmp_path, capsys, monkeypa
     assert not (tmp_path / "o").exists()
 
 
+@pytest.fixture
+def no_run(monkeypatch):
+    """``run_scenario`` raises: what a test refuses is refused before any run."""
+    import lgsqueeze.scenarios
+
+    def refused(cfg):
+        raise AssertionError(f"{cfg.name} ran")
+
+    monkeypatch.setattr(lgsqueeze.scenarios, "run_scenario", refused)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        # its eigenmode pump has a profile on every one of the 441 modes: >= 1.6 GB
+        (["--scenario", "PdcEigenPump", "--lmax", "10", "--pmax", "20"], "--lmax"),
+        ({"scenario": "PdcEigenPump", "basis": {"ell_max": 10, "p_max": 20}},
+         "basis.ell_max"),
+    ],
+)
+def test_eigen_pump_basis_counts_its_pump_profiles(tmp_path, capsys, no_run, args, name):
+    if isinstance(args, dict):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(args))
+        args = ["--config", str(path)]
+    assert cli_main([*args, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: basis ") and err.rstrip().endswith(f"lower {name}"), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "PdcBenchmark"],
+    ["--scenario", "PsrSinglePhoton", "--lmax", "1", "--pmax", "1"],
+])
+def test_oracle_on_a_large_basis_exits_2_before_the_run(tmp_path, capsys, no_run, argv):
+    assert cli_main([*argv, "--oracle", "--out", str(tmp_path / "o")]) == 2
+    assert "oracle" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--lmax", "-1"), ("--pmax", "-3")])
 @pytest.mark.parametrize("scenario", ["PsrSinglePhoton", "PdcHeralding"])
 def test_negative_basis_flag_exits_2_naming_it(tmp_path, capsys, scenario, flag, value):
@@ -193,12 +241,15 @@ def test_negative_basis_flag_exits_2_naming_it(tmp_path, capsys, scenario, flag,
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("bounds", [(1, 2), (1, 20), (2, 4), (10, 20)],
-                         ids=["stock", "heralding", "convergence", "large-basis"])
-def test_used_bases_fit_the_assembly_limit(bounds):
+@pytest.mark.parametrize(
+    "bounds, pump_on_every_mode",
+    [((1, 2), False), ((1, 20), False), ((2, 4), False), ((10, 20), False),
+     ((1, 2), True), ((4, 8), True)],
+    ids=["stock", "heralding", "convergence", "large-basis", "eigen-pump", "eigen-pump-4-8"])
+def test_used_bases_fit_the_assembly_limit(bounds, pump_on_every_mode):
     from lgsqueeze.coupling import check_basis_size
 
-    check_basis_size(*bounds)
+    check_basis_size(*bounds, pump_on_every_mode=pump_on_every_mode)
 
 
 @pytest.mark.parametrize("pump", ["pump", "pump2"])

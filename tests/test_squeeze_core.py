@@ -13,7 +13,6 @@ from lgsqueeze.squeeze_core import (
     bogoliubov_matrix,
     bogoliubov_metric,
     degenerate_statistics,
-    phase_logarithm,
     polar_decompose,
     state_report,
 )
@@ -29,16 +28,13 @@ def two_beam(xi):
 class TestPolar:
     def test_already_positive_diagonal(self):
         r, phase = polar_decompose(np.diag([0.5, 0.2]))
-        theta = phase_logarithm(phase)
         assert np.allclose(r, np.diag([0.5, 0.2]), atol=1e-14)
         assert np.allclose(phase, np.eye(2), atol=1e-14)
-        assert np.allclose(theta, 0.0, atol=1e-14)
 
     def test_scalar_phase(self):
         r, phase = polar_decompose(np.array([[0.7 * np.exp(1j * np.pi / 3)]]))
-        theta = phase_logarithm(phase)
         assert r[0, 0].real == pytest.approx(0.7, abs=1e-14)
-        assert theta[0, 0].real == pytest.approx(np.pi / 3, abs=1e-14)
+        assert phase[0, 0] == pytest.approx(np.exp(1j * np.pi / 3), abs=1e-14)
 
     def test_offdiagonal_magnitude_factor(self):
         xi = np.array([[0.0, 0.3], [0.3, 0.0]])
@@ -54,14 +50,12 @@ class TestPolar:
         for n in (1, 3, 8):
             xi = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             r, phase = polar_decompose(xi)
-            theta = phase_logarithm(phase)
             scale = np.linalg.norm(xi)
             assert np.linalg.norm(r @ phase - xi) / scale < 1e-12
             assert np.allclose(r, r.conj().T, atol=1e-12)
+            assert np.all(np.linalg.eigvalsh(r) > -1e-12)
             assert np.allclose(phase @ phase.conj().T, np.eye(n), atol=1e-12)
-            assert np.allclose(theta, theta.conj().T, atol=1e-12)
-            # theta is the principal log of the phase factor
-            assert np.allclose(scipy.linalg.expm(1j * theta), phase, atol=1e-10)
+            assert np.allclose(phase.conj().T @ phase, np.eye(n), atol=1e-12)
 
     def test_rank_deficient_is_deterministic(self):
         xi = np.zeros((3, 3), dtype=complex)
@@ -183,7 +177,7 @@ class TestPhotonStatistics:
         rng = np.random.default_rng(7)
         sq = two_beam(random_symmetric(rng, 8, scale=0.9))
         nbar = state_report(sq).nbar_matrix
-        ch2 = scipy.linalg.coshm(np.asarray(2 * sq.polar_R))
+        ch2 = scipy.linalg.coshm(2 * polar_decompose(sq.xi)[0])
         alt = (0.5 * (ch2 - np.eye(8))).T
         assert np.abs(nbar - alt).max() < 1e-12
 
@@ -408,71 +402,46 @@ class TestReport:
 
 
 class TestComputeOnce:
-    def test_one_decomposition_and_one_eigh_per_scenario_matrix(self, monkeypatch):
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Count polar_decompose, eigh and Schur calls from here on."""
         from lgsqueeze import squeeze_core
+
+        calls = {"polar_decompose": 0, "eigh": 0, "schur": 0}
+        for module, name in ((squeeze_core, "polar_decompose"), (np.linalg, "eigh"),
+                             (scipy.linalg, "schur")):
+            fn = getattr(module, name)
+
+            def wrapper(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    def test_one_decomposition_and_one_eigh_per_scenario_matrix(self, monkeypatch):
         from lgsqueeze.coupling import assemble_squeeze_matrix, scale_to_mean_photons
         from lgsqueeze.scenarios import default_config, pair_dominance_metrics
 
-        calls = {"polar_decompose": 0, "eigh": 0, "_hermitian_fn": 0}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(squeeze_core, "polar_decompose",
-                            counting("polar_decompose", squeeze_core.polar_decompose))
-        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
-        # one call per function of R: cosh R, sinh R, cosh 2R, sinh 2R
-        monkeypatch.setattr(squeeze_core, "_hermitian_fn",
-                            counting("_hermitian_fn", squeeze_core._hermitian_fn))
+        calls = self.count_calls(monkeypatch)
         cfg = default_config("PdcBenchmark").coupling
         sq, _ = scale_to_mean_photons(assemble_squeeze_matrix(cfg), 1.0)
         pair_dominance_metrics(state_report(sq), sq.basis)
-        assert calls == {"polar_decompose": 1, "eigh": 1, "_hermitian_fn": 4}
-
-    def test_report_and_pair_metrics_run_no_schur(self, monkeypatch):
-        from lgsqueeze.coupling import assemble_squeeze_matrix, scale_to_mean_photons
-        from lgsqueeze.scenarios import default_config, pair_dominance_metrics
-
-        calls = []
-        schur = scipy.linalg.schur
-        monkeypatch.setattr(scipy.linalg, "schur",
-                            lambda *a, **k: calls.append(1) or schur(*a, **k))
-        cfg = default_config("PdcBenchmark").coupling
-        sq, _ = scale_to_mean_photons(assemble_squeeze_matrix(cfg), 1.0)
-        pair_dominance_metrics(state_report(sq), sq.basis)
-        assert calls == []
-        theta = sq.theta
-        assert len(calls) == 1 and sq.theta is theta
+        assert calls == {"polar_decompose": 1, "eigh": 1, "schur": 0}
 
     def test_degenerate_statistics_is_one_state_report_and_no_schur(self, monkeypatch,
                                                                      psr_results):
         from lgsqueeze import squeeze_core
 
-        calls = {"state_report": 0, "schur": 0, "_hermitian_fn": 0}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for module, name in ((squeeze_core, "state_report"), (scipy.linalg, "schur"),
-                             (squeeze_core, "_hermitian_fn")):
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        reports = []
+        report = squeeze_core.state_report
+        monkeypatch.setattr(squeeze_core, "state_report",
+                            lambda sq: reports.append(1) or report(sq))
+        calls = self.count_calls(monkeypatch)
         degenerate_statistics(psr_results["PsrSinglePhoton"].squeeze)
-        # every matrix function is one of state_report's four
-        assert calls == {"state_report": 1, "schur": 0, "_hermitian_fn": 4}
-
-    def test_theta_is_the_principal_log_of_the_phase_factor(self, pdc_benchmark):
-        sq = SqueezeMatrix(xi=pdc_benchmark.squeeze.xi, basis=None, interaction=TWO_BEAM)
-        # the formula polar_decompose evaluated for every matrix before theta was lazy
-        t, q = scipy.linalg.schur(sq.polar_phase, output="complex")
-        expected = (q * np.angle(np.diagonal(t))) @ q.conj().T
-        expected = 0.5 * (expected + expected.conj().T)
-        assert np.array_equal(sq.theta, expected)
+        # every matrix function is one of state_report's, on its one eigh
+        assert reports == [1]
+        assert calls == {"polar_decompose": 1, "eigh": 1, "schur": 0}
 
     def test_non_finite_matrix_rejected_at_construction(self):
         with pytest.raises(ValueError, match="finite"):
