@@ -11,8 +11,11 @@ converged.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -36,6 +39,7 @@ __all__ = [
     "scale_to_mean_photons",
     "ASSEMBLY_BYTES_LIMIT",
     "check_basis_size",
+    "pump_profile_count",
 ]
 
 QUADRATURE_RTOL = 1e-8  # relative change of xi between quadrature levels at convergence
@@ -119,9 +123,10 @@ class CouplingConfig:
     """Everything needed to assemble a squeezing matrix.
 
     ``single_pump`` selects a three-wave interaction (one pump photon per
-    signal/idler pair, as in down-conversion), dropping the second drive
-    leg from the overlap; otherwise two drive fields enter and ``pump2``
-    defaults to ``pump1`` (degenerate-pump four-wave mixing).
+    signal/idler pair, as in down-conversion): one drive field enters the
+    overlap, and a ``pump2`` raises ValueError.  Otherwise two drive fields
+    enter, and a ``pump2`` of None means ``pump1`` again (degenerate-pump
+    four-wave mixing).
     """
 
     interaction: InteractionType
@@ -133,8 +138,13 @@ class CouplingConfig:
     single_pump: bool = False
 
     def __post_init__(self):
-        if self.pump2 is None:
-            object.__setattr__(self, "pump2", self.pump1)
+        if self.single_pump and self.pump2 is not None:
+            raise ValueError("pump2 is not used: a single_pump coupling has one drive field")
+
+    @property
+    def drives(self) -> tuple:
+        """The drive fields of the overlap: (pump1,) or (pump1, pump2 or pump1)."""
+        return (self.pump1,) if self.single_pump else (self.pump1, self.pump2 or self.pump1)
 
 
 def _beam_on_grid(r, z_rel, geom: BeamGeometry):
@@ -183,10 +193,7 @@ def _profiles_on_grid(entries, r, beam):
 
 
 def _pump_support_orders(pump: PumpSpec, basis: ModeBasis):
-    if pump.coefficients is None:
-        return 0, 0
-    coeff = np.asarray(pump.coefficients)
-    idxs = [basis.order[i] for i in np.flatnonzero(np.abs(coeff) > 0)]
+    idxs = [basis.order[i] for i in np.flatnonzero(pump.resolved_coefficients(basis))]
     return max(i.p for i in idxs), max(abs(i.ell) for i in idxs)
 
 
@@ -214,11 +221,8 @@ def _node_schedule(cfg: CouplingConfig):
     half = 0.5 * cfg.medium.cell_length
     z_probe = np.linspace(cfg.medium.center_z - half, cfg.medium.center_z + half, 33)
 
-    fields = [(cfg.pump1.geometry, *_pump_support_orders(cfg.pump1, basis))]
-    if not cfg.single_pump:
-        fields.append((cfg.pump2.geometry, *_pump_support_orders(cfg.pump2, basis)))
-    fields.append((cfg.collection, basis.p_max, basis.ell_max))
-    fields.append((cfg.collection, basis.p_max, basis.ell_max))
+    fields = [(d.geometry, *_pump_support_orders(d, basis)) for d in cfg.drives]
+    fields += [(cfg.collection, basis.p_max, basis.ell_max)] * 2
 
     gouy_swing = sum(
         (2 * p + ell + 1)
@@ -248,34 +252,41 @@ def _node_schedule(cfg: CouplingConfig):
 ASSEMBLY_BYTES_LIMIT = 2 ** 30
 
 
-def _assembly_floor_bytes(ell_max: int, p_max: int, pump_on_every_mode: bool) -> int:
+def _assembly_floor_bytes(ell_max: int, p_max: int, pump_profiles: int) -> int:
     """Fewest bytes the assembly of an (ell_max, p_max) basis holds at once.
 
-    That is xi plus the two conjugated |ell| stacks one overlap reads, and a
-    pump profile per mode for a pump with a coefficient on every mode, on the
-    fewest nodes the finest level of ``_node_schedule`` can have: no Gouy
-    swing, the smallest radial cutoff and only the two collection fields'
-    radial orders.  It needs no mode list.
+    That is xi plus the two conjugated |ell| stacks one overlap reads, and
+    ``pump_profiles`` pump profiles, on the fewest nodes the finest level of
+    ``_node_schedule`` can have: no Gouy swing, the smallest radial cutoff
+    and only the two collection fields' radial orders.  It needs no mode
+    list.
     """
     n_p = p_max + 1
     n = (2 * ell_max + 1) * n_p
     nz, nt = _levels(0.0, _T_MAX_MIN, 2 * p_max)[-1]
-    profiles = 2 * n_p + (n if pump_on_every_mode else 0)
-    return 16 * (n * n + profiles * nz * nt)
+    return 16 * (n * n + (2 * n_p + pump_profiles) * nz * nt)
 
 
-def check_basis_size(ell_max: int, p_max: int, names=("ell_max", "p_max"),
-                     pump_on_every_mode: bool = False) -> None:
+def pump_profile_count(cfg: CouplingConfig) -> int:
+    """Pump profiles the assembly of ``cfg`` holds: one per nonzero coefficient
+    of each drive, where a ``pump2`` of None shares the profiles of ``pump1``."""
+    drives = cfg.drives[:1] if cfg.pump2 is None else cfg.drives
+    return sum(int(np.count_nonzero(d.resolved_coefficients(cfg.basis))) for d in drives)
+
+
+def check_basis_size(ell_max: int, p_max: int, pump_profiles: int,
+                     names=("ell_max", "p_max")) -> None:
     """Refuse a basis over ASSEMBLY_BYTES_LIMIT before any mode is listed.
 
-    ``pump_on_every_mode`` counts a pump profile per mode, as an eigenmode
-    pump has.  The ValueError names ``names[1]`` (the radial bound) when it
-    alone is over the limit, else ``names[0]``.
+    ``pump_profiles`` is ``pump_profile_count`` of the coupling, one for a
+    Gaussian pump.  The ValueError names ``names[1]`` (the radial bound) when
+    it alone is over the limit, with at most one pump profile per mode, else
+    ``names[0]``.
     """
-    need = _assembly_floor_bytes(ell_max, p_max, pump_on_every_mode)
+    need = _assembly_floor_bytes(ell_max, p_max, pump_profiles)
     if need <= ASSEMBLY_BYTES_LIMIT:
         return
-    alone = _assembly_floor_bytes(0, p_max, pump_on_every_mode)
+    alone = _assembly_floor_bytes(0, p_max, min(pump_profiles, p_max + 1))
     name = names[1] if alone > ASSEMBLY_BYTES_LIMIT else names[0]
     raise ValueError(
         f"basis ell_max={ell_max}, p_max={p_max} is too large: its assembly needs "
@@ -290,55 +301,40 @@ def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
     med = cfg.medium
     # integrate z through the Gouy angle of the fastest-diverging beam;
     # tan substitution compresses the Lorentzian envelope tails of long cells
-    z_scale = min(
-        g.rayleigh_zR
-        for g in (
-            (cfg.pump1.geometry, cfg.collection)
-            if cfg.single_pump
-            else (cfg.pump1.geometry, cfg.pump2.geometry, cfg.collection)
-        )
-    )
+    geoms = [d.geometry for d in cfg.drives]
+    gc = cfg.collection
+    z_scale = min(g.rayleigh_zR for g in geoms + [gc])
     psi_half = math.atan(0.5 * med.cell_length / z_scale)
     psi, wpsi = _gauss_legendre(-psi_half, psi_half, nz)
     z = med.center_z + z_scale * np.tan(psi)
     wz = wpsi * z_scale / np.cos(psi) ** 2
     t, wt = _gauss_legendre(0.0, t_max, nt)
 
-    g1, g2, gc = cfg.pump1.geometry, cfg.pump2.geometry, cfg.collection
-    beta = (
-        1.0 / g1.width(z - g1.focus_z) ** 2
-        + 2.0 / gc.width(z - gc.focus_z) ** 2
-    )
-    if not cfg.single_pump:
-        beta = beta + 1.0 / g2.width(z - g2.focus_z) ** 2
+    g1 = geoms[0]
+    beta = 1.0 / g1.width(z - g1.focus_z) ** 2 + 2.0 / gc.width(z - gc.focus_z) ** 2
+    for g in geoms[1:]:
+        beta = beta + 1.0 / g.width(z - g.focus_z) ** 2
     r = np.sqrt(t[None, :] / beta[:, None])
     # measure: dz * 2*pi*r dr, with r dr = dt / (2 beta)
     measure = wz[:, None] * wt[None, :] * (math.pi / beta[:, None])
 
-    c1 = cfg.pump1.resolved_coefficients(basis)
-    sup1 = np.flatnonzero(np.abs(c1) > 0)
-    prof1 = _profiles_on_grid(
-        [basis.order[i] for i in sup1], r, _beam_on_grid(r, z - g1.focus_z, g1)
-    )
-    if cfg.single_pump:
-        c2 = np.ones(1, dtype=complex)
-        sup2 = np.zeros(1, dtype=int)
-        prof2 = np.ones((1,) + r.shape, dtype=complex)
-        ell2 = [0]
-    else:
-        c2 = cfg.pump2.resolved_coefficients(basis)
-        sup2 = np.flatnonzero(np.abs(c2) > 0)
-        prof2 = (
-            prof1
-            if (cfg.pump2 is cfg.pump1 and np.array_equal(sup1, sup2))
-            else _profiles_on_grid(
-                [basis.order[i] for i in sup2], r, _beam_on_grid(r, z - g2.focus_z, g2)
-            )
-        )
-        ell2 = [basis.order[i].ell for i in sup2]
+    # one leg per drive: its nonzero coefficients, their ell and their
+    # profiles; a pump2 of None is pump1 again and shares its leg
+    legs = []
+    for drive in cfg.drives:
+        if legs and cfg.pump2 is None:
+            legs.append(legs[0])
+            continue
+        coeff = drive.resolved_coefficients(basis)
+        support = np.flatnonzero(np.abs(coeff) > 0)
+        modes = [basis.order[i] for i in support]
+        g = drive.geometry
+        prof = _profiles_on_grid(modes, r, _beam_on_grid(r, z - g.focus_z, g))
+        legs.append((coeff[support], [m.ell for m in modes], prof))
+    coeffs, ells, profiles = zip(*legs)
     # a reduced profile depends on |ell| only: one conjugated stack per |ell|
-    # serves both signs, and each overlap is contracted once per pump pair and
-    # (|ell_s|, |ell_i|)
+    # serves both signs, and each overlap is contracted once per drive-index
+    # tuple and (|ell_s|, |ell_i|)
     n_p = basis.p_max + 1
     collection = _beam_on_grid(r, z - gc.focus_z, gc)
 
@@ -353,34 +349,38 @@ def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
 
     diag_only = cfg.interaction is InteractionType.DEGENERATE_SINGLE_BEAM
     same_ell_only = cfg.interaction is InteractionType.P_CROSSTALK_ONLY or diag_only
-    # (|ell_s|, |ell_i|) -> pump pair -> the (ell_s, ell_i) blocks it feeds;
-    # pairs keep their loop order, so every block sums its terms as before
+    # (|ell_s|, |ell_i|) -> drive-index tuple -> the (ell_s, ell_i) blocks it
+    # feeds; tuples keep their product order, so every block sums its terms
+    # in one fixed order
     feeds = {}
-    for a1 in range(len(sup1)):
-        for a2 in range(len(sup2)):
-            ell_net = basis.order[sup1[a1]].ell + ell2[a2]
-            for ell_s in range(-basis.ell_max, basis.ell_max + 1):
-                ell_i = ell_net - ell_s
-                if abs(ell_i) > basis.ell_max:
-                    continue
-                if same_ell_only and ell_s != ell_i:
-                    continue
-                key = (abs(ell_s), abs(ell_i))
-                feeds.setdefault(key, {}).setdefault((a1, a2), []).append((ell_s, ell_i))
+    for combo in itertools.product(*(range(len(leg_ells)) for leg_ells in ells)):
+        ell_net = sum(leg_ells[a] for leg_ells, a in zip(ells, combo))
+        for ell_s in range(-basis.ell_max, basis.ell_max + 1):
+            ell_i = ell_net - ell_s
+            if abs(ell_i) > basis.ell_max:
+                continue
+            if same_ell_only and ell_s != ell_i:
+                continue
+            key = (abs(ell_s), abs(ell_i))
+            feeds.setdefault(key, {}).setdefault(combo, []).append((ell_s, ell_i))
 
     xi = np.zeros((basis.size, basis.size), dtype=complex)
     stacks = {}
     # sweep the overlaps by their larger |ell|; building a stack drops the
     # ones this overlap does not read, so at most two are alive at a time.
-    # When no pump pair carries net OAM every overlap reads one stack and each
-    # is built once; otherwise a dropped stack a later overlap reads is rebuilt.
+    # When no drive-index tuple carries net OAM every overlap reads one stack
+    # and each is built once; otherwise a dropped stack a later overlap reads
+    # is rebuilt.
     for key in sorted(feeds, key=lambda k: (max(k), min(k), k)):
         for alpha in key:
             if alpha not in stacks:
                 stacks = {a: s for a, s in stacks.items() if a in key}
                 stacks[alpha] = collection_stack(alpha)
-        for (a1, a2), blocks in feeds[key].items():
-            pump = c1[sup1[a1]] * c2[sup2[a2]] * measure * prof1[a1] * prof2[a2]
+        for combo, blocks in feeds[key].items():
+            # in the operand order ((c1 c2) measure) prof1 prof2
+            pump = reduce(operator.mul, [c[a] for c, a in zip(coeffs, combo)]) * measure
+            for prof, a in zip(profiles, combo):
+                pump *= prof[a]
             overlap = np.einsum(
                 "zt,pzt,pzt->p" if diag_only else "zt,pzt,qzt->pq",
                 pump, stacks[key[0]], stacks[key[1]],
@@ -414,9 +414,9 @@ def coupling_element(signal: ModeIndex, idler: ModeIndex, cfg: CouplingConfig) -
     """Single element of the coupling matrix for (signal, idler).
 
     Read off the assembled matrix, refined to ``QUADRATURE_RTOL`` as a whole.  An
-    element that OAM selection forbids (no pump coefficient pair with
-    ell_pump1 + ell_pump2 = ell_signal + ell_idler) is exactly 0.0 there,
-    because the assembly adds only to the blocks a pump pair feeds.
+    element that OAM selection forbids (no drive coefficients whose ell sum
+    to ell_signal + ell_idler) is exactly 0.0 there, because the assembly
+    adds only to the blocks a drive-index tuple feeds.
     """
     s, i = cfg.basis.position(signal), cfg.basis.position(idler)
     return complex(assemble_squeeze_matrix(cfg).xi[s, i])

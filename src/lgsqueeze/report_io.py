@@ -188,9 +188,6 @@ def _pump_dict(pump) -> dict:
 def resolved_config_dict(cfg) -> dict:
     """Fully-materialized scenario configuration as a JSON-ready dict."""
     coupling = cfg.coupling
-    pump2 = None
-    if not coupling.single_pump and coupling.pump2 is not coupling.pump1:
-        pump2 = _pump_dict(coupling.pump2)
     out = {
         "scenario": cfg.name,
         "n_target": float(cfg.n_target),
@@ -208,7 +205,7 @@ def resolved_config_dict(cfg) -> dict:
                 "gain_scale": float(coupling.medium.gain_scale),
             },
             "pump": _pump_dict(coupling.pump1),
-            "pump2": pump2,
+            "pump2": None if coupling.pump2 is None else _pump_dict(coupling.pump2),
             "collection": _geometry_dict(coupling.collection),
         },
     }
@@ -306,7 +303,8 @@ def scenario_config_from_dict(data: dict):
     fields take the named scenario's stock values.  The field values are
     checked by ScenarioConfig itself, and a refusal names the config key.
     """
-    from .coupling import InteractionType, MediumConfig, PumpSpec
+    from .coupling import (InteractionType, MediumConfig, PumpSpec, check_basis_size,
+                           pump_profile_count)
     from .scenarios import FieldError, default_config, scenario_basis
 
     if not isinstance(data, dict):
@@ -404,18 +402,17 @@ def scenario_config_from_dict(data: dict):
     )
     single_pump = _boolean(coupling_spec.get("single_pump", base.single_pump),
                            "coupling.single_pump")
-    if pump2 is not None and single_pump:
-        raise ConfigError("coupling.pump2 is not used: a single_pump coupling has one "
-                          "drive field (key: coupling.pump2)")
-    changes["coupling"] = replace(
-        base,
-        interaction=interaction,
-        medium=medium,
-        pump1=pump1,
-        pump2=pump2,
-        collection=collection,
-        single_pump=single_pump,
-    )
+    try:
+        coupling = replace(base, interaction=interaction, medium=medium, pump1=pump1,
+                           pump2=pump2, collection=collection, single_pump=single_pump)
+    except ValueError as exc:  # the one CouplingConfig rule: a pump2 it does not use
+        raise ConfigError(f"coupling.{exc} (key: coupling.pump2)") from exc
+    try:
+        check_basis_size(basis.ell_max, basis.p_max, pump_profile_count(coupling),
+                         ("basis.ell_max", "basis.p_max"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    changes["coupling"] = coupling
 
     if "grid" in data:
         grid = data["grid"]

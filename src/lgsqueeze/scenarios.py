@@ -169,8 +169,9 @@ def scenario_basis(name: str, ell_max: int = None, p_max: int = None,
 
     The stock basis is ell_max 1, p_max 2; PdcHeralding's heralding figures
     need p_max 20.  A negative or oversized bound raises ValueError naming
-    it by ``names`` before any mode is listed.  PdcEigenPump's size counts
-    its eigenmode pump, which has a profile on every mode.
+    it by ``names`` before any mode is listed.  The size counts the pump
+    profiles of the stock pump: one for a Gaussian, one per mode for
+    PdcEigenPump's eigenmode pump.
     """
     stock_p_max = HERALDING_P_MAX if name == "PdcHeralding" else 2
     ell_max = 1 if ell_max is None else ell_max
@@ -178,7 +179,8 @@ def scenario_basis(name: str, ell_max: int = None, p_max: int = None,
     for bound, label in zip((ell_max, p_max), names):
         if bound < 0:
             raise ValueError(f"{label} must be >= 0, got {bound}")
-    check_basis_size(ell_max, p_max, names, pump_on_every_mode=name == "PdcEigenPump")
+    pump_profiles = (2 * ell_max + 1) * (p_max + 1) if name == "PdcEigenPump" else 1
+    check_basis_size(ell_max, p_max, pump_profiles, names)
     return build_basis(ell_max, p_max)
 
 
@@ -228,9 +230,8 @@ def pair_dominance_metrics(report: StateReport, basis: ModeBasis) -> dict:
     }
 
 
-def scan_island(scan: dict, anchor_pump: float = 200.0,
-                anchor_collection: float = 200.0) -> dict:
-    """Locate the high-metric island containing the anchor waist pair.
+def scan_island(scan: dict) -> dict:
+    """Locate the high-metric island containing the benchmark waist pair.
 
     The anchor maps to the grid cells bracketing it (nearest in log space);
     the island is the connected superlevel set of the metric at the best
@@ -249,8 +250,8 @@ def scan_island(scan: dict, anchor_pump: float = 200.0,
             picks.add(int(order[1]))
         return sorted(picks)
 
-    anchors = [(i, j) for i in bracket(pump, anchor_pump)
-               for j in bracket(coll, anchor_collection)]
+    anchors = [(i, j) for i in bracket(pump, PDC_PUMP_WAIST)
+               for j in bracket(coll, PDC_COLLECTION_WAIST)]
     best_anchor = max(anchors, key=lambda ij: metric[ij])
     threshold = float(metric[best_anchor])
 
@@ -299,14 +300,13 @@ def _with_waist(geom: BeamGeometry, waist: float) -> BeamGeometry:
 
 
 def _with_pump(coupling: CouplingConfig, **changes) -> CouplingConfig:
-    """``coupling`` with fields of its first pump replaced; a shared second pump follows."""
-    pump2 = None if coupling.pump2 is coupling.pump1 else coupling.pump2
-    return replace(coupling, pump1=replace(coupling.pump1, **changes), pump2=pump2)
+    """``coupling`` with fields of its first pump replaced; a pump2 of None follows."""
+    return replace(coupling, pump1=replace(coupling.pump1, **changes))
 
 
 def _pump_on_basis(pump: PumpSpec, old, new) -> PumpSpec:
-    """The same pump with its mode coefficients moved from basis ``old`` to ``new``."""
-    if pump.coefficients is None:
+    """The same pump (or None) with its mode coefficients moved from basis ``old`` to ``new``."""
+    if pump is None or pump.coefficients is None:
         return pump
     coefficients = np.zeros(new.size, dtype=complex)
     for idx, value in zip(old.order, pump.coefficients):
@@ -321,11 +321,9 @@ def _pump_on_basis(pump: PumpSpec, old, new) -> PumpSpec:
 
 def coupling_on_basis(coupling: CouplingConfig, basis) -> CouplingConfig:
     """The same coupling over another basis, each pump coefficient kept on its mode."""
-    pump1 = _pump_on_basis(coupling.pump1, coupling.basis, basis)
-    pump2 = None
-    if coupling.pump2 is not coupling.pump1:
-        pump2 = _pump_on_basis(coupling.pump2, coupling.basis, basis)
-    return replace(coupling, basis=basis, pump1=pump1, pump2=pump2)
+    return replace(coupling, basis=basis,
+                   pump1=_pump_on_basis(coupling.pump1, coupling.basis, basis),
+                   pump2=_pump_on_basis(coupling.pump2, coupling.basis, basis))
 
 
 def _ratio(name: str, numerator: float, denominator: float, gain: float) -> float:

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 VACUUM_VARIANCE = 0.25
+SYMMETRY_RTOL = 1e-8  # relative size of xi - xi^T below which xi counts as symmetric
 
 
 def _complete_orthonormal(cols: np.ndarray, n: int) -> np.ndarray:
@@ -116,9 +117,9 @@ class SqueezeMatrix:
     def size(self) -> int:
         return self.xi.shape[0]
 
-    def is_symmetric(self, tol: float = 1e-10) -> bool:
+    def is_symmetric(self) -> bool:
         scale = max(np.linalg.norm(self.xi), 1e-300)
-        return np.linalg.norm(self.xi - self.xi.T) / scale < tol
+        return np.linalg.norm(self.xi - self.xi.T) / scale < SYMMETRY_RTOL
 
 
 @dataclass
@@ -256,7 +257,7 @@ def degenerate_statistics(sq: SqueezeMatrix) -> StateReport:
     """
     if sq.interaction is not InteractionType.DEGENERATE_SINGLE_BEAM:
         raise ValueError("degenerate statistics require a degenerate-interaction matrix")
-    if not sq.is_symmetric(tol=1e-8):
+    if not sq.is_symmetric():
         raise ValueError("degenerate statistics require a symmetric matrix")
     rep = state_report(SqueezeMatrix(xi=2.0 * sq.xi, basis=sq.basis,
                                      interaction=sq.interaction))

@@ -242,14 +242,26 @@ def test_negative_basis_flag_exits_2_naming_it(tmp_path, capsys, scenario, flag,
 
 
 @pytest.mark.parametrize(
-    "bounds, pump_on_every_mode",
-    [((1, 2), False), ((1, 20), False), ((2, 4), False), ((10, 20), False),
-     ((1, 2), True), ((4, 8), True)],
+    "bounds, pump_profiles",
+    [((1, 2), 1), ((1, 20), 1), ((2, 4), 1), ((10, 20), 1), ((1, 2), 9), ((4, 8), 81)],
     ids=["stock", "heralding", "convergence", "large-basis", "eigen-pump", "eigen-pump-4-8"])
-def test_used_bases_fit_the_assembly_limit(bounds, pump_on_every_mode):
+def test_used_bases_fit_the_assembly_limit(bounds, pump_profiles):
     from lgsqueeze.coupling import check_basis_size
 
-    check_basis_size(*bounds, pump_on_every_mode=pump_on_every_mode)
+    check_basis_size(*bounds, pump_profiles=pump_profiles)
+
+
+def test_config_pump_counts_its_pump_profiles(tmp_path, capsys, no_run):
+    # 441 equal coefficients: 0.15 GiB of overlaps, 1.64 GiB with their profiles
+    coefficients = {"re": [1.0 / 21.0] * 441, "im": [0.0] * 441}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"scenario": "PdcBenchmark",
+                                "basis": {"ell_max": 10, "p_max": 20},
+                                "coupling": {"pump": {"coefficients": coefficients}}}))
+    assert cli_main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: basis ") and err.rstrip().endswith("lower basis.ell_max"), err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("pump", ["pump", "pump2"])

@@ -176,6 +176,37 @@ class TestAssembly:
         with pytest.raises(ValueError):
             PumpSpec(geometry=GEOM, coefficients=np.ones(3)).resolved_coefficients(basis)
 
+    def test_pump2_of_a_single_pump_coupling_raises(self):
+        pdc = default_config("PdcBenchmark").coupling
+        with pytest.raises(ValueError, match="pump2"):
+            dataclasses.replace(pdc, pump2=PumpSpec(BeamGeometry(0.405, 10.0)))
+
+    def test_drives_count_the_pump_photons_per_pair(self):
+        assert len(default_config("PdcBenchmark").coupling.drives) == 1
+        fwm = fwm_config()
+        assert len(fwm.drives) == 2 and fwm.drives[1] is fwm.pump1
+
+    def test_pump2_none_shares_the_profiles_of_an_equal_pump2(self, monkeypatch):
+        shared = fwm_config()
+        copied = dataclasses.replace(shared, pump2=dataclasses.replace(shared.pump1))
+        assert copied.pump2 == shared.pump1 and copied.pump2 is not shared.pump1
+        beams = []
+        real_beam = coupling._beam_on_grid
+
+        def beam_spy(r, z_rel, geom):
+            beams.append(geom)
+            return real_beam(r, z_rel, geom)
+
+        monkeypatch.setattr(coupling, "_beam_on_grid", beam_spy)
+        got = _assemble_at(shared, 24, 40, 40.0)
+        shared_beams = len(beams)
+        want = _assemble_at(copied, 24, 40, 40.0)
+        # pump and collection, then pump, its copy and collection
+        assert (shared_beams, len(beams) - shared_beams) == (2, 3)
+        assert np.array_equal(got, want)
+        assert np.array_equal(assemble_squeeze_matrix(shared).xi,
+                              assemble_squeeze_matrix(copied).xi)
+
 
 PUMP_GEOM = BeamGeometry(wavelength=0.405, waist_w0=60.0, focus_z=500.0)
 ASYM_BASIS = build_basis(2, 2)
