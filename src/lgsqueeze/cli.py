@@ -120,8 +120,7 @@ def main(argv=None) -> int:
         if args.lmax is not None or args.pmax is not None:
             old = cfg.coupling.basis
             basis = scenario_basis(cfg.name, old.ell_max if args.lmax is None else args.lmax,
-                                   old.p_max if args.pmax is None else args.pmax,
-                                   ("--lmax", "--pmax"))
+                                   old.p_max if args.pmax is None else args.pmax)
             changes["coupling"] = coupling_on_basis(cfg.coupling, basis)
         if args.seed_gain is not None:
             changes["seed_gain"] = args.seed_gain
@@ -138,7 +137,8 @@ def main(argv=None) -> int:
             result.oracle_agreement = _oracle_check(result)
         files = emit_result(result, cfg, out_dir, wall_time_s=wall)
     except FieldError as exc:  # set by a flag; a config file's arrive as ConfigError
-        flag = {"name": "--scenario", "seed_gain": "--seed-gain"}.get(exc.field, exc.field)
+        flag = {"name": "--scenario", "seed_gain": "--seed-gain", "basis.ell_max": "--lmax",
+                "basis.p_max": "--pmax"}.get(exc.field, exc.field)
         print(f"error: {flag}: {exc.reason}", file=sys.stderr)
         return 2
     except (ConfigError, QuadratureError, ValueError, OSError,

@@ -30,6 +30,7 @@ from .modes import (
 )
 
 __all__ = [
+    "FieldError",
     "InteractionType",
     "MediumConfig",
     "PumpSpec",
@@ -44,6 +45,16 @@ __all__ = [
 
 QUADRATURE_RTOL = 1e-8  # relative change of xi between quadrature levels at convergence
 PHOTON_RTOL = 1e-10  # relative photon-number error the calibration meets
+
+
+class FieldError(ValueError):
+    """A field is refused: ``field`` is its config key within the refusing
+    object's section, ``reason`` says why."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field}: {reason}")
+        self.field = field
+        self.reason = reason
 
 
 class InteractionType(enum.Enum):
@@ -73,7 +84,7 @@ class MediumConfig:
 
     ``strength`` is the scalar susceptibility (arbitrary units) and
     ``gain_scale`` a dimensionless knob that absorbs all physical
-    prefactors; both multiply the assembled matrix.
+    prefactors; their product, nonzero and finite, multiplies the matrix.
     """
 
     cell_length: float
@@ -83,39 +94,40 @@ class MediumConfig:
     gain_scale: float = 1.0
 
     def __post_init__(self):
-        if self.cell_length <= 0:
-            raise ValueError(f"cell_length must be > 0, got {self.cell_length}")
+        if not self.cell_length > 0:
+            raise FieldError("cell_length", f"must be > 0, got {self.cell_length!r}")
         if self.chi_profile != "uniform":
-            raise ValueError(f"unsupported chi_profile {self.chi_profile!r}")
-        if self.gain_scale < 0:
-            raise ValueError("gain_scale must be >= 0")
+            raise FieldError("chi_profile", f"unsupported profile {self.chi_profile!r}")
+        if not (math.isfinite(self.strength) and self.strength != 0):
+            raise FieldError("strength", f"must be finite and nonzero, got {self.strength!r}")
+        if not 0 < abs(self.strength) * self.gain_scale < math.inf:
+            raise FieldError("gain_scale", f"must be > 0 with strength * gain_scale finite "
+                             f"and nonzero, got {self.strength!r} * {self.gain_scale!r}")
 
 
 @dataclass(frozen=True)
 class PumpSpec:
     """Classical pump beam: geometry plus unit-norm mode coefficients.
 
-    ``coefficients`` is a complex vector over the coupling basis; None means
-    the pure (0, 0) Gaussian mode.
+    ``coefficients`` is a complex vector over the coupling basis, of unit
+    norm to 1e-12; None means the pure (0, 0) Gaussian mode.
     """
 
     geometry: BeamGeometry
     coefficients: np.ndarray = None
+
+    def __post_init__(self):
+        if self.coefficients is not None:
+            norm = float(np.linalg.norm(np.asarray(self.coefficients, dtype=complex)))
+            if not abs(norm - 1.0) <= 1e-12:
+                raise FieldError("coefficients", f"must have unit norm, got {norm!r}")
 
     def resolved_coefficients(self, basis: ModeBasis) -> np.ndarray:
         if self.coefficients is None:
             coeff = np.zeros(basis.size, dtype=complex)
             coeff[basis.index_of_fundamental()] = 1.0
             return coeff
-        coeff = np.asarray(self.coefficients, dtype=complex)
-        if coeff.shape != (basis.size,):
-            raise ValueError(
-                f"pump coefficients have shape {coeff.shape}, basis size {basis.size}"
-            )
-        norm = np.linalg.norm(coeff)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"pump coefficients must have unit norm, got {norm}")
-        return coeff
+        return np.asarray(self.coefficients, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -124,9 +136,9 @@ class CouplingConfig:
 
     ``single_pump`` selects a three-wave interaction (one pump photon per
     signal/idler pair, as in down-conversion): one drive field enters the
-    overlap, and a ``pump2`` raises ValueError.  Otherwise two drive fields
+    overlap, and a ``pump2`` raises FieldError.  Otherwise two drive fields
     enter, and a ``pump2`` of None means ``pump1`` again (degenerate-pump
-    four-wave mixing).
+    four-wave mixing).  A drive's coefficients hold one entry per basis mode.
     """
 
     interaction: InteractionType
@@ -139,7 +151,12 @@ class CouplingConfig:
 
     def __post_init__(self):
         if self.single_pump and self.pump2 is not None:
-            raise ValueError("pump2 is not used: a single_pump coupling has one drive field")
+            raise FieldError("pump2", "is not used: a single_pump coupling has one drive field")
+        for key, pump in (("pump", self.pump1), ("pump2", self.pump2)):
+            coefficients = getattr(pump, "coefficients", None)  # pump2 may be None
+            if coefficients is not None and np.shape(coefficients) != (self.basis.size,):
+                raise FieldError(f"{key}.coefficients", f"has shape {np.shape(coefficients)}, "
+                                 f"not one entry per mode of the {self.basis.size}-mode basis")
 
     @property
     def drives(self) -> tuple:
@@ -274,24 +291,22 @@ def pump_profile_count(cfg: CouplingConfig) -> int:
     return sum(int(np.count_nonzero(d.resolved_coefficients(cfg.basis))) for d in drives)
 
 
-def check_basis_size(ell_max: int, p_max: int, pump_profiles: int,
-                     names=("ell_max", "p_max")) -> None:
+def check_basis_size(ell_max: int, p_max: int, pump_profiles: int) -> None:
     """Refuse a basis over ASSEMBLY_BYTES_LIMIT before any mode is listed.
 
     ``pump_profiles`` is ``pump_profile_count`` of the coupling, one for a
-    Gaussian pump.  The ValueError names ``names[1]`` (the radial bound) when
-    it alone is over the limit, with at most one pump profile per mode, else
-    ``names[0]``.
+    Gaussian pump.  The FieldError names ``basis.p_max`` when the radial bound
+    alone is over the limit, with at most one pump profile per mode, else
+    ``basis.ell_max``.
     """
     need = _assembly_floor_bytes(ell_max, p_max, pump_profiles)
     if need <= ASSEMBLY_BYTES_LIMIT:
         return
     alone = _assembly_floor_bytes(0, p_max, min(pump_profiles, p_max + 1))
-    name = names[1] if alone > ASSEMBLY_BYTES_LIMIT else names[0]
-    raise ValueError(
-        f"basis ell_max={ell_max}, p_max={p_max} is too large: its assembly needs "
-        f"at least {need / 2 ** 30:.3g} GiB, above the "
-        f"{ASSEMBLY_BYTES_LIMIT / 2 ** 30:g} GiB limit; lower {name}"
+    raise FieldError(
+        "basis.p_max" if alone > ASSEMBLY_BYTES_LIMIT else "basis.ell_max",
+        f"basis ell_max={ell_max}, p_max={p_max} is too large: its assembly needs at least "
+        f"{need / 2 ** 30:.3g} GiB, above the {ASSEMBLY_BYTES_LIMIT / 2 ** 30:g} GiB limit",
     )
 
 

@@ -81,7 +81,6 @@ class OracleReport:
     number_covariance: float
     pair_matrix: np.ndarray
     truncation_bound: float
-    conclusive: bool
 
 
 def _pair_terms(xi: np.ndarray, space: TruncatedFockSpace) -> list:
@@ -173,15 +172,13 @@ def _expectation_matrix(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return left.conj() @ right.T
 
 
-def vacuum_statistics(xi: np.ndarray, space: TruncatedFockSpace,
-                      tolerance: float = None) -> OracleReport:
+def vacuum_statistics(xi: np.ndarray, space: TruncatedFockSpace) -> OracleReport:
     """Evolve the vacuum and measure every statistic directly.
 
     The truncation bound is the L2 amplitude of the state on basis states
     where some excited mode sits at the highest occupation any reachable
     state gives it (the cut, unless a conservation law stops short of it);
-    when ``tolerance`` is given and the bound exceeds it the report is
-    flagged inconclusive.
+    a caller compares it with the deviation it can accept.
     """
     xi = np.asarray(xi, dtype=complex)
     n = xi.shape[0]
@@ -196,7 +193,6 @@ def vacuum_statistics(xi: np.ndarray, space: TruncatedFockSpace,
     top = occ.max(axis=0)
     shell = np.any((occ == top) & (top > 0), axis=1)
     bound = float(np.linalg.norm(psi[shell]))
-    conclusive = True if tolerance is None else bound <= tolerance
 
     # ladder images of psi live on the reachable states' one-step neighbours
     strides = space.strides
@@ -259,5 +255,4 @@ def vacuum_statistics(xi: np.ndarray, space: TruncatedFockSpace,
         number_covariance=number_covariance,
         pair_matrix=pair,
         truncation_bound=bound,
-        conclusive=conclusive,
     )

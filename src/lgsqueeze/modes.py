@@ -107,14 +107,14 @@ class BeamGeometry:
     rayleigh_zR: float = None
 
     def __post_init__(self):
-        if self.wavelength <= 0:
+        if not self.wavelength > 0:
             raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
-        if self.waist_w0 <= 0:
+        if not self.waist_w0 > 0:
             raise ValueError(f"waist_w0 must be > 0, got {self.waist_w0}")
         derived = math.pi * self.waist_w0 ** 2 / self.wavelength
         if self.rayleigh_zR is None:
             object.__setattr__(self, "rayleigh_zR", derived)
-        elif abs(self.rayleigh_zR - derived) > 1e-12 * derived:
+        elif not abs(self.rayleigh_zR - derived) <= 1e-12 * derived:
             raise ValueError(
                 f"rayleigh_zR={self.rayleigh_zR} inconsistent with "
                 f"pi*w0^2/lambda={derived}"

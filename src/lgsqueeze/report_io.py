@@ -274,7 +274,7 @@ def _geometry_from_dict(data: dict, default, path: str):
 
 
 def _pump_coefficients(data, size: int, path: str) -> np.ndarray:
-    """Unit-norm complex pump coefficients from ``{"re": [...], "im": [...]}``.
+    """Complex pump coefficients from ``{"re": [...], "im": [...]}``.
 
     Each part is a list of ``size`` numbers, or the one-row nested list the
     manifest writes.
@@ -289,11 +289,13 @@ def _pump_coefficients(data, size: int, path: str) -> np.ndarray:
             raise ConfigError(f"{path}.{part} must list {size} numbers, one per basis "
                               f"mode (key: {path}.{part})")
         parts.append([_finite(v, f"{path}.{part}") for v in values])
-    coefficients = np.array(parts[0]) + 1j * np.array(parts[1])
-    norm = float(np.linalg.norm(coefficients))
-    if abs(norm - 1.0) > 1e-12:
-        raise ConfigError(f"{path} must have unit norm, got {norm!r} (key: {path})")
-    return coefficients
+    return np.array(parts[0]) + 1j * np.array(parts[1])
+
+
+def _keyed(exc, section: str = "") -> ConfigError:
+    """The ConfigError naming the key of the field FieldError ``exc`` refuses in ``section``."""
+    field = {"name": "scenario"}.get(exc.field, exc.field).replace("scan_grid", "grid")
+    return ConfigError(f"{section}{field}: {exc.reason}")
 
 
 def scenario_config_from_dict(data: dict):
@@ -301,11 +303,10 @@ def scenario_config_from_dict(data: dict):
 
     Unknown keys are rejected with the path of the offending key; omitted
     fields take the named scenario's stock values.  The field values are
-    checked by ScenarioConfig itself, and a refusal names the config key.
+    checked by the objects that hold them, and a refusal names the config key.
     """
-    from .coupling import (InteractionType, MediumConfig, PumpSpec, check_basis_size,
-                           pump_profile_count)
-    from .scenarios import FieldError, default_config, scenario_basis
+    from .coupling import FieldError, InteractionType, MediumConfig, PumpSpec
+    from .scenarios import default_config
 
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -321,12 +322,9 @@ def scenario_config_from_dict(data: dict):
     bounds = [_integer(basis_spec[key], f"basis.{key}") if key in basis_spec else None
               for key in ("ell_max", "p_max")]
     try:
-        basis = scenario_basis(name, *bounds, names=("basis.ell_max", "basis.p_max"))
-        cfg = default_config(name, basis.ell_max, basis.p_max)
+        cfg = default_config(name, *bounds)
     except FieldError as exc:
-        raise ConfigError(f"scenario: {exc.reason}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise _keyed(exc) from exc
     changes = {}
     if "n_target" in data:
         changes["n_target"] = _finite(data["n_target"], "n_target")
@@ -366,8 +364,8 @@ def scenario_config_from_dict(data: dict):
         medium = MediumConfig(
             chi_profile=med_spec.get("chi_profile", base.medium.chi_profile), **numbers
         )
-    except ValueError as exc:
-        raise ConfigError(f"coupling.medium: {exc}") from exc
+    except FieldError as exc:
+        raise _keyed(exc, "coupling.medium.") from exc
 
     def pump_spec(key: str, default_coefficients) -> PumpSpec:
         # a pump is either {"geometry": {...}, "coefficients": ...} or a bare geometry
@@ -381,38 +379,27 @@ def scenario_config_from_dict(data: dict):
         if "geometry" in spec:
             geometry = _geometry_from_dict(spec["geometry"], geometry, path + "geometry.")
         if spec.get("coefficients") is not None:
-            if name in ("PdcEigenPump", "WaistScan"):
-                raise ConfigError(f"{name} sets its own pump modes; {path}coefficients "
-                                  f"is not used (key: {path}coefficients)")
             coefficients = _pump_coefficients(spec["coefficients"], base.basis.size,
                                               path + "coefficients")
-        return PumpSpec(geometry, coefficients)
+        try:
+            return PumpSpec(geometry, coefficients)
+        except FieldError as exc:
+            raise _keyed(exc, path) from exc
 
     pump1 = pump_spec("pump", base.pump1.coefficients) if "pump" in coupling_spec else base.pump1
-    pump2 = None
-    if coupling_spec.get("pump2") is not None:
-        pump2 = pump_spec("pump2", None)
-
-    collection = (
-        _geometry_from_dict(
-            coupling_spec["collection"], base.collection, "coupling.collection."
-        )
-        if "collection" in coupling_spec
-        else base.collection
-    )
+    pump2 = None if coupling_spec.get("pump2") is None else pump_spec("pump2", None)
+    collection = base.collection
+    if "collection" in coupling_spec:
+        collection = _geometry_from_dict(coupling_spec["collection"], collection,
+                                         "coupling.collection.")
     single_pump = _boolean(coupling_spec.get("single_pump", base.single_pump),
                            "coupling.single_pump")
     try:
-        coupling = replace(base, interaction=interaction, medium=medium, pump1=pump1,
-                           pump2=pump2, collection=collection, single_pump=single_pump)
-    except ValueError as exc:  # the one CouplingConfig rule: a pump2 it does not use
-        raise ConfigError(f"coupling.{exc} (key: coupling.pump2)") from exc
-    try:
-        check_basis_size(basis.ell_max, basis.p_max, pump_profile_count(coupling),
-                         ("basis.ell_max", "basis.p_max"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    changes["coupling"] = coupling
+        changes["coupling"] = replace(base, interaction=interaction, medium=medium,
+                                      pump1=pump1, pump2=pump2, collection=collection,
+                                      single_pump=single_pump)
+    except FieldError as exc:
+        raise _keyed(exc, "coupling.") from exc
 
     if "grid" in data:
         grid = data["grid"]
@@ -430,8 +417,7 @@ def scenario_config_from_dict(data: dict):
     try:
         return replace(cfg, **changes)
     except FieldError as exc:
-        key = exc.field.replace("scan_grid", "grid")  # the one field named apart
-        raise ConfigError(f"{key}: {exc.reason}") from exc
+        raise _keyed(exc) from exc
 
 
 # report matrix -> stem of the CSV pair written from its real part

@@ -21,11 +21,13 @@ import numpy as np
 
 from .coupling import (
     CouplingConfig,
+    FieldError,
     InteractionType,
     MediumConfig,
     PumpSpec,
     assemble_squeeze_matrix,
     check_basis_size,
+    pump_profile_count,
     scale_to_mean_photons,
 )
 from .eigenmodes import EigenDecomposition, decompose, eigenmode_pump, eigenmode_report
@@ -98,21 +100,13 @@ def _pdc_coupling(pump_waist: float, basis) -> CouplingConfig:
     )
 
 
-class FieldError(ValueError):
-    """A ScenarioConfig field is refused: ``field`` names it, ``reason`` says why."""
-
-    def __init__(self, field: str, reason: str):
-        super().__init__(f"{field}: {reason}")
-        self.field = field
-        self.reason = reason
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A named scenario with its fully-resolved coupling configuration.
 
     Construction, ``dataclasses.replace`` included, is the one place the
-    fields are checked; a refused field raises FieldError naming it.
+    scenario's rules are checked; a refused field raises FieldError naming
+    it, and a rule on the coupling names its config key.
     """
 
     name: str
@@ -147,6 +141,15 @@ class ScenarioConfig:
             if not self.scan_grid["points"] >= 2:
                 raise FieldError("scan_grid.points",
                                  f"must be >= 2, got {self.scan_grid['points']}")
+        coupling, basis = self.coupling, self.coupling.basis
+        if self.name in ("PdcEigenPump", "WaistScan"):
+            for key, pump in (("pump", coupling.pump1), ("pump2", coupling.pump2)):
+                if getattr(pump, "coefficients", None) is not None:
+                    raise FieldError(f"coupling.{key}.coefficients",
+                                     f"is not used: {self.name} sets its own pump modes")
+        # PdcEigenPump's eigenmode pump has a profile on every mode
+        profiles = basis.size if self.name == "PdcEigenPump" else pump_profile_count(coupling)
+        check_basis_size(basis.ell_max, basis.p_max, profiles)
 
 
 @dataclass
@@ -163,24 +166,22 @@ class ScenarioResult:
     oracle_agreement: dict = None
 
 
-def scenario_basis(name: str, ell_max: int = None, p_max: int = None,
-                   names=("ell_max", "p_max")) -> ModeBasis:
+def scenario_basis(name: str, ell_max: int = None, p_max: int = None) -> ModeBasis:
     """The basis a run of ``name`` uses, a bound left None at its stock value.
 
     The stock basis is ell_max 1, p_max 2; PdcHeralding's heralding figures
-    need p_max 20.  A negative or oversized bound raises ValueError naming
-    it by ``names`` before any mode is listed.  The size counts the pump
-    profiles of the stock pump: one for a Gaussian, one per mode for
-    PdcEigenPump's eigenmode pump.
+    need p_max 20.  A negative bound, or one whose assembly is over the
+    memory limit with a single pump profile, raises FieldError naming
+    ``basis.ell_max`` or ``basis.p_max`` before any mode is listed.
+    ScenarioConfig counts the pump profiles of the coupling itself.
     """
     stock_p_max = HERALDING_P_MAX if name == "PdcHeralding" else 2
     ell_max = 1 if ell_max is None else ell_max
     p_max = stock_p_max if p_max is None else p_max
-    for bound, label in zip((ell_max, p_max), names):
+    for bound, label in ((ell_max, "basis.ell_max"), (p_max, "basis.p_max")):
         if bound < 0:
-            raise ValueError(f"{label} must be >= 0, got {bound}")
-    pump_profiles = (2 * ell_max + 1) * (p_max + 1) if name == "PdcEigenPump" else 1
-    check_basis_size(ell_max, p_max, pump_profiles, names)
+            raise FieldError(label, f"must be >= 0, got {bound}")
+    check_basis_size(ell_max, p_max, 1)
     return build_basis(ell_max, p_max)
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -21,7 +22,7 @@ from lgsqueeze.report_io import (
     resolved_config_dict,
     scenario_config_from_dict,
 )
-from lgsqueeze.scenarios import default_config, run_scenario
+from lgsqueeze.scenarios import SCENARIO_NAMES, default_config, run_scenario
 
 SCHEMA_DIR = Path(lgsqueeze.__file__).parent / "schemas"
 SRC = str(Path(lgsqueeze.__file__).resolve().parent.parent)
@@ -88,9 +89,16 @@ class TestConfigParsing:
                  "grid": {"pump": [50, 800], "collection": [50, 800]}}
             )
 
-    def test_resolved_config_round_trip(self):
-        cfg = default_config("PsrPCrosstalk")
-        resolved = resolved_config_dict(cfg)
+    @pytest.mark.parametrize("config", [
+        *({"scenario": name} for name in SCENARIO_NAMES),
+        {"scenario": "FwmTwoPhoton", "basis": {"ell_max": 1, "p_max": 0},
+         "coupling": {"pump": {"coefficients": {"re": [0.0, 0.6, 0.0], "im": [0.0, 0.0, 0.8]}},
+                      "pump2": {"geometry": {"waist_w0": 60.0},
+                                "coefficients": {"re": [0.8, 0.0, 0.0],
+                                                 "im": [0.0, 0.0, -0.6]}}}},
+    ], ids=[*SCENARIO_NAMES, "pump-coefficients-and-pump2"])
+    def test_resolved_config_round_trip(self, config):
+        resolved = resolved_config_dict(scenario_config_from_dict(config))
         back = scenario_config_from_dict(resolved)
         assert resolved_config_dict(back) == resolved
 
@@ -143,6 +151,11 @@ class TestConfigParsing:
         ({"scenario": "Nope"}, "scenario"),
         ({"scenario": "PdcBenchmark", "coupling": {"pump2": {"waist_w0": 10.0}}},
          "coupling.pump2"),
+        ({"scenario": "PdcBenchmark", "coupling": {"medium": {"strength": 0}}},
+         "coupling.medium.strength"),
+        ({"scenario": "PdcBenchmark",
+          "coupling": {"medium": {"strength": 1e300, "gain_scale": 1e10}}},
+         "coupling.medium.gain_scale"),
     ],
 )
 def test_bad_config_exits_2_naming_key(tmp_path, capsys, config, key):
@@ -187,7 +200,7 @@ def test_oversized_basis_exits_2_before_listing_modes(tmp_path, capsys, monkeypa
         args = ["--config", str(path)]
     assert cli_main([*args, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: basis ") and err.rstrip().endswith(f"lower {name}"), err
+    assert err.startswith(f"error: {name}: basis "), err
     assert all(max(bounds) <= 20 for bounds in listed), listed
     assert not (tmp_path / "o").exists()
 
@@ -219,7 +232,7 @@ def test_eigen_pump_basis_counts_its_pump_profiles(tmp_path, capsys, no_run, arg
         args = ["--config", str(path)]
     assert cli_main([*args, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: basis ") and err.rstrip().endswith(f"lower {name}"), err
+    assert err.startswith(f"error: {name}: basis "), err
 
 
 @pytest.mark.parametrize("argv", [
@@ -237,7 +250,7 @@ def test_oracle_on_a_large_basis_exits_2_before_the_run(tmp_path, capsys, no_run
 def test_negative_basis_flag_exits_2_naming_it(tmp_path, capsys, scenario, flag, value):
     assert cli_main(["--scenario", scenario, flag, value,
                      "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {flag} must be >= 0, got {value}")
+    assert capsys.readouterr().err.startswith(f"error: {flag}: must be >= 0, got {value}")
     assert not (tmp_path / "o").exists()
 
 
@@ -260,7 +273,44 @@ def test_config_pump_counts_its_pump_profiles(tmp_path, capsys, no_run):
                                 "coupling": {"pump": {"coefficients": coefficients}}}))
     assert cli_main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: basis ") and err.rstrip().endswith("lower basis.ell_max"), err
+    assert err.startswith("error: basis.ell_max: basis "), err
+    assert not (tmp_path / "o").exists()
+
+
+def test_basis_flags_count_the_config_pump_profiles(tmp_path, capsys, no_run):
+    # 9 pump profiles at ell_max 179, p_max 20: 1.02 GiB; one profile fits
+    path = tmp_path / "pump.json"
+    path.write_text(json.dumps({"scenario": "PdcBenchmark", "coupling": {"pump": {
+        "coefficients": {"re": [1.0 / 3.0] * 9, "im": [0.0] * 9}}}}))
+    assert cli_main(["--config", str(path), "--lmax", "179", "--pmax", "20",
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --lmax: basis "), err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("scenario, coefficients", [
+    ("PdcBenchmark", [math.nan] + [0.0] * 8),
+    ("PdcBenchmark", [0.6, 0.8]),
+    ("PdcBenchmark", [0.5] + [0.0] * 8),
+    ("PdcEigenPump", [1.0] + [0.0] * 8),
+    ("WaistScan", [1.0] + [0.0] * 8),
+], ids=["nan", "wrong-shape", "not-unit-norm", "eigen-pump-own-pump", "waist-scan-own-pump"])
+def test_pump_rules_hold_in_python_and_in_config_files(tmp_path, capsys, no_run, scenario,
+                                                        coefficients):
+    from lgsqueeze.coupling import PumpSpec
+
+    cfg = default_config(scenario)
+    pump = cfg.coupling.pump1
+    with pytest.raises(ValueError, match="coefficients"):
+        replace(cfg, coupling=replace(cfg.coupling,
+                                      pump1=PumpSpec(pump.geometry, np.array(coefficients))))
+    path = tmp_path / "pump.json"
+    # json.dumps writes NaN, which json.load reads back
+    path.write_text(json.dumps({"scenario": scenario, "coupling": {"pump": {
+        "coefficients": {"re": coefficients, "im": [0.0] * len(coefficients)}}}}))
+    assert cli_main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: coupling.pump.coefficients")
     assert not (tmp_path / "o").exists()
 
 

@@ -16,6 +16,7 @@ from lgsqueeze.coupling import (
     _levels,
     _node_schedule,
     CouplingConfig,
+    FieldError,
     InteractionType,
     MediumConfig,
     PumpSpec,
@@ -164,17 +165,30 @@ class TestAssembly:
         basis = build_basis(1, 2)
         bad_norm = np.zeros(basis.size, dtype=complex)
         bad_norm[0] = 0.5
-        cfg = CouplingConfig(
-            interaction=InteractionType.FULL_CROSSTALK,
-            medium=MEDIUM,
-            pump1=PumpSpec(geometry=GEOM, coefficients=bad_norm),
-            collection=GEOM,
-            basis=basis,
-        )
         with pytest.raises(ValueError):
-            assemble_squeeze_matrix(cfg)
+            PumpSpec(geometry=GEOM, coefficients=bad_norm)
         with pytest.raises(ValueError):
-            PumpSpec(geometry=GEOM, coefficients=np.ones(3)).resolved_coefficients(basis)
+            PumpSpec(geometry=GEOM, coefficients=np.ones(3))
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"cell_length": math.nan}, "cell_length"),
+        ({"gain_scale": math.nan}, "gain_scale"),
+        ({"strength": math.nan}, "strength"),
+        ({"strength": 0.0}, "strength"),
+        ({"gain_scale": 0.0}, "gain_scale"),
+        ({"strength": 1e300, "gain_scale": 1e10}, "gain_scale"),
+    ])
+    def test_degenerate_medium_names_its_field(self, kwargs, field):
+        with pytest.raises(FieldError) as err:
+            MediumConfig(**{"cell_length": 1.0, **kwargs})
+        assert err.value.field == field
+
+    def test_pump_coefficients_of_another_basis_raise(self):
+        pump = PumpSpec(GEOM, np.array([0.6, 0.8j, 0.0]))
+        with pytest.raises(FieldError, match="pump2.coefficients"):
+            dataclasses.replace(fwm_config(), pump2=pump)
+        # resolving only resolves: the shape rule belongs to the coupling
+        assert pump.resolved_coefficients(build_basis(1, 2)).shape == (3,)
 
     def test_pump2_of_a_single_pump_coupling_raises(self):
         pdc = default_config("PdcBenchmark").coupling

@@ -201,11 +201,3 @@ class TestVacuumStatistics:
             assert getattr(odd, name) == getattr(even, name), name
         # the closed-form photon number is off by a tenth of the bound
         assert abs(odd.nbar_total - math.sinh(0.8) ** 2) < odd.truncation_bound
-
-    def test_inconclusive_flag(self):
-        rep = vacuum_statistics(np.array([[0.9]]), TruncatedFockSpace(2, 4),
-                                tolerance=1e-6)
-        assert not rep.conclusive
-        rep = vacuum_statistics(np.array([[0.1]]), TruncatedFockSpace(2, 8),
-                                tolerance=1e-6)
-        assert rep.conclusive

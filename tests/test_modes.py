@@ -72,6 +72,15 @@ class TestGeometry:
         with pytest.raises(ValueError):
             BeamGeometry(wavelength=0.795, waist_w0=0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"wavelength": 0.8, "waist_w0": math.nan},
+        {"wavelength": math.nan, "waist_w0": 80.0},
+        {"wavelength": 0.795, "waist_w0": 80.0, "rayleigh_zR": math.nan},
+    ], ids=["waist", "wavelength", "rayleigh_zR"])
+    def test_nan_parameters_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            BeamGeometry(**kwargs)
+
 
 class TestAmplitude:
     def test_fundamental_on_axis_at_focus(self):
