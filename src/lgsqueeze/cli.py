@@ -105,7 +105,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     from .modes import QuadratureError
-    from .report_io import ConfigError, emit_result, scenario_config_from_dict
+    from .report_io import emit_result, scenario_config_from_dict
     from .scenarios import (FieldError, coupling_on_basis, default_config, run_scenario,
                             scenario_basis)
 
@@ -141,8 +141,7 @@ def main(argv=None) -> int:
                 "basis.p_max": "--pmax"}.get(exc.field, exc.field)
         print(f"error: {flag}: {exc.reason}", file=sys.stderr)
         return 2
-    except (ConfigError, QuadratureError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (QuadratureError, ValueError, OSError) as exc:  # ConfigError, JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .modes import (
     BeamGeometry,
+    FieldError,
     ModeBasis,
     ModeIndex,
     QuadratureError,
@@ -45,16 +46,6 @@ __all__ = [
 
 QUADRATURE_RTOL = 1e-8  # relative change of xi between quadrature levels at convergence
 PHOTON_RTOL = 1e-10  # relative photon-number error the calibration meets
-
-
-class FieldError(ValueError):
-    """A field is refused: ``field`` is its config key within the refusing
-    object's section, ``reason`` says why."""
-
-    def __init__(self, field: str, reason: str):
-        super().__init__(f"{field}: {reason}")
-        self.field = field
-        self.reason = reason
 
 
 class InteractionType(enum.Enum):
@@ -94,8 +85,10 @@ class MediumConfig:
     gain_scale: float = 1.0
 
     def __post_init__(self):
-        if not self.cell_length > 0:
-            raise FieldError("cell_length", f"must be > 0, got {self.cell_length!r}")
+        if not 0 < self.cell_length < math.inf:
+            raise FieldError("cell_length", f"must be finite and > 0, got {self.cell_length!r}")
+        if not math.isfinite(self.center_z):
+            raise FieldError("center_z", f"must be finite, got {self.center_z!r}")
         if self.chi_profile != "uniform":
             raise FieldError("chi_profile", f"unsupported profile {self.chi_profile!r}")
         if not (math.isfinite(self.strength) and self.strength != 0):
@@ -302,11 +295,14 @@ def check_basis_size(ell_max: int, p_max: int, pump_profiles: int) -> None:
     need = _assembly_floor_bytes(ell_max, p_max, pump_profiles)
     if need <= ASSEMBLY_BYTES_LIMIT:
         return
+    from decimal import Decimal  # exact for an int of any size, where float overflows
+
     alone = _assembly_floor_bytes(0, p_max, min(pump_profiles, p_max + 1))
     raise FieldError(
         "basis.p_max" if alone > ASSEMBLY_BYTES_LIMIT else "basis.ell_max",
         f"basis ell_max={ell_max}, p_max={p_max} is too large: its assembly needs at least "
-        f"{need / 2 ** 30:.3g} GiB, above the {ASSEMBLY_BYTES_LIMIT / 2 ** 30:g} GiB limit",
+        f"{Decimal(need) / 2 ** 30:.3g} GiB, "
+        f"above the {ASSEMBLY_BYTES_LIMIT // 2 ** 30} GiB limit",
     )
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "FieldError",
     "QuadratureError",
     "ModeIndex",
     "ModeBasis",
@@ -25,6 +26,16 @@ __all__ = [
     "lg_amplitude",
     "transverse_inner_product",
 ]
+
+
+class FieldError(ValueError):
+    """A field is refused: ``field`` is its config key within the refusing
+    object's section, ``reason`` says why."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field}: {reason}")
+        self.field = field
+        self.reason = reason
 
 
 class QuadratureError(RuntimeError):
@@ -98,7 +109,8 @@ class BeamGeometry:
     ``focus_z`` is the axial position of the waist in the lab frame; mode
     evaluations take z relative to the focus.  ``rayleigh_zR`` is derived
     (pi w0^2 / lambda) and, if supplied explicitly, must agree with the
-    derived value to 1e-12 relative.
+    derived value to 1e-12 relative.  A refused field raises FieldError
+    naming it.
     """
 
     wavelength: float
@@ -107,18 +119,17 @@ class BeamGeometry:
     rayleigh_zR: float = None
 
     def __post_init__(self):
-        if not self.wavelength > 0:
-            raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
-        if not self.waist_w0 > 0:
-            raise ValueError(f"waist_w0 must be > 0, got {self.waist_w0}")
+        for name in ("wavelength", "waist_w0"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise FieldError(name, f"must be finite and > 0, got {getattr(self, name)!r}")
+        if not math.isfinite(self.focus_z):
+            raise FieldError("focus_z", f"must be finite, got {self.focus_z!r}")
         derived = math.pi * self.waist_w0 ** 2 / self.wavelength
         if self.rayleigh_zR is None:
             object.__setattr__(self, "rayleigh_zR", derived)
         elif not abs(self.rayleigh_zR - derived) <= 1e-12 * derived:
-            raise ValueError(
-                f"rayleigh_zR={self.rayleigh_zR} inconsistent with "
-                f"pi*w0^2/lambda={derived}"
-            )
+            raise FieldError("rayleigh_zR", f"{self.rayleigh_zR!r} is inconsistent with "
+                             f"pi*w0^2/lambda = {derived!r}")
 
     @property
     def wavenumber(self) -> float:

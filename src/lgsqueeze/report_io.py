@@ -12,12 +12,16 @@ import io
 import json
 import math
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 from types import GeneratorType
 
 import numpy as np
 
 from . import __version__ as _version
+from .coupling import CouplingConfig, InteractionType, MediumConfig, PumpSpec
+from .modes import BeamGeometry, FieldError, ModeBasis
+from .scenarios import ScenarioConfig, default_config
 from .squeeze_core import StateReport
 
 __all__ = [
@@ -33,7 +37,12 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Configuration rejected; the message names the offending key path."""
+    """A config file is refused: ``key`` is the offending key path, ``reason`` says why."""
+
+    def __init__(self, key: str, reason: str):
+        super().__init__(f"{key}: {reason}")
+        self.key = key
+        self.reason = reason
 
 
 def _row_reprs(matrix):
@@ -169,255 +178,201 @@ def report_from_dict(data: dict) -> StateReport:
     )
 
 
-def _geometry_dict(geom) -> dict:
-    return {
-        "wavelength": float(geom.wavelength),
-        "waist_w0": float(geom.waist_w0),
-        "focus_z": float(geom.focus_z),
-        "rayleigh_zR": float(geom.rayleigh_zR),
-    }
+def _key(path: str, key: str) -> str:
+    """The path of ``key`` in the section at ``path`` (``""`` at the top level)."""
+    return f"{path}.{key}" if path else key
 
 
-def _pump_dict(pump) -> dict:
-    coefficients = pump.coefficients
-    if coefficients is not None:
-        coefficients = _complex_to_lists(np.atleast_2d(coefficients))
-    return {"geometry": _geometry_dict(pump.geometry), "coefficients": coefficients}
-
-
-def resolved_config_dict(cfg) -> dict:
-    """Fully-materialized scenario configuration as a JSON-ready dict."""
-    coupling = cfg.coupling
-    out = {
-        "scenario": cfg.name,
-        "n_target": float(cfg.n_target),
-        "seed_gain": None if cfg.seed_gain is None else float(cfg.seed_gain),
-        "convergence_check": bool(cfg.convergence_check),
-        "basis": {"ell_max": coupling.basis.ell_max, "p_max": coupling.basis.p_max},
-        "coupling": {
-            "interaction": coupling.interaction.value,
-            "single_pump": bool(coupling.single_pump),
-            "medium": {
-                "cell_length": float(coupling.medium.cell_length),
-                "center_z": float(coupling.medium.center_z),
-                "chi_profile": coupling.medium.chi_profile,
-                "strength": float(coupling.medium.strength),
-                "gain_scale": float(coupling.medium.gain_scale),
-            },
-            "pump": _pump_dict(coupling.pump1),
-            "pump2": None if coupling.pump2 is None else _pump_dict(coupling.pump2),
-            "collection": _geometry_dict(coupling.collection),
-        },
-    }
-    if cfg.scan_grid is not None:
-        out["grid"] = {
-            "pump": [float(v) for v in cfg.scan_grid["pump"]],
-            "collection": [float(v) for v in cfg.scan_grid["collection"]],
-            "points": int(cfg.scan_grid["points"]),
-        }
-    return out
-
-
-def _require_keys(obj: dict, allowed, path: str) -> None:
-    """Reject a non-object section ``path`` (``"a.b."``) or an unknown key in it."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path[:-1]} must be a JSON object, got {obj!r} (key: {path[:-1]})")
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {path}{key}")
-
-
-def _finite(value, path: str) -> float:
-    """``value`` as a float if it is a finite number, else ConfigError naming ``path``."""
-    number = math.nan
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            pass
-    if not math.isfinite(number):
-        raise ConfigError(f"{path} must be a finite number, got {value!r} (key: {path})")
-    return number
+def _number(value, path: str) -> float:
+    """``value`` as a float if it is a finite number."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):  # not a number, or an int past the float range
+        pass
+    raise ConfigError(path, f"must be a finite number, got {value!r}")
 
 
 def _integer(value, path: str) -> int:
-    """``value`` as an int if it is integral, else ConfigError naming ``path``."""
+    """``value`` as an int if it is integral."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{path} must be an integer, got {value!r} (key: {path})")
+        raise ConfigError(path, f"must be an integer, got {value!r}")
     return value
 
 
 def _boolean(value, path: str) -> bool:
-    """``value`` if it is a JSON boolean, else ConfigError naming ``path``."""
+    """``value`` if it is a JSON boolean."""
     if not isinstance(value, bool):
-        raise ConfigError(f"{path} must be true or false, got {value!r} (key: {path})")
+        raise ConfigError(path, f"must be true or false, got {value!r}")
     return value
 
 
-def _geometry_from_dict(data: dict, default, path: str):
-    from .modes import BeamGeometry
+def _as_given(value, path: str):
+    """``value`` as it is: the object that holds it checks it."""
+    return value
 
-    fields = ("wavelength", "waist_w0", "focus_z", "rayleigh_zR")
-    _require_keys(data, set(fields), path)
-    kwargs = {
-        "wavelength": default.wavelength,
-        "waist_w0": default.waist_w0,
-        "focus_z": default.focus_z,
-    }
-    kwargs.update({key: _finite(data[key], path + key) for key in fields if key in data})
+
+def _interaction(value, path: str) -> InteractionType:
     try:
-        return BeamGeometry(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path[:-1]}: {exc}") from exc
+        return InteractionType(value)
+    except ValueError:
+        raise ConfigError(path, f"unknown interaction {value!r}") from None
 
 
-def _pump_coefficients(data, size: int, path: str) -> np.ndarray:
-    """Complex pump coefficients from ``{"re": [...], "im": [...]}``.
+def _low_high(value, path: str) -> list:
+    """A grid axis: ``[low, high]``, two finite numbers."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(path, f"must be [low, high], got {value!r}")
+    return [_number(v, path) for v in value]
 
-    Each part is a list of ``size`` numbers, or the one-row nested list the
-    manifest writes.
+
+def _numbers(value, path: str) -> list:
+    """A list of finite numbers, or the one-row nested list the manifest writes."""
+    if isinstance(value, list) and len(value) == 1 and isinstance(value[0], list):
+        value = value[0]
+    if not isinstance(value, list):
+        raise ConfigError(path, f"must be a list of numbers, got {value!r}")
+    return [_number(v, path) for v in value]
+
+
+def _bare(pump) -> bool:
+    """Whether a pump section is a bare geometry rather than ``{"geometry", "coefficients"}``."""
+    return isinstance(pump, dict) and not {"geometry", "coefficients"} & set(pump)
+
+
+def _pump(value, path: str) -> dict:
+    """A pump section, in either of its two forms."""
+    return _section(value, path, _GEOMETRY if _bare(value) else _PUMP)
+
+
+# One table per config section: each key and the reader of its JSON value,
+# or the table of the section it holds.  The writer emits the same keys.
+_GEOMETRY = dict.fromkeys(("wavelength", "waist_w0", "focus_z", "rayleigh_zR"), _number)
+_PUMP = {"geometry": _GEOMETRY, "coefficients": {"re": _numbers, "im": _numbers}}
+_MEDIUM = {"cell_length": _number, "center_z": _number, "chi_profile": _as_given,
+           "strength": _number, "gain_scale": _number}
+_COUPLING = {"interaction": _interaction, "single_pump": _boolean, "medium": _MEDIUM,
+             "pump": _pump, "pump2": _pump, "collection": _GEOMETRY}
+_BASIS = {"ell_max": _integer, "p_max": _integer}
+_GRID = {"pump": _low_high, "collection": _low_high, "points": _integer}
+_TOP = {"scenario": _as_given, "n_target": _number, "seed_gain": _number,
+        "convergence_check": _boolean, "basis": _BASIS, "coupling": _COUPLING, "grid": _GRID}
+# the table each config object is written from
+_TABLES = {ScenarioConfig: _TOP, CouplingConfig: _COUPLING, ModeBasis: _BASIS,
+           MediumConfig: _MEDIUM, PumpSpec: _PUMP, BeamGeometry: _GEOMETRY, dict: _GRID}
+# config key -> the attribute that holds its value, where the two differ
+_ATTRIBUTE = {"scenario": "name", "grid": "scan_grid", "basis": "coupling.basis", "pump": "pump1"}
+_KEY = {attribute: key for key, attribute in _ATTRIBUTE.items()}
+# the keys whose null is the field's None ("not set"); no other key is written as null
+_NULLABLE = frozenset({"seed_gain", "pump2", "coefficients"})
+
+
+def _section(spec, path: str, readers: dict) -> dict:
+    """Each key of the JSON object ``spec`` at ``path``, read by its entry in ``readers``.
+
+    Keys left out are left out of the result; an unknown key, or a section
+    that is not an object, raises ConfigError naming its path.
     """
-    _require_keys(data, {"re", "im"}, path + ".")
-    parts = []
-    for part in ("re", "im"):
-        values = data.get(part)
-        if isinstance(values, list) and len(values) == 1 and isinstance(values[0], list):
-            values = values[0]
-        if not isinstance(values, list) or len(values) != size:
-            raise ConfigError(f"{path}.{part} must list {size} numbers, one per basis "
-                              f"mode (key: {path}.{part})")
-        parts.append([_finite(v, f"{path}.{part}") for v in values])
-    return np.array(parts[0]) + 1j * np.array(parts[1])
+    if not isinstance(spec, dict):
+        raise ConfigError(path or "config", f"must be a JSON object, got {spec!r}")
+    for key in spec:
+        if key not in readers:
+            raise ConfigError(_key(path, key), "unknown key")
+    read = {}
+    for key in [key for key in readers if key in spec]:
+        value, reader = spec[key], readers[key]
+        if value is None and key in _NULLABLE:
+            read[key] = None
+        elif isinstance(reader, dict):
+            read[key] = _section(value, _key(path, key), reader)
+        else:
+            read[key] = reader(value, _key(path, key))
+    return read
 
 
-def _keyed(exc, section: str = "") -> ConfigError:
-    """The ConfigError naming the key of the field FieldError ``exc`` refuses in ``section``."""
-    field = {"name": "scenario"}.get(exc.field, exc.field).replace("scan_grid", "grid")
-    return ConfigError(f"{section}{field}: {exc.reason}")
+def _written(value):
+    """A config object, or one of its fields, as the JSON that reads back to it."""
+    table = _TABLES.get(type(value))
+    if table is None:
+        if isinstance(value, InteractionType):
+            return value.value
+        if isinstance(value, np.ndarray):  # pump coefficients, as one-row re/im lists
+            return _complex_to_lists(np.atleast_2d(value))
+        return _json_safe(value)
+    out = {}
+    for key in table:
+        item = (value.get(key) if isinstance(value, dict)
+                else attrgetter(_ATTRIBUTE.get(key, key))(value))
+        if item is not None or key in _NULLABLE:
+            out[key] = _written(item)
+    return out
 
 
-def scenario_config_from_dict(data: dict):
+def resolved_config_dict(cfg) -> dict:
+    """Fully-materialized scenario configuration as a JSON-ready dict."""
+    return _written(cfg)
+
+
+def _built(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a field it refuses is named by its key under ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except FieldError as exc:
+        head, dot, rest = exc.field.partition(".")
+        raise ConfigError(_key(path, _KEY.get(head, head) + dot + rest), exc.reason) from exc
+
+
+def _geometry(default: BeamGeometry, read: dict, path: str) -> BeamGeometry:
+    """``default`` with the keys read from the section at ``path``; the Rayleigh
+    range is derived again unless the section sets it."""
+    return _built(path, replace, default, **{"rayleigh_zR": None, **read})
+
+
+def _pump_spec(read: dict, geometry: BeamGeometry, size: int, path: str) -> PumpSpec:
+    """The pump of the section read at ``path``, on ``geometry`` where it sets none."""
+    if _bare(read):
+        return PumpSpec(_geometry(geometry, read, path))
+    geometry = _geometry(geometry, read.get("geometry", {}), path + ".geometry")
+    coefficients = read.get("coefficients")
+    if coefficients is not None:
+        for part in ("re", "im"):
+            if len(coefficients.get(part, ())) != size:
+                raise ConfigError(f"{path}.coefficients.{part}",
+                                  f"must list {size} numbers, one per basis mode")
+        coefficients = np.array(coefficients["re"]) + 1j * np.array(coefficients["im"])
+    return _built(path, PumpSpec, geometry, coefficients)
+
+
+def _fields(read: dict) -> dict:
+    """Values read from a section, keyed by the attributes that hold them."""
+    return {_ATTRIBUTE.get(key, key): value for key, value in read.items()}
+
+
+def scenario_config_from_dict(data: dict) -> ScenarioConfig:
     """Build a fully-resolved ScenarioConfig from a (partial) JSON dict.
 
-    Unknown keys are rejected with the path of the offending key; omitted
-    fields take the named scenario's stock values.  The field values are
-    checked by the objects that hold them, and a refusal names the config key.
+    Omitted fields take the named scenario's stock values; a pump's geometry
+    defaults to the stock ``pump``'s.  The field values are checked by the
+    objects that hold them, and every refusal is a ConfigError naming the key.
     """
-    from .coupling import FieldError, InteractionType, MediumConfig, PumpSpec
-    from .scenarios import default_config
-
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    _require_keys(
-        data,
-        {"scenario", "n_target", "seed_gain", "convergence_check", "basis",
-         "coupling", "grid"},
-        "",
-    )
-    name = data.get("scenario")
-    basis_spec = data.get("basis", {})
-    _require_keys(basis_spec, {"ell_max", "p_max"}, "basis.")
-    bounds = [_integer(basis_spec[key], f"basis.{key}") if key in basis_spec else None
-              for key in ("ell_max", "p_max")]
-    try:
-        cfg = default_config(name, *bounds)
-    except FieldError as exc:
-        raise _keyed(exc) from exc
-    changes = {}
-    if "n_target" in data:
-        changes["n_target"] = _finite(data["n_target"], "n_target")
-    if data.get("seed_gain") is not None:
-        changes["seed_gain"] = _finite(data["seed_gain"], "seed_gain")
-    if "convergence_check" in data:
-        changes["convergence_check"] = _boolean(data["convergence_check"],
-                                                "convergence_check")
-
-    coupling_spec = data.get("coupling", {})
-    _require_keys(
-        coupling_spec,
-        {"interaction", "single_pump", "medium", "pump", "pump2", "collection"},
-        "coupling.",
-    )
-    base = cfg.coupling
-    interaction = base.interaction
-    if "interaction" in coupling_spec:
-        try:
-            interaction = InteractionType(coupling_spec["interaction"])
-        except ValueError as exc:
-            raise ConfigError(
-                f"unknown interaction {coupling_spec['interaction']!r} "
-                "(key: coupling.interaction)"
-            ) from exc
-    med_spec = coupling_spec.get("medium", {})
-    _require_keys(
-        med_spec,
-        {"cell_length", "center_z", "chi_profile", "strength", "gain_scale"},
-        "coupling.medium.",
-    )
-    numbers = {
-        key: _finite(med_spec.get(key, getattr(base.medium, key)), f"coupling.medium.{key}")
-        for key in ("cell_length", "center_z", "strength", "gain_scale")
-    }
-    try:
-        medium = MediumConfig(
-            chi_profile=med_spec.get("chi_profile", base.medium.chi_profile), **numbers
-        )
-    except FieldError as exc:
-        raise _keyed(exc, "coupling.medium.") from exc
-
-    def pump_spec(key: str, default_coefficients) -> PumpSpec:
-        # a pump is either {"geometry": {...}, "coefficients": ...} or a bare geometry
-        spec = coupling_spec[key]
-        path = f"coupling.{key}."
-        if not (isinstance(spec, dict) and {"geometry", "coefficients"} & set(spec)):
-            return PumpSpec(_geometry_from_dict(spec, base.pump1.geometry, path),
-                            default_coefficients)
-        _require_keys(spec, {"geometry", "coefficients"}, path)
-        geometry, coefficients = base.pump1.geometry, default_coefficients
-        if "geometry" in spec:
-            geometry = _geometry_from_dict(spec["geometry"], geometry, path + "geometry.")
-        if spec.get("coefficients") is not None:
-            coefficients = _pump_coefficients(spec["coefficients"], base.basis.size,
-                                              path + "coefficients")
-        try:
-            return PumpSpec(geometry, coefficients)
-        except FieldError as exc:
-            raise _keyed(exc, path) from exc
-
-    pump1 = pump_spec("pump", base.pump1.coefficients) if "pump" in coupling_spec else base.pump1
-    pump2 = None if coupling_spec.get("pump2") is None else pump_spec("pump2", None)
-    collection = base.collection
-    if "collection" in coupling_spec:
-        collection = _geometry_from_dict(coupling_spec["collection"], collection,
-                                         "coupling.collection.")
-    single_pump = _boolean(coupling_spec.get("single_pump", base.single_pump),
-                           "coupling.single_pump")
-    try:
-        changes["coupling"] = replace(base, interaction=interaction, medium=medium,
-                                      pump1=pump1, pump2=pump2, collection=collection,
-                                      single_pump=single_pump)
-    except FieldError as exc:
-        raise _keyed(exc, "coupling.") from exc
-
-    if "grid" in data:
-        grid = data["grid"]
-        _require_keys(grid, {"pump", "collection", "points"}, "grid.")
-        scan_grid = dict(cfg.scan_grid or {})  # omitted keys keep the stock grid
-        for axis in ("pump", "collection"):
-            if axis in grid:
-                rng = grid[axis]
-                if not isinstance(rng, (list, tuple)) or len(rng) != 2:
-                    raise ConfigError(f"grid.{axis} must be [low, high] (key: grid.{axis})")
-                scan_grid[axis] = [_finite(v, f"grid.{axis}") for v in rng]
-        if "points" in grid:
-            scan_grid["points"] = _integer(grid["points"], "grid.points")
-        changes["scan_grid"] = scan_grid
-    try:
-        return replace(cfg, **changes)
-    except FieldError as exc:
-        raise _keyed(exc) from exc
+    read = _section(data, "", _TOP)
+    cfg = _built("", default_config, read.pop("scenario", None), **read.pop("basis", {}))
+    base, coupling = cfg.coupling, read.pop("coupling", {})
+    if "medium" in coupling:
+        coupling["medium"] = _built("coupling.medium", replace, base.medium, **coupling["medium"])
+    if "collection" in coupling:
+        coupling["collection"] = _geometry(base.collection, coupling["collection"],
+                                           "coupling.collection")
+    for key in ("pump", "pump2"):
+        if coupling.get(key) is not None:
+            coupling[key] = _pump_spec(coupling[key], base.pump1.geometry, base.basis.size,
+                                       f"coupling.{key}")
+    if "grid" in read:  # omitted keys keep the stock grid
+        read["grid"] = {**(cfg.scan_grid or {}), **read["grid"]}
+    coupling = _built("coupling", replace, base, **_fields(coupling))
+    return _built("", replace, cfg, coupling=coupling, **_fields(read))
 
 
 # report matrix -> stem of the CSV pair written from its real part

@@ -21,7 +21,6 @@ import numpy as np
 
 from .coupling import (
     CouplingConfig,
-    FieldError,
     InteractionType,
     MediumConfig,
     PumpSpec,
@@ -31,7 +30,7 @@ from .coupling import (
     scale_to_mean_photons,
 )
 from .eigenmodes import EigenDecomposition, decompose, eigenmode_pump, eigenmode_report
-from .modes import BeamGeometry, ModeBasis, QuadratureError, build_basis
+from .modes import BeamGeometry, FieldError, ModeBasis, QuadratureError, build_basis
 from .squeeze_core import SqueezeMatrix, StateReport, state_report
 
 __all__ = [

@@ -60,7 +60,8 @@ class TestConfigParsing:
                 {"scenario": "PdcBenchmark",
                  "coupling": {"collection": {"waist_w0": -1}}}
             )
-        assert "coupling.collection" in str(err.value)
+        assert err.value.key == "coupling.collection.waist_w0"
+        assert str(err.value).startswith("coupling.collection.waist_w0: ")
 
     def test_unknown_keys_rejected_with_path(self):
         with pytest.raises(ConfigError) as err:
@@ -164,7 +165,7 @@ def test_bad_config_exits_2_naming_key(tmp_path, capsys, config, key):
     path.write_text(json.dumps({"scenario": "PsrSinglePhoton", **config}))
     assert cli_main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert f"(key: {key})" in err or err.startswith(f"error: {key}"), err
+    assert err.startswith(f"error: {key}: "), err
     assert not (tmp_path / "o").exists()
 
 
@@ -178,6 +179,9 @@ def test_bad_config_exits_2_naming_key(tmp_path, capsys, config, key):
         # fits at p_max 2, not at the 20 radial orders PdcHeralding resolves
         ({"scenario": "PdcHeralding", "basis": {"ell_max": 1000}}, "basis.ell_max"),
         (["--scenario", "PdcHeralding", "--lmax", "1000"], "--lmax"),
+        # past the float range: the refusal divides the exact byte count, not a float
+        ({"basis": {"ell_max": 10 ** 320}}, "basis.ell_max"),
+        (["--scenario", "PsrSinglePhoton", "--lmax", str(10 ** 320)], "--lmax"),
     ],
 )
 def test_oversized_basis_exits_2_before_listing_modes(tmp_path, capsys, monkeypatch,
@@ -289,28 +293,53 @@ def test_basis_flags_count_the_config_pump_profiles(tmp_path, capsys, no_run):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("scenario, coefficients", [
-    ("PdcBenchmark", [math.nan] + [0.0] * 8),
-    ("PdcBenchmark", [0.6, 0.8]),
-    ("PdcBenchmark", [0.5] + [0.0] * 8),
-    ("PdcEigenPump", [1.0] + [0.0] * 8),
-    ("WaistScan", [1.0] + [0.0] * 8),
-], ids=["nan", "wrong-shape", "not-unit-norm", "eigen-pump-own-pump", "waist-scan-own-pump"])
+@pytest.mark.parametrize("scenario, key, value", [
+    ("PdcBenchmark", "coupling.pump.coefficients", [math.nan] + [0.0] * 8),
+    ("PdcBenchmark", "coupling.pump.coefficients", [0.6, 0.8]),
+    ("PdcBenchmark", "coupling.pump.coefficients", [0.5] + [0.0] * 8),
+    ("PdcEigenPump", "coupling.pump.coefficients", [1.0] + [0.0] * 8),
+    ("WaistScan", "coupling.pump.coefficients", [1.0] + [0.0] * 8),
+    ("PdcBenchmark", "coupling.collection.waist_w0", -1.0),
+    ("PdcBenchmark", "coupling.collection.focus_z", math.nan),
+    ("PdcBenchmark", "coupling.pump.geometry.wavelength", math.inf),
+    ("PdcBenchmark", "coupling.pump.geometry.waist_w0", 0.0),
+    ("PdcBenchmark", "coupling.pump.geometry.rayleigh_zR", 1.0),
+    ("PdcBenchmark", "coupling.medium.cell_length", 0.0),
+    ("PdcBenchmark", "coupling.medium.center_z", math.inf),
+    ("PdcBenchmark", "coupling.medium.chi_profile", "gaussian"),
+    ("PdcBenchmark", "coupling.medium.strength", 0.0),
+    ("PdcBenchmark", "coupling.medium.gain_scale", -1.0),
+], ids=["nan", "wrong-shape", "not-unit-norm", "eigen-pump-own-pump", "waist-scan-own-pump",
+        "collection-waist", "collection-focus-nan", "pump-wavelength-inf", "pump-waist",
+        "pump-rayleigh", "cell-length", "center-z-inf", "chi-profile", "strength",
+        "gain-scale"])
 def test_pump_rules_hold_in_python_and_in_config_files(tmp_path, capsys, no_run, scenario,
-                                                        coefficients):
-    from lgsqueeze.coupling import PumpSpec
+                                                        key, value):
+    # the field Python refuses is the last segment of the key a config file names;
+    # a file's coefficients of the wrong length or with a NaN are refused one
+    # level down, at their "re" list
+    from lgsqueeze.modes import FieldError
 
-    cfg = default_config(scenario)
-    pump = cfg.coupling.pump1
-    with pytest.raises(ValueError, match="coefficients"):
-        replace(cfg, coupling=replace(cfg.coupling,
-                                      pump1=PumpSpec(pump.geometry, np.array(coefficients))))
-    path = tmp_path / "pump.json"
-    # json.dumps writes NaN, which json.load reads back
-    path.write_text(json.dumps({"scenario": scenario, "coupling": {"pump": {
-        "coefficients": {"re": coefficients, "im": [0.0] * len(coefficients)}}}}))
+    def rebuilt(obj, attributes, new):
+        """``obj`` with the field at ``attributes`` set to ``new``, each owner rebuilt."""
+        head, *rest = attributes
+        return replace(obj, **{head: rebuilt(getattr(obj, head), rest, new) if rest else new})
+
+    coefficients = key.endswith(".coefficients")
+    attributes = key.replace("pump.", "pump1.").split(".")
+    with pytest.raises(FieldError) as err:
+        rebuilt(default_config(scenario), attributes, np.array(value) if coefficients else value)
+    assert err.value.field.split(".")[-1] == attributes[-1]
+    config = {"re": value, "im": [0.0] * len(value)} if coefficients else value
+    for part in reversed(key.split(".")):
+        config = {part: config}
+    path = tmp_path / "field.json"
+    # json.dumps writes NaN and Infinity, which json.load reads back
+    path.write_text(json.dumps({"scenario": scenario, **config}))
     assert cli_main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("error: coupling.pump.coefficients")
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(f"error: {key}: ") or coefficients and stderr.startswith(
+        f"error: {key}.re: "), stderr
     assert not (tmp_path / "o").exists()
 
 

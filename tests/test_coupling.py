@@ -177,6 +177,9 @@ class TestAssembly:
         ({"strength": 0.0}, "strength"),
         ({"gain_scale": 0.0}, "gain_scale"),
         ({"strength": 1e300, "gain_scale": 1e10}, "gain_scale"),
+        ({"cell_length": math.inf}, "cell_length"),
+        ({"center_z": math.inf}, "center_z"),
+        ({"center_z": math.nan}, "center_z"),
     ])
     def test_degenerate_medium_names_its_field(self, kwargs, field):
         with pytest.raises(FieldError) as err:

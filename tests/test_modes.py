@@ -6,6 +6,7 @@ import scipy.special
 
 from lgsqueeze.modes import (
     BeamGeometry,
+    FieldError,
     ModeIndex,
     QuadratureError,
     build_basis,
@@ -72,14 +73,20 @@ class TestGeometry:
         with pytest.raises(ValueError):
             BeamGeometry(wavelength=0.795, waist_w0=0.0)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"wavelength": 0.8, "waist_w0": math.nan},
-        {"wavelength": math.nan, "waist_w0": 80.0},
-        {"wavelength": 0.795, "waist_w0": 80.0, "rayleigh_zR": math.nan},
-    ], ids=["waist", "wavelength", "rayleigh_zR"])
-    def test_nan_parameters_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"wavelength": 0.8, "waist_w0": math.nan}, "waist_w0"),
+        ({"wavelength": math.nan, "waist_w0": 80.0}, "wavelength"),
+        ({"wavelength": 0.795, "waist_w0": 80.0, "rayleigh_zR": math.nan}, "rayleigh_zR"),
+        ({"wavelength": 0.795, "waist_w0": 80.0, "focus_z": math.nan}, "focus_z"),
+        ({"wavelength": 0.795, "waist_w0": 80.0, "focus_z": -math.inf}, "focus_z"),
+        ({"wavelength": math.inf, "waist_w0": 80.0}, "wavelength"),
+        ({"wavelength": 0.795, "waist_w0": math.inf}, "waist_w0"),
+    ], ids=["waist", "wavelength", "rayleigh_zR", "focus_z", "infinite-focus_z",
+            "infinite-wavelength", "infinite-waist"])
+    def test_nan_parameters_rejected(self, kwargs, field):
+        with pytest.raises(FieldError) as err:
             BeamGeometry(**kwargs)
+        assert err.value.field == field
 
 
 class TestAmplitude:
