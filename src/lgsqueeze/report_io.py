@@ -2,7 +2,9 @@
 
 Every number is written with the shortest round-trip decimal representation,
 so re-running a scenario from a manifest's resolved configuration reproduces
-all data files byte for byte.
+all data files byte for byte.  The digits come from orjson's Ryu writer,
+laid out as ``float.__repr__`` lays them out (see ``_row_reprs``), so the
+bytes are those ``csv.writer`` and ``json.dumps`` write.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from pathlib import Path
 from types import GeneratorType
 
 import numpy as np
+import orjson
 
 from . import __version__ as _version
 from .coupling import CouplingConfig, InteractionType, MediumConfig, PumpSpec
@@ -46,13 +49,24 @@ class ConfigError(ValueError):
 
 
 def _row_reprs(matrix):
-    """Each row of a real matrix as the list of its shortest round-trip decimals.
+    """Each row of a real matrix as the list of its ``float.__repr__`` strings.
 
     ``float.__repr__`` is what both ``csv.writer`` and ``json.dumps`` write
-    for a finite float, so one formatting pass serves every file.
+    for a float, so one formatting pass serves every file.  orjson's Ryu
+    writer gives the same shortest round-trip digits in the same layout,
+    about 15 times faster, except in three bands, which are written with
+    ``repr`` instead: |x| >= 1e16 (``1e16`` for ``1e+16``), 1e-9 <= |x| <
+    1e-4 (``1e-7`` for ``1e-07``, ``0.00001`` for ``1e-05``), and nan and
+    inf (``null``).  The mask reaches a decade past 1e16 and 1e-9; at 1e-4
+    both writers switch layout on the same value.
     """
     for row in np.asarray(matrix, dtype=float):
-        yield list(map(float.__repr__, row.tolist()))
+        values = row.tolist()
+        strs = orjson.dumps(values)[1:-1].decode().split(",")
+        size = np.abs(row)
+        for i in np.flatnonzero(~(size < 1e15) | ((size >= 1e-10) & (size < 1e-4))).tolist():
+            strs[i] = repr(values[i])
+        yield strs
 
 
 def _csv_field(value) -> str:

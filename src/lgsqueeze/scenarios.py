@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .coupling import (
+    ASSEMBLY_BYTES_LIMIT,
     CouplingConfig,
     InteractionType,
     MediumConfig,
@@ -137,9 +138,14 @@ class ScenarioConfig:
                 if not 0 < low < high < math.inf:
                     raise FieldError(f"scan_grid.{axis}",
                                      f"must be [low, high] with 0 < low < high, got {[low, high]}")
-            if not self.scan_grid["points"] >= 2:
+            points = self.scan_grid["points"]
+            if not points >= 2:
+                raise FieldError("scan_grid.points", f"must be >= 2, got {points}")
+            if 8 * points * points > ASSEMBLY_BYTES_LIMIT:  # the float64 metric grid
                 raise FieldError("scan_grid.points",
-                                 f"must be >= 2, got {self.scan_grid['points']}")
+                                 f"must be <= {math.isqrt(ASSEMBLY_BYTES_LIMIT // 8)}, got "
+                                 f"{points}: its points x points metric grid is over the "
+                                 f"{ASSEMBLY_BYTES_LIMIT // 2 ** 30} GiB limit")
         coupling, basis = self.coupling, self.coupling.basis
         if self.name in ("PdcEigenPump", "WaistScan"):
             for key, pump in (("pump", coupling.pump1), ("pump2", coupling.pump2)):
@@ -305,7 +311,8 @@ def _with_pump(coupling: CouplingConfig, **changes) -> CouplingConfig:
 
 
 def _pump_on_basis(pump: PumpSpec, old, new) -> PumpSpec:
-    """The same pump (or None) with its mode coefficients moved from basis ``old`` to ``new``."""
+    """The same pump (or None) with its mode coefficients moved from basis ``old`` to ``new``;
+    a coefficient outside ``new`` raises FieldError naming the bound it exceeds."""
     if pump is None or pump.coefficients is None:
         return pump
     coefficients = np.zeros(new.size, dtype=complex)
@@ -313,7 +320,8 @@ def _pump_on_basis(pump: PumpSpec, old, new) -> PumpSpec:
         if value == 0.0:
             continue
         if abs(idx.ell) > new.ell_max or idx.p > new.p_max:
-            raise ValueError(f"pump coefficient on mode {idx.label()} lies outside the "
+            raise FieldError("basis.ell_max" if abs(idx.ell) > new.ell_max else "basis.p_max",
+                             f"pump coefficient on mode {idx.label()} lies outside the "
                              f"ell_max={new.ell_max}, p_max={new.p_max} basis")
         coefficients[new.position(idx)] = value
     return replace(pump, coefficients=coefficients)
@@ -515,7 +523,11 @@ _RERUNS = frozenset({"PsrSinglePhoton", "PsrPCrosstalk", "FwmTwoPhoton", "PdcBen
 
 def _convergence_check(cfg: ScenarioConfig) -> dict:
     """Re-run at a larger basis and report the drift of the headline numbers."""
-    big = replace(cfg, coupling=coupling_on_basis(cfg.coupling, scenario_basis(cfg.name, 2, 4)))
+    try:
+        coupling = coupling_on_basis(cfg.coupling, scenario_basis(cfg.name, 2, 4))
+    except FieldError as exc:  # a bound of the re-run, which no flag or key sets
+        raise ValueError(f"convergence_check: {exc.reason} of the re-run") from None
+    big = replace(cfg, coupling=coupling)
     result = _RUNNERS[cfg.name](big)
     return {
         "basis": "ell_max=2,p_max=4",

@@ -157,6 +157,8 @@ class TestConfigParsing:
         ({"scenario": "PdcBenchmark",
           "coupling": {"medium": {"strength": 1e300, "gain_scale": 1e10}}},
          "coupling.medium.gain_scale"),
+        # its points x points float64 metric grid would take 728 TiB
+        ({"scenario": "WaistScan", "grid": {"points": 10000000}}, "grid.points"),
     ],
 )
 def test_bad_config_exits_2_naming_key(tmp_path, capsys, config, key):
@@ -290,6 +292,47 @@ def test_basis_flags_count_the_config_pump_profiles(tmp_path, capsys, no_run):
                      "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --lmax: basis "), err
+    assert not (tmp_path / "o").exists()
+
+
+def _one_mode_pump(path, basis: dict, mode: str):
+    """A PdcBenchmark config over ``basis`` whose pump is the single mode labelled ``mode``."""
+    from lgsqueeze.modes import build_basis
+
+    labels = build_basis(basis["ell_max"], basis["p_max"]).labels()
+    re = [float(label == mode) for label in labels]
+    path.write_text(json.dumps({"scenario": "PdcBenchmark", "basis": basis, "coupling": {
+        "pump": {"coefficients": {"re": re, "im": [0.0] * len(re)}}}}))
+
+
+@pytest.mark.parametrize("flags, mode, flag", [
+    (["--pmax", "0"], "l=0,p=1", "--pmax"),
+    (["--lmax", "0"], "l=1,p=0", "--lmax"),
+    (["--lmax", "0", "--pmax", "0"], "l=0,p=1", "--pmax"),
+])
+def test_pump_outside_the_flag_basis_names_the_flag(tmp_path, capsys, no_run, flags, mode,
+                                                     flag):
+    _one_mode_pump(tmp_path / "pump.json", {"ell_max": 1, "p_max": 2}, mode)
+    assert cli_main(["--config", str(tmp_path / "pump.json"), *flags,
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: pump coefficient on mode {mode} lies outside "), err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("basis, mode", [
+    ({"ell_max": 0, "p_max": 5}, "l=0,p=5"),
+    ({"ell_max": 3, "p_max": 0}, "l=3,p=0"),
+])
+def test_pump_outside_the_rerun_basis_names_the_rerun(tmp_path, capsys, basis, mode):
+    # the run holds the pump; the convergence re-run at ell_max 2, p_max 4 does not,
+    # and no flag set that basis
+    _one_mode_pump(tmp_path / "pump.json", basis, mode)
+    assert cli_main(["--config", str(tmp_path / "pump.json"),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: convergence_check: pump coefficient on mode {mode} lies outside "
+                   "the ell_max=2, p_max=4 basis of the re-run\n"), err
     assert not (tmp_path / "o").exists()
 
 
@@ -433,10 +476,12 @@ def test_emitted_bytes_match_json_and_csv_writers(tmp_path):
     from lgsqueeze.scenarios import ScenarioResult
     from lgsqueeze.squeeze_core import StateReport
 
-    real = np.array([-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, -1.5, 1 / 3, 0.0, 2.5e-300])
-    real = real.reshape(3, 3)
+    # a value from each band _row_reprs writes with repr: 1e-9 <= |x| < 1e-4, |x| >= 1e16
+    real = np.array([-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, -1.5, 1 / 3, 0.0, 2.5e-300,
+                     3e-5, -2.5e-9, 1e20, 1e-7, -1e-4, 9.999999999999999e-05, -1e15])
+    real = real.reshape(4, 4)
     cplx = real + 1j * real[::-1]
-    labels = ["l=0,p=0", 'say "hi"', "plain"]
+    labels = ["l=0,p=0", 'say "hi"', "plain", "a,b"]
     report = StateReport(
         var_X1=cplx, var_X2=real, scalar_var=(0.1 + 0.2, -0.0), cross_cov=cplx.T,
         nbar_matrix=real.T, nbar_total=1e16, number_variance=5e-324,
@@ -446,8 +491,9 @@ def test_emitted_bytes_match_json_and_csv_writers(tmp_path):
     eigen_rows = [EigenmodeStats(lam=0.1 + 0.2, variance_minus=1e-05,
                                  variance_plus=1e16, nbar=-0.0, theta=5e-324)]
     # a failed scan cell: NaN in memory and in scan_grid.csv, null in report.json
-    scan = {"pump_waists": [50.0, 0.1 + 0.2], "collection_waists": [1e16, 1e-05],
-            "metric": [[float("nan"), 1.0], [-0.0, 5e-324]], "failures": []}
+    scan = {"pump_waists": [50.0, 0.1 + 0.2, 3e-5], "collection_waists": [1e16, 1e-05, 1e-07],
+            "metric": [[float("nan"), 1.0, -2.5e-9], [-0.0, 5e-324, 1e20], [3e-5, -1e-7, 0.5]],
+            "failures": []}
     metrics = {"ratio": 1e-05, "flag": True}
     convergence = {"basis": "ell_max=2,p_max=4", "nbar_total": 1e16}
     result = ScenarioResult("WaistScan", report, None, 0.1 + 0.2, metrics,
@@ -457,7 +503,8 @@ def test_emitted_bytes_match_json_and_csv_writers(tmp_path):
     doc = {
         "scenario": "WaistScan", "gain": 0.1 + 0.2, "report": report_to_dict(report),
         "metrics": metrics, "convergence_check": convergence,
-        "scan": {**scan, "metric": [[None, 1.0], [-0.0, 5e-324]]},
+        "scan": {**scan, "metric": [[None, 1.0, -2.5e-9], [-0.0, 5e-324, 1e20],
+                                    [3e-5, -1e-7, 0.5]]},
         "eigenmodes": [{"lambda": 0.1 + 0.2, "variance_minus": 1e-05,
                         "variance_plus": 1e16, "nbar": -0.0, "theta": 5e-324}],
     }
@@ -489,6 +536,39 @@ def test_emitted_bytes_match_json_and_csv_writers(tmp_path):
         for j, c in enumerate(scan["collection_waists"])
     ]
     assert (tmp_path / "scan_grid.csv").read_text() == _csv_text(grid)
+
+
+def _neighbours(values, steps: int):
+    """Each of ``values`` with the ``steps`` doubles on either side of it."""
+    values = np.asarray(values, dtype=float)
+    out = [values]
+    below = above = values
+    for _ in range(steps):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [below, above]
+    return np.concatenate(out)
+
+
+def test_row_reprs_match_float_repr():
+    """Every number string of every data file is ``float.__repr__``'s, whichever writer made it."""
+    from lgsqueeze.report_io import _row_reprs
+
+    # pins the installed orjson: a release that lays a number out otherwise fails here
+    # before any data file drifts
+    rng = np.random.default_rng(16)
+    bits = rng.integers(0, 2 ** 64, 1_000_000, dtype=np.uint64).view(np.float64)
+    powers = _neighbours(np.ldexp(1.0, np.arange(-1074, 1024)), 1)
+    edges = np.array([1e-10, 1e-9, 1e-5, 1e-4, 1e15, 1e16])
+    straddling = np.concatenate([_neighbours(edges, 8), *(
+        rng.uniform(edge / 2, edge * 2, 2000) for edge in edges)])
+    special = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]
+    assert np.isnan(bits).any()
+    for rows in (bits.reshape(1000, 1000), [powers, -powers],
+                 [straddling, -straddling], [special]):
+        rows = np.asarray(rows, dtype=float)
+        for strs, row in zip(_row_reprs(rows), rows.tolist()):
+            want = list(map(float.__repr__, row))
+            assert strs == want, [(w, s) for w, s in zip(want, strs) if w != s][:5]
 
 
 def test_emission_holds_one_row_at_a_time(tmp_path):

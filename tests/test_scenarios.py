@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from lgsqueeze import scenarios
-from lgsqueeze.modes import ModeIndex, QuadratureError
+from lgsqueeze.coupling import ASSEMBLY_BYTES_LIMIT
+from lgsqueeze.modes import FieldError, ModeIndex, QuadratureError
 from lgsqueeze.report_io import report_from_dict, report_to_dict, scenario_config_from_dict
 from lgsqueeze.scenarios import default_config, run_scenario, scan_island
 from lgsqueeze.squeeze_core import state_report
@@ -336,6 +337,15 @@ class TestConfigValidation:
     def test_bad_scan_grid_rejected(self, grid):
         with pytest.raises(ValueError, match="scan_grid"):
             replace(small_scan(), scan_grid=grid)
+
+    def test_scan_grid_points_bounded_by_the_assembly_limit(self):
+        # the float64 metric grid of the largest scan fits ASSEMBLY_BYTES_LIMIT
+        largest = math.isqrt(ASSEMBLY_BYTES_LIMIT // 8)
+        grid = dict(small_scan().scan_grid, points=largest)
+        assert replace(small_scan(), scan_grid=grid).scan_grid["points"] == largest
+        with pytest.raises(FieldError) as err:
+            replace(small_scan(), scan_grid=dict(grid, points=largest + 1))
+        assert err.value.field == "scan_grid.points"
 
     def test_scan_grid_only_for_waist_scan(self):
         grid = small_scan().scan_grid
