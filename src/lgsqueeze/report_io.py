@@ -13,10 +13,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from operator import attrgetter
 from pathlib import Path
 from types import GeneratorType
+from typing import get_type_hints
 
 import numpy as np
 import orjson
@@ -117,19 +118,33 @@ def _json_text(value, level: int = 0):
     yield json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
 
 
-def _require_finite(value, path: str) -> None:
-    """Raise ValueError naming the first non-finite number under ``path``."""
+def _json_ready(value, path: str):
+    """The JSON values that ``value``, at key path ``path``, is written as.
+
+    Numpy scalars become Python ones, and tuples and 1-D arrays lists; a
+    2-D array, a report matrix, is passed on as it is, for the writer to
+    stream.  The first non-finite number, in the order the values are
+    visited, raises ValueError naming its key path: every JSON document a
+    run writes goes through here, so none holds one.
+    """
     if isinstance(value, dict):
-        for key, item in value.items():
-            _require_finite(item, f"{path}.{key}" if path else key)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _require_finite(item, path)
-    elif isinstance(value, (float, np.floating, np.ndarray)):
-        if not np.all(np.isfinite(value)):
-            raise ValueError(
-                f"non-finite value in {path}; a report must hold only finite numbers"
-            )
+        return {key: _json_ready(item, _key(path, key)) for key, item in value.items()}
+    if isinstance(value, np.ndarray) and value.ndim == 2:
+        finite = np.isfinite(value).all()
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        return [_json_ready(item, path) for item in value]
+    elif isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    elif isinstance(value, (int, np.integer)):
+        return int(value)
+    elif isinstance(value, (float, np.floating)):
+        value = float(value)
+        finite = math.isfinite(value)
+    else:
+        return value
+    if not finite:
+        raise ValueError(f"non-finite value in {path}; a report must hold only finite numbers")
+    return value
 
 
 def read_matrix_csv(path):
@@ -143,53 +158,48 @@ def read_matrix_csv(path):
 
 def _complex_to_lists(matrix: np.ndarray):
     matrix = np.asarray(matrix, dtype=complex)
-    return {
-        "re": [[float(v.real) for v in row] for row in matrix],
-        "im": [[float(v.imag) for v in row] for row in matrix],
-    }
+    return {"re": matrix.real.tolist(), "im": matrix.imag.tolist()}
 
 
 def _complex_from_lists(obj) -> np.ndarray:
     return np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
 
 
-# complex report matrices, each stored as {"re": ..., "im": ...}
-_REPORT_MATRICES = ("var_X1", "var_X2", "cross_cov", "nbar_matrix", "pair_matrix")
+def _report_block(report: StateReport) -> dict:
+    """Each StateReport field under its name, a matrix as a complex array.
 
-
-def _report_scalars(report: StateReport) -> dict:
-    """The report fields other than its complex matrices."""
-    return {
-        "mode_labels": list(report.mode_labels),
-        "scalar_var": [float(report.scalar_var[0]), float(report.scalar_var[1])],
-        "nbar_total": float(report.nbar_total),
-        "number_variance": float(report.number_variance),
-        "number_covariance": float(report.number_covariance),
-        "squeezing_db_per_mode": [float(v) for v in report.squeezing_db_per_mode],
-    }
+    The matrices come last, so a non-finite statistic is named before the
+    matrices it was formed from.
+    """
+    values = {field.name: getattr(report, field.name) for field in fields(StateReport)}
+    matrices = {name: np.asarray(value, dtype=complex)
+                for name, value in values.items() if np.ndim(value) == 2}
+    return {**{name: value for name, value in values.items() if name not in matrices},
+            **matrices}
 
 
 def report_to_dict(report: StateReport) -> dict:
-    out = _report_scalars(report)
-    for name in _REPORT_MATRICES:
-        out[name] = _complex_to_lists(getattr(report, name))
-    return out
+    """The ``report`` block of ``report.json``: a matrix as ``{"re": rows, "im": rows}``.
+
+    A non-finite number raises ValueError naming its field.
+    """
+    return {name: _complex_to_lists(value) if isinstance(value, np.ndarray) else value
+            for name, value in _json_ready(_report_block(report), "report").items()}
+
+
+def _report_field(kind, value):
+    """A StateReport field of type ``kind`` from its JSON ``value``."""
+    if kind is not np.ndarray:
+        return kind(value)
+    if isinstance(value, dict):  # a complex matrix
+        return _complex_from_lists(value)
+    return np.array(value, dtype=float)
 
 
 def report_from_dict(data: dict) -> StateReport:
-    return StateReport(
-        var_X1=_complex_from_lists(data["var_X1"]),
-        var_X2=_complex_from_lists(data["var_X2"]),
-        scalar_var=(data["scalar_var"][0], data["scalar_var"][1]),
-        cross_cov=_complex_from_lists(data["cross_cov"]),
-        nbar_matrix=_complex_from_lists(data["nbar_matrix"]),
-        nbar_total=data["nbar_total"],
-        number_variance=data["number_variance"],
-        number_covariance=data["number_covariance"],
-        pair_matrix=_complex_from_lists(data["pair_matrix"]),
-        squeezing_db_per_mode=np.array(data["squeezing_db_per_mode"], dtype=float),
-        mode_labels=list(data["mode_labels"]),
-    )
+    """The StateReport whose ``report`` block ``data`` is."""
+    return StateReport(**{name: _report_field(kind, data[name])
+                          for name, kind in get_type_hints(StateReport).items()})
 
 
 def _key(path: str, key: str) -> str:
@@ -306,7 +316,7 @@ def _section(spec, path: str, readers: dict) -> dict:
     return read
 
 
-def _written(value):
+def _written(value, path: str):
     """A config object, or one of its fields, as the JSON that reads back to it."""
     table = _TABLES.get(type(value))
     if table is None:
@@ -314,19 +324,19 @@ def _written(value):
             return value.value
         if isinstance(value, np.ndarray):  # pump coefficients, as one-row re/im lists
             return _complex_to_lists(np.atleast_2d(value))
-        return _json_safe(value)
+        return _json_ready(value, path)
     out = {}
     for key in table:
         item = (value.get(key) if isinstance(value, dict)
                 else attrgetter(_ATTRIBUTE.get(key, key))(value))
         if item is not None or key in _NULLABLE:
-            out[key] = _written(item)
+            out[key] = _written(item, _key(path, key))
     return out
 
 
 def resolved_config_dict(cfg) -> dict:
     """Fully-materialized scenario configuration as a JSON-ready dict."""
-    return _written(cfg)
+    return _written(cfg, "resolved_config")
 
 
 def _built(path: str, build, *args, **kwargs):
@@ -410,36 +420,25 @@ def emit_result(result, cfg, out_dir, wall_time_s: float = 0.0) -> list:
     the field and no file is written.
     """
     report = result.report
-    matrices = {
-        name: np.asarray(getattr(report, name), dtype=complex) for name in _REPORT_MATRICES
-    }
     report_doc = {
         "scenario": result.name,
         "gain": float(result.gain),
-        "report": {**_report_scalars(report), **matrices},
-        "metrics": {k: _json_safe(v) for k, v in result.metrics.items()},
+        "report": _report_block(report),
+        "metrics": result.metrics,
     }
-    if result.eigen_rows is not None:
+    if result.eigen_rows is not None:  # EigenmodeStats.lam is the table's "lambda"
         report_doc["eigenmodes"] = [
-            {
-                "lambda": row.lam,
-                "variance_minus": row.variance_minus,
-                "variance_plus": row.variance_plus,
-                "nbar": row.nbar,
-                "theta": row.theta,
-            }
+            {"lambda" if name == "lam" else name: value for name, value in vars(row).items()}
             for row in result.eigen_rows
         ]
     if result.convergence is not None:
-        report_doc["convergence_check"] = _json_safe(result.convergence)
-    _require_finite(report_doc, "")
-    _require_finite(result.oracle_agreement, "oracle_agreement")
+        report_doc["convergence_check"] = result.convergence
     if result.scan is not None:
         # a failed WaistScan cell is NaN in the grid and null in the JSON
-        scan = _json_safe(result.scan)
-        scan["metric"] = [[v if math.isfinite(v) else None for v in row]
-                          for row in scan["metric"]]
-        report_doc["scan"] = scan
+        report_doc["scan"] = {**result.scan, "metric": [
+            [v if math.isfinite(v) else None for v in row] for row in result.scan["metric"]]}
+    report_doc = _json_ready(report_doc, "")
+    oracle_doc = _json_ready(result.oracle_agreement, "oracle_agreement")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -448,6 +447,11 @@ def emit_result(result, cfg, out_dir, wall_time_s: float = 0.0) -> list:
     def create(name: str):
         written.append(name)
         return open(out / name, "w", encoding="utf-8")
+
+    def write_json(name: str, doc):
+        with create(name) as handle:
+            handle.writelines(_json_text(doc))
+            handle.write("\n")
 
     labels = [_csv_field(label) for label in report.mode_labels]
     heads = [label + "," for label in labels]
@@ -464,17 +468,18 @@ def emit_result(result, cfg, out_dir, wall_time_s: float = 0.0) -> list:
 
     # each row is formatted once, and its strings go to every file that holds
     # them while report.json reaches its block: no file's text is ever whole
-    for name, matrix in matrices.items():
+    block = report_doc["report"]
+    for name, matrix in block.items():
+        if not isinstance(matrix, np.ndarray):
+            continue
         real = _row_reprs(matrix.real)
         if name in _CSV_STEMS:
             real = csv_pair(_CSV_STEMS[name], real)
-        report_doc["report"][name] = {
+        block[name] = {
             "re": _json_rows(real, _MATRIX_LEVEL),
             "im": _json_rows(_row_reprs(matrix.imag), _MATRIX_LEVEL),
         }
-    with create("report.json") as handle:
-        handle.writelines(_json_text(report_doc))
-        handle.write("\n")
+    write_json("report.json", report_doc)
     # on the whole matrix: a per-row ufunc call may take another SIMD path
     for stem, values in (("pair_abs", np.abs), ("pair_arg", np.angle)):
         for _ in csv_pair(stem, _row_reprs(values(report.pair_matrix))):
@@ -489,35 +494,18 @@ def emit_result(result, cfg, out_dir, wall_time_s: float = 0.0) -> list:
             handle.write("pump_waist,collection_waist,metric\n")
             for pump, strs in zip(pumps, _row_reprs(scan["metric"])):
                 handle.write(_long_lines(pump + ",", cols, strs))
-    if result.oracle_agreement is not None:
-        with create("oracle_agreement.json") as handle:
-            handle.write(json.dumps(result.oracle_agreement, indent=2, sort_keys=True) + "\n")
+    if oracle_doc is not None:
+        write_json("oracle_agreement.json", oracle_doc)
 
-    manifest = {
+    write_json("manifest.json", {
         "scenario": result.name,
         "tool_version": _version,
         "wall_time_s": float(wall_time_s),
         "resolved_config": resolved_config_dict(cfg),
         "outputs": sorted(written),
-        "convergence_check": _json_safe(result.convergence),
-    }
-    with create("manifest.json") as handle:
-        handle.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        "convergence_check": report_doc.get("convergence_check"),
+    })
     return written
-
-
-def _json_safe(value):
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
 
 
 def load_report(out_dir) -> StateReport:

@@ -169,6 +169,9 @@ def _squeezing_db(variances: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(variances / VACUUM_VARIANCE)
 
 
+# a statistic that overflows or is undefined is left inf or nan, without a
+# warning, for the run to refuse by name
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def state_report(sq: SqueezeMatrix) -> StateReport:
     """The full two-beam statistics report of a squeezing matrix.
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,6 +31,11 @@ SRC = str(Path(lgsqueeze.__file__).resolve().parent.parent)
 
 def load_schema(name):
     return json.loads((SCHEMA_DIR / name).read_text())
+
+
+# a JSON integer of more digits than int() converts; json.dumps cannot write
+# one, so a config names it by this string and the test writes its digits
+LONG_INTEGER = "<4401-digit integer>"
 
 
 class TestConfigParsing:
@@ -159,12 +165,15 @@ class TestConfigParsing:
          "coupling.medium.gain_scale"),
         # its points x points float64 metric grid would take 728 TiB
         ({"scenario": "WaistScan", "grid": {"points": 10000000}}, "grid.points"),
+        ({"basis": {"ell_max": LONG_INTEGER}}, "basis.ell_max"),
+        ({"n_target": LONG_INTEGER}, "n_target"),
     ],
 )
 def test_bad_config_exits_2_naming_key(tmp_path, capsys, config, key):
     path = tmp_path / "bad.json"
     # json.dumps writes Infinity/NaN, which json.load reads back
-    path.write_text(json.dumps({"scenario": "PsrSinglePhoton", **config}))
+    text = json.dumps({"scenario": "PsrSinglePhoton", **config})
+    path.write_text(text.replace(json.dumps(LONG_INTEGER), "1" * 4401))
     assert cli_main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: "), err
@@ -538,6 +547,20 @@ def test_emitted_bytes_match_json_and_csv_writers(tmp_path):
     assert (tmp_path / "scan_grid.csv").read_text() == _csv_text(grid)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "PsrSinglePhoton", "--lmax", "1", "--pmax", "0", "--oracle"],
+    ["--scenario", "WaistScan"],
+], ids=["oracle", "waist-scan"])
+def test_every_json_file_has_the_json_dumps_layout(tmp_path, argv):
+    out = tmp_path / "o"
+    assert cli_main([*argv, "--out", str(out), "--quiet"]) == 0
+    names = sorted(path.name for path in out.glob("*.json"))
+    assert len(names) == (3 if "--oracle" in argv else 2), names
+    for name in names:
+        text = (out / name).read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
+
+
 def _neighbours(values, steps: int):
     """Each of ``values`` with the ``steps`` doubles on either side of it."""
     values = np.asarray(values, dtype=float)
@@ -686,12 +709,29 @@ class TestCli:
                                              (50, "report.squeezing_db_per_mode")])
     def test_non_finite_report_refused(self, tmp_path, capsys, gain, field):
         out = tmp_path / "o"
-        with np.errstate(all="ignore"):
-            rc = cli_main(["--scenario", "PsrSinglePhoton", "--lmax", "0", "--pmax", "1",
-                           "--seed-gain", str(gain), "--out", str(out), "--quiet"])
+        rc = cli_main(["--scenario", "PsrSinglePhoton", "--lmax", "0", "--pmax", "1",
+                       "--seed-gain", str(gain), "--out", str(out), "--quiet"])
         assert rc == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--scenario", "PsrSinglePhoton", "--lmax", "0", "--pmax", "1", "--seed-gain", "400"],
+        ["--scenario", "PsrSinglePhoton", "--lmax", "0", "--pmax", "1", "--seed-gain", "50"],
+        ["--config", {"scenario": "PsrSinglePhoton", "n_target": 1e8}],
+        ["--scenario", "PdcBenchmark", "--lmax", "0", "--pmax", "1", "--seed-gain", "1"],
+    ], ids=["overflow", "zero-variance", "zero-variance-config", "overflowing-metric"])
+    def test_refused_non_finite_run_prints_only_its_error(self, tmp_path, capsys, argv):
+        if argv[0] == "--config":
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(argv[1]))
+            argv = ["--config", str(path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli_main([*argv, "--out", str(tmp_path / "o"), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
 
     def test_infinite_seed_gain_flag_refused(self, tmp_path, capsys):
         rc = cli_main(["--scenario", "PsrSinglePhoton", "--seed-gain", "inf",
@@ -707,9 +747,8 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     def test_overflowing_gain_names_statistic_and_gain(self, tmp_path, capsys):
-        with np.errstate(all="ignore"):
-            rc = cli_main(["--scenario", "PdcBenchmark", "--lmax", "0", "--pmax", "1",
-                           "--seed-gain", "1", "--out", str(tmp_path / "o")])
+        rc = cli_main(["--scenario", "PdcBenchmark", "--lmax", "0", "--pmax", "1",
+                       "--seed-gain", "1", "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
         assert "eigen_improvement_db" in err and "gain 1" in err, err

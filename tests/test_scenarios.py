@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,9 +7,10 @@ import pytest
 from lgsqueeze import scenarios
 from lgsqueeze.coupling import ASSEMBLY_BYTES_LIMIT
 from lgsqueeze.modes import FieldError, ModeIndex, QuadratureError
-from lgsqueeze.report_io import report_from_dict, report_to_dict, scenario_config_from_dict
+from lgsqueeze.report_io import (emit_result, load_report, report_from_dict, report_to_dict,
+                                 scenario_config_from_dict)
 from lgsqueeze.scenarios import default_config, run_scenario, scan_island
-from lgsqueeze.squeeze_core import state_report
+from lgsqueeze.squeeze_core import StateReport, state_report
 
 
 def small_scan():
@@ -281,15 +282,15 @@ class TestWaistScan:
 
 
 class TestSerialization:
-    def test_report_round_trip_exact(self, psr_results, pdc_benchmark):
+    def test_report_round_trip_exact(self, psr_results, pdc_benchmark, tmp_path):
         for res in (*psr_results.values(), pdc_benchmark):
-            data = report_to_dict(res.report)
-            back = report_from_dict(data)
-            assert np.array_equal(back.var_X1, np.asarray(res.report.var_X1))
-            assert np.array_equal(back.pair_matrix, np.asarray(res.report.pair_matrix))
-            assert back.scalar_var == tuple(map(float, res.report.scalar_var))
-            assert back.nbar_total == res.report.nbar_total
-            assert back.mode_labels == res.report.mode_labels
+            out = tmp_path / res.name
+            emit_result(res, default_config(res.name), out)
+            for back in (report_from_dict(report_to_dict(res.report)), load_report(out)):
+                for field in fields(StateReport):
+                    want, got = getattr(res.report, field.name), getattr(back, field.name)
+                    assert type(got) is type(want) or isinstance(want, float), field.name
+                    assert np.array_equal(got, want), (res.name, field.name)
 
 
 class TestConfigValidation:
