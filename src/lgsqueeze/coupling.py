@@ -437,15 +437,13 @@ def assemble_squeeze_matrix(cfg: CouplingConfig):
     """Assemble the full squeezing matrix for ``cfg``.
 
     Rows index the signal mode, columns the idler mode, both in the basis
-    order.  The result carries the medium strength and gain_scale and, for
-    the degenerate interaction, is symmetrized.
+    order.  The result carries the medium strength and gain_scale; for the
+    degenerate interaction it is diagonal, and so symmetric.
     """
     from .squeeze_core import SqueezeMatrix
 
     xi = _assemble_raw(cfg)
     xi = xi * (cfg.medium.strength * cfg.medium.gain_scale)
-    if cfg.interaction is InteractionType.DEGENERATE_SINGLE_BEAM:
-        xi = 0.5 * (xi + xi.T)
     return SqueezeMatrix(xi=xi, basis=cfg.basis, interaction=cfg.interaction)
 
 
@@ -556,7 +554,8 @@ def scale_to_mean_photons(sq, n_target: float):
     Brent's absolute step bound can end at s = 0 for a target far below one
     photon; the polish then starts from s0 = sqrt(n_target / sum sigma_i^2),
     which bounds the root from above because sinh^2 x >= x^2.  Raises
-    ValueError, naming ``n_target``, when the target is not reached.
+    ValueError, naming ``n_target``, when no finite s brackets the root or
+    the target is not reached.
     """
     from .squeeze_core import SqueezeMatrix
 
@@ -572,8 +571,11 @@ def scale_to_mean_photons(sq, n_target: float):
 
     lo = 0.0
     hi = max(1.0, math.asinh(math.sqrt(n_target)) / float(np.max(sigma)))
-    while excess(hi) < 0.0:
+    while hi < math.inf and excess(hi) < 0.0:
         hi *= 2.0
+    if hi == math.inf:
+        raise ValueError(f"n_target {n_target}: no finite scale of the matrix reaches the "
+                         f"target; its largest singular value is {float(np.max(sigma))!r}")
     s = _brentq(excess, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
     if s == 0.0:
         s = math.sqrt(n_target) / float(np.linalg.norm(sigma))

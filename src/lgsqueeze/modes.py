@@ -108,9 +108,9 @@ class BeamGeometry:
 
     ``focus_z`` is the axial position of the waist in the lab frame; mode
     evaluations take z relative to the focus.  ``rayleigh_zR`` is derived
-    (pi w0^2 / lambda) and, if supplied explicitly, must agree with the
-    derived value to 1e-12 relative.  A refused field raises FieldError
-    naming it.
+    (pi w0^2 / lambda), must be finite and > 0 (else FieldError names
+    ``waist_w0``) and, if supplied explicitly, must agree with the derived
+    value to 1e-12 relative.  A refused field raises FieldError naming it.
     """
 
     wavelength: float
@@ -124,7 +124,13 @@ class BeamGeometry:
                 raise FieldError(name, f"must be finite and > 0, got {getattr(self, name)!r}")
         if not math.isfinite(self.focus_z):
             raise FieldError("focus_z", f"must be finite, got {self.focus_z!r}")
-        derived = math.pi * self.waist_w0 ** 2 / self.wavelength
+        try:
+            derived = math.pi * self.waist_w0 ** 2 / self.wavelength
+        except OverflowError:  # w0 ** 2 past the float range
+            derived = math.inf
+        if not 0 < derived < math.inf:
+            raise FieldError("waist_w0", f"{self.waist_w0!r} gives the Rayleigh range "
+                             f"pi*w0^2/lambda = {derived!r}; it must be finite and > 0")
         if self.rayleigh_zR is None:
             object.__setattr__(self, "rayleigh_zR", derived)
         elif not abs(self.rayleigh_zR - derived) <= 1e-12 * derived:

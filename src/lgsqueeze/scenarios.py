@@ -1,5 +1,9 @@
 """Named simulation scenarios: PSR, FWM, PDC, waist scan and heralding.
 
+``_SCENARIOS`` is the one place a scenario's facts live (runner, stock
+coupling and basis, re-run, scan grid and pump rule); nothing else in this
+module compares scenario names.
+
 The PSR/FWM family shares one geometry (795 nm pump, 80 um waist, cell three
 Rayleigh ranges long, all foci at the cell centre) and one calibration
 protocol: the interaction strength is fixed once so the no-crosstalk baseline
@@ -16,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -66,38 +72,39 @@ DEFAULT_GRID_RANGE = (50.0, 800.0)
 DEFAULT_GRID_POINTS = 8
 
 
-def _psr_geometry() -> BeamGeometry:
-    return BeamGeometry(wavelength=PSR_WAVELENGTH, waist_w0=PSR_WAIST, focus_z=0.0)
-
-
-def _psr_medium() -> MediumConfig:
-    geom = _psr_geometry()
-    return MediumConfig(cell_length=3.0 * geom.rayleigh_zR, center_z=0.0)
-
-
-def pdc_cell_length() -> float:
-    ref = BeamGeometry(
-        wavelength=PDC_COLLECTION_WAVELENGTH, waist_w0=PDC_COLLECTION_WAIST
-    )
-    return PDC_CELL_RAYLEIGHS * ref.rayleigh_zR
-
-
-def _pdc_medium() -> MediumConfig:
-    return MediumConfig(cell_length=pdc_cell_length(), center_z=0.0)
+def _psr_coupling(interaction: InteractionType, basis) -> CouplingConfig:
+    beam = BeamGeometry(wavelength=PSR_WAVELENGTH, waist_w0=PSR_WAIST)
+    return CouplingConfig(interaction, MediumConfig(cell_length=3.0 * beam.rayleigh_zR),
+                          PumpSpec(beam), beam, basis)
 
 
 def _pdc_coupling(pump_waist: float, basis) -> CouplingConfig:
     # down-conversion consumes one pump photon per pair: three-wave kernel
-    return CouplingConfig(
-        interaction=InteractionType.FULL_CROSSTALK,
-        medium=_pdc_medium(),
-        pump1=PumpSpec(BeamGeometry(wavelength=PDC_PUMP_WAVELENGTH, waist_w0=pump_waist)),
-        collection=BeamGeometry(
-            wavelength=PDC_COLLECTION_WAVELENGTH, waist_w0=PDC_COLLECTION_WAIST
-        ),
-        basis=basis,
-        single_pump=True,
-    )
+    beam = BeamGeometry(wavelength=PDC_COLLECTION_WAVELENGTH, waist_w0=PDC_COLLECTION_WAIST)
+    pump = BeamGeometry(wavelength=PDC_PUMP_WAVELENGTH, waist_w0=pump_waist)
+    return CouplingConfig(InteractionType.FULL_CROSSTALK,
+                          MediumConfig(cell_length=PDC_CELL_RAYLEIGHS * beam.rayleigh_zR),
+                          PumpSpec(pump), beam, basis, single_pump=True)
+
+
+@dataclass(frozen=True)
+class _Scenario:
+    """What sets one named scenario apart from the others."""
+
+    run: Callable  # ScenarioConfig -> ScenarioResult
+    coupling: Callable  # basis -> the stock CouplingConfig
+    p_max: int = 2  # the stock radial bound
+    rerun: bool = False  # convergence_check re-runs it at a larger basis
+    scan: bool = False  # it takes a scan grid, and so no seed_gain
+    pump: str = "config"  # or its own "gaussian" or "eigenmode" pump (a profile per mode)
+
+
+def _scenario(name) -> _Scenario:
+    """The record of ``name``, or a FieldError naming ``name``."""
+    if name not in SCENARIO_NAMES:  # a tuple test, so an unhashable name is refused too
+        raise FieldError("name", f"unknown scenario {name!r}; choose from "
+                         + ", ".join(SCENARIO_NAMES))
+    return _SCENARIOS[name]
 
 
 @dataclass(frozen=True)
@@ -117,21 +124,20 @@ class ScenarioConfig:
     convergence_check: bool = None  # None: on exactly where a re-run exists
 
     def __post_init__(self):
-        if self.name not in SCENARIO_NAMES:
-            raise FieldError("name", f"unknown scenario {self.name!r}; choose from "
-                             + ", ".join(SCENARIO_NAMES))
+        scenario = _scenario(self.name)
         if self.convergence_check is None:
-            object.__setattr__(self, "convergence_check", self.name in _RERUNS)
-        elif self.convergence_check and self.name not in _RERUNS:
+            object.__setattr__(self, "convergence_check", scenario.rerun)
+        elif self.convergence_check and not scenario.rerun:
             raise FieldError("convergence_check", f"must be false: {self.name} has no re-run")
         if not (math.isfinite(self.n_target) and self.n_target > 0):
             raise FieldError("n_target", f"must be finite and > 0, got {self.n_target!r}")
         if self.seed_gain is not None and not math.isfinite(self.seed_gain):
             raise FieldError("seed_gain", f"must be finite, got {self.seed_gain!r}")
-        if self.seed_gain is not None and self.name == "WaistScan":
-            raise FieldError("seed_gain", "is not used: WaistScan calibrates every cell")
-        if (self.scan_grid is None) == (self.name == "WaistScan"):
-            raise FieldError("scan_grid", "is needed by WaistScan and taken by no other scenario")
+        if self.seed_gain is not None and scenario.scan:
+            raise FieldError("seed_gain", f"is not used: {self.name} calibrates every cell")
+        if (self.scan_grid is None) == scenario.scan:
+            scans = ", ".join(name for name, s in _SCENARIOS.items() if s.scan)
+            raise FieldError("scan_grid", f"is needed by {scans} and taken by no other scenario")
         if self.scan_grid is not None:
             for axis in ("pump", "collection"):
                 low, high = self.scan_grid[axis]
@@ -147,13 +153,12 @@ class ScenarioConfig:
                                  f"{points}: its points x points metric grid is over the "
                                  f"{ASSEMBLY_BYTES_LIMIT // 2 ** 30} GiB limit")
         coupling, basis = self.coupling, self.coupling.basis
-        if self.name in ("PdcEigenPump", "WaistScan"):
+        if scenario.pump != "config":
             for key, pump in (("pump", coupling.pump1), ("pump2", coupling.pump2)):
                 if getattr(pump, "coefficients", None) is not None:
                     raise FieldError(f"coupling.{key}.coefficients",
                                      f"is not used: {self.name} sets its own pump modes")
-        # PdcEigenPump's eigenmode pump has a profile on every mode
-        profiles = basis.size if self.name == "PdcEigenPump" else pump_profile_count(coupling)
+        profiles = basis.size if scenario.pump == "eigenmode" else pump_profile_count(coupling)
         check_basis_size(basis.ell_max, basis.p_max, profiles)
 
 
@@ -180,9 +185,9 @@ def scenario_basis(name: str, ell_max: int = None, p_max: int = None) -> ModeBas
     ``basis.ell_max`` or ``basis.p_max`` before any mode is listed.
     ScenarioConfig counts the pump profiles of the coupling itself.
     """
-    stock_p_max = HERALDING_P_MAX if name == "PdcHeralding" else 2
+    stock = _scenario(name)
     ell_max = 1 if ell_max is None else ell_max
-    p_max = stock_p_max if p_max is None else p_max
+    p_max = stock.p_max if p_max is None else p_max
     for bound, label in ((ell_max, "basis.ell_max"), (p_max, "basis.p_max")):
         if bound < 0:
             raise FieldError(label, f"must be >= 0, got {bound}")
@@ -192,33 +197,11 @@ def scenario_basis(name: str, ell_max: int = None, p_max: int = None) -> ModeBas
 
 def default_config(name: str, ell_max: int = None, p_max: int = None) -> ScenarioConfig:
     """Materialize the stock geometry for a named scenario over ``scenario_basis``."""
+    scenario = _scenario(name)
     basis = scenario_basis(name, ell_max, p_max)
-    grid = None
-    if name in ("PsrSinglePhoton", "PsrPCrosstalk", "FwmTwoPhoton"):
-        interaction = {
-            "PsrSinglePhoton": InteractionType.DEGENERATE_SINGLE_BEAM,
-            "PsrPCrosstalk": InteractionType.P_CROSSTALK_ONLY,
-            "FwmTwoPhoton": InteractionType.FULL_CROSSTALK,
-        }[name]
-        geom = _psr_geometry()
-        coupling = CouplingConfig(
-            interaction=interaction,
-            medium=_psr_medium(),
-            pump1=PumpSpec(geometry=geom),
-            collection=geom,
-            basis=basis,
-        )
-    elif name == "PdcHeralding":
-        coupling = _pdc_coupling(PDC_HERALDING_PUMP_WAIST, basis)
-    else:
-        coupling = _pdc_coupling(PDC_PUMP_WAIST, basis)
-        if name == "WaistScan":
-            grid = {
-                "pump": list(DEFAULT_GRID_RANGE),
-                "collection": list(DEFAULT_GRID_RANGE),
-                "points": DEFAULT_GRID_POINTS,
-            }
-    return ScenarioConfig(name=name, coupling=coupling, scan_grid=grid)
+    grid = {"pump": list(DEFAULT_GRID_RANGE), "collection": list(DEFAULT_GRID_RANGE),
+            "points": DEFAULT_GRID_POINTS} if scenario.scan else None
+    return ScenarioConfig(name=name, coupling=scenario.coupling(basis), scan_grid=grid)
 
 
 def pair_dominance_metrics(report: StateReport, basis: ModeBasis) -> dict:
@@ -381,9 +364,9 @@ def _run_psr_crosstalk(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(cfg.name, report, sq, gain, metrics)
 
 
-def _pdc_analysis(cfg: ScenarioConfig, coupling: CouplingConfig) -> ScenarioResult:
-    """Statistics, eigenmodes and pair dominance of one down-conversion coupling."""
-    sq, gain, report = _analysed(coupling, cfg.n_target, cfg.seed_gain)
+def _pdc_analysis(cfg: ScenarioConfig, coupling: CouplingConfig = None) -> ScenarioResult:
+    """Statistics, eigenmodes and pair dominance of ``coupling``, else ``cfg.coupling``."""
+    sq, gain, report = _analysed(coupling or cfg.coupling, cfg.n_target, cfg.seed_gain)
     eigen = decompose(sq)
     try:
         rows = eigenmode_report(eigen)
@@ -408,13 +391,9 @@ def _pdc_analysis(cfg: ScenarioConfig, coupling: CouplingConfig) -> ScenarioResu
     return ScenarioResult(cfg.name, report, sq, gain, metrics, eigen=eigen, eigen_rows=rows)
 
 
-def _run_pdc_benchmark(cfg: ScenarioConfig) -> ScenarioResult:
-    return _pdc_analysis(cfg, cfg.coupling)
-
-
 def _run_pdc_eigen_pump(cfg: ScenarioConfig) -> ScenarioResult:
     """The benchmark coupling, then the same coupling pumped in its leading eigenmode."""
-    bench = _pdc_analysis(cfg, cfg.coupling)
+    bench = _pdc_analysis(cfg)
     pumped = _with_pump(cfg.coupling, coefficients=eigenmode_pump(bench.eigen, 1))
     result = _pdc_analysis(cfg, pumped)
     b, metrics = bench.metrics, result.metrics
@@ -507,18 +486,25 @@ def _run_waist_scan(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(cfg.name, report, sq, gain, metrics, scan=scan)
 
 
-_RUNNERS = {
-    "PsrSinglePhoton": _run_psr_single,
-    "PsrPCrosstalk": _run_psr_crosstalk,
-    "FwmTwoPhoton": _run_psr_crosstalk,
-    "PdcBenchmark": _run_pdc_benchmark,
-    "PdcEigenPump": _run_pdc_eigen_pump,
-    "PdcHeralding": _run_pdc_heralding,
-    "WaistScan": _run_waist_scan,
+_SCENARIOS = {
+    "PsrSinglePhoton": _Scenario(
+        _run_psr_single, partial(_psr_coupling, InteractionType.DEGENERATE_SINGLE_BEAM),
+        rerun=True),
+    "PsrPCrosstalk": _Scenario(
+        _run_psr_crosstalk, partial(_psr_coupling, InteractionType.P_CROSSTALK_ONLY), rerun=True),
+    "FwmTwoPhoton": _Scenario(
+        _run_psr_crosstalk, partial(_psr_coupling, InteractionType.FULL_CROSSTALK), rerun=True),
+    "PdcBenchmark": _Scenario(
+        _pdc_analysis, partial(_pdc_coupling, PDC_PUMP_WAIST), rerun=True),
+    "PdcEigenPump": _Scenario(
+        _run_pdc_eigen_pump, partial(_pdc_coupling, PDC_PUMP_WAIST), pump="eigenmode"),
+    "PdcHeralding": _Scenario(
+        _run_pdc_heralding, partial(_pdc_coupling, PDC_HERALDING_PUMP_WAIST),
+        p_max=HERALDING_P_MAX),
+    "WaistScan": _Scenario(
+        _run_waist_scan, partial(_pdc_coupling, PDC_PUMP_WAIST), scan=True, pump="gaussian"),
 }
-SCENARIO_NAMES = tuple(_RUNNERS)
-# the scenarios that convergence_check re-runs at a larger basis
-_RERUNS = frozenset({"PsrSinglePhoton", "PsrPCrosstalk", "FwmTwoPhoton", "PdcBenchmark"})
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 def _convergence_check(cfg: ScenarioConfig) -> dict:
@@ -527,8 +513,7 @@ def _convergence_check(cfg: ScenarioConfig) -> dict:
         coupling = coupling_on_basis(cfg.coupling, scenario_basis(cfg.name, 2, 4))
     except FieldError as exc:  # a bound of the re-run, which no flag or key sets
         raise ValueError(f"convergence_check: {exc.reason} of the re-run") from None
-    big = replace(cfg, coupling=coupling)
-    result = _RUNNERS[cfg.name](big)
+    result = _scenario(cfg.name).run(replace(cfg, coupling=coupling))
     return {
         "basis": "ell_max=2,p_max=4",
         "nbar_total": result.report.nbar_total,
@@ -538,7 +523,7 @@ def _convergence_check(cfg: ScenarioConfig) -> dict:
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Run a scenario, with the convergence re-check where configured."""
-    result = _RUNNERS[cfg.name](cfg)
+    result = _scenario(cfg.name).run(cfg)
     if cfg.convergence_check:
         result.convergence = _convergence_check(cfg)
     return result

@@ -167,6 +167,13 @@ class TestConfigParsing:
         ({"scenario": "WaistScan", "grid": {"points": 10000000}}, "grid.points"),
         ({"basis": {"ell_max": LONG_INTEGER}}, "basis.ell_max"),
         ({"n_target": LONG_INTEGER}, "n_target"),
+        # a Rayleigh range pi*w0^2/lambda that is not finite and > 0
+        ({"coupling": {"collection": {"waist_w0": 1e300}}}, "coupling.collection.waist_w0"),
+        ({"coupling": {"collection": {"waist_w0": 1e-300}}}, "coupling.collection.waist_w0"),
+        ({"scenario": "PdcHeralding", "coupling": {"pump": {"waist_w0": 1e300}}},
+         "coupling.pump.waist_w0"),
+        ({"scenario": "PdcHeralding", "coupling": {"pump": {"waist_w0": 1e-300}}},
+         "coupling.pump.waist_w0"),
     ],
 )
 def test_bad_config_exits_2_naming_key(tmp_path, capsys, config, key):
@@ -720,7 +727,12 @@ class TestCli:
         ["--scenario", "PsrSinglePhoton", "--lmax", "0", "--pmax", "1", "--seed-gain", "50"],
         ["--config", {"scenario": "PsrSinglePhoton", "n_target": 1e8}],
         ["--scenario", "PdcBenchmark", "--lmax", "0", "--pmax", "1", "--seed-gain", "1"],
-    ], ids=["overflow", "zero-variance", "zero-variance-config", "overflowing-metric"])
+        ["--config", {"scenario": "PsrSinglePhoton",
+                      "coupling": {"medium": {"strength": 1e-320}}}],
+        ["--config", {"scenario": "WaistScan", "grid": {"pump": [1e300, 1e301], "points": 2}}],
+        ["--config", {"scenario": "WaistScan", "grid": {"pump": [1e-300, 1e-299], "points": 2}}],
+    ], ids=["overflow", "zero-variance", "zero-variance-config", "overflowing-metric",
+            "unscalable-matrix", "overflowing-scan-waists", "underflowing-scan-waists"])
     def test_refused_non_finite_run_prints_only_its_error(self, tmp_path, capsys, argv):
         if argv[0] == "--config":
             path = tmp_path / "run.json"

@@ -449,6 +449,13 @@ class TestPhotonScaling:
         with pytest.raises(ValueError, match="n_target 0.001"):
             scale_to_mean_photons(sq, 1e-3)
 
+    def test_unscalable_matrix_names_n_target(self):
+        # asinh(1) / 1e-320 is past the float range: no finite gain brackets the root
+        sq = SqueezeMatrix(xi=np.array([[1e-320]]), basis=None,
+                           interaction=InteractionType.FULL_CROSSTALK)
+        with pytest.raises(ValueError, match="n_target 1.0: no finite scale"):
+            scale_to_mean_photons(sq, 1.0)
+
     @pytest.mark.parametrize("scenario, n_target", [
         ("PsrSinglePhoton", 1e5), ("PdcBenchmark", 1e5), ("PdcBenchmark", 1e8),
     ])

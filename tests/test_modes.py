@@ -81,8 +81,12 @@ class TestGeometry:
         ({"wavelength": 0.795, "waist_w0": 80.0, "focus_z": -math.inf}, "focus_z"),
         ({"wavelength": math.inf, "waist_w0": 80.0}, "wavelength"),
         ({"wavelength": 0.795, "waist_w0": math.inf}, "waist_w0"),
+        ({"wavelength": 0.795, "waist_w0": 1e300}, "waist_w0"),
+        ({"wavelength": 0.795, "waist_w0": 1e-300}, "waist_w0"),
+        ({"wavelength": 1e-200, "waist_w0": 1e150}, "waist_w0"),
     ], ids=["waist", "wavelength", "rayleigh_zR", "focus_z", "infinite-focus_z",
-            "infinite-wavelength", "infinite-waist"])
+            "infinite-wavelength", "infinite-waist", "overflowing-rayleigh",
+            "underflowing-rayleigh", "infinite-rayleigh"])
     def test_nan_parameters_rejected(self, kwargs, field):
         with pytest.raises(FieldError) as err:
             BeamGeometry(**kwargs)
