@@ -73,29 +73,21 @@ class InteractionType(enum.Enum):
 class MediumConfig:
     """Uniform nonlinear medium of length ``cell_length`` centred at ``center_z``.
 
-    ``strength`` is the scalar susceptibility (arbitrary units) and
-    ``gain_scale`` a dimensionless knob that absorbs all physical
-    prefactors; their product, nonzero and finite, multiplies the matrix.
+    ``strength`` is the scalar susceptibility (arbitrary units); nonzero and
+    finite, it multiplies the matrix.
     """
 
     cell_length: float
     center_z: float = 0.0
-    chi_profile: str = "uniform"
     strength: float = 1.0
-    gain_scale: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.cell_length < math.inf:
             raise FieldError("cell_length", f"must be finite and > 0, got {self.cell_length!r}")
         if not math.isfinite(self.center_z):
             raise FieldError("center_z", f"must be finite, got {self.center_z!r}")
-        if self.chi_profile != "uniform":
-            raise FieldError("chi_profile", f"unsupported profile {self.chi_profile!r}")
         if not (math.isfinite(self.strength) and self.strength != 0):
             raise FieldError("strength", f"must be finite and nonzero, got {self.strength!r}")
-        if not 0 < abs(self.strength) * self.gain_scale < math.inf:
-            raise FieldError("gain_scale", f"must be > 0 with strength * gain_scale finite "
-                             f"and nonzero, got {self.strength!r} * {self.gain_scale!r}")
 
 
 @dataclass(frozen=True)
@@ -132,6 +124,10 @@ class CouplingConfig:
     overlap, and a ``pump2`` raises FieldError.  Otherwise two drive fields
     enter, and a ``pump2`` of None means ``pump1`` again (degenerate-pump
     four-wave mixing).  A drive's coefficients hold one entry per basis mode.
+    Over the medium every beam's width w, its 1/w^2 and the z^2 + zR^2 of
+    its curvature phase stay finite and nonzero: a FieldError names
+    ``medium.center_z`` when the cell centre alone breaks this, else
+    ``medium.cell_length``.
     """
 
     interaction: InteractionType
@@ -150,11 +146,32 @@ class CouplingConfig:
             if coefficients is not None and np.shape(coefficients) != (self.basis.size,):
                 raise FieldError(f"{key}.coefficients", f"has shape {np.shape(coefficients)}, "
                                  f"not one entry per mode of the {self.basis.size}-mode basis")
+        med = self.medium
+        half = 0.5 * med.cell_length
+        beams = {d.geometry for d in self.drives} | {self.collection}
+        if not _beams_are_finite(beams, [med.center_z - half, med.center_z, med.center_z + half]):
+            key = "cell_length" if _beams_are_finite(beams, [med.center_z]) else "center_z"
+            raise FieldError(f"medium.{key}", f"{getattr(med, key)!r} puts a beam's width "
+                             "or curvature out of the finite, nonzero floats")
 
     @property
     def drives(self) -> tuple:
         """The drive fields of the overlap: (pump1,) or (pump1, pump2 or pump1)."""
         return (self.pump1,) if self.single_pump else (self.pump1, self.pump2 or self.pump1)
+
+
+def _beams_are_finite(beams, z) -> bool:
+    """Whether each beam's width w, 1/w^2 and z^2 + zR^2, which ``_beam_on_grid``
+    and ``_node_schedule`` divide by, are finite and nonzero at the lab
+    positions ``z``; the width grows with |z - focus|, so a cell's ends bound it."""
+    with np.errstate(all="ignore"):
+        for geom in beams:
+            z_rel = np.asarray(z, dtype=float) - geom.focus_z
+            w = geom.width(z_rel)
+            values = np.concatenate([w, 1.0 / w ** 2, z_rel ** 2 + geom.rayleigh_zR ** 2])
+            if not np.all((values > 0) & (values < math.inf)):
+                return False
+    return True
 
 
 def _beam_on_grid(r, z_rel, geom: BeamGeometry):
@@ -437,13 +454,12 @@ def assemble_squeeze_matrix(cfg: CouplingConfig):
     """Assemble the full squeezing matrix for ``cfg``.
 
     Rows index the signal mode, columns the idler mode, both in the basis
-    order.  The result carries the medium strength and gain_scale; for the
-    degenerate interaction it is diagonal, and so symmetric.
+    order.  The result carries the medium strength; for the degenerate
+    interaction it is diagonal, and so symmetric.
     """
     from .squeeze_core import SqueezeMatrix
 
-    xi = _assemble_raw(cfg)
-    xi = xi * (cfg.medium.strength * cfg.medium.gain_scale)
+    xi = _assemble_raw(cfg) * cfg.medium.strength
     return SqueezeMatrix(xi=xi, basis=cfg.basis, interaction=cfg.interaction)
 
 

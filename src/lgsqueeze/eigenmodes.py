@@ -57,21 +57,19 @@ class EigenmodeStats:
     theta: float
 
 
-def is_normal(xi: np.ndarray, tol: float = NORMALITY_TOL):
+def is_normal(xi: np.ndarray):
     """Check normality of xi via the scaled commutator residual.
 
     residual = ||xi xi^dag - xi^dag xi||_F / ||xi||_F^2 (0 for the zero
-    matrix); returns (residual < tol, residual).
+    matrix); returns (residual < NORMALITY_TOL, residual).
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     xi = np.asarray(xi, dtype=complex)
     scale = np.linalg.norm(xi) ** 2
     if scale == 0.0:
         return True, 0.0
     comm = xi @ xi.conj().T - xi.conj().T @ xi
     residual = float(np.linalg.norm(comm) / scale)
-    return residual < tol, residual
+    return residual < NORMALITY_TOL, residual
 
 
 def _canonicalize_cluster(vectors: np.ndarray) -> np.ndarray:

@@ -67,12 +67,20 @@ class ModeBasis:
 
     The ordering runs ell = -ell_max..+ell_max, and within each ell the
     radial index p = 0..p_max, so position((ell, p)) =
-    (ell + ell_max) * (p_max + 1) + p.
+    (ell + ell_max) * (p_max + 1) + p.  ``order`` lists the modes in it.
     """
 
     ell_max: int
     p_max: int
-    order: tuple = field(repr=False)
+    order: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.ell_max < 0 or self.p_max < 0:
+            raise ValueError(f"basis bounds must be >= 0, got ell_max={self.ell_max}, "
+                             f"p_max={self.p_max}")
+        object.__setattr__(self, "order", tuple(
+            ModeIndex(ell, p) for ell in range(-self.ell_max, self.ell_max + 1)
+            for p in range(self.p_max + 1)))
 
     @property
     def size(self) -> int:
@@ -92,14 +100,7 @@ class ModeBasis:
 
 def build_basis(ell_max: int, p_max: int) -> ModeBasis:
     """Enumerate the basis for |ell| <= ell_max, 0 <= p <= p_max."""
-    if ell_max < 0 or p_max < 0:
-        raise ValueError(f"basis bounds must be >= 0, got ell_max={ell_max}, p_max={p_max}")
-    order = tuple(
-        ModeIndex(ell, p)
-        for ell in range(-ell_max, ell_max + 1)
-        for p in range(p_max + 1)
-    )
-    return ModeBasis(ell_max=ell_max, p_max=p_max, order=order)
+    return ModeBasis(ell_max, p_max)
 
 
 @dataclass(frozen=True)
@@ -107,16 +108,15 @@ class BeamGeometry:
     """Gaussian-beam geometry: wavelength and waist in micrometers.
 
     ``focus_z`` is the axial position of the waist in the lab frame; mode
-    evaluations take z relative to the focus.  ``rayleigh_zR`` is derived
-    (pi w0^2 / lambda), must be finite and > 0 (else FieldError names
-    ``waist_w0``) and, if supplied explicitly, must agree with the derived
-    value to 1e-12 relative.  A refused field raises FieldError naming it.
+    evaluations take z relative to the focus.  The Rayleigh range
+    ``rayleigh_zR`` = pi w0^2 / lambda is derived; it and its square must be
+    finite and > 0, else FieldError names ``waist_w0``.  A refused field
+    raises FieldError naming it.
     """
 
     wavelength: float
     waist_w0: float
     focus_z: float = 0.0
-    rayleigh_zR: float = None
 
     def __post_init__(self):
         for name in ("wavelength", "waist_w0"):
@@ -125,17 +125,17 @@ class BeamGeometry:
         if not math.isfinite(self.focus_z):
             raise FieldError("focus_z", f"must be finite, got {self.focus_z!r}")
         try:
-            derived = math.pi * self.waist_w0 ** 2 / self.wavelength
+            zR = self.rayleigh_zR
         except OverflowError:  # w0 ** 2 past the float range
-            derived = math.inf
-        if not 0 < derived < math.inf:
+            zR = math.inf
+        if not (0 < zR < math.inf and 0 < zR * zR < math.inf):
             raise FieldError("waist_w0", f"{self.waist_w0!r} gives the Rayleigh range "
-                             f"pi*w0^2/lambda = {derived!r}; it must be finite and > 0")
-        if self.rayleigh_zR is None:
-            object.__setattr__(self, "rayleigh_zR", derived)
-        elif not abs(self.rayleigh_zR - derived) <= 1e-12 * derived:
-            raise FieldError("rayleigh_zR", f"{self.rayleigh_zR!r} is inconsistent with "
-                             f"pi*w0^2/lambda = {derived!r}")
+                             f"pi*w0^2/lambda = {zR!r}; it and its square must be finite "
+                             "and > 0")
+
+    @property
+    def rayleigh_zR(self) -> float:
+        return math.pi * self.waist_w0 ** 2 / self.wavelength
 
     @property
     def wavenumber(self) -> float:
@@ -215,19 +215,16 @@ def lg_amplitude(idx: ModeIndex, r, phi, z, geom: BeamGeometry) -> np.ndarray:
     return lg_radial_profile(idx, r, z, geom) * np.exp(1j * idx.ell * phi)
 
 
-def transverse_inner_product(
-    a: ModeIndex,
-    b: ModeIndex,
-    z,
-    geom: BeamGeometry,
-    rtol: float = 1e-10,
-) -> complex:
+INNER_PRODUCT_RTOL = 1e-10  # relative change between node counts at convergence
+
+
+def transverse_inner_product(a: ModeIndex, b: ModeIndex, z, geom: BeamGeometry) -> complex:
     """Numerical overlap integral of u_a* u_b over a transverse plane.
 
     The azimuthal integral is analytic: modes with different ell are
     orthogonal exactly.  The radial integral is done by Gauss-Legendre
     quadrature on t = 2 r^2 / w(z)^2, refined until the result is stable to
-    ``rtol``; equals delta_{a,b} for an orthonormal mode family.
+    ``INNER_PRODUCT_RTOL``; equals delta_{a,b} for an orthonormal mode family.
     """
     if a.ell != b.ell:
         return 0.0 + 0.0j
@@ -248,7 +245,7 @@ def transverse_inner_product(
     for n_nodes in (128, 256, 512):
         cur = evaluate(n_nodes)
         residual = abs(cur - prev) / max(1.0, abs(cur))
-        if residual <= rtol:
+        if residual <= INNER_PRODUCT_RTOL:
             return complex(cur)
         prev = cur
     raise QuadratureError("transverse inner product did not converge", residual)

@@ -273,10 +273,9 @@ def _pump(value, path: str) -> dict:
 
 # One table per config section: each key and the reader of its JSON value,
 # or the table of the section it holds.  The writer emits the same keys.
-_GEOMETRY = dict.fromkeys(("wavelength", "waist_w0", "focus_z", "rayleigh_zR"), _number)
+_GEOMETRY = dict.fromkeys(("wavelength", "waist_w0", "focus_z"), _number)
 _PUMP = {"geometry": _GEOMETRY, "coefficients": {"re": _numbers, "im": _numbers}}
-_MEDIUM = {"cell_length": _number, "center_z": _number, "chi_profile": _as_given,
-           "strength": _number, "gain_scale": _number}
+_MEDIUM = dict.fromkeys(("cell_length", "center_z", "strength"), _number)
 _COUPLING = {"interaction": _interaction, "single_pump": _boolean, "medium": _MEDIUM,
              "pump": _pump, "pump2": _pump, "collection": _GEOMETRY}
 _BASIS = {"ell_max": _integer, "p_max": _integer}
@@ -348,17 +347,11 @@ def _built(path: str, build, *args, **kwargs):
         raise ConfigError(_key(path, _KEY.get(head, head) + dot + rest), exc.reason) from exc
 
 
-def _geometry(default: BeamGeometry, read: dict, path: str) -> BeamGeometry:
-    """``default`` with the keys read from the section at ``path``; the Rayleigh
-    range is derived again unless the section sets it."""
-    return _built(path, replace, default, **{"rayleigh_zR": None, **read})
-
-
 def _pump_spec(read: dict, geometry: BeamGeometry, size: int, path: str) -> PumpSpec:
     """The pump of the section read at ``path``, on ``geometry`` where it sets none."""
     if _bare(read):
-        return PumpSpec(_geometry(geometry, read, path))
-    geometry = _geometry(geometry, read.get("geometry", {}), path + ".geometry")
+        return PumpSpec(_built(path, replace, geometry, **read))
+    geometry = _built(path + ".geometry", replace, geometry, **read.get("geometry", {}))
     coefficients = read.get("coefficients")
     if coefficients is not None:
         for part in ("re", "im"):
@@ -387,8 +380,8 @@ def scenario_config_from_dict(data: dict) -> ScenarioConfig:
     if "medium" in coupling:
         coupling["medium"] = _built("coupling.medium", replace, base.medium, **coupling["medium"])
     if "collection" in coupling:
-        coupling["collection"] = _geometry(base.collection, coupling["collection"],
-                                           "coupling.collection")
+        coupling["collection"] = _built("coupling.collection", replace, base.collection,
+                                        **coupling["collection"])
     for key in ("pump", "pump2"):
         if coupling.get(key) is not None:
             coupling[key] = _pump_spec(coupling[key], base.pump1.geometry, base.basis.size,

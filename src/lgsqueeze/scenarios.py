@@ -283,11 +283,6 @@ def _u00_variance(report: StateReport, sq: SqueezeMatrix) -> float:
     return float(report.var_X1[i00, i00].real)
 
 
-def _with_waist(geom: BeamGeometry, waist: float) -> BeamGeometry:
-    """The same beam at another waist, its Rayleigh range derived anew."""
-    return replace(geom, waist_w0=waist, rayleigh_zR=None)
-
-
 def _with_pump(coupling: CouplingConfig, **changes) -> CouplingConfig:
     """``coupling`` with fields of its first pump replaced; a pump2 of None follows."""
     return replace(coupling, pump1=replace(coupling.pump1, **changes))
@@ -424,7 +419,7 @@ def _run_pdc_heralding(cfg: ScenarioConfig) -> ScenarioResult:
     # reference: the benchmark pump waist at the same extended basis, calibrated
     # to the run's photon number (the target, or what a seed gain gave)
     pump = cfg.coupling.pump1.geometry
-    ref = _with_pump(cfg.coupling, geometry=_with_waist(pump, PDC_PUMP_WAIST))
+    ref = _with_pump(cfg.coupling, geometry=replace(pump, waist_w0=PDC_PUMP_WAIST))
     target = cfg.n_target if cfg.seed_gain is None else report.nbar_total
     if not 0.0 < target < math.inf:
         raise ValueError(f"seed_gain {cfg.seed_gain!r} gives photon number {target!r}; "
@@ -452,8 +447,8 @@ def _run_waist_scan(cfg: ScenarioConfig) -> ScenarioResult:
     for i, wp in enumerate(pump_vals):
         for j, wc in enumerate(coll_vals):
             try:
-                cell = replace(_with_pump(coupling, geometry=_with_waist(pump, float(wp))),
-                               collection=_with_waist(coupling.collection, float(wc)))
+                cell = replace(_with_pump(coupling, geometry=replace(pump, waist_w0=float(wp))),
+                               collection=replace(coupling.collection, waist_w0=float(wc)))
                 sq, gain, report = _analysed(cell, cfg.n_target)
                 metric[i, j] = pair_dominance_metrics(report, sq.basis)["figure_metric"]
             except (QuadratureError, ValueError, np.linalg.LinAlgError) as exc:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -15,7 +16,10 @@ import pytest
 
 import lgsqueeze
 from lgsqueeze.cli import main as cli_main
+from lgsqueeze.coupling import CouplingConfig
 from lgsqueeze.report_io import (
+    _ATTRIBUTE,
+    _TABLES,
     ConfigError,
     emit_result,
     load_report,
@@ -23,7 +27,7 @@ from lgsqueeze.report_io import (
     resolved_config_dict,
     scenario_config_from_dict,
 )
-from lgsqueeze.scenarios import SCENARIO_NAMES, default_config, run_scenario
+from lgsqueeze.scenarios import SCENARIO_NAMES, ScenarioConfig, default_config, run_scenario
 
 SCHEMA_DIR = Path(lgsqueeze.__file__).parent / "schemas"
 SRC = str(Path(lgsqueeze.__file__).resolve().parent.parent)
@@ -36,9 +40,26 @@ def load_schema(name):
 # a JSON integer of more digits than int() converts; json.dumps cannot write
 # one, so a config names it by this string and the test writes its digits
 LONG_INTEGER = "<4401-digit integer>"
+# keys a config once took and no longer does
+REMOVED_KEYS = ("chi_profile", "gain_scale", "rayleigh_zR")
+PSR_RAYLEIGH = default_config("PsrSinglePhoton").coupling.collection.rayleigh_zR
 
 
 class TestConfigParsing:
+    def test_each_section_table_lists_its_class_fields(self):
+        # a key per init field, named through _ATTRIBUTE where the two differ.
+        # The one exception is the basis: CouplingConfig holds it, but its
+        # key sits at the top level, beside the scenario name
+        for cls, table in _TABLES.items():
+            if cls is dict:  # the scan grid, a plain dict
+                continue
+            attributes = {_ATTRIBUTE.get(key, key) for key in table} - {"coupling.basis"}
+            fields = {f.name for f in dataclasses.fields(cls) if f.init}
+            if cls is CouplingConfig:
+                fields.remove("basis")
+            assert attributes == fields, cls.__name__
+        assert _ATTRIBUTE["basis"] == "coupling.basis" and "basis" in _TABLES[ScenarioConfig]
+
     def test_minimal_benchmark_defaults(self):
         cfg = scenario_config_from_dict({"scenario": "PdcBenchmark"})
         assert cfg.coupling.pump1.geometry.wavelength == pytest.approx(0.405)
@@ -174,6 +195,16 @@ class TestConfigParsing:
          "coupling.pump.waist_w0"),
         ({"scenario": "PdcHeralding", "coupling": {"pump": {"waist_w0": 1e-300}}},
          "coupling.pump.waist_w0"),
+        # removed keys: chi_profile and rayleigh_zR each at the one value it once
+        # took, gain_scale at a value its rule refused
+        ({"coupling": {"medium": {"chi_profile": "uniform"}}}, "coupling.medium.chi_profile"),
+        ({"scenario": "PdcBenchmark", "coupling": {"medium": {"gain_scale": -1.0}}},
+         "coupling.medium.gain_scale"),
+        ({"coupling": {"collection": {"rayleigh_zR": PSR_RAYLEIGH}}},
+         "coupling.collection.rayleigh_zR"),
+        ({"coupling": {"pump": {"geometry": {"rayleigh_zR": PSR_RAYLEIGH}}}},
+         "coupling.pump.geometry.rayleigh_zR"),
+        ({"coupling": {"pump": {"rayleigh_zR": PSR_RAYLEIGH}}}, "coupling.pump.rayleigh_zR"),
     ],
 )
 def test_bad_config_exits_2_naming_key(tmp_path, capsys, config, key):
@@ -184,6 +215,8 @@ def test_bad_config_exits_2_naming_key(tmp_path, capsys, config, key):
     assert cli_main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: "), err
+    if key.endswith(REMOVED_KEYS):
+        assert err == f"error: {key}: unknown key\n", err
     assert not (tmp_path / "o").exists()
 
 
@@ -362,16 +395,12 @@ def test_pump_outside_the_rerun_basis_names_the_rerun(tmp_path, capsys, basis, m
     ("PdcBenchmark", "coupling.collection.focus_z", math.nan),
     ("PdcBenchmark", "coupling.pump.geometry.wavelength", math.inf),
     ("PdcBenchmark", "coupling.pump.geometry.waist_w0", 0.0),
-    ("PdcBenchmark", "coupling.pump.geometry.rayleigh_zR", 1.0),
     ("PdcBenchmark", "coupling.medium.cell_length", 0.0),
     ("PdcBenchmark", "coupling.medium.center_z", math.inf),
-    ("PdcBenchmark", "coupling.medium.chi_profile", "gaussian"),
     ("PdcBenchmark", "coupling.medium.strength", 0.0),
-    ("PdcBenchmark", "coupling.medium.gain_scale", -1.0),
 ], ids=["nan", "wrong-shape", "not-unit-norm", "eigen-pump-own-pump", "waist-scan-own-pump",
         "collection-waist", "collection-focus-nan", "pump-wavelength-inf", "pump-waist",
-        "pump-rayleigh", "cell-length", "center-z-inf", "chi-profile", "strength",
-        "gain-scale"])
+        "cell-length", "center-z-inf", "strength"])
 def test_pump_rules_hold_in_python_and_in_config_files(tmp_path, capsys, no_run, scenario,
                                                         key, value):
     # the field Python refuses is the last segment of the key a config file names;
@@ -731,8 +760,13 @@ class TestCli:
                       "coupling": {"medium": {"strength": 1e-320}}}],
         ["--config", {"scenario": "WaistScan", "grid": {"pump": [1e300, 1e301], "points": 2}}],
         ["--config", {"scenario": "WaistScan", "grid": {"pump": [1e-300, 1e-299], "points": 2}}],
+        *(["--config", {"scenario": "PsrSinglePhoton", "basis": {"ell_max": 0, "p_max": 0},
+                        "coupling": coupling}]
+          for coupling in ({"medium": {"center_z": 1e300}}, {"medium": {"cell_length": 1e300}},
+                           {"collection": {"wavelength": 1e300}})),
     ], ids=["overflow", "zero-variance", "zero-variance-config", "overflowing-metric",
-            "unscalable-matrix", "overflowing-scan-waists", "underflowing-scan-waists"])
+            "unscalable-matrix", "overflowing-scan-waists", "underflowing-scan-waists",
+            "far-medium-centre", "overflowing-cell", "underflowing-rayleigh-square"])
     def test_refused_non_finite_run_prints_only_its_error(self, tmp_path, capsys, argv):
         if argv[0] == "--config":
             path = tmp_path / "run.json"

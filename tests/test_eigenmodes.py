@@ -6,6 +6,7 @@ import pytest
 from conftest import random_normal_symmetric
 from lgsqueeze.coupling import InteractionType
 from lgsqueeze.eigenmodes import (
+    NORMALITY_TOL,
     decompose,
     eigenmode_pump,
     eigenmode_report,
@@ -26,21 +27,30 @@ class TestNormality:
     def test_hermitian_is_normal(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        ok, residual = is_normal(a + a.conj().T, tol=1e-8)
+        ok, residual = is_normal(a + a.conj().T)
         assert ok and residual < 1e-15
 
     def test_jordan_block_residual(self):
-        ok, residual = is_normal(np.array([[0.0, 1.0], [0.0, 0.0]]), tol=1e-8)
+        ok, residual = is_normal(np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert not ok
         assert residual == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_zero_matrix(self):
-        ok, residual = is_normal(np.zeros((3, 3)), tol=1e-8)
+        ok, residual = is_normal(np.zeros((3, 3)))
         assert ok and residual == 0.0
 
     def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            is_normal(np.eye(2), tol=0.0)
+        # the one threshold is NORMALITY_TOL; no call sets another
+        with pytest.raises(TypeError):
+            is_normal(np.eye(2), tol=1.0)
+
+        def sheared(residual):
+            # I + e N with N = [[0, 1], [0, 0]] has residual sqrt(2) e^2 / (2 + e^2)
+            e2 = 2.0 * residual / (math.sqrt(2.0) - residual)
+            return np.array([[1.0, math.sqrt(e2)], [0.0, 1.0]])
+
+        assert is_normal(sheared(0.5 * NORMALITY_TOL))[0]
+        assert not is_normal(sheared(2.0 * NORMALITY_TOL))[0]
 
 
 class TestDecompose:

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.special
 
+from lgsqueeze import modes
 from lgsqueeze.modes import (
     BeamGeometry,
     FieldError,
@@ -64,8 +66,14 @@ class TestGeometry:
         )
 
     def test_inconsistent_rayleigh_rejected(self):
-        with pytest.raises(ValueError):
+        # the Rayleigh range is derived only: no construction can give another
+        assert "rayleigh_zR" not in [f.name for f in dataclasses.fields(BeamGeometry)]
+        with pytest.raises(TypeError):
             BeamGeometry(wavelength=0.795, waist_w0=80.0, rayleigh_zR=1.0)
+        with pytest.raises(TypeError):
+            dataclasses.replace(GEOM, rayleigh_zR=1.0)
+        assert dataclasses.replace(GEOM, waist_w0=40.0).rayleigh_zR == pytest.approx(
+            GEOM.rayleigh_zR / 4.0, rel=1e-15)
 
     def test_positive_parameters(self):
         with pytest.raises(ValueError):
@@ -76,7 +84,6 @@ class TestGeometry:
     @pytest.mark.parametrize("kwargs, field", [
         ({"wavelength": 0.8, "waist_w0": math.nan}, "waist_w0"),
         ({"wavelength": math.nan, "waist_w0": 80.0}, "wavelength"),
-        ({"wavelength": 0.795, "waist_w0": 80.0, "rayleigh_zR": math.nan}, "rayleigh_zR"),
         ({"wavelength": 0.795, "waist_w0": 80.0, "focus_z": math.nan}, "focus_z"),
         ({"wavelength": 0.795, "waist_w0": 80.0, "focus_z": -math.inf}, "focus_z"),
         ({"wavelength": math.inf, "waist_w0": 80.0}, "wavelength"),
@@ -84,9 +91,13 @@ class TestGeometry:
         ({"wavelength": 0.795, "waist_w0": 1e300}, "waist_w0"),
         ({"wavelength": 0.795, "waist_w0": 1e-300}, "waist_w0"),
         ({"wavelength": 1e-200, "waist_w0": 1e150}, "waist_w0"),
-    ], ids=["waist", "wavelength", "rayleigh_zR", "focus_z", "infinite-focus_z",
+        # a finite Rayleigh range whose square underflows to 0 or overflows
+        ({"wavelength": 1e300, "waist_w0": 80.0}, "waist_w0"),
+        ({"wavelength": 1.0, "waist_w0": 1e100}, "waist_w0"),
+    ], ids=["waist", "wavelength", "focus_z", "infinite-focus_z",
             "infinite-wavelength", "infinite-waist", "overflowing-rayleigh",
-            "underflowing-rayleigh", "infinite-rayleigh"])
+            "underflowing-rayleigh", "infinite-rayleigh", "underflowing-rayleigh-square",
+            "overflowing-rayleigh-square"])
     def test_nan_parameters_rejected(self, kwargs, field):
         with pytest.raises(FieldError) as err:
             BeamGeometry(**kwargs)
@@ -172,8 +183,7 @@ class TestInnerProduct:
                     worst = max(worst, abs(value - target))
         assert worst < 1e-8
 
-    def test_non_convergence_raises(self):
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(modes, "INNER_PRODUCT_RTOL", 1e-18)
         with pytest.raises(QuadratureError):
-            transverse_inner_product(
-                ModeIndex(0, 0), ModeIndex(0, 0), 0.0, GEOM, rtol=1e-18
-            )
+            transverse_inner_product(ModeIndex(0, 0), ModeIndex(0, 0), 0.0, GEOM)
