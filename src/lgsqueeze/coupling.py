@@ -14,8 +14,10 @@ import enum
 import itertools
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -174,6 +176,71 @@ def _beams_are_finite(beams, z) -> bool:
     return True
 
 
+_pool = None  # the worker threads of _in_row_runs, made when first needed
+_pool_lock = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers():
+    """The ThreadPoolExecutor of ``_in_row_runs``; a run that never splits
+    (one usable CPU, or one row) neither makes it nor imports its module."""
+    global _pool
+    from concurrent.futures import ThreadPoolExecutor
+
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(os.cpu_count() or 1, thread_name_prefix="lgsqueeze")
+        return _pool
+
+
+def _forget_workers():
+    # a forked child has none of its parent's threads, so it makes its own pool
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _in_row_runs(n: int, work) -> list:
+    """``[work(lo, hi), ...]`` for rows 0..n cut into one run per usable CPU.
+
+    This thread does the first run and worker threads the others, which
+    overlap because numpy's loops release the GIL; so ``work`` calls numpy
+    only, and every function of the package stays on the calling thread.
+    The results are in row order, and no run outlives the call.
+    """
+    runs = min(_usable_cpus(), n)
+    cuts = [n * i // runs for i in range(runs + 1)]
+    rest = [_workers().submit(work, cuts[i], cuts[i + 1]) for i in range(1, runs)]
+    try:
+        first = work(cuts[0], cuts[1])
+    finally:
+        for job in rest:  # wait even when the first run raises: the others write rows
+            job.exception()
+    return [first] + [job.result() for job in rest]
+
+
+def _contract(spec: str, pump, left, right):
+    """``np.einsum(spec, pump, left, right)`` with its rows split by ``_in_row_runs``.
+
+    ``spec`` is ``"zt,pzt,qzt->pq"`` or the diagonal ``"zt,pzt,pzt->p"``,
+    which splits ``right`` with ``left``.  Each output row comes from the
+    same einsum inner loop on the same operands, so the result is
+    bit-identical to one call whatever the CPU count.
+    """
+    diagonal = spec.endswith("->p")
+    return np.concatenate(_in_row_runs(len(left), lambda lo, hi: np.einsum(
+        spec, pump, left[lo:hi], right[lo:hi] if diagonal else right)))
+
+
 def _beam_on_grid(r, z_rel, geom: BeamGeometry):
     """The mode-independent factors of a beam's profiles on the (z, t) grid.
 
@@ -208,15 +275,21 @@ def _profiles_on_grid(entries, r, beam):
         p_hi = max(idx.p for _, idx in group)
         ladder = laguerre_ladder(alpha, targ, p_hi)
         ring = (np.sqrt(2.0) * r / w) ** alpha if alpha else 1.0
-        for pos, idx in group:
-            gouy = np.exp(1j * (2 * idx.p + alpha + 1) * psi)
-            # in place, in the operand order (c/w)*base*ring*L_p*gouy
-            row = out[pos]
-            np.multiply(_norm_constant(idx.ell, idx.p) / w, base, out=row)
-            row *= ring
-            row *= ladder[idx.p]
-            row *= gouy
+        # each entry's row, c, L_p and Gouy order; the rows fill on every CPU
+        rows = [(out[pos], _norm_constant(idx.ell, idx.p), ladder[idx.p], 2 * idx.p + alpha + 1)
+                for pos, idx in group]
+        _in_row_runs(len(rows), partial(_fill_rows, rows, w, base, ring, psi))
     return out
+
+
+def _fill_rows(rows, w, base, ring, psi, lo, hi):
+    """Fill ``rows[lo:hi]`` of ``_profiles_on_grid`` in place, in the operand
+    order (c/w)*base*ring*L_p*gouy."""
+    for row, c, laguerre, gouy_order in rows[lo:hi]:
+        np.multiply(c / w, base, out=row)
+        row *= ring
+        row *= laguerre
+        row *= np.exp(1j * gouy_order * psi)
 
 
 def _pump_support_orders(pump: PumpSpec, basis: ModeBasis):
@@ -398,7 +471,9 @@ def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
     # ones this overlap does not read, so at most two are alive at a time.
     # When no drive-index tuple carries net OAM every overlap reads one stack
     # and each is built once; otherwise a dropped stack a later overlap reads
-    # is rebuilt.
+    # is rebuilt.  Each overlap is contracted on every usable CPU in runs of
+    # its signal rows (``_contract``), views of the stacks it reads, so the
+    # threads add no stack and xi is the same bit for bit at any CPU count.
     for key in sorted(feeds, key=lambda k: (max(k), min(k), k)):
         for alpha in key:
             if alpha not in stacks:
@@ -409,7 +484,7 @@ def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
             pump = reduce(operator.mul, [c[a] for c, a in zip(coeffs, combo)]) * measure
             for prof, a in zip(profiles, combo):
                 pump *= prof[a]
-            overlap = np.einsum(
+            overlap = _contract(
                 "zt,pzt,pzt->p" if diag_only else "zt,pzt,qzt->pq",
                 pump, stacks[key[0]], stacks[key[1]],
             )
@@ -429,11 +504,17 @@ def _assemble_raw(cfg: CouplingConfig):
     residual = math.inf
     for nz, nt in schedule:
         cur = _assemble_at(cfg, nz, nt, t_max)
-        if prev is not None:
-            scale = max(np.linalg.norm(cur), 1e-300)
-            residual = np.linalg.norm(cur - prev) / scale
-            if residual <= QUADRATURE_RTOL:
-                return cur
+        with np.errstate(over="ignore"):  # numpy's norm squares each entry unscaled
+            norm = float(np.linalg.norm(cur))
+            if not math.isfinite(norm):
+                raise ValueError(
+                    f"the coupling matrix on {nz} x {nt} quadrature nodes has norm {norm!r}; "
+                    "a very narrow beam's 1/w profile normalisation makes its entries "
+                    "too large to square")
+            if prev is not None:
+                residual = float(np.linalg.norm(cur - prev)) / max(norm, 1e-300)
+        if prev is not None and residual <= QUADRATURE_RTOL:
+            return cur
         prev = cur
     raise QuadratureError("coupling quadrature did not converge", residual)
 

@@ -764,9 +764,14 @@ class TestCli:
                         "coupling": coupling}]
           for coupling in ({"medium": {"center_z": 1e300}}, {"medium": {"cell_length": 1e300}},
                            {"collection": {"wavelength": 1e300}})),
+        ["--config", {"scenario": "PsrSinglePhoton", "basis": {"ell_max": 0, "p_max": 0},
+                      "coupling": {"pump": {"wavelength": 1e-300, "waist_w0": 1e-150},
+                                   "collection": {"wavelength": 1e-300, "waist_w0": 1e-150},
+                                   "medium": {"cell_length": 1}}}],
     ], ids=["overflow", "zero-variance", "zero-variance-config", "overflowing-metric",
             "unscalable-matrix", "overflowing-scan-waists", "underflowing-scan-waists",
-            "far-medium-centre", "overflowing-cell", "underflowing-rayleigh-square"])
+            "far-medium-centre", "overflowing-cell", "underflowing-rayleigh-square",
+            "overflowing-matrix-norm"])
     def test_refused_non_finite_run_prints_only_its_error(self, tmp_path, capsys, argv):
         if argv[0] == "--config":
             path = tmp_path / "run.json"

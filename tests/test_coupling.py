@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import signal
+import threading
 import warnings
 import weakref
 
@@ -13,6 +16,7 @@ from lgsqueeze.coupling import (
     _T_MAX_MIN,
     _assemble_at,
     _brentq,
+    _contract,
     _gauss_legendre,
     _levels,
     _node_schedule,
@@ -397,6 +401,71 @@ class TestStreamedAssembly:
         assert all(len(alphas) == 1 for alphas, _ in calls)
         assert len(built) % 5 == 0 and built == [0, 1, 2, 3, 4] * (len(built) // 5)
         assert peak[0] == 1
+
+
+class TestRowSplitContraction:
+    """Each overlap is contracted in one run of signal rows per usable CPU,
+    and the result is that of one einsum call, bit for bit, at any count."""
+
+    @pytest.mark.parametrize("spec", ["zt,pzt,qzt->pq", "zt,pzt,pzt->p"])
+    def test_equals_one_einsum_bit_for_bit(self, monkeypatch, spec):
+        rng = np.random.default_rng(20)
+
+        def draw(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        pump = draw(5, 37)
+        for rows in range(1, 22):  # up to rows < CPUs, where every run is one row
+            left, right = draw(rows, 5, 37), draw(rows, 5, 37)
+            want = np.einsum(spec, pump, left, right).view(np.uint64)
+            for cpus in range(1, 5):
+                monkeypatch.setattr(coupling, "_usable_cpus", lambda: cpus)
+                got = _contract(spec, pump, left, right)
+                assert np.array_equal(got.view(np.uint64), want), (rows, cpus)
+
+    @pytest.mark.parametrize("cfg", [
+        *(default_config(name).coupling for name in SCENARIO_NAMES),
+        asymmetric_config("two-pump", InteractionType.FULL_CROSSTALK),
+        asymmetric_config("two-pump", InteractionType.DEGENERATE_SINGLE_BEAM),
+        fwm_config(InteractionType.DEGENERATE_SINGLE_BEAM),
+    ], ids=[*SCENARIO_NAMES, "two-pump", "two-pump-degenerate", "degenerate"])
+    def test_assembly_is_bit_identical_at_any_cpu_count(self, monkeypatch, cfg):
+        schedule, t_max = _node_schedule(cfg)
+        nz, nt = schedule[0]
+        xis = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(coupling, "_usable_cpus", lambda: cpus)
+            xis.append(_assemble_at(cfg, nz, nt, t_max).view(np.uint64))
+        assert np.array_equal(*xis)
+
+    def test_worker_threads_are_reused(self, monkeypatch):
+        monkeypatch.setattr(coupling, "_usable_cpus", lambda: 2)
+        cfg = fwm_config()
+        _assemble_at(cfg, 24, 40, 40.0)
+        pool, threads = coupling._pool, threading.active_count()
+        for _ in range(20):
+            _assemble_at(cfg, 24, 40, 40.0)
+        assert coupling._pool is pool
+        # a worker that has not yet marked itself idle may add one more, up to the pool size
+        assert threading.active_count() <= threads + (os.cpu_count() or 1)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_contracts_on_workers_of_its_own(self, monkeypatch):
+        monkeypatch.setattr(coupling, "_usable_cpus", lambda: 2)
+        cfg = fwm_config()
+        want = _assemble_at(cfg, 24, 40, 40.0)  # the parent's workers now exist
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(30)  # a child waiting on its parent's threads ends here
+                code = 0 if np.array_equal(_assemble_at(cfg, 24, 40, 40.0), want) else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
