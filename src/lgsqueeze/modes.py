@@ -129,9 +129,9 @@ class BeamGeometry:
         except OverflowError:  # w0 ** 2 past the float range
             zR = math.inf
         if not (0 < zR < math.inf and 0 < zR * zR < math.inf):
-            raise FieldError("waist_w0", f"{self.waist_w0!r} gives the Rayleigh range "
-                             f"pi*w0^2/lambda = {zR!r}; it and its square must be finite "
-                             "and > 0")
+            raise FieldError("waist_w0", f"waist_w0={self.waist_w0!r} and wavelength="
+                             f"{self.wavelength!r} give the Rayleigh range pi*w0^2/lambda = "
+                             f"{zR!r}; it and its square must be finite and > 0")
 
     @property
     def rayleigh_zR(self) -> float:

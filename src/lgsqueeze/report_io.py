@@ -347,11 +347,25 @@ def _built(path: str, build, *args, **kwargs):
         raise ConfigError(_key(path, _KEY.get(head, head) + dot + rest), exc.reason) from exc
 
 
+def _geometry(path: str, base: BeamGeometry, read: dict) -> BeamGeometry:
+    """``base`` with the keys of the geometry section read at ``path``.
+
+    BeamGeometry names ``waist_w0`` when the Rayleigh range pi*w0^2/lambda
+    leaves the float range.  The stock ``base`` is in range, so when the
+    section sets the wavelength and not the waist, the wavelength took it out.
+    """
+    try:
+        return replace(base, **read)
+    except FieldError as exc:
+        field = "wavelength" if exc.field not in read and "wavelength" in read else exc.field
+        raise ConfigError(_key(path, field), exc.reason) from exc
+
+
 def _pump_spec(read: dict, geometry: BeamGeometry, size: int, path: str) -> PumpSpec:
     """The pump of the section read at ``path``, on ``geometry`` where it sets none."""
     if _bare(read):
-        return PumpSpec(_built(path, replace, geometry, **read))
-    geometry = _built(path + ".geometry", replace, geometry, **read.get("geometry", {}))
+        return PumpSpec(_geometry(path, geometry, read))
+    geometry = _geometry(path + ".geometry", geometry, read.get("geometry", {}))
     coefficients = read.get("coefficients")
     if coefficients is not None:
         for part in ("re", "im"):
@@ -380,8 +394,8 @@ def scenario_config_from_dict(data: dict) -> ScenarioConfig:
     if "medium" in coupling:
         coupling["medium"] = _built("coupling.medium", replace, base.medium, **coupling["medium"])
     if "collection" in coupling:
-        coupling["collection"] = _built("coupling.collection", replace, base.collection,
-                                        **coupling["collection"])
+        coupling["collection"] = _geometry("coupling.collection", base.collection,
+                                           coupling["collection"])
     for key in ("pump", "pump2"):
         if coupling.get(key) is not None:
             coupling[key] = _pump_spec(coupling[key], base.pump1.geometry, base.basis.size,

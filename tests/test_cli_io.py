@@ -205,6 +205,19 @@ class TestConfigParsing:
         ({"coupling": {"pump": {"geometry": {"rayleigh_zR": PSR_RAYLEIGH}}}},
          "coupling.pump.geometry.rayleigh_zR"),
         ({"coupling": {"pump": {"rayleigh_zR": PSR_RAYLEIGH}}}, "coupling.pump.rayleigh_zR"),
+        # a Rayleigh range out of range is named by the key the config set: the
+        # wavelength when it sets the wavelength alone, else the waist
+        ({"scenario": "PdcBenchmark", "coupling": {"collection": {"wavelength": 1e300}}},
+         "coupling.collection.wavelength"),
+        ({"scenario": "PdcBenchmark", "coupling": {"collection": {"waist_w0": 1e300}}},
+         "coupling.collection.waist_w0"),
+        ({"scenario": "PdcBenchmark",
+          "coupling": {"collection": {"wavelength": 1e-200, "waist_w0": 1e150}}},
+         "coupling.collection.waist_w0"),
+        ({"scenario": "PdcHeralding", "coupling": {"pump": {"wavelength": 1e-300}}},
+         "coupling.pump.wavelength"),
+        ({"coupling": {"pump": {"geometry": {"wavelength": 1e300, "focus_z": 1.0}}}},
+         "coupling.pump.geometry.wavelength"),
     ],
 )
 def test_bad_config_exits_2_naming_key(tmp_path, capsys, config, key):

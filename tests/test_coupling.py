@@ -476,6 +476,28 @@ def test_basis_floor_counts_no_more_nodes_than_the_finest_level(name):
     assert floor_nz <= nz and floor_nt <= nt
 
 
+@pytest.mark.parametrize("cfg", [
+    *(default_config(name).coupling for name in SCENARIO_NAMES),
+    default_config("PdcBenchmark", ell_max=4, p_max=8).coupling,
+], ids=[*SCENARIO_NAMES, "PdcBenchmark-4-8"])
+def test_returned_xi_holds_at_the_next_level_and_a_doubled_cutoff(monkeypatch, cfg):
+    """The xi ``_assemble_raw`` returns is converged to well inside 1e-10
+    relative: the next finer level of ``_levels`` and the returned level's t
+    spacing carried to twice ``t_max`` both agree with it (to 1.9e-11 at most
+    when this test was written, on PdcHeralding)."""
+    real = coupling._assemble_at
+    grids = []
+    monkeypatch.setattr(coupling, "_assemble_at", lambda cfg, nz, nt, t_max: (
+        grids.append((nz, nt)) or real(cfg, nz, nt, t_max)))
+    xi = coupling._assemble_raw(cfg)
+    schedule, t_max = _node_schedule(cfg)
+    nz, nt = grids[-1]
+    finer = real(cfg, *schedule[schedule.index((nz, nt)) + 1], t_max)
+    wider = real(cfg, nz, 2 * nt, 2 * t_max)
+    for other in (finer, wider):
+        assert np.linalg.norm(other - xi) <= 1e-10 * np.linalg.norm(xi)
+
+
 def cli_nbar_total(tmp_path, scenario, n_target):
     """``nbar_total`` of a CLI ``--config`` run of ``scenario`` calibrated to ``n_target``."""
     from lgsqueeze.cli import main as cli_main

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_normal_symmetric
 from lgsqueeze.coupling import InteractionType
+from lgsqueeze import eigenmodes
 from lgsqueeze.eigenmodes import (
     NORMALITY_TOL,
     decompose,
@@ -84,6 +85,55 @@ class TestDecompose:
         assert np.allclose(
             np.diagonal(prime), dec.lam * np.exp(1j * dec.theta_prime), atol=1e-10
         )
+
+
+def full_sweep_cluster(vectors):
+    """The cluster basis from a sweep of every projector column; returns it and
+    each swept column's (column norm, remainder norm)."""
+    n, k = vectors.shape
+    proj = vectors @ vectors.conj().T
+    out, norms = [], []
+    col = 0
+    while len(out) < k and col < n:
+        v = proj[:, col].copy()
+        for u in out:
+            v -= u * np.vdot(u, v)
+        norms.append((np.linalg.norm(proj[:, col]), np.linalg.norm(v)))
+        if norms[-1][1] > 1e-8:
+            out.append(v / norms[-1][1])
+        col += 1
+    return (np.column_stack(out) if len(out) == k else vectors), norms
+
+
+def cluster_vectors(rng, n, k, support):
+    """k orthonormal vectors on the ``support`` indices of n, with
+    rounding-size leakage onto the rest, as a Schur form leaves them."""
+    shape = (len(support), k)
+    a = np.zeros((n, k), dtype=complex)
+    a[support] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a += 1e-17 * rng.standard_normal((n, k))
+    return np.linalg.qr(a)[0]
+
+
+class TestClusterSkip:
+    """A projector column below half the 1e-8 acceptance norm is skipped, and
+    the cluster basis keeps every bit of the full sweep."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("sector", [False, True], ids=["generic", "sector"])
+    def test_equals_the_full_sweep(self, seed, sector):
+        rng = np.random.default_rng(seed)
+        n, k = 60, 12
+        support = np.sort(rng.permutation(n)[:20]) if sector else np.arange(n)
+        vectors = cluster_vectors(rng, n, k, support)
+        got = eigenmodes._canonicalize_cluster(vectors)
+        want, norms = full_sweep_cluster(vectors)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # the skip's premise: sweeping never raises a column's norm beyond rounding
+        assert all(swept <= column + 1e-12 for column, swept in norms)
+        if sector:
+            skipped = sum(column < eigenmodes._CLUSTER_SKIP_NORM for column, _ in norms)
+            assert skipped > len(norms) / 2
 
 
 class TestEigenmodeReport:

@@ -8,6 +8,7 @@ from conftest import random_normal_symmetric, random_symmetric
 from lgsqueeze.coupling import InteractionType, assemble_squeeze_matrix, scale_to_mean_photons
 from lgsqueeze.modes import build_basis
 from lgsqueeze.scenarios import default_config
+from lgsqueeze import squeeze_core
 from lgsqueeze.squeeze_core import (
     SqueezeMatrix,
     bogoliubov_matrix,
@@ -69,6 +70,91 @@ class TestPolar:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             polar_decompose(np.array([[np.nan]]))
+
+
+def full_sweep_completion(cols, n):
+    """The Gram-Schmidt completion that sweeps every candidate e_1, e_2, ...;
+    returns the basis and the remainder norm of each candidate."""
+    have = [cols[:, k] for k in range(cols.shape[1])]
+    norms = []
+    k = 0
+    while len(have) < n:
+        v = np.zeros(n, dtype=complex)
+        v[k] = 1.0
+        for u in have:
+            v -= u * np.vdot(u, v)
+        norms.append(np.linalg.norm(v))
+        if norms[-1] > 1e-6:
+            have.append(v / norms[-1])
+        k += 1
+    return np.column_stack(have), norms
+
+
+def sector_matrix(rng, sizes, scales):
+    """Block-diagonal xi on randomly interleaved indices: one random symmetric
+    block per sector, at that sector's scale."""
+    n = sum(sizes)
+    order = rng.permutation(n)
+    xi = np.zeros((n, n), dtype=complex)
+    start = 0
+    for size, scale in zip(sizes, scales):
+        idx = order[start:start + size]
+        a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        xi[np.ix_(idx, idx)] = scale * (a + a.T)
+        start += size
+    return xi
+
+
+def low_rank_matrix(rng, n, rank):
+    a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for shape in ((n, rank), (rank, n)))
+    return a @ b
+
+
+class TestCompletionSkip:
+    """The completion skips candidates its estimate proves rejected and keeps
+    every bit of the full sweep.
+
+    In the sector matrices the global cutoff n eps sigma_max drops one sector
+    whole and another in part, as at 441 modes, so most candidates lie in
+    kept sectors and some swept norms fall near the 1e-6 acceptance norm.
+    """
+
+    @staticmethod
+    def completions(monkeypatch, xi):
+        """(basis, estimates) and the full sweep's (basis, norms) for each
+        completion ``polar_decompose(xi)`` makes."""
+        real = squeeze_core._complete_orthonormal
+        seen = []
+
+        def spy(cols, n):
+            got = real(cols, n)
+            seen.append((got, full_sweep_completion(cols, n)))
+            return got
+
+        monkeypatch.setattr(squeeze_core, "_complete_orthonormal", spy)
+        polar_decompose(xi)
+        assert len(seen) == 2  # W and V are both completed
+        return seen
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_low_rank_completion_equals_the_full_sweep(self, monkeypatch, seed):
+        xi = low_rank_matrix(np.random.default_rng(seed), 40, 28)
+        for (basis, estimates), (want, norms) in self.completions(monkeypatch, xi):
+            assert np.array_equal(basis.view(np.uint64), want.view(np.uint64))
+            assert len(estimates) == len(norms)
+            assert np.max(np.abs(np.subtract(estimates, norms))) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sector_completion_equals_the_full_sweep_and_skips_most(self, monkeypatch, seed):
+        xi = sector_matrix(np.random.default_rng(seed), [10] * 6,
+                           [1.0, 1e-3, 1e-14, 1.0, 1e-13, 1e-6])
+        for (basis, estimates), (want, norms) in self.completions(monkeypatch, xi):
+            assert np.array_equal(basis.view(np.uint64), want.view(np.uint64))
+            assert len(estimates) == len(norms)
+            assert np.max(np.abs(np.subtract(estimates, norms))) <= 1e-12
+            swept = sum(e >= squeeze_core._COMPLETION_SKIP_NORM for e in estimates)
+            assert swept < len(estimates) / 2
 
 
 class TestScalarVariance:
