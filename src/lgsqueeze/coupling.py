@@ -27,8 +27,9 @@ from .modes import (
     ModeBasis,
     ModeIndex,
     QuadratureError,
-    laguerre_ladder,
+    laguerre_ladder,  # unused here; perfbench/tracing.py wraps it under this name
     _gauss_legendre,
+    _laguerre_orders,
     _norm_constant,
 )
 
@@ -189,7 +190,8 @@ def _usable_cpus() -> int:
 
 def _workers():
     """The ThreadPoolExecutor of ``_in_row_runs``; a run that never splits
-    (one usable CPU, or one row) neither makes it nor imports its module."""
+    (one usable CPU, one row, or too little work) neither makes it nor
+    imports its module."""
     global _pool
     from concurrent.futures import ThreadPoolExecutor
 
@@ -209,15 +211,26 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_workers)
 
 
-def _in_row_runs(n: int, work) -> list:
-    """``[work(lo, hi), ...]`` for rows 0..n cut into one run per usable CPU.
+# the work, in array elements, each run of _in_row_runs must have.  Handing a
+# run to a worker took about 0.1 ms on the 2-core VM of BENCH_22.json, more
+# than half of what a WaistScan cell's 3-row stacks cost; PdcHeralding's
+# 21-row stacks ran fastest split at any value from 2^17 to 2^20
+_RUN_WORK = 2 ** 18
 
-    This thread does the first run and worker threads the others, which
-    overlap because numpy's loops release the GIL; so ``work`` calls numpy
-    only, and every function of the package stays on the calling thread.
-    The results are in row order, and no run outlives the call.
+
+def _in_row_runs(n: int, work, row_work: int) -> list:
+    """``[work(lo, hi), ...]`` for rows 0..n cut into runs of near-equal size.
+
+    ``row_work`` is the work of one row, in array elements.  There is one
+    run per ``_RUN_WORK`` elements of the whole, but at most one per usable
+    CPU and one per row, and at least one; so small work stays whole on
+    the calling thread.  This thread does the first run and worker threads
+    the others, which overlap because numpy's loops release the GIL; so
+    ``work`` calls numpy only, and every function of the package stays on
+    the calling thread.  The results are in row order, and no run outlives
+    the call.
     """
-    runs = min(_usable_cpus(), n)
+    runs = max(1, min(_usable_cpus(), n, n * row_work // _RUN_WORK))
     cuts = [n * i // runs for i in range(runs + 1)]
     rest = [_workers().submit(work, cuts[i], cuts[i + 1]) for i in range(1, runs)]
     try:
@@ -237,8 +250,9 @@ def _contract(spec: str, pump, left, right):
     bit-identical to one call whatever the CPU count.
     """
     diagonal = spec.endswith("->p")
+    row_work = pump.size * (1 if diagonal else len(right))
     return np.concatenate(_in_row_runs(len(left), lambda lo, hi: np.einsum(
-        spec, pump, left[lo:hi], right[lo:hi] if diagonal else right)))
+        spec, pump, left[lo:hi], right[lo:hi] if diagonal else right), row_work))
 
 
 def _beam_on_grid(r, z_rel, geom: BeamGeometry):
@@ -262,9 +276,10 @@ def _profiles_on_grid(entries, r, beam):
     """Azimuthally-reduced profiles for a set of (ell, p) entries.
 
     ``beam`` is ``_beam_on_grid`` on the grid ``r``, so a beam whose profiles
-    are built in several calls computes its shared factors once.  Laguerre
-    ladders are shared per |ell| so the whole set costs one recurrence sweep
-    per ring order.  Returns a complex array of shape (len(entries), nz, nt).
+    are built in several calls computes its shared factors once.  The
+    entries of one |ell| share one Laguerre recurrence, run in slabs of z
+    rows (``_fill_slab``) that ``_in_row_runs`` spreads over the CPUs.
+    Returns a complex array of shape (len(entries), nz, nt).
     """
     w, targ, psi, base = beam
     out = np.empty((len(entries),) + r.shape, dtype=complex)
@@ -272,24 +287,33 @@ def _profiles_on_grid(entries, r, beam):
     for pos, idx in enumerate(entries):
         by_alpha.setdefault(abs(idx.ell), []).append((pos, idx))
     for alpha, group in by_alpha.items():
-        p_hi = max(idx.p for _, idx in group)
-        ladder = laguerre_ladder(alpha, targ, p_hi)
         ring = (np.sqrt(2.0) * r / w) ** alpha if alpha else 1.0
-        # each entry's row, c, L_p and Gouy order; the rows fill on every CPU
-        rows = [(out[pos], _norm_constant(idx.ell, idx.p), ladder[idx.p], 2 * idx.p + alpha + 1)
-                for pos, idx in group]
-        _in_row_runs(len(rows), partial(_fill_rows, rows, w, base, ring, psi))
+        # radial order -> the out rows of that order, with their norm constants
+        by_p = {}
+        for pos, idx in group:
+            by_p.setdefault(idx.p, []).append((out[pos], _norm_constant(idx.ell, idx.p)))
+        fill = partial(_fill_slab, by_p, alpha, w, targ, base, ring, psi)
+        _in_row_runs(len(r), fill, len(group) * r.shape[1])
     return out
 
 
-def _fill_rows(rows, w, base, ring, psi, lo, hi):
-    """Fill ``rows[lo:hi]`` of ``_profiles_on_grid`` in place, in the operand
-    order (c/w)*base*ring*L_p*gouy."""
-    for row, c, laguerre, gouy_order in rows[lo:hi]:
-        np.multiply(c / w, base, out=row)
-        row *= ring
-        row *= laguerre
-        row *= np.exp(1j * gouy_order * psi)
+def _fill_slab(by_p, alpha, w, targ, base, ring, psi, lo, hi):
+    """Fill z rows ``lo:hi`` of the rows in ``by_p`` for ``_profiles_on_grid``.
+
+    The slab runs the Laguerre recurrence over its own rows, and fills each
+    row of order p as L_p comes out, in the operand order
+    (c/w)*base*ring*L_p*gouy; so it holds two orders, never the ladder.
+    """
+    z = slice(lo, hi)
+    if alpha:
+        ring = ring[z]
+    for p, laguerre in enumerate(_laguerre_orders(alpha, targ[z], max(by_p))):
+        for row, c in by_p.get(p, ()):
+            part = row[z]
+            np.multiply(c / w[z], base[z], out=part)
+            part *= ring
+            part *= laguerre
+            part *= np.exp(1j * (2 * p + alpha + 1) * psi[z])
 
 
 def _pump_support_orders(pump: PumpSpec, basis: ModeBasis):
@@ -359,7 +383,12 @@ def _assembly_floor_bytes(ell_max: int, p_max: int, pump_profiles: int) -> int:
     ``pump_profiles`` pump profiles, on the fewest nodes the finest level of
     ``_node_schedule`` can have: no Gouy swing, the smallest radial cutoff
     and only the two collection fields' radial orders.  It needs no mode
-    list.
+    list.  Beside these the assembly holds seven to eight grid-sized complex
+    arrays' worth of working arrays, whatever the basis: the grid and its
+    measure, the collection beam's factors, a ring factor, the pump product
+    and the Laguerre recurrence's two orders and temporaries
+    (``TestStreamedAssembly`` names each).  The floor leaves them out, so it
+    stays a floor; no array grows with p_max beyond the stacks.
     """
     n_p = p_max + 1
     n = (2 * ell_max + 1) * n_p
@@ -471,9 +500,11 @@ def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
     # ones this overlap does not read, so at most two are alive at a time.
     # When no drive-index tuple carries net OAM every overlap reads one stack
     # and each is built once; otherwise a dropped stack a later overlap reads
-    # is rebuilt.  Each overlap is contracted on every usable CPU in runs of
-    # its signal rows (``_contract``), views of the stacks it reads, so the
-    # threads add no stack and xi is the same bit for bit at any CPU count.
+    # is rebuilt.  Each overlap is contracted in runs of its signal rows
+    # (``_contract``), one per usable CPU once the overlap is large enough to
+    # pay for the hand-off (``_in_row_runs``), on views of the stacks it
+    # reads, so the threads add no stack and xi is the same bit for bit at
+    # any CPU count.
     for key in sorted(feeds, key=lambda k: (max(k), min(k), k)):
         for alpha in key:
             if alpha not in stacks:

@@ -149,17 +149,30 @@ class BeamGeometry:
 def laguerre_ladder(alpha: int, t, p_max: int) -> np.ndarray:
     """Generalized Laguerre polynomials L_p^alpha(t) for p = 0..p_max.
 
-    Uses the three-term recurrence, stable for the radial orders used here
-    (p up to a few tens).  Returns an array of shape (p_max + 1,) + t.shape.
+    Uses the three-term recurrence of ``_laguerre_orders``, stable for the
+    radial orders used here (p up to a few tens).  Returns an array of shape
+    (p_max + 1,) + t.shape.
     """
     t = np.asarray(t, dtype=float)
     out = np.empty((p_max + 1,) + t.shape, dtype=float)
-    out[0] = 1.0
-    if p_max >= 1:
-        out[1] = 1.0 + alpha - t
-    for k in range(1, p_max):
-        out[k + 1] = ((2 * k + 1 + alpha - t) * out[k] - (k + alpha) * out[k - 1]) / (k + 1)
+    for p, laguerre in enumerate(_laguerre_orders(alpha, t, p_max)):
+        out[p] = laguerre
     return out
+
+
+def _laguerre_orders(alpha: int, t, p_max: int):
+    """Yield L_0^alpha(t), ..., L_p_max^alpha(t) in turn, holding two orders.
+
+    Each yielded array is new, so a caller may keep it.  ``t`` is a float array.
+    """
+    cur = np.ones(t.shape)
+    yield cur
+    if p_max >= 1:
+        prev, cur = cur, 1.0 + alpha - t
+        yield cur
+    for k in range(1, p_max):
+        prev, cur = cur, ((2 * k + 1 + alpha - t) * cur - (k + alpha) * prev) / (k + 1)
+        yield cur
 
 
 @functools.lru_cache(maxsize=128)

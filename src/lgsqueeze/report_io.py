@@ -14,7 +14,7 @@ import io
 import json
 import math
 from dataclasses import fields, replace
-from operator import attrgetter
+from operator import add, attrgetter
 from pathlib import Path
 from types import GeneratorType
 from typing import get_type_hints
@@ -55,18 +55,20 @@ def _row_reprs(matrix):
     ``float.__repr__`` is what both ``csv.writer`` and ``json.dumps`` write
     for a float, so one formatting pass serves every file.  orjson's Ryu
     writer gives the same shortest round-trip digits in the same layout,
-    about 15 times faster, except in three bands, which are written with
-    ``repr`` instead: |x| >= 1e16 (``1e16`` for ``1e+16``), 1e-9 <= |x| <
-    1e-4 (``1e-7`` for ``1e-07``, ``0.00001`` for ``1e-05``), and nan and
-    inf (``null``).  The mask reaches a decade past 1e16 and 1e-9; at 1e-4
-    both writers switch layout on the same value.
+    about 15 times faster, except in three bands: |x| >= 1e16 (``1e16`` for
+    ``1e+16``), 1e-9 <= |x| < 1e-4 (``1e-7`` for ``1e-07``, ``0.00001`` for
+    ``1e-05``), and nan and inf (``null``).  The mask reaches a decade past
+    1e16 and 1e-9; at 1e-4 both writers switch layout on the same value.  A
+    masked string that ends in a one-digit negative exponent gets its zero
+    pad; every other one, [1e-5, 1e-4) included, is written with ``repr``.
     """
     for row in np.asarray(matrix, dtype=float):
         values = row.tolist()
         strs = orjson.dumps(values)[1:-1].decode().split(",")
         size = np.abs(row)
         for i in np.flatnonzero(~(size < 1e15) | ((size >= 1e-10) & (size < 1e-4))).tolist():
-            strs[i] = repr(values[i])
+            s = strs[i]
+            strs[i] = f"{s[:-1]}0{s[-1]}" if s[-3:-1] == "e-" else repr(values[i])
         yield strs
 
 
@@ -80,7 +82,7 @@ def _csv_field(value) -> str:
 
 def _long_lines(head: str, cols: list, strs: list) -> str:
     """The long-CSV lines of one matrix row; ``head`` and each of ``cols`` end with a comma."""
-    return "".join([f"{head}{col}{s}\n" for col, s in zip(cols, strs)])
+    return head + ("\n" + head).join(map(add, cols, strs)) + "\n"
 
 
 def _json_rows(rows, level: int):

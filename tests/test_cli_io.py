@@ -634,9 +634,12 @@ def test_row_reprs_match_float_repr():
     straddling = np.concatenate([_neighbours(edges, 8), *(
         rng.uniform(edge / 2, edge * 2, 2000) for edge in edges)])
     special = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]
+    # the ends of the band whose one-digit exponents are zero-padded, and of
+    # the decade [1e-5, 1e-4) that orjson writes as a plain decimal
+    band = np.array([9.999999999999999e-10, 1e-9, 9.99e-6, 1e-5, 9.9999e-5])
     assert np.isnan(bits).any()
     for rows in (bits.reshape(1000, 1000), [powers, -powers],
-                 [straddling, -straddling], [special]):
+                 [straddling, -straddling], [special], [band, -band]):
         rows = np.asarray(rows, dtype=float)
         for strs, row in zip(_row_reprs(rows), rows.tolist()):
             want = list(map(float.__repr__, row))

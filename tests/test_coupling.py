@@ -4,6 +4,7 @@ import math
 import os
 import signal
 import threading
+import tracemalloc
 import warnings
 import weakref
 
@@ -402,10 +403,48 @@ class TestStreamedAssembly:
         assert len(built) % 5 == 0 and built == [0, 1, 2, 3, 4] * (len(built) // 5)
         assert peak[0] == 1
 
+    def test_peak_is_xi_one_stack_and_a_few_grid_arrays(self, monkeypatch):
+        """The traced peak of one PdcHeralding level (21 radial orders) is xi,
+        one |ell| stack and the working arrays named below, each counted in
+        nz x nt complex arrays; no ladder of every Laguerre order is held."""
+        cfg = default_config("PdcHeralding").coupling
+        schedule, t_max = _node_schedule(cfg)
+        nz, nt = schedule[0]
+        n, n_p = cfg.basis.size, cfg.basis.p_max + 1
+        working = {
+            "r and the measure, both real": 1.0,
+            "the pump profile": 1.0,
+            "the pump product of the previous overlap": 1.0,
+            "the collection beam's real Laguerre argument and complex envelope": 1.5,
+            "the real ring factor of |ell| = 1": 0.5,
+            "two real Laguerre orders and three real recurrence temporaries": 2.5,
+            "the nz- and nt-long vectors, per-row factors and einsum's buffers": 0.5,
+        }
+        bound = 16 * (n * n + (n_p + sum(working.values())) * nz * nt)
+        for cpus in (1, 2):
+            monkeypatch.setattr(coupling, "_usable_cpus", lambda: cpus)
+            tracemalloc.start()
+            try:
+                _assemble_at(cfg, nz, nt, t_max)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (cpus, peak / (16 * nz * nt))
+
+
+def spy_on_submit(monkeypatch):
+    """The list of jobs handed to the worker pool from now on, at 2 usable CPUs."""
+    monkeypatch.setattr(coupling, "_usable_cpus", lambda: 2)
+    pool = coupling._workers()
+    submitted, real_submit = [], pool.submit
+    monkeypatch.setattr(pool, "submit", lambda *args: submitted.append(args) or real_submit(*args))
+    return submitted
+
 
 class TestRowSplitContraction:
     """Each overlap is contracted in one run of signal rows per usable CPU,
-    and the result is that of one einsum call, bit for bit, at any count."""
+    and the result is that of one einsum call, bit for bit, at any count.
+    ``_RUN_WORK`` is lowered to 1 where a test needs every size to split."""
 
     @pytest.mark.parametrize("spec", ["zt,pzt,qzt->pq", "zt,pzt,pzt->p"])
     def test_equals_one_einsum_bit_for_bit(self, monkeypatch, spec):
@@ -414,6 +453,7 @@ class TestRowSplitContraction:
         def draw(*shape):
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
+        monkeypatch.setattr(coupling, "_RUN_WORK", 1)
         pump = draw(5, 37)
         for rows in range(1, 22):  # up to rows < CPUs, where every run is one row
             left, right = draw(rows, 5, 37), draw(rows, 5, 37)
@@ -423,26 +463,58 @@ class TestRowSplitContraction:
                 got = _contract(spec, pump, left, right)
                 assert np.array_equal(got.view(np.uint64), want), (rows, cpus)
 
-    @pytest.mark.parametrize("cfg", [
-        *(default_config(name).coupling for name in SCENARIO_NAMES),
-        asymmetric_config("two-pump", InteractionType.FULL_CROSSTALK),
-        asymmetric_config("two-pump", InteractionType.DEGENERATE_SINGLE_BEAM),
-        fwm_config(InteractionType.DEGENERATE_SINGLE_BEAM),
-    ], ids=[*SCENARIO_NAMES, "two-pump", "two-pump-degenerate", "degenerate"])
-    def test_assembly_is_bit_identical_at_any_cpu_count(self, monkeypatch, cfg):
+    @pytest.mark.parametrize("cfg, grid", [
+        *((default_config(name).coupling, None) for name in SCENARIO_NAMES),
+        # fewer z rows than CPUs, so some profile slabs are one z row
+        (default_config("PdcHeralding").coupling, (3, 64)),
+        (asymmetric_config("two-pump", InteractionType.FULL_CROSSTALK), None),
+        (asymmetric_config("two-pump", InteractionType.DEGENERATE_SINGLE_BEAM), None),
+        (fwm_config(InteractionType.DEGENERATE_SINGLE_BEAM), None),
+    ], ids=[*SCENARIO_NAMES, "PdcHeralding-3-z-rows", "two-pump", "two-pump-degenerate",
+            "degenerate"])
+    def test_assembly_is_bit_identical_at_any_cpu_count(self, monkeypatch, cfg, grid):
         schedule, t_max = _node_schedule(cfg)
-        nz, nt = schedule[0]
+        nz, nt = grid or schedule[0]
+        monkeypatch.setattr(coupling, "_RUN_WORK", 1)
         xis = []
-        for cpus in (1, 2):
+        for cpus in range(1, 5):
             monkeypatch.setattr(coupling, "_usable_cpus", lambda: cpus)
             xis.append(_assemble_at(cfg, nz, nt, t_max).view(np.uint64))
-        assert np.array_equal(*xis)
+        assert all(np.array_equal(xis[0], xi) for xi in xis[1:])
+
+    @pytest.mark.parametrize("cpus, n, row_work, runs", [
+        (2, 3, 1, 1), (2, 3, 1000, 2), (4, 3, 4000, 3), (4, 8, 500, 4), (4, 8, 249, 1),
+        (1, 8, 4000, 1),
+    ])
+    def test_one_run_per_whole_run_work(self, monkeypatch, cpus, n, row_work, runs):
+        monkeypatch.setattr(coupling, "_RUN_WORK", 1000)
+        monkeypatch.setattr(coupling, "_usable_cpus", lambda: cpus)
+        got = coupling._in_row_runs(n, lambda lo, hi: (lo, hi), row_work)
+        assert len(got) == runs and got[0][0] == 0 and got[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
+
+    @pytest.mark.parametrize("name, splits", [("WaistScan", False), ("PdcHeralding", True)])
+    def test_small_work_stays_on_the_calling_thread(self, monkeypatch, name, splits):
+        # a WaistScan cell's 3-row stacks cost less than the hand-off to a
+        # worker; PdcHeralding's 21-row stacks on its larger grid pay for it
+        submitted = spy_on_submit(monkeypatch)
+        assemble_squeeze_matrix(default_config(name).coupling)
+        assert bool(submitted) is splits
+
+    def test_an_overlap_counts_the_work_of_every_idler_row(self, monkeypatch):
+        # 4 signal rows against 512 idler rows on 8 x 64 nodes: 2^20 elements
+        submitted = spy_on_submit(monkeypatch)
+        pump, left, right = (np.ones((rows, 8, 64), dtype=complex) for rows in (1, 4, 512))
+        _contract("zt,pzt,qzt->pq", pump[0], left, right)
+        assert len(submitted) == 1
 
     def test_worker_threads_are_reused(self, monkeypatch):
         monkeypatch.setattr(coupling, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(coupling, "_RUN_WORK", 1)
         cfg = fwm_config()
         _assemble_at(cfg, 24, 40, 40.0)
         pool, threads = coupling._pool, threading.active_count()
+        assert pool is not None
         for _ in range(20):
             _assemble_at(cfg, 24, 40, 40.0)
         assert coupling._pool is pool
@@ -452,6 +524,7 @@ class TestRowSplitContraction:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_contracts_on_workers_of_its_own(self, monkeypatch):
         monkeypatch.setattr(coupling, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(coupling, "_RUN_WORK", 1)
         cfg = fwm_config()
         want = _assemble_at(cfg, 24, 40, 40.0)  # the parent's workers now exist
         with warnings.catch_warnings():
