@@ -74,23 +74,16 @@ class InteractionType(enum.Enum):
 
 @dataclass(frozen=True)
 class MediumConfig:
-    """Uniform nonlinear medium of length ``cell_length`` centred at ``center_z``.
-
-    ``strength`` is the scalar susceptibility (arbitrary units); nonzero and
-    finite, it multiplies the matrix.
-    """
+    """Uniform nonlinear medium of length ``cell_length`` centred at ``center_z``."""
 
     cell_length: float
     center_z: float = 0.0
-    strength: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.cell_length < math.inf:
             raise FieldError("cell_length", f"must be finite and > 0, got {self.cell_length!r}")
         if not math.isfinite(self.center_z):
             raise FieldError("center_z", f"must be finite, got {self.center_z!r}")
-        if not (math.isfinite(self.strength) and self.strength != 0):
-            raise FieldError("strength", f"must be finite and nonzero, got {self.strength!r}")
 
 
 @dataclass(frozen=True)
@@ -566,13 +559,13 @@ def assemble_squeeze_matrix(cfg: CouplingConfig):
     """Assemble the full squeezing matrix for ``cfg``.
 
     Rows index the signal mode, columns the idler mode, both in the basis
-    order.  The result carries the medium strength; for the degenerate
-    interaction it is diagonal, and so symmetric.
+    order.  It is the quadrature's overlap as it stands: a run scales it
+    only by its gain, calibrated or seeded.  For the degenerate interaction
+    it is diagonal, and so symmetric.
     """
     from .squeeze_core import SqueezeMatrix
 
-    xi = _assemble_raw(cfg) * cfg.medium.strength
-    return SqueezeMatrix(xi=xi, basis=cfg.basis, interaction=cfg.interaction)
+    return SqueezeMatrix(xi=_assemble_raw(cfg), basis=cfg.basis, interaction=cfg.interaction)
 
 
 def mean_photons_of_scale(singular_values: np.ndarray, s: float) -> float:

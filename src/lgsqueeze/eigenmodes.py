@@ -28,11 +28,6 @@ __all__ = [
 ]
 
 NORMALITY_TOL = 1e-8  # scaled commutator residual below which xi counts as normal
-# half the cluster sweep's 1e-8 acceptance norm: a projector column below it
-# is one the sweep rejects.  A swept norm exceeds its column norm by rounding
-# only (at most 1.1e-19 over the eight 441-mode PdcBenchmark clusters), far
-# inside the 5e-9 margin.
-_CLUSTER_SKIP_NORM = 0.5e-8
 
 
 @dataclass
@@ -82,24 +77,19 @@ def _canonicalize_cluster(vectors: np.ndarray) -> np.ndarray:
 
     Gram-Schmidt of the canonical basis vectors projected onto the
     subspace, taken in index order; identical subspaces always yield the
-    same basis (r I diagonalizes to the identity, for example).  Projecting
-    out orthonormal vectors cannot raise a column's norm beyond rounding, so
-    a column below ``_CLUSTER_SKIP_NORM`` is one the sweep rejects and is
-    skipped; the basis is the same bit for bit as a sweep of every column.
+    same basis (r I diagonalizes to the identity, for example).
     """
     n, k = vectors.shape
     proj = vectors @ vectors.conj().T
-    bounds = np.linalg.norm(proj, axis=0)
     out = []
     col = 0
     while len(out) < k and col < n:
-        if bounds[col] >= _CLUSTER_SKIP_NORM:
-            v = proj[:, col].copy()
-            for u in out:
-                v -= u * np.vdot(u, v)
-            norm = np.linalg.norm(v)
-            if norm > 1e-8:
-                out.append(v / norm)
+        v = proj[:, col].copy()
+        for u in out:
+            v -= u * np.vdot(u, v)
+        norm = np.linalg.norm(v)
+        if norm > 1e-8:
+            out.append(v / norm)
         col += 1
     if len(out) < k:  # pathological subspace alignment; keep the original basis
         return vectors

@@ -277,7 +277,7 @@ def _pump(value, path: str) -> dict:
 # or the table of the section it holds.  The writer emits the same keys.
 _GEOMETRY = dict.fromkeys(("wavelength", "waist_w0", "focus_z"), _number)
 _PUMP = {"geometry": _GEOMETRY, "coefficients": {"re": _numbers, "im": _numbers}}
-_MEDIUM = dict.fromkeys(("cell_length", "center_z", "strength"), _number)
+_MEDIUM = dict.fromkeys(("cell_length", "center_z"), _number)
 _COUPLING = {"interaction": _interaction, "single_pump": _boolean, "medium": _MEDIUM,
              "pump": _pump, "pump2": _pump, "collection": _GEOMETRY}
 _BASIS = {"ell_max": _integer, "p_max": _integer}

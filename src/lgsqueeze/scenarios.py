@@ -6,9 +6,9 @@ module compares scenario names.
 
 The PSR/FWM family shares one geometry (795 nm pump, 80 um waist, cell three
 Rayleigh ranges long, all foci at the cell centre) and one calibration
-protocol: the interaction strength is fixed once so the no-crosstalk baseline
-carries one photon per beam on average, then reused unchanged for the
-crosstalk variants, making the photon-number ratios the observable.
+protocol: the gain is fixed once so the no-crosstalk baseline carries one
+photon per beam on average, then reused unchanged for the crosstalk
+variants, making the photon-number ratios the observable.
 
 The PDC family down-converts a 405 nm pump into 810 nm signal/idler pairs
 collected at an independent waist; every run is rescaled to one photon on
@@ -118,7 +118,7 @@ class ScenarioConfig:
 
     name: str
     coupling: CouplingConfig
-    n_target: float = 1.0
+    n_target: float = 1.0  # left at 1.0 when seed_gain is set
     scan_grid: dict = None  # WaistScan only: "pump" and "collection" ranges, "points"
     seed_gain: float = None  # overrides the calibration protocol when set
     convergence_check: bool = None  # None: on exactly where a re-run exists
@@ -135,6 +135,8 @@ class ScenarioConfig:
             raise FieldError("seed_gain", f"must be finite, got {self.seed_gain!r}")
         if self.seed_gain is not None and scenario.scan:
             raise FieldError("seed_gain", f"is not used: {self.name} calibrates every cell")
+        if self.seed_gain is not None and self.n_target != 1.0:
+            raise FieldError("n_target", "is not used: seed_gain sets the gain")
         if (self.scan_grid is None) == scenario.scan:
             scans = ", ".join(name for name, s in _SCENARIOS.items() if s.scan)
             raise FieldError("scan_grid", f"is needed by {scans} and taken by no other scenario")

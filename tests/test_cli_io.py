@@ -41,7 +41,7 @@ def load_schema(name):
 # one, so a config names it by this string and the test writes its digits
 LONG_INTEGER = "<4401-digit integer>"
 # keys a config once took and no longer does
-REMOVED_KEYS = ("chi_profile", "gain_scale", "rayleigh_zR")
+REMOVED_KEYS = ("chi_profile", "gain_scale", "rayleigh_zR", "strength")
 PSR_RAYLEIGH = default_config("PsrSinglePhoton").coupling.collection.rayleigh_zR
 
 
@@ -142,7 +142,7 @@ class TestConfigParsing:
         ({"basis": {"p_max": 1.5}}, "basis.p_max"),
         ({"seed_gain": float("inf")}, "seed_gain"),
         ({"n_target": float("nan")}, "n_target"),
-        ({"coupling": {"medium": {"strength": "2"}}}, "coupling.medium.strength"),
+        ({"coupling": {"medium": {"strength": 1.0}}}, "coupling.medium.strength"),  # removed
         ({"coupling": {"collection": {"waist_w0": True}}}, "coupling.collection.waist_w0"),
         ({"scenario": "WaistScan", "grid": 8}, "grid"),
         ({"scenario": "WaistScan",
@@ -180,9 +180,8 @@ class TestConfigParsing:
         ({"scenario": "PdcBenchmark", "coupling": {"pump2": {"waist_w0": 10.0}}},
          "coupling.pump2"),
         ({"scenario": "PdcBenchmark", "coupling": {"medium": {"strength": 0}}},
-         "coupling.medium.strength"),
-        ({"scenario": "PdcBenchmark",
-          "coupling": {"medium": {"strength": 1e300, "gain_scale": 1e10}}},
+         "coupling.medium.strength"),  # removed
+        ({"scenario": "PdcBenchmark", "coupling": {"medium": {"gain_scale": 1e10}}},
          "coupling.medium.gain_scale"),
         # its points x points float64 metric grid would take 728 TiB
         ({"scenario": "WaistScan", "grid": {"points": 10000000}}, "grid.points"),
@@ -218,6 +217,9 @@ class TestConfigParsing:
          "coupling.pump.wavelength"),
         ({"coupling": {"pump": {"geometry": {"wavelength": 1e300, "focus_z": 1.0}}}},
          "coupling.pump.geometry.wavelength"),
+        # a seed gain sets the scale, so a calibration target beside it is refused
+        ({"basis": {"ell_max": 0, "p_max": 1}, "n_target": 5, "seed_gain": 1e-4}, "n_target"),
+        ({"scenario": "PdcBenchmark", "n_target": 0.5, "seed_gain": 1.0}, "n_target"),
     ],
 )
 def test_bad_config_exits_2_naming_key(tmp_path, capsys, config, key):
@@ -410,10 +412,9 @@ def test_pump_outside_the_rerun_basis_names_the_rerun(tmp_path, capsys, basis, m
     ("PdcBenchmark", "coupling.pump.geometry.waist_w0", 0.0),
     ("PdcBenchmark", "coupling.medium.cell_length", 0.0),
     ("PdcBenchmark", "coupling.medium.center_z", math.inf),
-    ("PdcBenchmark", "coupling.medium.strength", 0.0),
 ], ids=["nan", "wrong-shape", "not-unit-norm", "eigen-pump-own-pump", "waist-scan-own-pump",
         "collection-waist", "collection-focus-nan", "pump-wavelength-inf", "pump-waist",
-        "cell-length", "center-z-inf", "strength"])
+        "cell-length", "center-z-inf"])
 def test_pump_rules_hold_in_python_and_in_config_files(tmp_path, capsys, no_run, scenario,
                                                         key, value):
     # the field Python refuses is the last segment of the key a config file names;
@@ -772,8 +773,8 @@ class TestCli:
         ["--scenario", "PsrSinglePhoton", "--lmax", "0", "--pmax", "1", "--seed-gain", "50"],
         ["--config", {"scenario": "PsrSinglePhoton", "n_target": 1e8}],
         ["--scenario", "PdcBenchmark", "--lmax", "0", "--pmax", "1", "--seed-gain", "1"],
-        ["--config", {"scenario": "PsrSinglePhoton",
-                      "coupling": {"medium": {"strength": 1e-320}}}],
+        ["--config", {"scenario": "PsrSinglePhoton", "basis": {"ell_max": 0, "p_max": 1},
+                      "coupling": {"medium": {"cell_length": 1e-310}}}],
         ["--config", {"scenario": "WaistScan", "grid": {"pump": [1e300, 1e301], "points": 2}}],
         ["--config", {"scenario": "WaistScan", "grid": {"pump": [1e-300, 1e-299], "points": 2}}],
         *(["--config", {"scenario": "PsrSinglePhoton", "basis": {"ell_max": 0, "p_max": 0},
@@ -805,6 +806,17 @@ class TestCli:
                        "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "--seed-gain" in capsys.readouterr().err
+
+    def test_seed_gain_flag_refuses_the_config_n_target(self, tmp_path, capsys):
+        cfg_path = tmp_path / "target.json"
+        cfg_path.write_text(json.dumps({"scenario": "PsrSinglePhoton", "n_target": 5,
+                                        "basis": {"ell_max": 0, "p_max": 1}}))
+        rc = cli_main(["--config", str(cfg_path), "--seed-gain", "1e-4",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: n_target: is not used: seed_gain sets the gain\n")
+        assert not (tmp_path / "o").exists()
 
     def test_seed_gain_flag_refused_for_waist_scan(self, tmp_path, capsys):
         rc = cli_main(["--scenario", "WaistScan", "--seed-gain", "0.5",
@@ -892,6 +904,20 @@ class TestDeterminism:
         assert sorted(p.name for p in out2.iterdir()) == sorted(p.name for p in out1.iterdir())
         for name in manifest["outputs"]:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_manifest_naming_the_removed_strength_exits_2(self, tmp_path, capsys):
+        # manifests written before the medium lost its strength carry the key
+        out = tmp_path / "a"
+        assert cli_main(["--scenario", "PsrSinglePhoton", "--lmax", "0", "--pmax", "1",
+                         "--out", str(out), "--quiet"]) == 0
+        config = json.loads((out / "manifest.json").read_text())["resolved_config"]
+        config["coupling"]["medium"]["strength"] = 1.0
+        cfg_path = tmp_path / "old.json"
+        cfg_path.write_text(json.dumps(config))
+        assert cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "b"),
+                         "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: coupling.medium.strength: unknown key\n"
+        assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("source", ["flags", "config"])
     def test_basis_flags_and_keys_agree(self, tmp_path, source):

@@ -111,7 +111,7 @@ class TestAssembly:
     def test_single_mode_basis_element_is_real_positive(self):
         cfg = CouplingConfig(
             interaction=InteractionType.FULL_CROSSTALK,
-            medium=MediumConfig(cell_length=3.0 * GEOM.rayleigh_zR, strength=2.0),
+            medium=MediumConfig(cell_length=3.0 * GEOM.rayleigh_zR),
             pump1=PumpSpec(geometry=GEOM),
             collection=GEOM,
             basis=build_basis(0, 0),
@@ -121,10 +121,7 @@ class TestAssembly:
         value = sq.xi[0, 0]
         assert value.real > 0
         assert abs(value.imag) < 1e-12 * value.real
-        # the strength multiplies the raw overlap
-        assert value.real == pytest.approx(
-            2.0 * analytic_equal_geometry_element(0, 0), rel=1e-8
-        )
+        assert value.real == pytest.approx(analytic_equal_geometry_element(0, 0), rel=1e-8)
 
     def test_oam_selection_zeros_machine_exact(self):
         basis = build_basis(1, 2)
@@ -177,10 +174,10 @@ class TestAssembly:
 
     @pytest.mark.parametrize("kwargs, field", [
         ({"cell_length": math.nan}, "cell_length"),
-        ({"strength": math.inf}, "strength"),
-        ({"strength": math.nan}, "strength"),
-        ({"strength": 0.0}, "strength"),
-        ({"strength": -math.inf}, "strength"),
+        ({"cell_length": 0.0}, "cell_length"),
+        ({"cell_length": -0.0}, "cell_length"),
+        ({"cell_length": -math.inf}, "cell_length"),
+        ({"center_z": -math.inf}, "center_z"),
         ({"cell_length": -1.0}, "cell_length"),
         ({"cell_length": math.inf}, "cell_length"),
         ({"center_z": math.inf}, "center_z"),
