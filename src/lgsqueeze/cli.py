@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _oracle_check(result) -> dict:
     from .coupling import InteractionType
     from .fock_oracle import DIMENSION_GUARD, TruncatedFockSpace, vacuum_statistics
-    from .squeeze_core import degenerate_statistics
+    from .squeeze_core import VACUUM_VARIANCE, degenerate_statistics
 
     sq = result.squeeze
     n = sq.size
@@ -60,8 +60,9 @@ def _oracle_check(result) -> dict:
     n_cut = min(300, int(DIMENSION_GUARD ** (1.0 / n_modes)) - 1)
     oracle = vacuum_statistics(sq.xi[block], TruncatedFockSpace(n_modes, n_cut))
 
-    # the idle modes' exact values: quadrature variance 1/4, no photons, no pairs
-    idle = {"var_X1": 0.25, "var_X2": 0.25, "nbar_matrix": 0.0, "pair_matrix": 0.0}
+    # the idle modes' exact values: vacuum quadrature variance, no photons, no pairs
+    idle = {"var_X1": VACUUM_VARIANCE, "var_X2": VACUUM_VARIANCE,
+            "nbar_matrix": 0.0, "pair_matrix": 0.0}
     full = {}
     for name, value in idle.items():
         full[name] = value * np.eye(n, dtype=complex)

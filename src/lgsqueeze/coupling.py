@@ -15,7 +15,7 @@ import itertools
 import math
 import operator
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial, reduce
 
@@ -170,10 +170,6 @@ def _beams_are_finite(beams, z) -> bool:
     return True
 
 
-_pool = None  # the worker threads of _in_row_runs, made when first needed
-_pool_lock = threading.Lock()
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set, else the machine's count."""
     if hasattr(os, "sched_getaffinity"):
@@ -181,27 +177,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _workers():
-    """The ThreadPoolExecutor of ``_in_row_runs``; a run that never splits
-    (one usable CPU, one row, or too little work) neither makes it nor
-    imports its module."""
+def _make_workers():
+    """Make ``_pool``, the worker threads of ``_in_row_runs``; a thread
+    starts only when a split submits work to it."""
     global _pool
-    from concurrent.futures import ThreadPoolExecutor
-
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(os.cpu_count() or 1, thread_name_prefix="lgsqueeze")
-        return _pool
+    _pool = ThreadPoolExecutor(os.cpu_count() or 1, thread_name_prefix="lgsqueeze")
 
 
-def _forget_workers():
-    # a forked child has none of its parent's threads, so it makes its own pool
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
+_make_workers()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_workers)
+    # a forked child has none of its parent's threads, so it makes its own pool
+    os.register_at_fork(after_in_child=_make_workers)
 
 
 # the work, in array elements, each run of _in_row_runs must have.  Handing a
@@ -225,7 +211,7 @@ def _in_row_runs(n: int, work, row_work: int) -> list:
     """
     runs = max(1, min(_usable_cpus(), n, n * row_work // _RUN_WORK))
     cuts = [n * i // runs for i in range(runs + 1)]
-    rest = [_workers().submit(work, cuts[i], cuts[i + 1]) for i in range(1, runs)]
+    rest = [_pool.submit(work, cuts[i], cuts[i + 1]) for i in range(1, runs)]
     try:
         first = work(cuts[0], cuts[1])
     finally:
@@ -675,13 +661,13 @@ def scale_to_mean_photons(sq, n_target: float):
     Brent's absolute step bound can end at s = 0 for a target far below one
     photon; the polish then starts from s0 = sqrt(n_target / sum sigma_i^2),
     which bounds the root from above because sinh^2 x >= x^2.  Raises
-    ValueError, naming ``n_target``, when no finite s brackets the root or
-    the target is not reached.
+    FieldError naming ``n_target`` when the target is not finite and > 0,
+    no finite s brackets the root or the target is not reached.
     """
     from .squeeze_core import SqueezeMatrix
 
-    if n_target <= 0:
-        raise ValueError(f"n_target must be > 0, got {n_target}")
+    if not 0 < n_target < math.inf:
+        raise FieldError("n_target", f"must be finite and > 0, got {n_target!r}")
     sigma = np.linalg.svd(sq.xi, compute_uv=False)
     total = float(np.sum(sigma))
     if total == 0.0:
@@ -695,8 +681,8 @@ def scale_to_mean_photons(sq, n_target: float):
     while hi < math.inf and excess(hi) < 0.0:
         hi *= 2.0
     if hi == math.inf:
-        raise ValueError(f"n_target {n_target}: no finite scale of the matrix reaches the "
-                         f"target; its largest singular value is {float(np.max(sigma))!r}")
+        raise FieldError("n_target", f"no finite scale of the matrix reaches {n_target!r}; "
+                         f"its largest singular value is {float(np.max(sigma))!r}")
     s = _brentq(excess, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
     if s == 0.0:
         s = math.sqrt(n_target) / float(np.linalg.norm(sigma))
@@ -709,6 +695,6 @@ def scale_to_mean_photons(sq, n_target: float):
         deriv = float(np.sum(np.sinh(2.0 * s * sigma) * sigma))
         s -= err / deriv
     if abs(excess(s)) > tol:
-        raise ValueError(f"n_target {n_target}: the photon number of the rescaled "
-                         f"matrix did not reach {tol:.3g} of the target")
+        raise FieldError("n_target", f"the photon number of the rescaled matrix did not "
+                         f"reach {tol:.3g} of {n_target!r}")
     return SqueezeMatrix(xi=s * sq.xi, basis=sq.basis, interaction=sq.interaction), float(s)

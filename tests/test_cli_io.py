@@ -818,6 +818,18 @@ class TestCli:
             "error: n_target: is not used: seed_gain sets the gain\n")
         assert not (tmp_path / "o").exists()
 
+    def test_unscalable_matrix_exits_2_naming_n_target(self, tmp_path, capsys):
+        cfg_path = tmp_path / "weak.json"
+        cfg_path.write_text(json.dumps({"scenario": "PsrSinglePhoton",
+                                        "basis": {"ell_max": 0, "p_max": 1},
+                                        "coupling": {"medium": {"cell_length": 1e-310}}}))
+        rc = cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: n_target: no finite scale of the matrix reaches 1.0; "), err
+        assert not (tmp_path / "o").exists()
+
     def test_seed_gain_flag_refused_for_waist_scan(self, tmp_path, capsys):
         rc = cli_main(["--scenario", "WaistScan", "--seed-gain", "0.5",
                        "--out", str(tmp_path / "o")])

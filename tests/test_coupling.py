@@ -3,7 +3,10 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -432,7 +435,7 @@ class TestStreamedAssembly:
 def spy_on_submit(monkeypatch):
     """The list of jobs handed to the worker pool from now on, at 2 usable CPUs."""
     monkeypatch.setattr(coupling, "_usable_cpus", lambda: 2)
-    pool = coupling._workers()
+    pool = coupling._pool
     submitted, real_submit = [], pool.submit
     monkeypatch.setattr(pool, "submit", lambda *args: submitted.append(args) or real_submit(*args))
     return submitted
@@ -511,7 +514,7 @@ class TestRowSplitContraction:
         cfg = fwm_config()
         _assemble_at(cfg, 24, 40, 40.0)
         pool, threads = coupling._pool, threading.active_count()
-        assert pool is not None
+        assert any(t.name.startswith("lgsqueeze") for t in threading.enumerate())
         for _ in range(20):
             _assemble_at(cfg, 24, 40, 40.0)
         assert coupling._pool is pool
@@ -536,6 +539,67 @@ class TestRowSplitContraction:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_child_forked_before_any_split_splits_on_workers_of_its_own(self, tmp_path):
+        # a fresh interpreter, so the parent's pool has started no thread
+        proc = subprocess.run([sys.executable, "-c", FORK_BEFORE_ANY_SPLIT], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "bit-identical\n"
+
+    def test_no_run_outlives_the_call(self, monkeypatch):
+        monkeypatch.setattr(coupling, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(coupling, "_RUN_WORK", 1)
+        done = []
+
+        def work(lo, hi):
+            if lo == 0:
+                raise RuntimeError("the calling thread's run")
+            time.sleep(0.2)
+            done.append((lo, hi))
+
+        with pytest.raises(RuntimeError, match="the calling thread's run"):
+            coupling._in_row_runs(2, work, 1)
+        assert done == [(1, 2)]
+
+
+SRC = os.path.dirname(os.path.dirname(coupling.__file__))
+
+# forks before any split, then the child splits a 2-CPU assembly and the
+# parent, whose pool has still started no thread, assembles it whole
+FORK_BEFORE_ANY_SPLIT = """
+import os, signal, threading
+import numpy as np
+from lgsqueeze import coupling
+from lgsqueeze.scenarios import default_config
+
+cfg = default_config("FwmTwoPhoton").coupling
+coupling._RUN_WORK = 1
+parents_pool = coupling._pool
+assert threading.active_count() == 1
+pid = os.fork()
+if pid == 0:
+    code = 1
+    try:
+        signal.alarm(30)  # a child waiting on threads it does not have ends here
+        coupling._usable_cpus = lambda: 2
+        xi = coupling._assemble_at(cfg, 24, 40, 40.0)
+        workers = [t for t in threading.enumerate() if t.name.startswith("lgsqueeze")]
+        if coupling._pool is not parents_pool and workers:
+            np.save("child.npy", xi)
+            code = 0
+    finally:
+        os._exit(code)
+_, status = os.waitpid(pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0
+assert threading.active_count() == 1
+coupling._usable_cpus = lambda: 1
+want = coupling._assemble_at(cfg, 24, 40, 40.0)
+assert np.array_equal(np.load("child.npy").view(np.uint64), want.view(np.uint64))
+print("bit-identical")
+"""
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
@@ -625,15 +689,24 @@ class TestPhotonScaling:
         monkeypatch.setattr(coupling, "_brentq", lambda f, xa, xb, **kwargs: xb)
         sq = SqueezeMatrix(xi=np.eye(1), basis=None,
                            interaction=InteractionType.FULL_CROSSTALK)
-        with pytest.raises(ValueError, match="n_target 0.001"):
+        with pytest.raises(FieldError, match="^n_target: the photon number .* of 0.001$"):
             scale_to_mean_photons(sq, 1e-3)
 
     def test_unscalable_matrix_names_n_target(self):
         # asinh(1) / 1e-320 is past the float range: no finite gain brackets the root
         sq = SqueezeMatrix(xi=np.array([[1e-320]]), basis=None,
                            interaction=InteractionType.FULL_CROSSTALK)
-        with pytest.raises(ValueError, match="n_target 1.0: no finite scale"):
+        reach = "^n_target: no finite scale of the matrix reaches 1.0;"
+        with pytest.raises(FieldError, match=reach):
             scale_to_mean_photons(sq, 1.0)
+
+    @pytest.mark.parametrize("n_target", [math.nan, math.inf, 0.0, -1.0])
+    def test_target_not_finite_and_positive_names_n_target(self, n_target):
+        sq = SqueezeMatrix(xi=np.eye(1), basis=None,
+                           interaction=InteractionType.FULL_CROSSTALK)
+        with pytest.raises(FieldError, match="must be finite and > 0") as info:
+            scale_to_mean_photons(sq, n_target)
+        assert info.value.field == "n_target"
 
     @pytest.mark.parametrize("scenario, n_target", [
         ("PsrSinglePhoton", 1e5), ("PdcBenchmark", 1e5), ("PdcBenchmark", 1e8),

@@ -55,6 +55,19 @@ class TestImportSurface:
             lgsqueeze.no_such_name
 
 
+def test_a_run_that_never_splits_starts_no_thread(tmp_path):
+    # the assembly's pool is made with its module, and its threads on the first split
+    script = (
+        "import threading\n"
+        "from lgsqueeze import cli, coupling\n"
+        "assert cli.main(['--scenario', 'PsrSinglePhoton', '--out', 'out', '--quiet']) == 0\n"
+        "print(type(coupling._pool).__name__, threading.active_count())\n"
+    )
+    proc = run_python(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ThreadPoolExecutor 1\n"
+
+
 def test_module_entry_point_runs_a_scenario(tmp_path):
     proc = run_python(["-m", "lgsqueeze", "--scenario", "PsrSinglePhoton",
                        "--lmax", "0", "--pmax", "0", "--out", "out"], tmp_path)
