@@ -20,7 +20,6 @@ from .modes import (
 from .coupling import (
     CouplingConfig,
     InteractionType,
-    MediumConfig,
     PumpSpec,
     assemble_squeeze_matrix,
     coupling_element,

@@ -133,9 +133,10 @@ def main(argv=None) -> int:
         if args.oracle:
             result.oracle_agreement = _oracle_check(result)
         files = emit_result(result, cfg, out_dir, wall_time_s=wall)
-    except FieldError as exc:  # set by a flag; a config file's arrive as ConfigError
-        flag = {"name": "--scenario", "seed_gain": "--seed-gain", "basis.ell_max": "--lmax",
-                "basis.p_max": "--pmax"}.get(exc.field, exc.field)
+    except FieldError as exc:  # set by a flag, or a seed gain the run refused
+        flags = {"name": "--scenario", "basis.ell_max": "--lmax", "basis.p_max": "--pmax",
+                 "seed_gain": "seed_gain" if args.seed_gain is None else "--seed-gain"}
+        flag = flags.get(exc.field, exc.field)
         print(f"error: {flag}: {exc.reason}", file=sys.stderr)
         return 2
     except (QuadratureError, ValueError, OSError) as exc:  # ConfigError, JSONDecodeError too

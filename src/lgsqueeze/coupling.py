@@ -36,7 +36,6 @@ from .modes import (
 __all__ = [
     "FieldError",
     "InteractionType",
-    "MediumConfig",
     "PumpSpec",
     "CouplingConfig",
     "coupling_element",
@@ -73,20 +72,6 @@ class InteractionType(enum.Enum):
 
 
 @dataclass(frozen=True)
-class MediumConfig:
-    """Uniform nonlinear medium of length ``cell_length`` centred at ``center_z``."""
-
-    cell_length: float
-    center_z: float = 0.0
-
-    def __post_init__(self):
-        if not 0 < self.cell_length < math.inf:
-            raise FieldError("cell_length", f"must be finite and > 0, got {self.cell_length!r}")
-        if not math.isfinite(self.center_z):
-            raise FieldError("center_z", f"must be finite, got {self.center_z!r}")
-
-
-@dataclass(frozen=True)
 class PumpSpec:
     """Classical pump beam: geometry plus unit-norm mode coefficients.
 
@@ -120,14 +105,15 @@ class CouplingConfig:
     overlap, and a ``pump2`` raises FieldError.  Otherwise two drive fields
     enter, and a ``pump2`` of None means ``pump1`` again (degenerate-pump
     four-wave mixing).  A drive's coefficients hold one entry per basis mode.
-    Over the medium every beam's width w, its 1/w^2 and the z^2 + zR^2 of
-    its curvature phase stay finite and nonzero: a FieldError names
-    ``medium.center_z`` when the cell centre alone breaks this, else
-    ``medium.cell_length``.
+    The medium is a uniform cell of ``cell_length``, finite and > 0, centred
+    at z = 0, where each beam's ``focus_z`` is measured from.  At both cell
+    ends every beam's width w, its 1/w^2 and the z^2 + zR^2 of its curvature
+    phase stay finite and nonzero, else a FieldError names ``cell_length``;
+    each BeamGeometry checks its own at the centre.
     """
 
     interaction: InteractionType
-    medium: MediumConfig
+    cell_length: float
     pump1: PumpSpec
     collection: BeamGeometry
     basis: ModeBasis
@@ -135,6 +121,8 @@ class CouplingConfig:
     single_pump: bool = False
 
     def __post_init__(self):
+        if not 0 < self.cell_length < math.inf:
+            raise FieldError("cell_length", f"must be finite and > 0, got {self.cell_length!r}")
         if self.single_pump and self.pump2 is not None:
             raise FieldError("pump2", "is not used: a single_pump coupling has one drive field")
         for key, pump in (("pump", self.pump1), ("pump2", self.pump2)):
@@ -142,32 +130,16 @@ class CouplingConfig:
             if coefficients is not None and np.shape(coefficients) != (self.basis.size,):
                 raise FieldError(f"{key}.coefficients", f"has shape {np.shape(coefficients)}, "
                                  f"not one entry per mode of the {self.basis.size}-mode basis")
-        med = self.medium
-        half = 0.5 * med.cell_length
+        half = 0.5 * self.cell_length
         beams = {d.geometry for d in self.drives} | {self.collection}
-        if not _beams_are_finite(beams, [med.center_z - half, med.center_z, med.center_z + half]):
-            key = "cell_length" if _beams_are_finite(beams, [med.center_z]) else "center_z"
-            raise FieldError(f"medium.{key}", f"{getattr(med, key)!r} puts a beam's width "
-                             "or curvature out of the finite, nonzero floats")
+        if not all(geom.finite_at([-half, half]) for geom in beams):
+            raise FieldError("cell_length", f"{self.cell_length!r} puts a beam's width or "
+                             "curvature at a cell end out of the finite, nonzero floats")
 
     @property
     def drives(self) -> tuple:
         """The drive fields of the overlap: (pump1,) or (pump1, pump2 or pump1)."""
         return (self.pump1,) if self.single_pump else (self.pump1, self.pump2 or self.pump1)
-
-
-def _beams_are_finite(beams, z) -> bool:
-    """Whether each beam's width w, 1/w^2 and z^2 + zR^2, which ``_beam_on_grid``
-    and ``_node_schedule`` divide by, are finite and nonzero at the lab
-    positions ``z``; the width grows with |z - focus|, so a cell's ends bound it."""
-    with np.errstate(all="ignore"):
-        for geom in beams:
-            z_rel = np.asarray(z, dtype=float) - geom.focus_z
-            w = geom.width(z_rel)
-            values = np.concatenate([w, 1.0 / w ** 2, z_rel ** 2 + geom.rayleigh_zR ** 2])
-            if not np.all((values > 0) & (values < math.inf)):
-                return False
-    return True
 
 
 def _usable_cpus() -> int:
@@ -321,15 +293,15 @@ def _node_schedule(cfg: CouplingConfig):
     first t where the combined bound drops forty decades below unity.
     """
     basis = cfg.basis
-    half = 0.5 * cfg.medium.cell_length
-    z_probe = np.linspace(cfg.medium.center_z - half, cfg.medium.center_z + half, 33)
+    half = 0.5 * cfg.cell_length
+    z_probe = np.linspace(-half, half, 33)
 
     fields = [(d.geometry, *_pump_support_orders(d, basis)) for d in cfg.drives]
     fields += [(cfg.collection, basis.p_max, basis.ell_max)] * 2
 
     gouy_swing = sum(
         (2 * p + ell + 1)
-        * math.atan((half + abs(cfg.medium.center_z - g.focus_z)) / g.rayleigh_zR)
+        * math.atan((half + abs(g.focus_z)) / g.rayleigh_zR)
         for g, p, ell in fields
     )
 
@@ -407,15 +379,14 @@ def check_basis_size(ell_max: int, p_max: int, pump_profiles: int) -> None:
 def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
     """One fixed-grid evaluation of the coupling matrix (no gain factors)."""
     basis = cfg.basis
-    med = cfg.medium
     # integrate z through the Gouy angle of the fastest-diverging beam;
     # tan substitution compresses the Lorentzian envelope tails of long cells
     geoms = [d.geometry for d in cfg.drives]
     gc = cfg.collection
     z_scale = min(g.rayleigh_zR for g in geoms + [gc])
-    psi_half = math.atan(0.5 * med.cell_length / z_scale)
+    psi_half = math.atan(0.5 * cfg.cell_length / z_scale)
     psi, wpsi = _gauss_legendre(-psi_half, psi_half, nz)
-    z = med.center_z + z_scale * np.tan(psi)
+    z = z_scale * np.tan(psi)
     wz = wpsi * z_scale / np.cos(psi) ** 2
     t, wt = _gauss_legendre(0.0, t_max, nt)
 

@@ -1,8 +1,9 @@
 """Eigenmodes of squeezing: diagonalization of a normal squeezing matrix.
 
-When the squeezing matrix is normal (e.g. all beam foci at the centre of the
-medium), a single unitary U diagonalizes it and each eigenmode behaves as a
-canonical two-mode squeezed vacuum with parameter lambda_i = |eigenvalue_i|.
+When the squeezing matrix is normal (e.g. every beam focused at the centre
+of the medium, ``focus_z = 0``), a single unitary U diagonalizes it and each
+eigenmode behaves as a canonical two-mode squeezed vacuum with parameter
+lambda_i = |eigenvalue_i|.
 The largest lambda carries the strongest multimode squeezing, and feeding the
 leading eigenvector back as the pump profile concentrates the interaction
 further.

@@ -107,11 +107,12 @@ def build_basis(ell_max: int, p_max: int) -> ModeBasis:
 class BeamGeometry:
     """Gaussian-beam geometry: wavelength and waist in micrometers.
 
-    ``focus_z`` is the axial position of the waist in the lab frame; mode
-    evaluations take z relative to the focus.  The Rayleigh range
-    ``rayleigh_zR`` = pi w0^2 / lambda is derived; it and its square must be
-    finite and > 0, else FieldError names ``waist_w0``.  A refused field
-    raises FieldError naming it.
+    ``focus_z`` is the axial position of the waist from the cell centre;
+    mode evaluations take z relative to the focus.  The Rayleigh range
+    ``rayleigh_zR`` = pi w0^2 / lambda is derived; it and its square must
+    be finite and > 0 and ``finite_at`` must hold at the focus, else
+    FieldError names ``waist_w0``, and at the cell centre, else it names
+    ``focus_z``.  A refused field raises FieldError naming it.
     """
 
     wavelength: float
@@ -132,6 +133,11 @@ class BeamGeometry:
             raise FieldError("waist_w0", f"waist_w0={self.waist_w0!r} and wavelength="
                              f"{self.wavelength!r} give the Rayleigh range pi*w0^2/lambda = "
                              f"{zR!r}; it and its square must be finite and > 0")
+        for key, z, where in (("waist_w0", self.focus_z, "its focus"),
+                              ("focus_z", 0.0, "the cell centre")):
+            if not self.finite_at(z):
+                raise FieldError(key, f"{getattr(self, key)!r} puts the beam's width or "
+                                 f"curvature at {where} out of the finite, nonzero floats")
 
     @property
     def rayleigh_zR(self) -> float:
@@ -144,6 +150,15 @@ class BeamGeometry:
     def width(self, z):
         """Beam width w(z) at axial distance z from the focus."""
         return self.waist_w0 * np.sqrt(1.0 + (z / self.rayleigh_zR) ** 2)
+
+    def finite_at(self, z) -> bool:
+        """Whether the w, 1/w^2 and z_rel^2 + zR^2 the assembly divides by are
+        finite and nonzero at the cell positions ``z``; a cell's ends bound w."""
+        with np.errstate(all="ignore"):
+            z_rel = np.array(z, dtype=float, ndmin=1) - self.focus_z
+            w = self.width(z_rel)
+            values = np.concatenate([w, 1.0 / w ** 2, z_rel ** 2 + self.rayleigh_zR ** 2])
+            return bool(np.all((values > 0) & (values < math.inf)))
 
 
 def laguerre_ladder(alpha: int, t, p_max: int) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 import orjson
 
 from . import __version__ as _version
-from .coupling import CouplingConfig, InteractionType, MediumConfig, PumpSpec
+from .coupling import CouplingConfig, InteractionType, PumpSpec
 from .modes import BeamGeometry, FieldError, ModeBasis
 from .scenarios import ScenarioConfig, default_config
 from .squeeze_core import StateReport
@@ -277,8 +277,7 @@ def _pump(value, path: str) -> dict:
 # or the table of the section it holds.  The writer emits the same keys.
 _GEOMETRY = dict.fromkeys(("wavelength", "waist_w0", "focus_z"), _number)
 _PUMP = {"geometry": _GEOMETRY, "coefficients": {"re": _numbers, "im": _numbers}}
-_MEDIUM = dict.fromkeys(("cell_length", "center_z"), _number)
-_COUPLING = {"interaction": _interaction, "single_pump": _boolean, "medium": _MEDIUM,
+_COUPLING = {"interaction": _interaction, "single_pump": _boolean, "cell_length": _number,
              "pump": _pump, "pump2": _pump, "collection": _GEOMETRY}
 _BASIS = {"ell_max": _integer, "p_max": _integer}
 _GRID = {"pump": _low_high, "collection": _low_high, "points": _integer}
@@ -286,7 +285,7 @@ _TOP = {"scenario": _as_given, "n_target": _number, "seed_gain": _number,
         "convergence_check": _boolean, "basis": _BASIS, "coupling": _COUPLING, "grid": _GRID}
 # the table each config object is written from
 _TABLES = {ScenarioConfig: _TOP, CouplingConfig: _COUPLING, ModeBasis: _BASIS,
-           MediumConfig: _MEDIUM, PumpSpec: _PUMP, BeamGeometry: _GEOMETRY, dict: _GRID}
+           PumpSpec: _PUMP, BeamGeometry: _GEOMETRY, dict: _GRID}
 # config key -> the attribute that holds its value, where the two differ
 _ATTRIBUTE = {"scenario": "name", "grid": "scan_grid", "basis": "coupling.basis", "pump": "pump1"}
 _KEY = {attribute: key for key, attribute in _ATTRIBUTE.items()}
@@ -393,8 +392,6 @@ def scenario_config_from_dict(data: dict) -> ScenarioConfig:
     read = _section(data, "", _TOP)
     cfg = _built("", default_config, read.pop("scenario", None), **read.pop("basis", {}))
     base, coupling = cfg.coupling, read.pop("coupling", {})
-    if "medium" in coupling:
-        coupling["medium"] = _built("coupling.medium", replace, base.medium, **coupling["medium"])
     if "collection" in coupling:
         coupling["collection"] = _geometry("coupling.collection", base.collection,
                                            coupling["collection"])

@@ -29,7 +29,6 @@ from .coupling import (
     ASSEMBLY_BYTES_LIMIT,
     CouplingConfig,
     InteractionType,
-    MediumConfig,
     PumpSpec,
     assemble_squeeze_matrix,
     check_basis_size,
@@ -70,20 +69,19 @@ PDC_CELL_RAYLEIGHS = 0.6
 HERALDING_P_MAX = 20
 DEFAULT_GRID_RANGE = (50.0, 800.0)
 DEFAULT_GRID_POINTS = 8
+_GRID_KEYS = ("pump", "collection", "points")
 
 
 def _psr_coupling(interaction: InteractionType, basis) -> CouplingConfig:
     beam = BeamGeometry(wavelength=PSR_WAVELENGTH, waist_w0=PSR_WAIST)
-    return CouplingConfig(interaction, MediumConfig(cell_length=3.0 * beam.rayleigh_zR),
-                          PumpSpec(beam), beam, basis)
+    return CouplingConfig(interaction, 3.0 * beam.rayleigh_zR, PumpSpec(beam), beam, basis)
 
 
 def _pdc_coupling(pump_waist: float, basis) -> CouplingConfig:
     # down-conversion consumes one pump photon per pair: three-wave kernel
     beam = BeamGeometry(wavelength=PDC_COLLECTION_WAVELENGTH, waist_w0=PDC_COLLECTION_WAIST)
     pump = BeamGeometry(wavelength=PDC_PUMP_WAVELENGTH, waist_w0=pump_waist)
-    return CouplingConfig(InteractionType.FULL_CROSSTALK,
-                          MediumConfig(cell_length=PDC_CELL_RAYLEIGHS * beam.rayleigh_zR),
+    return CouplingConfig(InteractionType.FULL_CROSSTALK, PDC_CELL_RAYLEIGHS * beam.rayleigh_zR,
                           PumpSpec(pump), beam, basis, single_pump=True)
 
 
@@ -141,14 +139,18 @@ class ScenarioConfig:
             scans = ", ".join(name for name, s in _SCENARIOS.items() if s.scan)
             raise FieldError("scan_grid", f"is needed by {scans} and taken by no other scenario")
         if self.scan_grid is not None:
+            for key in [*_GRID_KEYS, *self.scan_grid]:  # a missing key, then an unknown one
+                if (key in _GRID_KEYS) != (key in self.scan_grid):
+                    raise FieldError(f"scan_grid.{key}",
+                                     "is missing" if key in _GRID_KEYS else "unknown key")
             for axis in ("pump", "collection"):
                 low, high = self.scan_grid[axis]
                 if not 0 < low < high < math.inf:
                     raise FieldError(f"scan_grid.{axis}",
                                      f"must be [low, high] with 0 < low < high, got {[low, high]}")
             points = self.scan_grid["points"]
-            if not points >= 2:
-                raise FieldError("scan_grid.points", f"must be >= 2, got {points}")
+            if not isinstance(points, (int, np.integer)) or points < 2:
+                raise FieldError("scan_grid.points", f"must be an integer >= 2, got {points!r}")
             if 8 * points * points > ASSEMBLY_BYTES_LIMIT:  # the float64 metric grid
                 raise FieldError("scan_grid.points",
                                  f"must be <= {math.isqrt(ASSEMBLY_BYTES_LIMIT // 8)}, got "
@@ -271,12 +273,18 @@ def scan_island(scan: dict) -> dict:
 
 def _analysed(coupling: CouplingConfig, n_target: float, gain: float = None):
     """Assemble ``coupling``, scale it by ``gain`` or else calibrate it to
-    ``n_target``, and report the state: the one path to ``(sq, gain, report)``."""
+    ``n_target``, and report the state: the one path to ``(sq, gain, report)``;
+    a gain that takes the matrix past the float range names ``seed_gain``."""
     sq = assemble_squeeze_matrix(coupling)
     if gain is None:
         sq, gain = scale_to_mean_photons(sq, n_target)
     else:
-        sq = SqueezeMatrix(xi=gain * sq.xi, basis=sq.basis, interaction=sq.interaction)
+        with np.errstate(over="ignore"):
+            xi = gain * sq.xi
+        if not np.all(np.isfinite(xi)):
+            raise FieldError("seed_gain", f"{gain!r} takes the coupling matrix past the "
+                             "float range")
+        sq = SqueezeMatrix(xi=xi, basis=sq.basis, interaction=sq.interaction)
     return sq, float(gain), state_report(sq)
 
 
@@ -424,7 +432,7 @@ def _run_pdc_heralding(cfg: ScenarioConfig) -> ScenarioResult:
     ref = _with_pump(cfg.coupling, geometry=replace(pump, waist_w0=PDC_PUMP_WAIST))
     target = cfg.n_target if cfg.seed_gain is None else report.nbar_total
     if not 0.0 < target < math.inf:
-        raise ValueError(f"seed_gain {cfg.seed_gain!r} gives photon number {target!r}; "
+        raise FieldError("seed_gain", f"{cfg.seed_gain!r} gives photon number {target!r}; "
                          "the benchmark reference needs a positive, finite one")
     ref_sq, _, ref_report = _analysed(ref, target)
     ref_metrics = pair_dominance_metrics(ref_report, ref_sq.basis)

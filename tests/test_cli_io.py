@@ -41,7 +41,7 @@ def load_schema(name):
 # one, so a config names it by this string and the test writes its digits
 LONG_INTEGER = "<4401-digit integer>"
 # keys a config once took and no longer does
-REMOVED_KEYS = ("chi_profile", "gain_scale", "rayleigh_zR", "strength")
+REMOVED_KEYS = ("chi_profile", "gain_scale", "medium", "rayleigh_zR", "strength")
 PSR_RAYLEIGH = default_config("PsrSinglePhoton").coupling.collection.rayleigh_zR
 
 
@@ -142,7 +142,7 @@ class TestConfigParsing:
         ({"basis": {"p_max": 1.5}}, "basis.p_max"),
         ({"seed_gain": float("inf")}, "seed_gain"),
         ({"n_target": float("nan")}, "n_target"),
-        ({"coupling": {"medium": {"strength": 1.0}}}, "coupling.medium.strength"),  # removed
+        ({"coupling": {"medium": {"strength": 1.0}}}, "coupling.medium"),  # removed
         ({"coupling": {"collection": {"waist_w0": True}}}, "coupling.collection.waist_w0"),
         ({"scenario": "WaistScan", "grid": 8}, "grid"),
         ({"scenario": "WaistScan",
@@ -180,9 +180,9 @@ class TestConfigParsing:
         ({"scenario": "PdcBenchmark", "coupling": {"pump2": {"waist_w0": 10.0}}},
          "coupling.pump2"),
         ({"scenario": "PdcBenchmark", "coupling": {"medium": {"strength": 0}}},
-         "coupling.medium.strength"),  # removed
+         "coupling.medium"),  # removed
         ({"scenario": "PdcBenchmark", "coupling": {"medium": {"gain_scale": 1e10}}},
-         "coupling.medium.gain_scale"),
+         "coupling.medium"),
         # its points x points float64 metric grid would take 728 TiB
         ({"scenario": "WaistScan", "grid": {"points": 10000000}}, "grid.points"),
         ({"basis": {"ell_max": LONG_INTEGER}}, "basis.ell_max"),
@@ -196,9 +196,9 @@ class TestConfigParsing:
          "coupling.pump.waist_w0"),
         # removed keys: chi_profile and rayleigh_zR each at the one value it once
         # took, gain_scale at a value its rule refused
-        ({"coupling": {"medium": {"chi_profile": "uniform"}}}, "coupling.medium.chi_profile"),
+        ({"coupling": {"medium": {"chi_profile": "uniform"}}}, "coupling.medium"),
         ({"scenario": "PdcBenchmark", "coupling": {"medium": {"gain_scale": -1.0}}},
-         "coupling.medium.gain_scale"),
+         "coupling.medium"),
         ({"coupling": {"collection": {"rayleigh_zR": PSR_RAYLEIGH}}},
          "coupling.collection.rayleigh_zR"),
         ({"coupling": {"pump": {"geometry": {"rayleigh_zR": PSR_RAYLEIGH}}}},
@@ -220,6 +220,20 @@ class TestConfigParsing:
         # a seed gain sets the scale, so a calibration target beside it is refused
         ({"basis": {"ell_max": 0, "p_max": 1}, "n_target": 5, "seed_gain": 1e-4}, "n_target"),
         ({"scenario": "PdcBenchmark", "n_target": 0.5, "seed_gain": 1.0}, "n_target"),
+        # the cell is centred at z = 0: a far focus is named by the key that set it
+        ({"scenario": "PdcBenchmark", "coupling": {"collection": {"focus_z": 1e300}}},
+         "coupling.collection.focus_z"),
+        ({"scenario": "PdcBenchmark", "coupling": {"pump": {"geometry": {"focus_z": 1e300}}}},
+         "coupling.pump.geometry.focus_z"),
+        ({"scenario": "PdcBenchmark", "coupling": {"pump": {"focus_z": 1e300}}},
+         "coupling.pump.focus_z"),
+        ({"scenario": "PdcBenchmark", "coupling": {"cell_length": 1e300}},
+         "coupling.cell_length"),
+        # 1/w^2 overflows at the focus of a waist whose Rayleigh range is in range
+        ({"coupling": {"collection": {"wavelength": 1e-300, "waist_w0": 1e-155}}},
+         "coupling.collection.waist_w0"),
+        # a seed gain that takes the coupling matrix past the float range
+        ({"scenario": "PdcBenchmark", "seed_gain": 1e308}, "seed_gain"),
     ],
 )
 def test_bad_config_exits_2_naming_key(tmp_path, capsys, config, key):
@@ -410,11 +424,11 @@ def test_pump_outside_the_rerun_basis_names_the_rerun(tmp_path, capsys, basis, m
     ("PdcBenchmark", "coupling.collection.focus_z", math.nan),
     ("PdcBenchmark", "coupling.pump.geometry.wavelength", math.inf),
     ("PdcBenchmark", "coupling.pump.geometry.waist_w0", 0.0),
-    ("PdcBenchmark", "coupling.medium.cell_length", 0.0),
-    ("PdcBenchmark", "coupling.medium.center_z", math.inf),
+    ("PdcBenchmark", "coupling.cell_length", 0.0),
+    ("PdcBenchmark", "coupling.pump.geometry.focus_z", 1e300),
 ], ids=["nan", "wrong-shape", "not-unit-norm", "eigen-pump-own-pump", "waist-scan-own-pump",
         "collection-waist", "collection-focus-nan", "pump-wavelength-inf", "pump-waist",
-        "cell-length", "center-z-inf"])
+        "cell-length", "pump-focus-far"])
 def test_pump_rules_hold_in_python_and_in_config_files(tmp_path, capsys, no_run, scenario,
                                                         key, value):
     # the field Python refuses is the last segment of the key a config file names;
@@ -504,8 +518,13 @@ class TestEmission:
         out, _, _ = emitted
         jsonschema.validate(json.loads((out / "report.json").read_text()),
                             load_schema("report.schema.json"))
-        jsonschema.validate(json.loads((out / "manifest.json").read_text()),
-                            load_schema("manifest.schema.json"))
+        manifest = json.loads((out / "manifest.json").read_text())
+        jsonschema.validate(manifest, load_schema("manifest.schema.json"))
+        # a manifest written while the medium was a section of its own is refused
+        coupling = manifest["resolved_config"]["coupling"]
+        coupling["medium"] = {"cell_length": coupling.pop("cell_length"), "center_z": 0.0}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(manifest, load_schema("manifest.schema.json"))
 
     def test_vacuum_report_identity_quarter(self, tmp_path):
         from lgsqueeze.coupling import InteractionType
@@ -774,21 +793,23 @@ class TestCli:
         ["--config", {"scenario": "PsrSinglePhoton", "n_target": 1e8}],
         ["--scenario", "PdcBenchmark", "--lmax", "0", "--pmax", "1", "--seed-gain", "1"],
         ["--config", {"scenario": "PsrSinglePhoton", "basis": {"ell_max": 0, "p_max": 1},
-                      "coupling": {"medium": {"cell_length": 1e-310}}}],
+                      "coupling": {"cell_length": 1e-310}}],
         ["--config", {"scenario": "WaistScan", "grid": {"pump": [1e300, 1e301], "points": 2}}],
         ["--config", {"scenario": "WaistScan", "grid": {"pump": [1e-300, 1e-299], "points": 2}}],
         *(["--config", {"scenario": "PsrSinglePhoton", "basis": {"ell_max": 0, "p_max": 0},
                         "coupling": coupling}]
-          for coupling in ({"medium": {"center_z": 1e300}}, {"medium": {"cell_length": 1e300}},
+          for coupling in ({"collection": {"focus_z": 1e300}}, {"cell_length": 1e300},
                            {"collection": {"wavelength": 1e300}})),
         ["--config", {"scenario": "PsrSinglePhoton", "basis": {"ell_max": 0, "p_max": 0},
                       "coupling": {"pump": {"wavelength": 1e-300, "waist_w0": 1e-150},
                                    "collection": {"wavelength": 1e-300, "waist_w0": 1e-150},
-                                   "medium": {"cell_length": 1}}}],
+                                   "cell_length": 1}}],
+        ["--scenario", "PdcBenchmark", "--seed-gain", "1e308"],
+        ["--scenario", "PsrSinglePhoton", "--lmax", "0", "--pmax", "0", "--seed-gain", "1e308"],
     ], ids=["overflow", "zero-variance", "zero-variance-config", "overflowing-metric",
             "unscalable-matrix", "overflowing-scan-waists", "underflowing-scan-waists",
             "far-medium-centre", "overflowing-cell", "underflowing-rayleigh-square",
-            "overflowing-matrix-norm"])
+            "overflowing-matrix-norm", "overflowing-seed-gain", "overflowing-seed-gain-psr"])
     def test_refused_non_finite_run_prints_only_its_error(self, tmp_path, capsys, argv):
         if argv[0] == "--config":
             path = tmp_path / "run.json"
@@ -822,7 +843,7 @@ class TestCli:
         cfg_path = tmp_path / "weak.json"
         cfg_path.write_text(json.dumps({"scenario": "PsrSinglePhoton",
                                         "basis": {"ell_max": 0, "p_max": 1},
-                                        "coupling": {"medium": {"cell_length": 1e-310}}}))
+                                        "coupling": {"cell_length": 1e-310}}))
         rc = cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
@@ -850,8 +871,9 @@ class TestCli:
         (["--config", "tiny_gain.json"], "nbar_lambda1_share"),
         (["--scenario", "PdcBenchmark", "--seed-gain", "1e3"], "variance_plus"),
         (["--scenario", "PdcEigenPump", "--seed-gain", "1e3"], "variance_plus"),
-        (["--scenario", "PdcHeralding", "--seed-gain", "0"], "seed_gain 0.0 gives photon"),
-        (["--scenario", "PdcHeralding", "--seed-gain", "1e3"], "seed_gain 1000.0 gives photon"),
+        (["--scenario", "PdcHeralding", "--seed-gain", "0"], "--seed-gain: 0.0 gives photon"),
+        (["--scenario", "PdcHeralding", "--seed-gain", "1e3"],
+         "--seed-gain: 1000.0 gives photon"),
     ])
     def test_extreme_gain_exits_2_naming_the_statistic(self, tmp_path, argv, named):
         # a seed gain whose photon numbers underflow to 0; a tiny n_target
@@ -866,7 +888,7 @@ class TestCli:
         )
         assert proc.returncode == 2, proc.stderr
         assert named in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
-        if not named.startswith("seed_gain"):
+        if not named.startswith("--seed-gain"):
             assert "at gain " in proc.stderr, proc.stderr
 
     def test_degenerate_oracle_check_passes_on_the_excited_mode(self, tmp_path):
@@ -918,17 +940,20 @@ class TestDeterminism:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_manifest_naming_the_removed_strength_exits_2(self, tmp_path, capsys):
-        # manifests written before the medium lost its strength carry the key
+        # manifests written before the medium became its length carry its
+        # section, with the strength in it before that was removed too
         out = tmp_path / "a"
         assert cli_main(["--scenario", "PsrSinglePhoton", "--lmax", "0", "--pmax", "1",
                          "--out", str(out), "--quiet"]) == 0
         config = json.loads((out / "manifest.json").read_text())["resolved_config"]
-        config["coupling"]["medium"]["strength"] = 1.0
+        coupling = config["coupling"]
+        coupling["medium"] = {"cell_length": coupling.pop("cell_length"), "center_z": 0.0,
+                              "strength": 1.0}
         cfg_path = tmp_path / "old.json"
         cfg_path.write_text(json.dumps(config))
         assert cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "b"),
                          "--quiet"]) == 2
-        assert capsys.readouterr().err == "error: coupling.medium.strength: unknown key\n"
+        assert capsys.readouterr().err == "error: coupling.medium: unknown key\n"
         assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("source", ["flags", "config"])

@@ -27,7 +27,6 @@ from lgsqueeze.coupling import (
     CouplingConfig,
     FieldError,
     InteractionType,
-    MediumConfig,
     PumpSpec,
     assemble_squeeze_matrix,
     coupling_element,
@@ -40,13 +39,13 @@ from lgsqueeze.squeeze_core import SqueezeMatrix
 from lgsqueeze.eigenmodes import is_normal
 
 GEOM = BeamGeometry(wavelength=0.795, waist_w0=80.0)
-MEDIUM = MediumConfig(cell_length=3.0 * GEOM.rayleigh_zR)
+CELL_LENGTH = 3.0 * GEOM.rayleigh_zR
 
 
 def fwm_config(interaction=InteractionType.FULL_CROSSTALK, basis=None):
     return CouplingConfig(
         interaction=interaction,
-        medium=MEDIUM,
+        cell_length=CELL_LENGTH,
         pump1=PumpSpec(geometry=GEOM),
         collection=GEOM,
         basis=basis or build_basis(1, 2),
@@ -114,7 +113,7 @@ class TestAssembly:
     def test_single_mode_basis_element_is_real_positive(self):
         cfg = CouplingConfig(
             interaction=InteractionType.FULL_CROSSTALK,
-            medium=MediumConfig(cell_length=3.0 * GEOM.rayleigh_zR),
+            cell_length=3.0 * GEOM.rayleigh_zR,
             pump1=PumpSpec(geometry=GEOM),
             collection=GEOM,
             basis=build_basis(0, 0),
@@ -180,34 +179,37 @@ class TestAssembly:
         ({"cell_length": 0.0}, "cell_length"),
         ({"cell_length": -0.0}, "cell_length"),
         ({"cell_length": -math.inf}, "cell_length"),
-        ({"center_z": -math.inf}, "center_z"),
+        ({"focus_z": -math.inf}, "focus_z"),
         ({"cell_length": -1.0}, "cell_length"),
         ({"cell_length": math.inf}, "cell_length"),
-        ({"center_z": math.inf}, "center_z"),
-        ({"center_z": math.nan}, "center_z"),
+        ({"focus_z": math.inf}, "focus_z"),
+        ({"focus_z": math.nan}, "focus_z"),
     ])
     def test_degenerate_medium_names_its_field(self, kwargs, field):
+        # the medium is its length: the cell is centred at z = 0, and each
+        # beam's focus is measured from there
         with pytest.raises(FieldError) as err:
-            MediumConfig(**{"cell_length": 1.0, **kwargs})
+            dataclasses.replace(
+                fwm_config(), cell_length=kwargs.get("cell_length", 1.0),
+                collection=dataclasses.replace(GEOM, focus_z=kwargs.get("focus_z", 0.0)))
         assert err.value.field == field
 
-    @pytest.mark.parametrize("medium, beam, field", [
-        ({"center_z": 1e300}, {}, "medium.center_z"),
-        ({"cell_length": 1e300}, {}, "medium.cell_length"),
+    @pytest.mark.parametrize("cell, beam, field", [
+        # the coupling is never built: the beam refuses its focus itself
+        ({}, {"focus_z": 1e300}, "focus_z"),
+        ({"cell_length": 1e300}, {}, "cell_length"),
         # the width stays finite; the z^2 + zR^2 of the curvature overflows
-        ({"cell_length": 1e155}, {"wavelength": 1e-100, "waist_w0": 1.0},
-         "medium.cell_length"),
+        ({"cell_length": 1e155}, {"wavelength": 1e-100, "waist_w0": 1.0}, "cell_length"),
     ], ids=["center", "cell", "curvature"])
-    def test_medium_past_the_float_range_names_its_field(self, medium, beam, field):
-        geom = dataclasses.replace(GEOM, **beam)
+    def test_medium_past_the_float_range_names_its_field(self, cell, beam, field):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FieldError) as err:
-                dataclasses.replace(fwm_config(), medium=dataclasses.replace(MEDIUM, **medium),
-                                    pump1=PumpSpec(geom), collection=geom)
+                geom = dataclasses.replace(GEOM, **beam)
+                dataclasses.replace(fwm_config(), **cell, pump1=PumpSpec(geom), collection=geom)
         assert err.value.field == field
         # a finite long cell is accepted
-        dataclasses.replace(fwm_config(), medium=MediumConfig(cell_length=1e30))
+        dataclasses.replace(fwm_config(), cell_length=1e30)
 
     def test_pump_coefficients_of_another_basis_raise(self):
         pump = PumpSpec(GEOM, np.array([0.6, 0.8j, 0.0]))
@@ -263,17 +265,20 @@ def pump_on(*weighted):
 def asymmetric_config(name, interaction):
     """Pumps whose OAM makes the +ell and -ell blocks of xi differ."""
     if name == "two-pump":
+        # the cell centre lies 300 um past GEOM's focus
+        geom = dataclasses.replace(GEOM, focus_z=-300.0)
         return CouplingConfig(
             interaction=interaction,
-            medium=MediumConfig(cell_length=2.0 * GEOM.rayleigh_zR, center_z=300.0),
-            pump1=PumpSpec(GEOM, pump_on((1, 0, 0.6), (-2, 1, 0.8j))),
-            pump2=PumpSpec(PUMP_GEOM, pump_on((0, 0, 0.8), (1, 1, -0.6))),
-            collection=GEOM,
+            cell_length=2.0 * GEOM.rayleigh_zR,
+            pump1=PumpSpec(geom, pump_on((1, 0, 0.6), (-2, 1, 0.8j))),
+            pump2=PumpSpec(dataclasses.replace(PUMP_GEOM, focus_z=200.0),
+                           pump_on((0, 0, 0.8), (1, 1, -0.6))),
+            collection=geom,
             basis=ASYM_BASIS,
         )
     return CouplingConfig(
         interaction=interaction,
-        medium=MediumConfig(cell_length=2.0 * PUMP_GEOM.rayleigh_zR),
+        cell_length=2.0 * PUMP_GEOM.rayleigh_zR,
         pump1=PumpSpec(PUMP_GEOM, pump_on((1, 0, 1.0))),
         collection=GEOM,
         basis=ASYM_BASIS,
@@ -288,9 +293,9 @@ def direct_overlap_sum(cfg, nz, nt, t_max):
     if not cfg.single_pump:
         fields.append((cfg.pump2.geometry, 1))
     z_scale = min(g.rayleigh_zR for g, _ in fields)
-    psi_half = math.atan(0.5 * cfg.medium.cell_length / z_scale)
+    psi_half = math.atan(0.5 * cfg.cell_length / z_scale)
     psi, wpsi = _gauss_legendre(-psi_half, psi_half, nz)
-    z = (cfg.medium.center_z + z_scale * np.tan(psi))[:, None]
+    z = (z_scale * np.tan(psi))[:, None]
     wz = (wpsi * z_scale / np.cos(psi) ** 2)[:, None]
     t, wt = _gauss_legendre(0.0, t_max, nt)
     beta = sum(count / g.width(z - g.focus_z) ** 2 for g, count in fields)
@@ -383,10 +388,8 @@ class TestStreamedAssembly:
 
     def test_two_pump_holds_at_most_two_stacks(self, monkeypatch):
         # a collection geometry of its own, so its calls are told from pump1's
-        cfg = dataclasses.replace(
-            asymmetric_config("two-pump", InteractionType.FULL_CROSSTALK),
-            collection=dataclasses.replace(GEOM),
-        )
+        two_pump = asymmetric_config("two-pump", InteractionType.FULL_CROSSTALK)
+        cfg = dataclasses.replace(two_pump, collection=dataclasses.replace(two_pump.collection))
         calls, peak = track_collection_stacks(monkeypatch, cfg.collection)
         _assemble_at(cfg, 24, 40, 40.0)
         assert all(len(alphas) == 1 for alphas, _ in calls)

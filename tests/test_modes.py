@@ -103,6 +103,21 @@ class TestGeometry:
             BeamGeometry(**kwargs)
         assert err.value.field == field
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"wavelength": 0.81, "waist_w0": 200.0, "focus_z": 1e300}, "focus_z"),
+        ({"wavelength": 0.81, "waist_w0": 200.0, "focus_z": -1e300}, "focus_z"),
+        # the width stays finite; the z^2 + zR^2 of the curvature overflows
+        ({"wavelength": 1e-100, "waist_w0": 1.0, "focus_z": 1e155}, "focus_z"),
+        # a Rayleigh range in range, but 1/w^2 overflows at the focus itself
+        ({"wavelength": 1e-300, "waist_w0": 1e-155}, "waist_w0"),
+        ({"wavelength": 1e-300, "waist_w0": 1e-155, "focus_z": 1e-3}, "waist_w0"),
+    ], ids=["far", "far-negative", "curvature", "narrow-waist", "narrow-waist-off-centre"])
+    def test_focus_past_the_float_range_names_its_field(self, kwargs, field):
+        # every focus is measured from the cell centre, z = 0
+        with pytest.raises(FieldError) as err:
+            BeamGeometry(**kwargs)
+        assert err.value.field == field
+
 
 class TestAmplitude:
     def test_fundamental_on_axis_at_focus(self):

@@ -347,6 +347,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="scan_grid"):
             replace(small_scan(), scan_grid=grid)
 
+    @pytest.mark.parametrize("grid, field", [
+        ({"points": 4}, "scan_grid.pump"),
+        ({"pump": [50.0, 800.0], "points": 4}, "scan_grid.collection"),
+        ({"pump": [50.0, 800.0], "collection": [50.0, 800.0]}, "scan_grid.points"),
+        ({"pump": [50.0, 800.0], "collection": [50.0, 800.0], "points": 4.5},
+         "scan_grid.points"),
+        ({"pump": [50.0, 800.0], "collection": [50.0, 800.0], "points": 4, "extra": 1},
+         "scan_grid.extra"),
+    ], ids=["missing-pump", "missing-collection", "missing-points", "fractional-points",
+            "unknown-key"])
+    def test_scan_grid_keys_checked_in_python(self, grid, field):
+        # the config reader's table refuses these too; a Python grid is checked alike
+        with pytest.raises(FieldError) as err:
+            replace(default_config("WaistScan"), scan_grid=grid)
+        assert err.value.field == field
+
     def test_scan_grid_points_bounded_by_the_assembly_limit(self):
         # the float64 metric grid of the largest scan fits ASSEMBLY_BYTES_LIMIT
         largest = math.isqrt(ASSEMBLY_BYTES_LIMIT // 8)
