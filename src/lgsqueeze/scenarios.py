@@ -18,6 +18,7 @@ fixed photon budget.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -144,10 +145,10 @@ class ScenarioConfig:
                     raise FieldError(f"scan_grid.{key}",
                                      "is missing" if key in _GRID_KEYS else "unknown key")
             for axis in ("pump", "collection"):
-                low, high = self.scan_grid[axis]
-                if not 0 < low < high < math.inf:
+                bounds = self.scan_grid[axis]
+                if not (np.shape(bounds) == (2,) and 0 < bounds[0] < bounds[1] < math.inf):
                     raise FieldError(f"scan_grid.{axis}",
-                                     f"must be [low, high] with 0 < low < high, got {[low, high]}")
+                                     f"must be [low, high] with 0 < low < high, got {bounds!r}")
             points = self.scan_grid["points"]
             if not isinstance(points, (int, np.integer)) or points < 2:
                 raise FieldError("scan_grid.points", f"must be an integer >= 2, got {points!r}")
@@ -162,6 +163,13 @@ class ScenarioConfig:
                 if getattr(pump, "coefficients", None) is not None:
                     raise FieldError(f"coupling.{key}.coefficients",
                                      f"is not used: {self.name} sets its own pump modes")
+        elif coupling.interaction is not InteractionType.FULL_CROSSTALK:
+            # a block pairs signal and idler of one ell, so the drives' net OAM must be even
+            parities = [{basis.order[i].ell % 2 for i in np.flatnonzero(
+                drive.resolved_coefficients(basis))} for drive in coupling.drives]
+            if all(sum(combo) % 2 for combo in itertools.product(*parities)):
+                raise FieldError("coupling.pump.coefficients", "leave xi zero: the drives' net "
+                                 f"OAM is odd, and {coupling.interaction.value} pairs one ell")
         profiles = basis.size if scenario.pump == "eigenmode" else pump_profile_count(coupling)
         check_basis_size(basis.ell_max, basis.p_max, profiles)
 

@@ -234,6 +234,11 @@ class TestConfigParsing:
          "coupling.collection.waist_w0"),
         # a seed gain that takes the coupling matrix past the float range
         ({"scenario": "PdcBenchmark", "seed_gain": 1e308}, "seed_gain"),
+        # drives on ell = +1 and ell = 0 feed no block of a same-ell interaction
+        *(({"scenario": name, "basis": {"ell_max": 1, "p_max": 0},
+            "coupling": {"pump": {"coefficients": {"re": [0, 0, 1], "im": [0, 0, 0]}},
+                         "pump2": {"coefficients": {"re": [0, 1, 0], "im": [0, 0, 0]}}}},
+           "coupling.pump.coefficients") for name in ("PsrPCrosstalk", "PsrSinglePhoton")),
     ],
 )
 def test_bad_config_exits_2_naming_key(tmp_path, capsys, config, key):

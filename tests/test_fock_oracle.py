@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from conftest import random_symmetric
 from lgsqueeze.coupling import InteractionType
 from lgsqueeze.fock_oracle import (
     TruncatedFockSpace,
+    _exponent_on,
+    _pair_terms,
+    _reachable,
     build_hamiltonian_exponent,
     vacuum_statistics,
 )
@@ -17,6 +21,16 @@ from lgsqueeze.squeeze_core import (
     degenerate_statistics,
     state_report,
 )
+
+# small cases the whole box can check; the last is two-beam with xi[1, 1] = 0,
+# so |a0 a1 b0 b1> = |0 1 0 1> is reached only by creating a0 a1 b0 b1 and
+# then annihilating the a0 b0 pair
+FULL_BOX_CASES = pytest.mark.parametrize("xi, space", [
+    (random_symmetric(np.random.default_rng(3), 1, scale=0.5), TruncatedFockSpace(2, 5)),
+    (np.array([[0.3, 0.2], [0.2, 0.0]]), TruncatedFockSpace(2, 6)),
+    (np.array([[0.45]]), TruncatedFockSpace(1, 11)),
+    (np.array([[0.3, 0.2], [0.2, 0.0]]), TruncatedFockSpace(4, 3)),
+], ids=["two-beam", "degenerate-two-mode", "degenerate-odd-cut", "two-beam-sparse"])
 
 REPORT_FIELDS = ("scalar_var", "var_X1", "var_X2", "cross_cov", "nbar_matrix",
                  "nbar_total", "number_variance", "number_covariance",
@@ -175,19 +189,45 @@ class TestVacuumStatistics:
         assert np.abs(oracle.pair_matrix - rep.pair_matrix).max() < tol
         assert abs(oracle.number_variance - rep.number_variance) < tol
 
-    @pytest.mark.parametrize("xi, space", [
-        (random_symmetric(np.random.default_rng(3), 1, scale=0.5), TruncatedFockSpace(2, 5)),
-        (np.array([[0.3, 0.2], [0.2, 0.0]]), TruncatedFockSpace(2, 6)),
-        (np.array([[0.45]]), TruncatedFockSpace(1, 11)),
-    ], ids=["two-beam", "degenerate-two-mode", "degenerate-odd-cut"])
+    @FULL_BOX_CASES
     def test_matches_full_space_brute_force(self, xi, space):
         psi, expected = full_box_statistics(xi, space)
         if space.n_modes == 2 and xi.shape == (2, 2):
             # |0, 2> is only reached by annihilating a pair from |2, 2>
             assert abs(psi[2]) > 1e-3
+        if space.n_modes == 4:
+            # |0 1 0 1>, reached only through an annihilation (FULL_BOX_CASES)
+            assert abs(psi[space.strides[1] + space.strides[3]]) > 1e-3
         rep = vacuum_statistics(xi, space)
         for name in REPORT_FIELDS:
             assert np.abs(np.subtract(getattr(rep, name), expected[name])).max() < 1e-12, name
+
+    @FULL_BOX_CASES
+    def test_search_and_exponent_match_the_full_box(self, xi, space):
+        # the search finds the vacuum's component of the full-box exponent's
+        # graph, and the exponent on it is the full-box one restricted to it
+        gen = build_hamiltonian_exponent(xi, space)
+        component = breadth_first_order(abs(gen), 0, directed=False,
+                                         return_predecessors=False)
+        terms = _pair_terms(np.asarray(xi, dtype=complex), space)
+        states = _reachable(terms, space)
+        assert np.array_equal(states, np.sort(component))
+        restricted = gen[states][:, states]
+        assert (_exponent_on(terms, space, states) != restricted).nnz == 0
+
+    def test_three_mode_draw_holds_at_most_40_mb(self):
+        # a 3-mode, cut-8 two-beam draw reaches 32661 of 531441 states, with
+        # 97245 one-step neighbours.  The peak is the exponent and the copies
+        # expm_multiply makes (33.1 MB); holding every mode's lowered and
+        # raised images of psi at once, 6 x 2 x 97245 x 16 B, took it to 50.8 MB
+        xi = random_symmetric(np.random.default_rng(5), 3, scale=0.4)
+        tracemalloc.start()
+        try:
+            vacuum_statistics(xi, TruncatedFockSpace(6, 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6, peak
 
     def test_truncation_bound_reads_the_highest_reached_shell(self):
         # photon parity keeps a degenerate single mode off an odd cut: the

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from lgsqueeze import scenarios
-from lgsqueeze.coupling import ASSEMBLY_BYTES_LIMIT
+from lgsqueeze.coupling import (ASSEMBLY_BYTES_LIMIT, InteractionType, PumpSpec,
+                                assemble_squeeze_matrix)
 from lgsqueeze.modes import FieldError, ModeIndex, QuadratureError
 from lgsqueeze.report_io import (emit_result, load_report, report_from_dict, report_to_dict,
                                  scenario_config_from_dict)
@@ -342,10 +343,35 @@ class TestConfigValidation:
         {"pump": [100.0, 200.0], "collection": [0.0, 200.0], "points": 2},
         {"pump": [100.0, 200.0], "collection": [100.0, math.inf], "points": 2},
         {"pump": [100.0, 200.0], "collection": [100.0, 200.0], "points": 1},
+        # an axis that is not a pair: the config reader refuses these first
+        {"pump": [100.0, 150.0, 200.0], "collection": [100.0, 200.0], "points": 2},
+        {"pump": [100.0, 200.0], "collection": 150.0, "points": 2},
     ])
     def test_bad_scan_grid_rejected(self, grid):
-        with pytest.raises(ValueError, match="scan_grid"):
+        with pytest.raises(FieldError) as err:
             replace(small_scan(), scan_grid=grid)
+        assert err.value.field.startswith("scan_grid."), err.value.field
+
+    @pytest.mark.parametrize("name", ["PsrPCrosstalk", "PsrSinglePhoton"])
+    def test_drives_that_feed_no_block_rejected(self, name):
+        # a same-ell interaction pairs signal and idler of one ell, so drives
+        # on ell = +1 and ell = 0 (net OAM 1) leave xi exactly zero
+        cfg = default_config(name, ell_max=1, p_max=0)
+        coupling, basis = cfg.coupling, cfg.coupling.basis
+
+        def drives(ell1, ell2):
+            on = [np.eye(basis.size)[basis.position(ModeIndex(ell, 0))] for ell in (ell1, ell2)]
+            return replace(coupling, pump1=PumpSpec(coupling.pump1.geometry, on[0]),
+                           pump2=PumpSpec(coupling.pump1.geometry, on[1]))
+
+        odd = drives(1, 0)
+        assert not assemble_squeeze_matrix(odd).xi.any()
+        with pytest.raises(FieldError) as err:
+            replace(cfg, coupling=odd)
+        assert err.value.field == "coupling.pump.coefficients"
+        # an even net OAM feeds the ell = 0 block, and full cross talk any pair
+        assert assemble_squeeze_matrix(replace(cfg, coupling=drives(1, -1)).coupling).xi.any()
+        replace(cfg, coupling=replace(odd, interaction=InteractionType.FULL_CROSSTALK))
 
     @pytest.mark.parametrize("grid, field", [
         ({"points": 4}, "scan_grid.pump"),
