@@ -39,6 +39,8 @@ __all__ = [
     "PumpSpec",
     "CouplingConfig",
     "coupling_element",
+    "drive_modes",
+    "oam_feeds",
     "assemble_squeeze_matrix",
     "scale_to_mean_photons",
     "ASSEMBLY_BYTES_LIMIT",
@@ -267,9 +269,29 @@ def _fill_slab(by_p, alpha, w, targ, base, ring, psi, lo, hi):
             part *= np.exp(1j * (2 * p + alpha + 1) * psi[z])
 
 
-def _pump_support_orders(pump: PumpSpec, basis: ModeBasis):
-    idxs = [basis.order[i] for i in np.flatnonzero(pump.resolved_coefficients(basis))]
-    return max(i.p for i in idxs), max(abs(i.ell) for i in idxs)
+def drive_modes(cfg: CouplingConfig) -> list:
+    """``[(nonzero coefficients, their modes), ...]``, one entry per drive of
+    ``cfg.drives``: the one place a drive's nonzero modes are worked out."""
+    entries = []
+    for drive in cfg.drives:
+        coeff = drive.resolved_coefficients(cfg.basis)
+        support = np.flatnonzero(coeff)
+        entries.append((coeff[support], [cfg.basis.order[i] for i in support]))
+    return entries
+
+
+def oam_feeds(drives: list, basis: ModeBasis, interaction: InteractionType) -> dict:
+    """Each net OAM of ``drive_modes`` (one ell per drive), in increasing order,
+    -> the ``range`` of ell_s whose blocks (ell_s, net - ell_s) of xi it feeds."""
+    nets = {0}
+    for _, modes in drives:  # the distinct ells, so no drive-index tuple is listed
+        nets = {net + ell for net in nets for ell in {m.ell for m in modes}}
+    top = basis.ell_max
+    if interaction is InteractionType.FULL_CROSSTALK:
+        return {net: range(max(-top, net - top), min(top, net + top) + 1) for net in sorted(nets)}
+    # a same-ell block pairs signal and idler of ell_s = net / 2
+    return {net: range(net // 2, net // 2 + (net % 2 == 0 and abs(net) <= 2 * top))
+            for net in sorted(nets)}
 
 
 _T_MAX_MIN = 45.0  # the radial cutoff search starts here
@@ -296,7 +318,8 @@ def _node_schedule(cfg: CouplingConfig):
     half = 0.5 * cfg.cell_length
     z_probe = np.linspace(-half, half, 33)
 
-    fields = [(d.geometry, *_pump_support_orders(d, basis)) for d in cfg.drives]
+    fields = [(d.geometry, max(m.p for m in modes), max(abs(m.ell) for m in modes))
+              for d, (_, modes) in zip(cfg.drives, drive_modes(cfg))]
     fields += [(cfg.collection, basis.p_max, basis.ell_max)] * 2
 
     gouy_swing = sum(
@@ -350,8 +373,8 @@ def _assembly_floor_bytes(ell_max: int, p_max: int, pump_profiles: int) -> int:
 def pump_profile_count(cfg: CouplingConfig) -> int:
     """Pump profiles the assembly of ``cfg`` holds: one per nonzero coefficient
     of each drive, where a ``pump2`` of None shares the profiles of ``pump1``."""
-    drives = cfg.drives[:1] if cfg.pump2 is None else cfg.drives
-    return sum(int(np.count_nonzero(d.resolved_coefficients(cfg.basis))) for d in drives)
+    drives = drive_modes(cfg)
+    return sum(len(modes) for _, modes in (drives[:1] if cfg.pump2 is None else drives))
 
 
 def check_basis_size(ell_max: int, p_max: int, pump_profiles: int) -> None:
@@ -398,20 +421,12 @@ def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
     # measure: dz * 2*pi*r dr, with r dr = dt / (2 beta)
     measure = wz[:, None] * wt[None, :] * (math.pi / beta[:, None])
 
-    # one leg per drive: its nonzero coefficients, their ell and their
-    # profiles; a pump2 of None is pump1 again and shares its leg
-    legs = []
-    for drive in cfg.drives:
-        if legs and cfg.pump2 is None:
-            legs.append(legs[0])
-            continue
-        coeff = drive.resolved_coefficients(basis)
-        support = np.flatnonzero(np.abs(coeff) > 0)
-        modes = [basis.order[i] for i in support]
+    drives = drive_modes(cfg)
+    profiles = []  # per drive; a pump2 of None shares pump1's
+    for drive, (_, modes) in zip(cfg.drives, drives):
         g = drive.geometry
-        prof = _profiles_on_grid(modes, r, _beam_on_grid(r, z - g.focus_z, g))
-        legs.append((coeff[support], [m.ell for m in modes], prof))
-    coeffs, ells, profiles = zip(*legs)
+        profiles.append(profiles[0] if profiles and cfg.pump2 is None else
+                        _profiles_on_grid(modes, r, _beam_on_grid(r, z - g.focus_z, g)))
     # a reduced profile depends on |ell| only: one conjugated stack per |ell|
     # serves both signs, and each overlap is contracted once per drive-index
     # tuple and (|ell_s|, |ell_i|)
@@ -428,19 +443,15 @@ def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
         block[ell] = slice(start, start + n_p)
 
     diag_only = cfg.interaction is InteractionType.DEGENERATE_SINGLE_BEAM
-    same_ell_only = cfg.interaction is InteractionType.P_CROSSTALK_ONLY or diag_only
+    fed = oam_feeds(drives, basis, cfg.interaction)
     # (|ell_s|, |ell_i|) -> drive-index tuple -> the (ell_s, ell_i) blocks it
     # feeds; tuples keep their product order, so every block sums its terms
     # in one fixed order
     feeds = {}
-    for combo in itertools.product(*(range(len(leg_ells)) for leg_ells in ells)):
-        ell_net = sum(leg_ells[a] for leg_ells, a in zip(ells, combo))
-        for ell_s in range(-basis.ell_max, basis.ell_max + 1):
+    for combo in itertools.product(*(range(len(modes)) for _, modes in drives)):
+        ell_net = sum(modes[a].ell for (_, modes), a in zip(drives, combo))
+        for ell_s in fed[ell_net]:
             ell_i = ell_net - ell_s
-            if abs(ell_i) > basis.ell_max:
-                continue
-            if same_ell_only and ell_s != ell_i:
-                continue
             key = (abs(ell_s), abs(ell_i))
             feeds.setdefault(key, {}).setdefault(combo, []).append((ell_s, ell_i))
 
@@ -462,7 +473,7 @@ def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
                 stacks[alpha] = collection_stack(alpha)
         for combo, blocks in feeds[key].items():
             # in the operand order ((c1 c2) measure) prof1 prof2
-            pump = reduce(operator.mul, [c[a] for c, a in zip(coeffs, combo)]) * measure
+            pump = reduce(operator.mul, [c[a] for (c, _), a in zip(drives, combo)]) * measure
             for prof, a in zip(profiles, combo):
                 pump *= prof[a]
             overlap = _contract(
@@ -504,9 +515,8 @@ def coupling_element(signal: ModeIndex, idler: ModeIndex, cfg: CouplingConfig) -
     """Single element of the coupling matrix for (signal, idler).
 
     Read off the assembled matrix, refined to ``QUADRATURE_RTOL`` as a whole.  An
-    element that OAM selection forbids (no drive coefficients whose ell sum
-    to ell_signal + ell_idler) is exactly 0.0 there, because the assembly
-    adds only to the blocks a drive-index tuple feeds.
+    element outside the blocks ``oam_feeds`` maps the drives' net OAM to is
+    exactly 0.0 there, because the assembly adds only to those blocks.
     """
     s, i = cfg.basis.position(signal), cfg.basis.position(idler)
     return complex(assemble_squeeze_matrix(cfg).xi[s, i])

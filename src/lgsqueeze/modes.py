@@ -38,6 +38,16 @@ class FieldError(ValueError):
         self.reason = reason
 
 
+def _finite_number(value) -> bool:
+    """Whether ``value`` is a finite int or float, as a config file's number
+    reads back; a bool (which a manifest writes as true/false) is not."""
+    try:
+        return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
+            value, bool) and math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 class QuadratureError(RuntimeError):
     """Raised when a numerical quadrature fails to reach its tolerance."""
 

@@ -24,7 +24,7 @@ import orjson
 
 from . import __version__ as _version
 from .coupling import CouplingConfig, InteractionType, PumpSpec
-from .modes import BeamGeometry, FieldError, ModeBasis
+from .modes import BeamGeometry, FieldError, ModeBasis, _finite_number
 from .scenarios import ScenarioConfig, default_config
 from .squeeze_core import StateReport
 
@@ -211,11 +211,8 @@ def _key(path: str, key: str) -> str:
 
 def _number(value, path: str) -> float:
     """``value`` as a float if it is a finite number."""
-    try:
-        if not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    except (TypeError, OverflowError):  # not a number, or an int past the float range
-        pass
+    if _finite_number(value):
+        return float(value)
     raise ConfigError(path, f"must be a finite number, got {value!r}")
 
 

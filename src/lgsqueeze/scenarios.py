@@ -18,7 +18,6 @@ fixed photon budget.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -33,11 +32,14 @@ from .coupling import (
     PumpSpec,
     assemble_squeeze_matrix,
     check_basis_size,
+    drive_modes,
+    oam_feeds,
     pump_profile_count,
     scale_to_mean_photons,
 )
 from .eigenmodes import EigenDecomposition, decompose, eigenmode_pump, eigenmode_report
-from .modes import BeamGeometry, FieldError, ModeBasis, QuadratureError, build_basis
+from .modes import (BeamGeometry, FieldError, ModeBasis, QuadratureError, _finite_number,
+                    build_basis)
 from .squeeze_core import SqueezeMatrix, StateReport, state_report
 
 __all__ = [
@@ -71,6 +73,7 @@ HERALDING_P_MAX = 20
 DEFAULT_GRID_RANGE = (50.0, 800.0)
 DEFAULT_GRID_POINTS = 8
 _GRID_KEYS = ("pump", "collection", "points")
+_BASELINE = InteractionType.DEGENERATE_SINGLE_BEAM  # what _run_psr_crosstalk calibrates on
 
 
 def _psr_coupling(interaction: InteractionType, basis) -> CouplingConfig:
@@ -126,12 +129,15 @@ class ScenarioConfig:
         scenario = _scenario(self.name)
         if self.convergence_check is None:
             object.__setattr__(self, "convergence_check", scenario.rerun)
+        elif not isinstance(self.convergence_check, (bool, np.bool_)):
+            raise FieldError("convergence_check",
+                             f"must be true or false, got {self.convergence_check!r}")
         elif self.convergence_check and not scenario.rerun:
             raise FieldError("convergence_check", f"must be false: {self.name} has no re-run")
-        if not (math.isfinite(self.n_target) and self.n_target > 0):
-            raise FieldError("n_target", f"must be finite and > 0, got {self.n_target!r}")
-        if self.seed_gain is not None and not math.isfinite(self.seed_gain):
-            raise FieldError("seed_gain", f"must be finite, got {self.seed_gain!r}")
+        if not (_finite_number(self.n_target) and self.n_target > 0):
+            raise FieldError("n_target", f"must be a finite number > 0, got {self.n_target!r}")
+        if self.seed_gain is not None and not _finite_number(self.seed_gain):
+            raise FieldError("seed_gain", f"must be a finite number, got {self.seed_gain!r}")
         if self.seed_gain is not None and scenario.scan:
             raise FieldError("seed_gain", f"is not used: {self.name} calibrates every cell")
         if self.seed_gain is not None and self.n_target != 1.0:
@@ -163,15 +169,19 @@ class ScenarioConfig:
                 if getattr(pump, "coefficients", None) is not None:
                     raise FieldError(f"coupling.{key}.coefficients",
                                      f"is not used: {self.name} sets its own pump modes")
-        elif coupling.interaction is not InteractionType.FULL_CROSSTALK:
-            # a block pairs signal and idler of one ell, so the drives' net OAM must be even
-            parities = [{basis.order[i].ell % 2 for i in np.flatnonzero(
-                drive.resolved_coefficients(basis))} for drive in coupling.drives]
-            if all(sum(combo) % 2 for combo in itertools.product(*parities)):
-                raise FieldError("coupling.pump.coefficients", "leave xi zero: the drives' net "
-                                 f"OAM is odd, and {coupling.interaction.value} pairs one ell")
         profiles = basis.size if scenario.pump == "eigenmode" else pump_profile_count(coupling)
         check_basis_size(basis.ell_max, basis.p_max, profiles)
+        # every coupling the run analyses must feed a block, else its xi is zero
+        baseline = [_BASELINE] if scenario.run is _run_psr_crosstalk else []
+        drives = drive_modes(coupling)
+        for interaction in [coupling.interaction, *baseline]:
+            feeds = oam_feeds(drives, basis, interaction)
+            if not any(feeds.values()):
+                raise FieldError("coupling.pump.coefficients", (
+                    f"leave xi zero: the drives' net OAM {', '.join(map(str, feeds))} feeds "
+                    f"no block of {interaction.value}"
+                    + ("" if interaction is coupling.interaction else
+                       f", the baseline {self.name} calibrates on")))
 
 
 @dataclass
@@ -306,28 +316,23 @@ def _with_pump(coupling: CouplingConfig, **changes) -> CouplingConfig:
     return replace(coupling, pump1=replace(coupling.pump1, **changes))
 
 
-def _pump_on_basis(pump: PumpSpec, old, new) -> PumpSpec:
-    """The same pump (or None) with its mode coefficients moved from basis ``old`` to ``new``;
-    a coefficient outside ``new`` raises FieldError naming the bound it exceeds."""
-    if pump is None or pump.coefficients is None:
-        return pump
-    coefficients = np.zeros(new.size, dtype=complex)
-    for idx, value in zip(old.order, pump.coefficients):
-        if value == 0.0:
-            continue
-        if abs(idx.ell) > new.ell_max or idx.p > new.p_max:
-            raise FieldError("basis.ell_max" if abs(idx.ell) > new.ell_max else "basis.p_max",
-                             f"pump coefficient on mode {idx.label()} lies outside the "
-                             f"ell_max={new.ell_max}, p_max={new.p_max} basis")
-        coefficients[new.position(idx)] = value
-    return replace(pump, coefficients=coefficients)
-
-
 def coupling_on_basis(coupling: CouplingConfig, basis) -> CouplingConfig:
-    """The same coupling over another basis, each pump coefficient kept on its mode."""
-    return replace(coupling, basis=basis,
-                   pump1=_pump_on_basis(coupling.pump1, coupling.basis, basis),
-                   pump2=_pump_on_basis(coupling.pump2, coupling.basis, basis))
+    """The same coupling over another basis, each pump coefficient kept on its mode;
+    a coefficient outside ``basis`` raises FieldError naming the bound it exceeds."""
+    pumps = {}
+    for key, (values, modes) in zip(("pump1", "pump2"), drive_modes(coupling)):
+        pump = getattr(coupling, key)
+        if pump is None or pump.coefficients is None:  # a Gaussian, or pump1 again
+            continue
+        coefficients = np.zeros(basis.size, dtype=complex)
+        for idx, value in zip(modes, values):
+            if abs(idx.ell) > basis.ell_max or idx.p > basis.p_max:
+                raise FieldError("basis.ell_max" if abs(idx.ell) > basis.ell_max else
+                                 "basis.p_max", f"pump coefficient on mode {idx.label()} lies "
+                                 f"outside the ell_max={basis.ell_max}, p_max={basis.p_max} basis")
+            coefficients[basis.position(idx)] = value
+        pumps[key] = replace(pump, coefficients=coefficients)
+    return replace(coupling, basis=basis, **pumps)
 
 
 def _ratio(name: str, numerator: float, denominator: float, gain: float) -> float:
@@ -359,7 +364,7 @@ def _run_psr_single(cfg: ScenarioConfig) -> ScenarioResult:
 
 def _run_psr_crosstalk(cfg: ScenarioConfig) -> ScenarioResult:
     """PsrPCrosstalk / FwmTwoPhoton at the gain of their own no-crosstalk baseline."""
-    baseline = replace(cfg.coupling, interaction=InteractionType.DEGENERATE_SINGLE_BEAM)
+    baseline = replace(cfg.coupling, interaction=_BASELINE)
     base_sq, gain, base = _analysed(baseline, cfg.n_target, cfg.seed_gain)
     sq, gain, report = _analysed(cfg.coupling, cfg.n_target, gain)
     u00 = _u00_variance(report, sq)

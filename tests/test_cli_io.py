@@ -419,6 +419,23 @@ def test_pump_outside_the_rerun_basis_names_the_rerun(tmp_path, capsys, basis, m
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flags", [[], ["--seed-gain", "0.1"]], ids=["calibrated", "seed-gain"])
+def test_drives_that_leave_the_baseline_zero_exit_2(tmp_path, capsys, flags):
+    # full cross talk feeds the (+1, 0) and (0, +1) blocks of net OAM 1, but
+    # FwmTwoPhoton also analyses its DegenerateSingleBeam baseline, which that
+    # net OAM leaves zero, whether its gain is calibrated or seeded
+    config = {"scenario": "FwmTwoPhoton", "basis": {"ell_max": 1, "p_max": 0},
+              "coupling": {"pump": {"coefficients": {"re": [0, 0, 1], "im": [0, 0, 0]}},
+                           "pump2": {"coefficients": {"re": [0, 1, 0], "im": [0, 0, 0]}}}}
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["--config", str(path), "--out", str(tmp_path / "o"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: coupling.pump.coefficients: leave xi zero: "), err
+    assert "DegenerateSingleBeam" in err and "the baseline FwmTwoPhoton calibrates on" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("scenario, key, value", [
     ("PdcBenchmark", "coupling.pump.coefficients", [math.nan] + [0.0] * 8),
     ("PdcBenchmark", "coupling.pump.coefficients", [0.6, 0.8]),

@@ -30,13 +30,15 @@ from lgsqueeze.coupling import (
     PumpSpec,
     assemble_squeeze_matrix,
     coupling_element,
+    drive_modes,
     mean_photons_of_scale,
+    oam_feeds,
     scale_to_mean_photons,
 )
 from lgsqueeze.modes import BeamGeometry, ModeIndex, _leggauss, build_basis, lg_radial_profile
 from lgsqueeze.scenarios import SCENARIO_NAMES, default_config
 from lgsqueeze.squeeze_core import SqueezeMatrix
-from lgsqueeze.eigenmodes import is_normal
+from lgsqueeze.eigenmodes import eigenmode_pump, is_normal
 
 GEOM = BeamGeometry(wavelength=0.795, waist_w0=80.0)
 CELL_LENGTH = 3.0 * GEOM.rayleigh_zR
@@ -356,6 +358,50 @@ class TestAsymmetricAssembly:
         for arr in (nodes, weights):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+def fed_mask(cfg):
+    """Where ``oam_feeds`` lets xi be nonzero: every entry of the blocks it maps
+    the drives' net OAM to, and only their diagonal under the degenerate
+    interaction."""
+    basis, n_p = cfg.basis, cfg.basis.p_max + 1
+    mask = np.zeros((basis.size, basis.size), dtype=bool)
+    for net, signal_ells in oam_feeds(drive_modes(cfg), basis, cfg.interaction).items():
+        for ell_s in signal_ells:
+            s, i = (basis.position(ModeIndex(ell, 0)) for ell in (ell_s, net - ell_s))
+            mask[s:s + n_p, i:i + n_p] = True
+    if cfg.interaction is InteractionType.DEGENERATE_SINGLE_BEAM:
+        mask &= np.eye(basis.size, dtype=bool)
+    return mask
+
+
+# the session fixture that holds each stock scenario's result
+STOCK_RESULTS = {"PsrSinglePhoton": "psr_results", "PsrPCrosstalk": "psr_results",
+                 "FwmTwoPhoton": "psr_results", "PdcBenchmark": "pdc_benchmark",
+                 "PdcEigenPump": "pdc_eigen_pump", "PdcHeralding": "pdc_heralding",
+                 "WaistScan": "waist_scan"}
+
+
+class TestZeroPattern:
+    """xi's exact 0.0 entries are exactly those outside the blocks ``oam_feeds``
+    maps the drives' net OAM to; every fed entry is nonzero."""
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_stock_matrices(self, request, name):
+        result = request.getfixturevalue(STOCK_RESULTS[name])
+        result = result[name] if isinstance(result, dict) else result
+        cfg = default_config(name).coupling
+        if name == "PdcEigenPump":  # pumped in the benchmark's leading eigenmode
+            pump = eigenmode_pump(request.getfixturevalue("pdc_benchmark").eigen, 1)
+            cfg = dataclasses.replace(cfg, pump1=PumpSpec(cfg.pump1.geometry, pump))
+        # WaistScan's best cell has other waists, but the same drives and basis
+        assert np.array_equal(result.squeeze.xi != 0.0, fed_mask(cfg))
+
+    @pytest.mark.parametrize("interaction", list(InteractionType), ids=lambda i: i.value)
+    @pytest.mark.parametrize("name", ["two-pump", "single-pump"])
+    def test_asymmetric_configs(self, name, interaction):
+        cfg = asymmetric_config(name, interaction)
+        assert np.array_equal(_assemble_at(cfg, 24, 40, 40.0) != 0.0, fed_mask(cfg))
 
 
 def track_collection_stacks(monkeypatch, collection):

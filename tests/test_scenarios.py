@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import fields, replace
 
@@ -6,10 +7,10 @@ import pytest
 
 from lgsqueeze import scenarios
 from lgsqueeze.coupling import (ASSEMBLY_BYTES_LIMIT, InteractionType, PumpSpec,
-                                assemble_squeeze_matrix)
+                                _assemble_at, assemble_squeeze_matrix)
 from lgsqueeze.modes import FieldError, ModeIndex, QuadratureError
 from lgsqueeze.report_io import (emit_result, load_report, report_from_dict, report_to_dict,
-                                 scenario_config_from_dict)
+                                 resolved_config_dict, scenario_config_from_dict)
 from lgsqueeze.scenarios import default_config, run_scenario, scan_island
 from lgsqueeze.squeeze_core import StateReport, state_report
 
@@ -325,6 +326,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             replace(default_config("PdcBenchmark"), **{field: value})
 
+    @pytest.mark.parametrize("field, value, accepted", [
+        ("convergence_check", 1, False), ("convergence_check", "yes", False),
+        ("convergence_check", np.True_, True),
+        ("n_target", True, False), ("n_target", "2", False), ("n_target", 2 + 0j, False),
+        ("n_target", 10 ** 400, False), ("n_target", 2, True), ("n_target", np.float64(2), True),
+        ("seed_gain", True, False), ("seed_gain", "0.1", False), ("seed_gain", [0.1], False),
+        ("seed_gain", np.float32(0.5), True),
+    ])
+    def test_accepts_only_values_its_manifest_reads_back(self, field, value, accepted):
+        # a run's resolved_config must re-read as a config file to the same config
+        cfg = default_config("PsrSinglePhoton")
+        if not accepted:
+            with pytest.raises(FieldError) as err:
+                replace(cfg, **{field: value})
+            assert err.value.field == field
+            return
+        written = json.loads(json.dumps(resolved_config_dict(replace(cfg, **{field: value}))))
+        assert getattr(scenario_config_from_dict(written), field) == value
+
     def test_waist_scan_refuses_a_seed_gain(self):
         # WaistScan calibrates every cell, so a seed gain would be ignored
         with pytest.raises(ValueError, match="seed_gain"):
@@ -369,9 +389,49 @@ class TestConfigValidation:
         with pytest.raises(FieldError) as err:
             replace(cfg, coupling=odd)
         assert err.value.field == "coupling.pump.coefficients"
-        # an even net OAM feeds the ell = 0 block, and full cross talk any pair
+        # an even net OAM feeds the ell = 0 block, and full cross talk any pair;
+        # but PsrPCrosstalk also calibrates on a degenerate copy, which stays zero
         assert assemble_squeeze_matrix(replace(cfg, coupling=drives(1, -1)).coupling).xi.any()
-        replace(cfg, coupling=replace(odd, interaction=InteractionType.FULL_CROSSTALK))
+        full = replace(odd, interaction=InteractionType.FULL_CROSSTALK)
+        if name == "PsrPCrosstalk":
+            with pytest.raises(FieldError) as err:
+                replace(cfg, coupling=full)
+            assert err.value.field == "coupling.pump.coefficients"
+            assert "the baseline PsrPCrosstalk calibrates on" in err.value.reason
+        else:
+            replace(cfg, coupling=full)
+
+    @pytest.mark.parametrize("name", ["PsrSinglePhoton", "PsrPCrosstalk", "FwmTwoPhoton"])
+    def test_refused_exactly_when_an_analysed_xi_is_zero(self, name):
+        """Seeded draws of drive supports at bases up to (2, 0): the config is
+        refused exactly when a coupling the run analyses (its own, and for the
+        crosstalk runs the degenerate baseline) assembles to an all-zero xi."""
+        rng = np.random.default_rng(2003)
+        outcomes = set()
+        for _ in range(40):
+            cfg = default_config(name, ell_max=int(rng.integers(0, 3)), p_max=0)
+            coupling, size = cfg.coupling, cfg.coupling.basis.size
+
+            def drive():
+                support = rng.choice(size, size=int(rng.integers(1, size + 1)), replace=False)
+                coeff = np.zeros(size, dtype=complex)
+                coeff[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+                return PumpSpec(coupling.pump1.geometry, coeff / np.linalg.norm(coeff))
+
+            drawn = replace(coupling, pump1=drive(), pump2=drive() if rng.random() < 0.8 else None)
+            analysed = [drawn]
+            if name != "PsrSinglePhoton":
+                analysed.append(replace(drawn, interaction=InteractionType.DEGENERATE_SINGLE_BEAM))
+            zero = any(not _assemble_at(c, 8, 12, 40.0).any() for c in analysed)
+            try:
+                replace(cfg, coupling=drawn)
+                refused = False
+            except FieldError as err:
+                assert err.field == "coupling.pump.coefficients"
+                refused = True
+            assert refused == zero, (drawn.pump1.coefficients, drawn.pump2)
+            outcomes.add(refused)
+        assert outcomes == {False, True}
 
     @pytest.mark.parametrize("grid, field", [
         ({"points": 4}, "scan_grid.pump"),
