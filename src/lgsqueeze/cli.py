@@ -91,7 +91,7 @@ def _oracle_check(result) -> dict:
 
 def _json_int(text: str):
     """A JSON integer; one too long for ``int`` reads as a float, +-inf, which
-    the key's reader then refuses by name."""
+    the object that holds the key then refuses by name."""
     try:
         return int(text)
     except ValueError:

@@ -27,6 +27,7 @@ from .modes import (
     ModeBasis,
     ModeIndex,
     QuadratureError,
+    _finite_number,
     laguerre_ladder,  # unused here; perfbench/tracing.py wraps it under this name
     _gauss_legendre,
     _laguerre_orders,
@@ -77,8 +78,8 @@ class InteractionType(enum.Enum):
 class PumpSpec:
     """Classical pump beam: geometry plus unit-norm mode coefficients.
 
-    ``coefficients`` is a complex vector over the coupling basis, of unit
-    norm to 1e-12; None means the pure (0, 0) Gaussian mode.
+    ``coefficients`` is a vector of numbers over the coupling basis (not
+    bools), of unit norm to 1e-12; None means the pure (0, 0) Gaussian mode.
     """
 
     geometry: BeamGeometry
@@ -86,7 +87,14 @@ class PumpSpec:
 
     def __post_init__(self):
         if self.coefficients is not None:
-            norm = float(np.linalg.norm(np.asarray(self.coefficients, dtype=complex)))
+            try:
+                numeric = np.asarray(self.coefficients).dtype.kind in "iufc"
+            except ValueError:  # a ragged nested list
+                numeric = False
+            if not numeric:
+                raise FieldError("coefficients", f"must be numbers, got {self.coefficients!r}")
+            object.__setattr__(self, "coefficients", np.asarray(self.coefficients, dtype=complex))
+            norm = float(np.linalg.norm(self.coefficients))
             if not abs(norm - 1.0) <= 1e-12:
                 raise FieldError("coefficients", f"must have unit norm, got {norm!r}")
 
@@ -95,23 +103,23 @@ class PumpSpec:
             coeff = np.zeros(basis.size, dtype=complex)
             coeff[basis.index_of_fundamental()] = 1.0
             return coeff
-        return np.asarray(self.coefficients, dtype=complex)
+        return self.coefficients
 
 
 @dataclass(frozen=True)
 class CouplingConfig:
     """Everything needed to assemble a squeezing matrix.
 
-    ``single_pump`` selects a three-wave interaction (one pump photon per
-    signal/idler pair, as in down-conversion): one drive field enters the
+    A bool ``single_pump`` selects a three-wave interaction (one pump photon
+    per signal/idler pair, as in down-conversion): one drive field enters the
     overlap, and a ``pump2`` raises FieldError.  Otherwise two drive fields
     enter, and a ``pump2`` of None means ``pump1`` again (degenerate-pump
     four-wave mixing).  A drive's coefficients hold one entry per basis mode.
-    The medium is a uniform cell of ``cell_length``, finite and > 0, centred
-    at z = 0, where each beam's ``focus_z`` is measured from.  At both cell
-    ends every beam's width w, its 1/w^2 and the z^2 + zR^2 of its curvature
-    phase stay finite and nonzero, else a FieldError names ``cell_length``;
-    each BeamGeometry checks its own at the centre.
+    The medium is a uniform cell of ``cell_length``, a finite number > 0,
+    centred at z = 0, where each beam's ``focus_z`` is measured from.  At both
+    cell ends every beam's width w, its 1/w^2 and the z^2 + zR^2 of its
+    curvature phase stay finite and nonzero, else a FieldError names
+    ``cell_length``; each BeamGeometry checks its own at the centre.
     """
 
     interaction: InteractionType
@@ -123,8 +131,14 @@ class CouplingConfig:
     single_pump: bool = False
 
     def __post_init__(self):
-        if not 0 < self.cell_length < math.inf:
+        if not isinstance(self.interaction, InteractionType):
+            names = ", ".join(kind.value for kind in InteractionType)
+            raise FieldError("interaction", f"must be an InteractionType (in a config file, one "
+                             f"of {names}), got {self.interaction!r}")
+        if not (_finite_number(self.cell_length) and self.cell_length > 0):
             raise FieldError("cell_length", f"must be finite and > 0, got {self.cell_length!r}")
+        if not isinstance(self.single_pump, (bool, np.bool_)):
+            raise FieldError("single_pump", f"must be true or false, got {self.single_pump!r}")
         if self.single_pump and self.pump2 is not None:
             raise FieldError("pump2", "is not used: a single_pump coupling has one drive field")
         for key, pump in (("pump", self.pump1), ("pump2", self.pump2)):

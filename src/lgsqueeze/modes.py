@@ -131,9 +131,9 @@ class BeamGeometry:
 
     def __post_init__(self):
         for name in ("wavelength", "waist_w0"):
-            if not 0 < getattr(self, name) < math.inf:
+            if not (_finite_number(getattr(self, name)) and getattr(self, name) > 0):
                 raise FieldError(name, f"must be finite and > 0, got {getattr(self, name)!r}")
-        if not math.isfinite(self.focus_z):
+        if not _finite_number(self.focus_z):
             raise FieldError("focus_z", f"must be finite, got {self.focus_z!r}")
         try:
             zR = self.rayleigh_zR

@@ -209,27 +209,17 @@ def _key(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _number(value, path: str) -> float:
-    """``value`` as a float if it is a finite number."""
-    if _finite_number(value):
-        return float(value)
-    raise ConfigError(path, f"must be a finite number, got {value!r}")
+def _number(value, path: str):
+    """``value``, or each item of a list, as a float if it is a finite number,
+    and as it is otherwise: the object that holds it checks it."""
+    if isinstance(value, list):
+        return [_number(v, path) for v in value]
+    return float(value) if _finite_number(value) else value
 
 
-def _integer(value, path: str) -> int:
-    """``value`` as an int if it is integral."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(path, f"must be an integer, got {value!r}")
-    return value
-
-
-def _boolean(value, path: str) -> bool:
-    """``value`` if it is a JSON boolean."""
-    if not isinstance(value, bool):
-        raise ConfigError(path, f"must be true or false, got {value!r}")
-    return value
+def _integer(value, path: str):
+    """``value`` as an int if it is an integral float, and as it is otherwise."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 def _as_given(value, path: str):
@@ -237,27 +227,18 @@ def _as_given(value, path: str):
     return value
 
 
-def _interaction(value, path: str) -> InteractionType:
-    try:
-        return InteractionType(value)
-    except ValueError:
-        raise ConfigError(path, f"unknown interaction {value!r}") from None
-
-
-def _low_high(value, path: str) -> list:
-    """A grid axis: ``[low, high]``, two finite numbers."""
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ConfigError(path, f"must be [low, high], got {value!r}")
-    return [_number(v, path) for v in value]
+def _interaction(value, path: str):
+    """The InteractionType ``value`` names, and ``value`` as it is otherwise."""
+    return next((kind for kind in InteractionType if kind.value == value), value)
 
 
 def _numbers(value, path: str) -> list:
     """A list of finite numbers, or the one-row nested list the manifest writes."""
     if isinstance(value, list) and len(value) == 1 and isinstance(value[0], list):
         value = value[0]
-    if not isinstance(value, list):
-        raise ConfigError(path, f"must be a list of numbers, got {value!r}")
-    return [_number(v, path) for v in value]
+    if not (isinstance(value, list) and all(map(_finite_number, value))):
+        raise ConfigError(path, f"must be a list of finite numbers, got {value!r}")
+    return [float(v) for v in value]
 
 
 def _bare(pump) -> bool:
@@ -274,12 +255,12 @@ def _pump(value, path: str) -> dict:
 # or the table of the section it holds.  The writer emits the same keys.
 _GEOMETRY = dict.fromkeys(("wavelength", "waist_w0", "focus_z"), _number)
 _PUMP = {"geometry": _GEOMETRY, "coefficients": {"re": _numbers, "im": _numbers}}
-_COUPLING = {"interaction": _interaction, "single_pump": _boolean, "cell_length": _number,
+_COUPLING = {"interaction": _interaction, "single_pump": _as_given, "cell_length": _number,
              "pump": _pump, "pump2": _pump, "collection": _GEOMETRY}
 _BASIS = {"ell_max": _integer, "p_max": _integer}
-_GRID = {"pump": _low_high, "collection": _low_high, "points": _integer}
+_GRID = {"pump": _number, "collection": _number, "points": _integer}
 _TOP = {"scenario": _as_given, "n_target": _number, "seed_gain": _number,
-        "convergence_check": _boolean, "basis": _BASIS, "coupling": _COUPLING, "grid": _GRID}
+        "convergence_check": _as_given, "basis": _BASIS, "coupling": _COUPLING, "grid": _GRID}
 # the table each config object is written from
 _TABLES = {ScenarioConfig: _TOP, CouplingConfig: _COUPLING, ModeBasis: _BASIS,
            PumpSpec: _PUMP, BeamGeometry: _GEOMETRY, dict: _GRID}
@@ -298,12 +279,11 @@ def _section(spec, path: str, readers: dict) -> dict:
     """
     if not isinstance(spec, dict):
         raise ConfigError(path or "config", f"must be a JSON object, got {spec!r}")
-    for key in spec:
+    read = {}
+    for key, value in spec.items():
         if key not in readers:
             raise ConfigError(_key(path, key), "unknown key")
-    read = {}
-    for key in [key for key in readers if key in spec]:
-        value, reader = spec[key], readers[key]
+        reader = readers[key]
         if value is None and key in _NULLABLE:
             read[key] = None
         elif isinstance(reader, dict):
@@ -337,40 +317,33 @@ def resolved_config_dict(cfg) -> dict:
 
 
 def _built(path: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``; a field it refuses is named by its key under ``path``."""
+    """``build(*args, **kwargs)``; a field it refuses is named by its key under ``path``.
+
+    BeamGeometry names ``waist_w0`` when the Rayleigh range pi*w0^2/lambda
+    leaves the float range.  A stock beam is in range, so when a geometry
+    section sets the wavelength and not the waist, the wavelength took it out.
+    """
     try:
         return build(*args, **kwargs)
     except FieldError as exc:
         head, dot, rest = exc.field.partition(".")
+        if head not in kwargs and "wavelength" in kwargs:
+            head = "wavelength"
         raise ConfigError(_key(path, _KEY.get(head, head) + dot + rest), exc.reason) from exc
-
-
-def _geometry(path: str, base: BeamGeometry, read: dict) -> BeamGeometry:
-    """``base`` with the keys of the geometry section read at ``path``.
-
-    BeamGeometry names ``waist_w0`` when the Rayleigh range pi*w0^2/lambda
-    leaves the float range.  The stock ``base`` is in range, so when the
-    section sets the wavelength and not the waist, the wavelength took it out.
-    """
-    try:
-        return replace(base, **read)
-    except FieldError as exc:
-        field = "wavelength" if exc.field not in read and "wavelength" in read else exc.field
-        raise ConfigError(_key(path, field), exc.reason) from exc
 
 
 def _pump_spec(read: dict, geometry: BeamGeometry, size: int, path: str) -> PumpSpec:
     """The pump of the section read at ``path``, on ``geometry`` where it sets none."""
     if _bare(read):
-        return PumpSpec(_geometry(path, geometry, read))
-    geometry = _geometry(path + ".geometry", geometry, read.get("geometry", {}))
+        return PumpSpec(_built(path, replace, geometry, **read))
+    geometry = _built(path + ".geometry", replace, geometry, **read.get("geometry", {}))
     coefficients = read.get("coefficients")
     if coefficients is not None:
         for part in ("re", "im"):
             if len(coefficients.get(part, ())) != size:
                 raise ConfigError(f"{path}.coefficients.{part}",
                                   f"must list {size} numbers, one per basis mode")
-        coefficients = np.array(coefficients["re"]) + 1j * np.array(coefficients["im"])
+        coefficients = _complex_from_lists(coefficients)
     return _built(path, PumpSpec, geometry, coefficients)
 
 
@@ -390,8 +363,8 @@ def scenario_config_from_dict(data: dict) -> ScenarioConfig:
     cfg = _built("", default_config, read.pop("scenario", None), **read.pop("basis", {}))
     base, coupling = cfg.coupling, read.pop("coupling", {})
     if "collection" in coupling:
-        coupling["collection"] = _geometry("coupling.collection", base.collection,
-                                           coupling["collection"])
+        coupling["collection"] = _built("coupling.collection", replace, base.collection,
+                                        **coupling["collection"])
     for key in ("pump", "pump2"):
         if coupling.get(key) is not None:
             coupling[key] = _pump_spec(coupling[key], base.pump1.geometry, base.basis.size,

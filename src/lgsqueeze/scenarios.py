@@ -152,9 +152,15 @@ class ScenarioConfig:
                                      "is missing" if key in _GRID_KEYS else "unknown key")
             for axis in ("pump", "collection"):
                 bounds = self.scan_grid[axis]
-                if not (np.shape(bounds) == (2,) and 0 < bounds[0] < bounds[1] < math.inf):
-                    raise FieldError(f"scan_grid.{axis}",
-                                     f"must be [low, high] with 0 < low < high, got {bounds!r}")
+                if not (isinstance(bounds, (list, tuple, np.ndarray)) and len(bounds) == 2
+                        and all(map(_finite_number, bounds)) and 0 < bounds[0] < bounds[1]):
+                    raise FieldError(f"scan_grid.{axis}", "must be [low, high], two finite "
+                                     f"numbers with 0 < low < high, got {bounds!r}")
+                for waist in bounds:  # the waists between take the beam's rules from these
+                    try:
+                        _at_waist(self.coupling, axis, waist)
+                    except FieldError as exc:
+                        raise FieldError(f"scan_grid.{axis}", f"{waist!r}: {exc.reason}") from None
             points = self.scan_grid["points"]
             if not isinstance(points, (int, np.integer)) or points < 2:
                 raise FieldError("scan_grid.points", f"must be an integer >= 2, got {points!r}")
@@ -202,15 +208,17 @@ def scenario_basis(name: str, ell_max: int = None, p_max: int = None) -> ModeBas
     """The basis a run of ``name`` uses, a bound left None at its stock value.
 
     The stock basis is ell_max 1, p_max 2; PdcHeralding's heralding figures
-    need p_max 20.  A negative bound, or one whose assembly is over the
-    memory limit with a single pump profile, raises FieldError naming
-    ``basis.ell_max`` or ``basis.p_max`` before any mode is listed.
-    ScenarioConfig counts the pump profiles of the coupling itself.
+    need p_max 20.  A bound that is not an int >= 0 (a bool is not), or one
+    whose assembly is over the memory limit with one pump profile, raises
+    FieldError naming ``basis.ell_max`` or ``basis.p_max`` before any mode
+    is listed; ScenarioConfig counts the coupling's own pump profiles.
     """
     stock = _scenario(name)
     ell_max = 1 if ell_max is None else ell_max
     p_max = stock.p_max if p_max is None else p_max
     for bound, label in ((ell_max, "basis.ell_max"), (p_max, "basis.p_max")):
+        if not isinstance(bound, (int, np.integer)) or isinstance(bound, bool):
+            raise FieldError(label, f"must be an integer, got {bound!r}")
         if bound < 0:
             raise FieldError(label, f"must be >= 0, got {bound}")
     check_basis_size(ell_max, p_max, 1)
@@ -316,6 +324,13 @@ def _with_pump(coupling: CouplingConfig, **changes) -> CouplingConfig:
     return replace(coupling, pump1=replace(coupling.pump1, **changes))
 
 
+def _at_waist(coupling: CouplingConfig, axis: str, waist) -> CouplingConfig:
+    """``coupling`` with the waist of its ``axis`` beam, "pump" or "collection", replaced."""
+    if axis == "collection":
+        return replace(coupling, collection=replace(coupling.collection, waist_w0=float(waist)))
+    return _with_pump(coupling, geometry=replace(coupling.pump1.geometry, waist_w0=float(waist)))
+
+
 def coupling_on_basis(coupling: CouplingConfig, basis) -> CouplingConfig:
     """The same coupling over another basis, each pump coefficient kept on its mode;
     a coefficient outside ``basis`` raises FieldError naming the bound it exceeds."""
@@ -373,7 +388,7 @@ def _run_psr_crosstalk(cfg: ScenarioConfig) -> ScenarioResult:
         "frozen_gain": gain,
         "nbar_total": report.nbar_total,
         "u00_variance_x1": u00,
-        "u00_noise_ratio": u00 / u00_base,
+        "u00_noise_ratio": _ratio("u00_noise_ratio", u00, u00_base, gain),
         "scalar_var_x1": report.scalar_var[0],
         "scalar_noise_ratio": report.scalar_var[0] / base.scalar_var[0],
         "baseline_nbar_total": base.nbar_total,
@@ -441,8 +456,7 @@ def _run_pdc_heralding(cfg: ScenarioConfig) -> ScenarioResult:
     metrics.update(pair_dominance_metrics(report, sq.basis))
     # reference: the benchmark pump waist at the same extended basis, calibrated
     # to the run's photon number (the target, or what a seed gain gave)
-    pump = cfg.coupling.pump1.geometry
-    ref = _with_pump(cfg.coupling, geometry=replace(pump, waist_w0=PDC_PUMP_WAIST))
+    ref = _at_waist(cfg.coupling, "pump", PDC_PUMP_WAIST)
     target = cfg.n_target if cfg.seed_gain is None else report.nbar_total
     if not 0.0 < target < math.inf:
         raise FieldError("seed_gain", f"{cfg.seed_gain!r} gives photon number {target!r}; "
@@ -460,7 +474,6 @@ def _run_pdc_heralding(cfg: ScenarioConfig) -> ScenarioResult:
 def _run_waist_scan(cfg: ScenarioConfig) -> ScenarioResult:
     """Every pump/collection waist pair of the grid; the best cell is reported."""
     grid, coupling = cfg.scan_grid, cfg.coupling
-    pump = coupling.pump1.geometry
     points = grid["points"]
     pump_vals = np.geomspace(grid["pump"][0], grid["pump"][1], points)
     coll_vals = np.geomspace(grid["collection"][0], grid["collection"][1], points)
@@ -470,8 +483,7 @@ def _run_waist_scan(cfg: ScenarioConfig) -> ScenarioResult:
     for i, wp in enumerate(pump_vals):
         for j, wc in enumerate(coll_vals):
             try:
-                cell = replace(_with_pump(coupling, geometry=replace(pump, waist_w0=float(wp))),
-                               collection=replace(coupling.collection, waist_w0=float(wc)))
+                cell = _at_waist(_at_waist(coupling, "pump", wp), "collection", wc)
                 sq, gain, report = _analysed(cell, cfg.n_target)
                 metric[i, j] = pair_dominance_metrics(report, sq.basis)["figure_metric"]
             except (QuadratureError, ValueError, np.linalg.LinAlgError) as exc:

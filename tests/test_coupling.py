@@ -225,6 +225,14 @@ class TestAssembly:
         with pytest.raises(ValueError, match="pump2"):
             dataclasses.replace(pdc, pump2=PumpSpec(BeamGeometry(0.405, 10.0)))
 
+    def test_interaction_name_is_not_an_interaction(self):
+        # a str would pass as same-ell to oam_feeds and the assembly, while the
+        # manifest recorded the name
+        fwm = default_config("FwmTwoPhoton").coupling
+        with pytest.raises(FieldError) as err:
+            dataclasses.replace(fwm, interaction="FullCrosstalk")
+        assert err.value.field == "interaction"
+
     def test_drives_count_the_pump_photons_per_pair(self):
         assert len(default_config("PdcBenchmark").coupling.drives) == 1
         fwm = fwm_config()

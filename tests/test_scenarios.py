@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import fields, replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -19,6 +20,20 @@ def small_scan():
     cfg = default_config("WaistScan", ell_max=0, p_max=1)
     return replace(cfg, scan_grid={"pump": [100.0, 200.0], "collection": [100.0, 200.0],
                                    "points": 2})
+
+
+def with_field(cfg, field, value):
+    """``cfg`` with ``value`` at the attribute path ``field``, each owner rebuilt;
+    a ``basis.`` bound goes through ``scenario_basis``, as a config file's does."""
+    if field.startswith("basis."):
+        basis = cfg.coupling.basis
+        bounds = {"ell_max": basis.ell_max, "p_max": basis.p_max, field[len("basis."):]: value}
+        basis = scenarios.scenario_basis(cfg.name, **bounds)
+        return replace(cfg, coupling=scenarios.coupling_on_basis(cfg.coupling, basis))
+    head, *rest = field.split(".")
+    if rest:
+        value = with_field(getattr(cfg, head), ".".join(rest), value)
+    return replace(cfg, **{head: value})
 
 
 def mode_pos(result, ell, p):
@@ -333,17 +348,24 @@ class TestConfigValidation:
         ("n_target", 10 ** 400, False), ("n_target", 2, True), ("n_target", np.float64(2), True),
         ("seed_gain", True, False), ("seed_gain", "0.1", False), ("seed_gain", [0.1], False),
         ("seed_gain", np.float32(0.5), True),
+        # nested fields, each refused by the object that holds it
+        ("coupling.cell_length", True, False), ("coupling.collection.waist_w0", True, False),
+        ("coupling.single_pump", 1, False), ("coupling.interaction", "FullCrosstalk", False),
+        ("coupling.pump1.coefficients", ["a"], False), ("basis.ell_max", 1.5, False),
+        ("coupling.single_pump", np.True_, True), ("coupling.collection.waist_w0", 80, True),
+        ("coupling.pump1.geometry.waist_w0", 200, True), ("basis.p_max", np.int64(1), True),
     ])
     def test_accepts_only_values_its_manifest_reads_back(self, field, value, accepted):
         # a run's resolved_config must re-read as a config file to the same config
         cfg = default_config("PsrSinglePhoton")
         if not accepted:
             with pytest.raises(FieldError) as err:
-                replace(cfg, **{field: value})
-            assert err.value.field == field
+                with_field(cfg, field, value)
+            assert err.value.field.split(".")[-1] == field.split(".")[-1]
             return
-        written = json.loads(json.dumps(resolved_config_dict(replace(cfg, **{field: value}))))
-        assert getattr(scenario_config_from_dict(written), field) == value
+        written = json.loads(json.dumps(resolved_config_dict(with_field(cfg, field, value))))
+        attribute = "coupling." + field if field.startswith("basis.") else field
+        assert attrgetter(attribute)(scenario_config_from_dict(written)) == value
 
     def test_waist_scan_refuses_a_seed_gain(self):
         # WaistScan calibrates every cell, so a seed gain would be ignored
@@ -363,9 +385,13 @@ class TestConfigValidation:
         {"pump": [100.0, 200.0], "collection": [0.0, 200.0], "points": 2},
         {"pump": [100.0, 200.0], "collection": [100.0, math.inf], "points": 2},
         {"pump": [100.0, 200.0], "collection": [100.0, 200.0], "points": 1},
-        # an axis that is not a pair: the config reader refuses these first
+        # an axis that is not a pair
         {"pump": [100.0, 150.0, 200.0], "collection": [100.0, 200.0], "points": 2},
         {"pump": [100.0, 200.0], "collection": 150.0, "points": 2},
+        {"pump": ["a", "b"], "collection": [100.0, 200.0], "points": 2},
+        # an end waist the beam refuses, whose cells would each fail
+        {"pump": [1e-300, 200.0], "collection": [100.0, 200.0], "points": 2},
+        {"pump": [100.0, 200.0], "collection": [1e-300, 1e-299], "points": 2},
     ])
     def test_bad_scan_grid_rejected(self, grid):
         with pytest.raises(FieldError) as err:
