@@ -15,7 +15,6 @@ import itertools
 import math
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial, reduce
 
@@ -165,23 +164,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _make_workers():
-    """Make ``_pool``, the worker threads of ``_in_row_runs``; a thread
-    starts only when a split submits work to it."""
-    global _pool
-    _pool = ThreadPoolExecutor(os.cpu_count() or 1, thread_name_prefix="lgsqueeze")
-
-
-_make_workers()
-if hasattr(os, "register_at_fork"):
-    # a forked child has none of its parent's threads, so it makes its own pool
-    os.register_at_fork(after_in_child=_make_workers)
-
-
-# the work, in array elements, each run of _in_row_runs must have.  Handing a
-# run to a worker took about 0.1 ms on the 2-core VM of BENCH_22.json, more
-# than half of what a WaistScan cell's 3-row stacks cost; PdcHeralding's
-# 21-row stacks ran fastest split at any value from 2^17 to 2^20
+# the work, in array elements, of each run of _in_row_runs: starting and
+# joining a worker took about 0.11 ms on a 2-core VM, over half a WaistScan
+# cell's 3-row stacks; PdcHeralding's 21-row stacks ran fastest split at 2^17-2^20
 _RUN_WORK = 2 ** 18
 
 
@@ -194,17 +179,18 @@ def _in_row_runs(n: int, work, row_work: int) -> list:
     the calling thread.  This thread does the first run and worker threads
     the others, which overlap because numpy's loops release the GIL; so
     ``work`` calls numpy only, and every function of the package stays on
-    the calling thread.  The results are in row order, and no run outlives
-    the call.
+    the calling thread.  The results are in row order, and no run and no
+    worker thread outlives the call.
     """
     runs = max(1, min(_usable_cpus(), n, n * row_work // _RUN_WORK))
+    if runs == 1:
+        return [work(0, n)]
+    from concurrent.futures import ThreadPoolExecutor
+
     cuts = [n * i // runs for i in range(runs + 1)]
-    rest = [_pool.submit(work, cuts[i], cuts[i + 1]) for i in range(1, runs)]
-    try:
+    with ThreadPoolExecutor(runs - 1, thread_name_prefix="lgsqueeze") as workers:
+        rest = [workers.submit(work, cuts[i], cuts[i + 1]) for i in range(1, runs)]
         first = work(cuts[0], cuts[1])
-    finally:
-        for job in rest:  # wait even when the first run raises: the others write rows
-            job.exception()
     return [first] + [job.result() for job in rest]
 
 

@@ -62,12 +62,16 @@ def is_normal(xi: np.ndarray):
     """Check normality of xi via the scaled commutator residual.
 
     residual = ||xi xi^dag - xi^dag xi||_F / ||xi||_F^2 (0 for the zero
-    matrix); returns (residual < NORMALITY_TOL, residual).
+    matrix); returns (residual < NORMALITY_TOL, residual).  xi is first scaled
+    exactly, by a power of two, to parts below 1, so no product overflows.
     """
     xi = np.asarray(xi, dtype=complex)
-    scale = np.linalg.norm(xi) ** 2
-    if scale == 0.0:
+    largest = max(float(np.max(np.abs(part), initial=0.0)) for part in (xi.real, xi.imag))
+    if largest == 0.0:
         return True, 0.0
+    power = -math.frexp(largest)[1]
+    xi = np.ldexp(xi.real, power) + 1j * np.ldexp(xi.imag, power)
+    scale = np.linalg.norm(xi) ** 2
     comm = xi @ xi.conj().T - xi.conj().T @ xi
     residual = float(np.linalg.norm(comm) / scale)
     return residual < NORMALITY_TOL, residual

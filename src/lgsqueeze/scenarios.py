@@ -234,6 +234,8 @@ def default_config(name: str, ell_max: int = None, p_max: int = None) -> Scenari
     return ScenarioConfig(name=name, coupling=scenario.coupling(basis), scan_grid=grid)
 
 
+# a share past the float range is left nan, for the report writer to refuse
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def pair_dominance_metrics(report: StateReport, basis: ModeBasis) -> dict:
     """Pair-matrix concentration metrics of ``report``, whose modes ``basis`` orders."""
     mod = np.abs(report.pair_matrix)
@@ -300,8 +302,12 @@ def scan_island(scan: dict) -> dict:
 def _analysed(coupling: CouplingConfig, n_target: float, gain: float = None):
     """Assemble ``coupling``, scale it by ``gain`` or else calibrate it to
     ``n_target``, and report the state: the one path to ``(sq, gain, report)``;
-    a gain that takes the matrix past the float range names ``seed_gain``."""
+    a gain that takes the matrix past the float range names ``seed_gain``,
+    and a zero matrix, which has underflowed, the cell length it scales with."""
     sq = assemble_squeeze_matrix(coupling)
+    if not np.any(sq.xi):
+        raise FieldError("coupling.cell_length", f"{coupling.cell_length!r} is so short "
+                         "that the coupling matrix underflows to zero")
     if gain is None:
         sq, gain = scale_to_mean_photons(sq, n_target)
     else:
@@ -478,7 +484,7 @@ def _run_waist_scan(cfg: ScenarioConfig) -> ScenarioResult:
     pump_vals = np.geomspace(grid["pump"][0], grid["pump"][1], points)
     coll_vals = np.geomspace(grid["collection"][0], grid["collection"][1], points)
     metric = np.full((points, points), np.nan)
-    failures = []
+    failures, refusals = [], {}  # refusals: the first exception of each field
     best, best_metric = None, -math.inf
     for i, wp in enumerate(pump_vals):
         for j, wc in enumerate(coll_vals):
@@ -490,11 +496,14 @@ def _run_waist_scan(cfg: ScenarioConfig) -> ScenarioResult:
                 # a numerical failure of this cell: record it and scan on
                 failures.append({"pump": float(wp), "collection": float(wc),
                                  "error": str(exc)})
+                refusals.setdefault(getattr(exc, "field", None), exc)  # None: no field
                 continue
             # strict > in row-major order keeps the first maximum, as np.nanargmax does
             if metric[i, j] > best_metric:
                 best, best_metric = (i, j, sq, gain, report), metric[i, j]
     if best is None:
+        if len(failures) == metric.size and len(refusals) == 1 and None not in refusals:
+            raise refusals.popitem()[1]  # every cell was refused by the same field
         raise ValueError("no WaistScan cell gave a finite metric")
     i, j, sq, gain, report = best
     scan = {

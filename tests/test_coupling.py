@@ -3,13 +3,12 @@ import json
 import math
 import os
 import signal
-import subprocess
-import sys
 import threading
 import time
 import tracemalloc
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -490,11 +489,11 @@ class TestStreamedAssembly:
 
 
 def spy_on_submit(monkeypatch):
-    """The list of jobs handed to the worker pool from now on, at 2 usable CPUs."""
+    """The list of jobs handed to worker threads from now on, at 2 usable CPUs."""
     monkeypatch.setattr(coupling, "_usable_cpus", lambda: 2)
-    pool = coupling._pool
-    submitted, real_submit = [], pool.submit
-    monkeypatch.setattr(pool, "submit", lambda *args: submitted.append(args) or real_submit(*args))
+    submitted, real_submit = [], ThreadPoolExecutor.submit
+    monkeypatch.setattr(ThreadPoolExecutor, "submit",
+                        lambda pool, *args: submitted.append(args) or real_submit(pool, *args))
     return submitted
 
 
@@ -565,46 +564,33 @@ class TestRowSplitContraction:
         _contract("zt,pzt,qzt->pq", pump[0], left, right)
         assert len(submitted) == 1
 
-    def test_worker_threads_are_reused(self, monkeypatch):
-        monkeypatch.setattr(coupling, "_usable_cpus", lambda: 2)
+    def test_no_worker_thread_outlives_a_split(self, monkeypatch):
         monkeypatch.setattr(coupling, "_RUN_WORK", 1)
-        cfg = fwm_config()
-        _assemble_at(cfg, 24, 40, 40.0)
-        pool, threads = coupling._pool, threading.active_count()
-        assert any(t.name.startswith("lgsqueeze") for t in threading.enumerate())
-        for _ in range(20):
-            _assemble_at(cfg, 24, 40, 40.0)
-        assert coupling._pool is pool
-        # a worker that has not yet marked itself idle may add one more, up to the pool size
-        assert threading.active_count() <= threads + (os.cpu_count() or 1)
+        submitted = spy_on_submit(monkeypatch)
+        threads = threading.active_count()
+        _assemble_at(fwm_config(), 24, 40, 40.0)
+        assert submitted and threading.active_count() == threads
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_contracts_on_workers_of_its_own(self, monkeypatch):
-        monkeypatch.setattr(coupling, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(coupling, "_RUN_WORK", 1)
+        submitted = spy_on_submit(monkeypatch)
         cfg = fwm_config()
-        want = _assemble_at(cfg, 24, 40, 40.0)  # the parent's workers now exist
+        want = _assemble_at(cfg, 24, 40, 40.0)  # split in the parent first
+        submitted.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
             pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                signal.alarm(30)  # a child waiting on its parent's threads ends here
-                code = 0 if np.array_equal(_assemble_at(cfg, 24, 40, 40.0), want) else 1
+                signal.alarm(30)  # a child that hangs ends here
+                xi = _assemble_at(cfg, 24, 40, 40.0)
+                code = 0 if submitted and np.array_equal(xi, want) else 1
             finally:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_child_forked_before_any_split_splits_on_workers_of_its_own(self, tmp_path):
-        # a fresh interpreter, so the parent's pool has started no thread
-        proc = subprocess.run([sys.executable, "-c", FORK_BEFORE_ANY_SPLIT], cwd=tmp_path,
-                              env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "bit-identical\n"
 
     def test_no_run_outlives_the_call(self, monkeypatch):
         monkeypatch.setattr(coupling, "_usable_cpus", lambda: 2)
@@ -621,42 +607,20 @@ class TestRowSplitContraction:
             coupling._in_row_runs(2, work, 1)
         assert done == [(1, 2)]
 
+    def test_a_worker_raise_reaches_the_caller_after_every_run(self, monkeypatch):
+        monkeypatch.setattr(coupling, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(coupling, "_RUN_WORK", 1)
+        done = []
 
-SRC = os.path.dirname(os.path.dirname(coupling.__file__))
+        def work(lo, hi):
+            if lo == 1:
+                raise RuntimeError("a worker's run")
+            time.sleep(0.2)
+            done.append((lo, hi))
 
-# forks before any split, then the child splits a 2-CPU assembly and the
-# parent, whose pool has still started no thread, assembles it whole
-FORK_BEFORE_ANY_SPLIT = """
-import os, signal, threading
-import numpy as np
-from lgsqueeze import coupling
-from lgsqueeze.scenarios import default_config
-
-cfg = default_config("FwmTwoPhoton").coupling
-coupling._RUN_WORK = 1
-parents_pool = coupling._pool
-assert threading.active_count() == 1
-pid = os.fork()
-if pid == 0:
-    code = 1
-    try:
-        signal.alarm(30)  # a child waiting on threads it does not have ends here
-        coupling._usable_cpus = lambda: 2
-        xi = coupling._assemble_at(cfg, 24, 40, 40.0)
-        workers = [t for t in threading.enumerate() if t.name.startswith("lgsqueeze")]
-        if coupling._pool is not parents_pool and workers:
-            np.save("child.npy", xi)
-            code = 0
-    finally:
-        os._exit(code)
-_, status = os.waitpid(pid, 0)
-assert os.waitstatus_to_exitcode(status) == 0
-assert threading.active_count() == 1
-coupling._usable_cpus = lambda: 1
-want = coupling._assemble_at(cfg, 24, 40, 40.0)
-assert np.array_equal(np.load("child.npy").view(np.uint64), want.view(np.uint64))
-print("bit-identical")
-"""
+        with pytest.raises(RuntimeError, match="a worker's run"):
+            coupling._in_row_runs(3, work, 1)
+        assert sorted(done) == [(0, 1), (2, 3)]
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)

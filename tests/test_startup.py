@@ -56,16 +56,16 @@ class TestImportSurface:
 
 
 def test_a_run_that_never_splits_starts_no_thread(tmp_path):
-    # the assembly's pool is made with its module, and its threads on the first split
+    # a split starts its worker threads and imports their executor; this run makes none
     script = (
-        "import threading\n"
-        "from lgsqueeze import cli, coupling\n"
+        "import sys, threading\n"
+        "from lgsqueeze import cli\n"
         "assert cli.main(['--scenario', 'PsrSinglePhoton', '--out', 'out', '--quiet']) == 0\n"
-        "print(type(coupling._pool).__name__, threading.active_count())\n"
+        "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n"
     )
     proc = run_python(["-c", script], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "ThreadPoolExecutor 1\n"
+    assert proc.stdout == "1 False\n"
 
 
 def test_module_entry_point_runs_a_scenario(tmp_path):
