@@ -4,13 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from scipy.sparse.csgraph import breadth_first_order
 
 from conftest import random_symmetric
 from lgsqueeze.coupling import InteractionType
 from lgsqueeze.fock_oracle import (
     TruncatedFockSpace,
+    _bessel_weights,
+    _evolve_vacuum,
     _exponent_on,
+    _lowering_on,
     _pair_terms,
     _reachable,
     build_hamiltonian_exponent,
@@ -135,6 +139,61 @@ class TestExponent:
         assert abs((gen + gen.conj().T)).max() == 0.0
 
 
+def propagated(xi, space):
+    """The Chebyshev propagator's e^G applied to the vacuum, on the whole box."""
+    xi = np.asarray(xi, dtype=complex)
+    states = np.arange(space.dimension, dtype=np.int64)
+    return _evolve_vacuum(*_lowering_on(_pair_terms(xi, space), space, states))
+
+
+class TestPropagator:
+    @FULL_BOX_CASES
+    def test_matches_a_dense_exponential(self, xi, space):
+        dense = scipy.linalg.expm(build_hamiltonian_exponent(xi, space).toarray())[:, 0]
+        assert np.abs(propagated(xi, space) - dense).max() < 1e-13
+
+    def test_matches_a_dense_exponential_at_cut_300(self):
+        # one degenerate mode at the cut the CLI's --oracle check uses:
+        # 1-norm 358, so 526 products of G with a vector
+        xi, space = np.array([[0.6]]), TruncatedFockSpace(1, 300)
+        dense = scipy.linalg.expm(build_hamiltonian_exponent(xi, space).toarray())[:, 0]
+        assert np.abs(propagated(xi, space) - dense).max() < 1e-13
+
+    def test_zero_exponent_returns_the_vacuum(self):
+        psi = propagated(np.zeros((2, 2)), TruncatedFockSpace(4, 3))
+        vacuum = np.zeros(4 ** 4, dtype=complex)
+        vacuum[0] = 1.0
+        assert np.array_equal(psi, vacuum)
+
+    def test_norm_is_the_exponent_one_norm(self):
+        xi = random_symmetric(np.random.default_rng(4), 2, scale=0.5)
+        space = TruncatedFockSpace(4, 4)
+        states = np.arange(space.dimension, dtype=np.int64)
+        _, norm = _lowering_on(_pair_terms(xi, space), space, states)
+        gen = build_hamiltonian_exponent(xi, space)
+        assert norm == pytest.approx(abs(gen).sum(axis=0).max(), rel=1e-15)
+
+    @pytest.mark.parametrize("radius, products", [
+        (5.35, 29), (17.17, 51), (41.13, 88), (526.18, 754),
+    ])
+    def test_bessel_weights(self, radius, products):
+        # the series stops at the first order past the radius whose tail
+        # bound 2 (e R / 2k)^k is below 1e-17, one product of G per order
+        weights = _bessel_weights(radius)
+        assert len(weights) == products + 1
+        expected = scipy.special.jv(np.arange(products + 1), radius)
+        expected[1:] *= 2.0
+        assert np.abs(weights - expected).max() < 5e-14
+
+    def test_leaves_the_global_random_state_alone(self):
+        # a 1-norm of 358 is past the bound under which scipy's expm_multiply
+        # skips its randomised norm estimates of the exponent's powers
+        before = np.random.get_state()
+        vacuum_statistics(np.array([[0.6]]), TruncatedFockSpace(1, 300))
+        after = np.random.get_state()
+        assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
+
+
 class TestVacuumStatistics:
     def test_zero_matrix_is_exact_vacuum(self):
         rep = vacuum_statistics(np.zeros((2, 2)), TruncatedFockSpace(4, 4))
@@ -215,11 +274,12 @@ class TestVacuumStatistics:
         restricted = gen[states][:, states]
         assert (_exponent_on(terms, space, states) != restricted).nnz == 0
 
-    def test_three_mode_draw_holds_at_most_40_mb(self):
+    def test_three_mode_draw_holds_at_most_23_mb(self):
         # a 3-mode, cut-8 two-beam draw reaches 32661 of 531441 states, with
-        # 97245 one-step neighbours.  The peak is the exponent and the copies
-        # expm_multiply makes (33.1 MB); holding every mode's lowered and
-        # raised images of psi at once, 6 x 2 x 97245 x 16 B, took it to 50.8 MB
+        # 97245 one-step neighbours.  The peak (19.0 MB) is the two ladder
+        # stacks, 2 x 3 x 97245 x 16 B, while X1 psi and X2 psi overwrite
+        # them; A's elements and their CSR copy come next (16.7 MB).  Holding
+        # the full exponent and the copies expm_multiply made took it to 33.1 MB
         xi = random_symmetric(np.random.default_rng(5), 3, scale=0.4)
         tracemalloc.start()
         try:
@@ -227,7 +287,7 @@ class TestVacuumStatistics:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40e6, peak
+        assert peak <= 23e6, peak
 
     def test_truncation_bound_reads_the_highest_reached_shell(self):
         # photon parity keeps a degenerate single mode off an odd cut: the

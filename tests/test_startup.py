@@ -13,7 +13,7 @@ import pytest
 import lgsqueeze
 
 SRC = str(Path(lgsqueeze.__file__).resolve().parent.parent)
-SCIPY_PARTS = ("scipy.linalg", "scipy.optimize", "scipy.sparse")
+SCIPY_PARTS = ("scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.sparse.linalg")
 
 
 def run_python(args, cwd):
@@ -42,6 +42,13 @@ class TestImportSurface:
     def test_pdc_run_loads_neither_optimize_nor_sparse(self, tmp_path):
         loaded = loaded_after_run(tmp_path, "--scenario", "PdcBenchmark")
         assert not loaded & {"scipy.optimize", "scipy.sparse"}
+
+    def test_oracle_run_loads_scipy_sparse_alone(self, tmp_path):
+        # the oracle's propagator needs no scipy.sparse.linalg, which would
+        # bring scipy.linalg with it
+        loaded = loaded_after_run(tmp_path, "--scenario", "PsrSinglePhoton",
+                                  "--lmax", "1", "--pmax", "0", "--oracle")
+        assert loaded == {"scipy.sparse"}
 
     def test_oracle_names_resolve_on_first_access(self):
         from lgsqueeze import TruncatedFockSpace
