@@ -205,9 +205,8 @@ def _evolve_vacuum(lower, norm: float) -> np.ndarray:
     G is anti-Hermitian, so its inf-norm equals its 1-norm and bounds its
     spectral norm: H = iG is Hermitian with its spectrum in [-norm, norm],
     and e^G = e^{-iH} is a Chebyshev series in H / norm (Tal-Ezer and
-    Kosloff).
-    With psi_k = (-i)^k T_k(H / norm) psi_0 the three-term recurrence reads
-    psi_{k+1} = (2 / norm) G psi_k + psi_{k-1}, and G v is
+    Kosloff).  With psi_k = (-i)^k T_k(H / norm) psi_0 the three-term
+    recurrence reads psi_{k+1} = (2 / norm) G psi_k + psi_{k-1}, and G v is
     A v - conj(A^T conj(v)), where A^T is a view: no matrix is copied.
     """
     psi = np.zeros(lower.shape[0], dtype=complex)
@@ -225,13 +224,13 @@ def _evolve_vacuum(lower, norm: float) -> np.ndarray:
         return out
 
     prev, cur = psi, 0.5 * step(psi)
-    out = weights[0] * prev + weights[1] * cur
+    series = weights[0] * prev + weights[1] * cur
     for weight in weights[2:]:
         ahead = step(cur)
         ahead += prev
         prev, cur = cur, ahead
-        out += weight * cur
-    return out
+        series += weight * cur
+    return series
 
 
 def build_hamiltonian_exponent(xi: np.ndarray, space: TruncatedFockSpace):
@@ -300,6 +299,10 @@ def vacuum_statistics(xi: np.ndarray, space: TruncatedFockSpace) -> OracleReport
     shell = np.any((occ == top) & (top > 0), axis=1)
     bound = float(np.linalg.norm(psi[shell]))
 
+    (a_psi, bdag_psi), ladder = _ladder_images(psi, occ, states, space, n)
+    nbar = _expectation_matrix(a_psi, a_psi)
+    nbar_total = float(np.trace(nbar).real)
+
     # the number operators are diagonal: N psi is the occupation sum times psi
     na_psi = occ[:, :n].sum(axis=1) * psi
     nb_psi = na_psi if degenerate else occ[:, n:].sum(axis=1) * psi
@@ -308,9 +311,6 @@ def vacuum_statistics(xi: np.ndarray, space: TruncatedFockSpace) -> OracleReport
     number_variance = float(np.vdot(na_psi, na_psi).real) - mean_na ** 2
     number_covariance = float(np.vdot(na_psi, nb_psi).real) - mean_na * mean_nb
 
-    (a_psi, bdag_psi), ladder = _ladder_images(psi, occ, states, space, n)
-    nbar = _expectation_matrix(a_psi, a_psi)
-    nbar_total = float(np.trace(nbar).real)
     pair = _expectation_matrix(a_psi, bdag_psi)
 
     # X1 psi and X2 psi overwrite the two stacks row by row: with u = a + b
@@ -329,7 +329,8 @@ def vacuum_statistics(xi: np.ndarray, space: TruncatedFockSpace) -> OracleReport
     x1_psi, x2_psi = a_psi, bdag_psi
     v1 = _expectation_matrix(x1_psi, x1_psi)
     v2 = _expectation_matrix(x2_psi, x2_psi)
-    cov = _expectation_matrix(x1_psi, x2_psi).real  # 1/2 (<X1 X2~> + <X2 X1~>^T) elementwise
+    cross = _expectation_matrix(x1_psi, x2_psi)
+    cov = cross.real  # 1/2 (<X1 X2~> + <X2 X1~>^T) elementwise
 
     return OracleReport(
         scalar_var=(float(np.trace(v1).real), float(np.trace(v2).real)),
