@@ -186,8 +186,8 @@ class TestPropagator:
         assert np.abs(weights - expected).max() < 5e-14
 
     def test_leaves_the_global_random_state_alone(self):
-        # a 1-norm of 358 is past the bound under which scipy's expm_multiply
-        # skips its randomised norm estimates of the exponent's powers
+        # no oracle call may move numpy's global RNG; scipy's expm_multiply
+        # did at 1-norms past about 63 (this one is 358), through onenormest
         before = np.random.get_state()
         vacuum_statistics(np.array([[0.6]]), TruncatedFockSpace(1, 300))
         after = np.random.get_state()
