@@ -16,7 +16,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .modes import (
     FieldError,
     ModeBasis,
     ModeIndex,
-    QuadratureError,
     _finite_number,
     laguerre_ladder,  # unused here; perfbench/tracing.py wraps it under this name
     _gauss_legendre,
@@ -164,9 +163,10 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# the work, in array elements, of each run of _in_row_runs: starting and
-# joining a worker took about 0.11 ms on a 2-core VM, over half a WaistScan
-# cell's 3-row stacks; PdcHeralding's 21-row stacks ran fastest split at 2^17-2^20
+# the work, in array elements, of each run of _contract's split: starting and
+# joining a worker took about 0.11 ms on a 2-core VM, so a WaistScan cell's
+# 3 x 3-row overlaps stay whole; PdcHeralding's 21 x 21-row overlaps ran as
+# fast split into runs of 2^16 to 2^22 elements, and slower whole
 _RUN_WORK = 2 ** 18
 
 
@@ -230,9 +230,10 @@ def _profiles_on_grid(entries, r, beam):
 
     ``beam`` is ``_beam_on_grid`` on the grid ``r``, so a beam whose profiles
     are built in several calls computes its shared factors once.  The
-    entries of one |ell| share one Laguerre recurrence, run in slabs of z
-    rows (``_fill_slab``) that ``_in_row_runs`` spreads over the CPUs.
-    Returns a complex array of shape (len(entries), nz, nt).
+    entries of one |ell| share one Laguerre recurrence over the whole grid,
+    on the calling thread, which fills each row of order p as L_p comes out,
+    in the operand order (c/w)*base*ring*L_p*gouy; so it holds two orders,
+    never the ladder.  Returns a complex array of shape (len(entries), nz, nt).
     """
     w, targ, psi, base = beam
     out = np.empty((len(entries),) + r.shape, dtype=complex)
@@ -245,28 +246,13 @@ def _profiles_on_grid(entries, r, beam):
         by_p = {}
         for pos, idx in group:
             by_p.setdefault(idx.p, []).append((out[pos], _norm_constant(idx.ell, idx.p)))
-        fill = partial(_fill_slab, by_p, alpha, w, targ, base, ring, psi)
-        _in_row_runs(len(r), fill, len(group) * r.shape[1])
+        for p, laguerre in enumerate(_laguerre_orders(alpha, targ, max(by_p))):
+            for row, c in by_p.get(p, ()):
+                np.multiply(c / w, base, out=row)
+                row *= ring
+                row *= laguerre
+                row *= np.exp(1j * (2 * p + alpha + 1) * psi)
     return out
-
-
-def _fill_slab(by_p, alpha, w, targ, base, ring, psi, lo, hi):
-    """Fill z rows ``lo:hi`` of the rows in ``by_p`` for ``_profiles_on_grid``.
-
-    The slab runs the Laguerre recurrence over its own rows, and fills each
-    row of order p as L_p comes out, in the operand order
-    (c/w)*base*ring*L_p*gouy; so it holds two orders, never the ladder.
-    """
-    z = slice(lo, hi)
-    if alpha:
-        ring = ring[z]
-    for p, laguerre in enumerate(_laguerre_orders(alpha, targ[z], max(by_p))):
-        for row, c in by_p.get(p, ()):
-            part = row[z]
-            np.multiply(c / w[z], base[z], out=part)
-            part *= ring
-            part *= laguerre
-            part *= np.exp(1j * (2 * p + alpha + 1) * psi[z])
 
 
 def drive_modes(cfg: CouplingConfig) -> list:
@@ -461,8 +447,9 @@ def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
     # ones this overlap does not read, so at most two are alive at a time.
     # When no drive-index tuple carries net OAM every overlap reads one stack
     # and each is built once; otherwise a dropped stack a later overlap reads
-    # is rebuilt.  Each overlap is contracted in runs of its signal rows
-    # (``_contract``), one per usable CPU once the overlap is large enough to
+    # is rebuilt.  A stack is built on the calling thread.  Each overlap is
+    # contracted in runs of its signal rows (``_contract``, the assembly's one
+    # thread split), one per usable CPU once the overlap is large enough to
     # pay for the hand-off (``_in_row_runs``), on views of the stacks it
     # reads, so the threads add no stack and xi is the same bit for bit at
     # any CPU count.
@@ -490,7 +477,14 @@ def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
 
 
 def _assemble_raw(cfg: CouplingConfig):
-    """Refine the quadrature grid until the matrix is stable to ``QUADRATURE_RTOL``."""
+    """Refine the quadrature grid until the matrix is stable to ``QUADRATURE_RTOL``.
+
+    A miss at the finest level raises FieldError naming the beam with the
+    smallest Rayleigh range, whose Gouy angle the z rule of ``_assemble_at``
+    follows: ``coupling.collection.waist_w0``, ``coupling.pump`` or
+    ``coupling.pump2`` (a pump section sets its waist in either of two
+    forms).  On a tie the collection is named, then ``pump`` before ``pump2``.
+    """
     schedule, t_max = _node_schedule(cfg)
     prev = None
     residual = math.inf
@@ -508,7 +502,15 @@ def _assemble_raw(cfg: CouplingConfig):
         if prev is not None and residual <= QUADRATURE_RTOL:
             return cur
         prev = cur
-    raise QuadratureError("coupling quadrature did not converge", residual)
+    beams = [("coupling.collection.waist_w0", cfg.collection),
+             ("coupling.pump", cfg.pump1.geometry)]
+    if cfg.pump2 is not None:
+        beams.append(("coupling.pump2", cfg.pump2.geometry))
+    key, geom = min(beams, key=lambda beam: beam[1].rayleigh_zR)
+    raise FieldError(key, f"a waist of {geom.waist_w0!r} um gives the coupling's shortest "
+                     f"Rayleigh range, {geom.rayleigh_zR:.4g} um, which the quadrature cannot "
+                     f"resolve over the {cfg.cell_length!r} um cell (residual estimate "
+                     f"{residual:.3e} after {nz} x {nt} nodes)")
 
 
 def coupling_element(signal: ModeIndex, idler: ModeIndex, cfg: CouplingConfig) -> complex:

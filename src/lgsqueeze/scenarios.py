@@ -477,6 +477,10 @@ def _run_pdc_heralding(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(cfg.name, report, sq, gain, metrics)
 
 
+# the refusal of a cell's unresolvable waist (coupling._assemble_raw) -> the grid axis that set it
+_SCANNED = {"coupling.pump": "grid.pump", "coupling.collection.waist_w0": "grid.collection"}
+
+
 def _run_waist_scan(cfg: ScenarioConfig) -> ScenarioResult:
     """Every pump/collection waist pair of the grid; the best cell is reported."""
     grid, coupling = cfg.scan_grid, cfg.coupling
@@ -503,7 +507,10 @@ def _run_waist_scan(cfg: ScenarioConfig) -> ScenarioResult:
                 best, best_metric = (i, j, sq, gain, report), metric[i, j]
     if best is None:
         if len(failures) == metric.size and len(refusals) == 1 and None not in refusals:
-            raise refusals.popitem()[1]  # every cell was refused by the same field
+            field, exc = refusals.popitem()  # every cell was refused by the same field
+            if field in _SCANNED:  # a waist the grid set
+                raise FieldError(_SCANNED[field], exc.reason) from exc
+            raise exc
         raise ValueError("no WaistScan cell gave a finite metric")
     i, j, sq, gain, report = best
     scan = {

@@ -26,6 +26,8 @@ import random
 import re
 from dataclasses import replace
 
+import pytest
+
 from lgsqueeze.cli import main as cli_main
 from lgsqueeze.coupling import InteractionType, PumpSpec
 from lgsqueeze.modes import FieldError, _finite_number
@@ -55,9 +57,9 @@ VECTORS = [[1.0], [-1.0], [[1.0]], [0.6], [math.nan], [math.inf], ["a"], [True],
 SECTIONS = [3, "x", [], [{}], True, {}, None]
 # draws made on every run: the values whose refusal only the config reader
 # held, the interaction name Python must refuse as a str, the scan-grid ends,
-# one draw of each KNOWN defect, and the cell so short that xi underflows to
-# zero and the photon number and gain near the float range, which once warned
-# or were refused without a key
+# and the waist too narrow for the quadrature, the cell so short that xi
+# underflows to zero and the photon number and gain near the float range,
+# which once warned or were refused without a key
 REACHED = [
     ("coupling.cell_length", True, "PsrSinglePhoton"),
     ("coupling.collection.waist_w0", True, "PdcBenchmark"),
@@ -73,12 +75,7 @@ REACHED = [
     ("seed_gain", 1e300, "PdcBenchmark"),
 ]
 # run-time refusals that name no key: (drawn key pattern, outcome pattern, what is wrong)
-KNOWN = [
-    (r"coupling\.(collection|pump2?(\.geometry)?)\.waist_w0",
-     r"error: coupling quadrature did not converge",
-     "a waist of a few micrometres, under a cell of tens of millimetres, stops the "
-     "assembly's quadrature from converging, and the refusal names no key"),
-]
+KNOWN = []
 # the run-time refusals a gain too large or too small for the closed forms
 # gives: they name the statistic and the gain (README, --seed-gain)
 GAIN_REFUSALS = r"error: (.* is undefined at gain |non-finite value in (report|metrics)\.)"
@@ -318,3 +315,21 @@ def test_every_key_is_refused_by_name_and_alike_in_python(tmp_path):
     assert unexplained == [], "\n".join(map(str, unexplained))
     met = {known[2] for matches in explained.values() for known in matches}
     assert [known[2] for known in KNOWN if known[2] not in met] == []
+
+
+@pytest.mark.parametrize("name, key, value, named", [
+    ("PsrSinglePhoton", "coupling.collection.waist_w0", 2, "coupling.collection.waist_w0"),
+    ("PdcBenchmark", "coupling.pump.waist_w0", 1, "coupling.pump"),
+    ("PdcBenchmark", "coupling.pump.geometry.waist_w0", 1, "coupling.pump"),
+    ("FwmTwoPhoton", "coupling.pump2.waist_w0", 1, "coupling.pump2"),
+    # every cell of the scan refused by the waist its grid axis set
+    ("WaistScan", "grid.collection", [1, 2], "grid.collection"),
+])
+def test_a_waist_the_quadrature_cannot_resolve_is_refused_by_key(
+        tmp_path, capsys, name, key, value, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(drawn_config(name, key, value)))
+    assert cli_main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {re.escape(named)}: a waist of \S+ um gives the coupling's "
+                        r"shortest Rayleigh range, .* um cell \(residual estimate .*\)\n", err)

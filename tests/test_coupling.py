@@ -53,17 +53,58 @@ def fwm_config(interaction=InteractionType.FULL_CROSSTALK, basis=None):
     )
 
 
-def analytic_equal_geometry_element(p, q, half_cell_in_zr=1.5, wavelength=0.795):
-    """Independent closed form for the ell=0 block with all beams identical.
+def matched_pdc_config(ell_max, p_max):
+    """PdcBenchmark's coupling with the pump waist that matches the collection's
+    Rayleigh range (pi w^2 / lambda at half the wavelength); both foci are at
+    the cell centre."""
+    cfg = default_config("PdcBenchmark", ell_max=ell_max, p_max=p_max).coupling
+    pump = dataclasses.replace(cfg.pump1.geometry, waist_w0=200.0 * math.sqrt(0.405 / 0.81))
+    return dataclasses.replace(cfg, pump1=PumpSpec(pump))
 
-    The radial integral has the exact value C(p+q, p) / 2^(p+q+1) and the
-    longitudinal integral reduces to a sinc of the Gouy phase over the cell.
+
+def exact_matched_xi(cfg):
+    """xi in closed form for Gaussian pumps whose Rayleigh range and focus are
+    the collection beam's, with the focus at the cell centre.
+
+    The curvature phases cancel and the envelopes combine to e^{-2x}, with
+    x = 2 r^2 / w(z)^2.  So the radial integral of x^a L_p^a L_q^a e^{-2x} is
+    (p+q+a)! / (p! q! 2^(n+1)), n = p + q + a (Gradshteyn & Ryzhik 7.414.4 at
+    s = 2), and an element with a = |ell_s| = |ell_i| is C g_n
+    n! / (2^(n+1) sqrt(p! q! (a+p)! (a+q)!)) with the modes' norms.  g_n is
+    the z integral over the Gouy angle psi in [-psi_m, psi_m]:
+    - two pump photons (four-wave mixing): the integral of cos(2 n psi), with
+      C = 2 / lambda;
+    - one (down-conversion): the integral of cos((2n+1) psi) / cos(psi), which
+      is (-1)^n [2 psi_m + 2 sum_{k=1}^{n} (-1)^k sin(2 k psi_m) / k], with
+      C = 2 sqrt(pi) w / lambda of the collection beam.
+    Every element with ell_s + ell_i != 0 is exactly 0.  See Miatto, Yao &
+    Barnett, PRA 83, 033816 (2011), for LG overlaps in down-conversion.
     """
-    psi_m = math.atan(half_cell_in_zr)
-    n = p + q
-    gouy = 1.0 if n == 0 else math.sin(2 * n * psi_m) / (2 * n * psi_m)
-    radial = math.comb(p + q, p) / 2.0 ** (p + q + 1)
-    return 2.0 / wavelength * 2.0 * psi_m * gouy * radial
+    beam = cfg.collection
+    psi_m = math.atan(0.5 * cfg.cell_length / beam.rayleigh_zR)
+    if cfg.single_pump:
+        scale = 2.0 * math.sqrt(math.pi) * beam.waist_w0 / beam.wavelength
+
+        def gouy(n):
+            return (-1) ** n * (2.0 * psi_m + 2.0 * sum(
+                (-1) ** k * math.sin(2 * k * psi_m) / k for k in range(1, n + 1)))
+    else:
+        scale = 2.0 / beam.wavelength
+
+        def gouy(n):
+            return 2.0 * psi_m if n == 0 else math.sin(2 * n * psi_m) / n
+
+    basis = cfg.basis
+    xi = np.zeros((basis.size, basis.size))
+    for s, sig in enumerate(basis.order):
+        for i, idl in enumerate(basis.order):
+            if sig.ell + idl.ell == 0:
+                a, p, q = abs(sig.ell), sig.p, idl.p
+                n = p + q + a
+                norms = math.factorial(p) * math.factorial(q) * math.factorial(
+                    a + p) * math.factorial(a + q)
+                xi[s, i] = scale * gouy(n) * math.factorial(n) / (2 ** (n + 1) * math.sqrt(norms))
+    return xi
 
 
 class TestCouplingElement:
@@ -80,16 +121,6 @@ class TestCouplingElement:
         basis = build_basis(1, 2)
         assert basis.order[best[0]] == ModeIndex(0, 0)
         assert basis.order[best[1]] == ModeIndex(0, 0)
-
-    def test_matches_analytic_closed_form(self):
-        xi = assemble_squeeze_matrix(fwm_config()).xi
-        basis = build_basis(1, 2)
-        for p in range(3):
-            for q in range(3):
-                got = xi[basis.position(ModeIndex(0, p)), basis.position(ModeIndex(0, q))]
-                want = analytic_equal_geometry_element(p, q)
-                assert got.real == pytest.approx(want, rel=1e-8)
-                assert abs(got.imag) < 1e-12 * abs(want)
 
     def test_matches_direct_double_quadrature(self):
         # independent route: brute-force dz (r dr) integration of the full
@@ -124,7 +155,7 @@ class TestAssembly:
         value = sq.xi[0, 0]
         assert value.real > 0
         assert abs(value.imag) < 1e-12 * value.real
-        assert value.real == pytest.approx(analytic_equal_geometry_element(0, 0), rel=1e-8)
+        assert value.real == pytest.approx(exact_matched_xi(cfg)[0, 0], rel=1e-8)
 
     def test_oam_selection_zeros_machine_exact(self):
         basis = build_basis(1, 2)
@@ -259,6 +290,28 @@ class TestAssembly:
                               assemble_squeeze_matrix(copied).xi)
 
 
+TINY = BeamGeometry(wavelength=0.795, waist_w0=1.0)  # a Rayleigh range of 3.952 um
+TINY_ELSEWHERE = PumpSpec(dataclasses.replace(TINY, focus_z=1000.0))
+
+
+@pytest.mark.parametrize("beams, key", [
+    ({"collection": TINY}, "coupling.collection.waist_w0"),
+    ({"pump1": PumpSpec(TINY)}, "coupling.pump"),
+    ({"pump2": PumpSpec(TINY)}, "coupling.pump2"),
+    # a tie names the collection, then pump before pump2
+    ({"pump1": TINY_ELSEWHERE, "pump2": PumpSpec(TINY), "collection": TINY},
+     "coupling.collection.waist_w0"),
+    ({"pump1": TINY_ELSEWHERE, "pump2": PumpSpec(TINY)}, "coupling.pump"),
+], ids=["collection", "pump", "pump2", "tie-collection", "tie-pumps"])
+def test_unresolvable_waist_names_the_narrowest_beam(beams, key):
+    # the z rule follows the Gouy angle of the beam with the shortest Rayleigh range
+    cfg = dataclasses.replace(fwm_config(basis=build_basis(0, 0)), **beams)
+    with pytest.raises(FieldError, match="a waist of 1.0 um gives the coupling's shortest "
+                       "Rayleigh range, 3.952 um, which the quadrature cannot resolve") as err:
+        assemble_squeeze_matrix(cfg)
+    assert err.value.field == key
+
+
 PUMP_GEOM = BeamGeometry(wavelength=0.405, waist_w0=60.0, focus_z=500.0)
 ASYM_BASIS = build_basis(2, 2)
 
@@ -335,6 +388,24 @@ def direct_overlap_sum(cfg, nz, nt, t_max):
                 if ell_net == sig.ell + idl.ell:
                     xi[s, i] += np.sum(measure * pump * collect)
     return xi
+
+
+class TestExactMatchedXi:
+    """Every element of xi against ``exact_matched_xi`` to 1e-10 of ||xi||,
+    and its exact zeros, for both couplings up to the 441-mode basis."""
+
+    @pytest.mark.parametrize("coupling_name, ell_max, p_max", [
+        ("fwm", 1, 2), ("fwm", 4, 8), ("pdc", 1, 2), ("pdc", 4, 8), ("pdc", 10, 20),
+    ])
+    def test_every_element(self, coupling_name, ell_max, p_max):
+        if coupling_name == "fwm":
+            cfg = fwm_config(basis=build_basis(ell_max, p_max))
+        else:
+            cfg = matched_pdc_config(ell_max, p_max)
+        got = assemble_squeeze_matrix(cfg).xi
+        want = exact_matched_xi(cfg)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.abs(got - want).max() <= 1e-10 * np.linalg.norm(want)
 
 
 class TestAsymmetricAssembly:
@@ -519,18 +590,15 @@ class TestRowSplitContraction:
                 got = _contract(spec, pump, left, right)
                 assert np.array_equal(got.view(np.uint64), want), (rows, cpus)
 
-    @pytest.mark.parametrize("cfg, grid", [
-        *((default_config(name).coupling, None) for name in SCENARIO_NAMES),
-        # fewer z rows than CPUs, so some profile slabs are one z row
-        (default_config("PdcHeralding").coupling, (3, 64)),
-        (asymmetric_config("two-pump", InteractionType.FULL_CROSSTALK), None),
-        (asymmetric_config("two-pump", InteractionType.DEGENERATE_SINGLE_BEAM), None),
-        (fwm_config(InteractionType.DEGENERATE_SINGLE_BEAM), None),
-    ], ids=[*SCENARIO_NAMES, "PdcHeralding-3-z-rows", "two-pump", "two-pump-degenerate",
-            "degenerate"])
-    def test_assembly_is_bit_identical_at_any_cpu_count(self, monkeypatch, cfg, grid):
+    @pytest.mark.parametrize("cfg", [
+        *(default_config(name).coupling for name in SCENARIO_NAMES),
+        asymmetric_config("two-pump", InteractionType.FULL_CROSSTALK),
+        asymmetric_config("two-pump", InteractionType.DEGENERATE_SINGLE_BEAM),
+        fwm_config(InteractionType.DEGENERATE_SINGLE_BEAM),
+    ], ids=[*SCENARIO_NAMES, "two-pump", "two-pump-degenerate", "degenerate"])
+    def test_assembly_is_bit_identical_at_any_cpu_count(self, monkeypatch, cfg):
         schedule, t_max = _node_schedule(cfg)
-        nz, nt = grid or schedule[0]
+        nz, nt = schedule[0]
         monkeypatch.setattr(coupling, "_RUN_WORK", 1)
         xis = []
         for cpus in range(1, 5):
@@ -556,6 +624,17 @@ class TestRowSplitContraction:
         submitted = spy_on_submit(monkeypatch)
         assemble_squeeze_matrix(default_config(name).coupling)
         assert bool(submitted) is splits
+
+    def test_profiles_fill_on_the_calling_thread(self, monkeypatch):
+        # only the overlap contraction splits: a profile set of any size is
+        # filled by one Laguerre recurrence per |ell| on this thread
+        monkeypatch.setattr(coupling, "_RUN_WORK", 1)
+        submitted = spy_on_submit(monkeypatch)
+        z = np.linspace(-500.0, 500.0, 8)
+        r = np.sqrt(np.linspace(0.0, 40.0, 16))[None, :] * GEOM.width(z)[:, None]
+        entries = [ModeIndex(ell, p) for ell in (-1, 0, 1) for p in range(3)]
+        profiles = coupling._profiles_on_grid(entries, r, coupling._beam_on_grid(r, z, GEOM))
+        assert profiles.shape == (9, 8, 16) and submitted == []
 
     def test_an_overlap_counts_the_work_of_every_idler_row(self, monkeypatch):
         # 4 signal rows against 512 idler rows on 8 x 64 nodes: 2^20 elements
