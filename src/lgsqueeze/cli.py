@@ -101,7 +101,6 @@ def _json_int(text: str):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
-    from .modes import QuadratureError
     from .report_io import emit_result, scenario_config_from_dict
     from .scenarios import (FieldError, coupling_on_basis, default_config, run_scenario,
                             scenario_basis)
@@ -139,7 +138,7 @@ def main(argv=None) -> int:
         flag = flags.get(exc.field, exc.field)
         print(f"error: {flag}: {exc.reason}", file=sys.stderr)
         return 2
-    except (QuadratureError, ValueError, OSError) as exc:  # ConfigError, JSONDecodeError too
+    except (ValueError, OSError) as exc:  # ConfigError, JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -476,41 +476,51 @@ def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
     return xi
 
 
-def _assemble_raw(cfg: CouplingConfig):
-    """Refine the quadrature grid until the matrix is stable to ``QUADRATURE_RTOL``.
-
-    A miss at the finest level raises FieldError naming the beam with the
-    smallest Rayleigh range, whose Gouy angle the z rule of ``_assemble_at``
-    follows: ``coupling.collection.waist_w0``, ``coupling.pump`` or
-    ``coupling.pump2`` (a pump section sets its waist in either of two
-    forms).  On a tie the collection is named, then ``pump`` before ``pump2``.
-    """
-    schedule, t_max = _node_schedule(cfg)
-    prev = None
-    residual = math.inf
-    for nz, nt in schedule:
-        cur = _assemble_at(cfg, nz, nt, t_max)
-        with np.errstate(over="ignore"):  # numpy's norm squares each entry unscaled
-            norm = float(np.linalg.norm(cur))
-            if not math.isfinite(norm):
-                raise ValueError(
-                    f"the coupling matrix on {nz} x {nt} quadrature nodes has norm {norm!r}; "
-                    "a very narrow beam's 1/w profile normalisation makes its entries "
-                    "too large to square")
-            if prev is not None:
-                residual = float(np.linalg.norm(cur - prev)) / max(norm, 1e-300)
-        if prev is not None and residual <= QUADRATURE_RTOL:
-            return cur
-        prev = cur
-    beams = [("coupling.collection.waist_w0", cfg.collection),
+def _beam_keys(cfg: CouplingConfig, field: str) -> list:
+    """``[(config key, geometry), ...]`` of each beam of ``cfg``, in the order
+    collection, pump, pump2: the collection's key names its ``field``, and a
+    pump's its section, which sets a geometry field bare or under ``geometry``."""
+    beams = [(f"coupling.collection.{field}", cfg.collection),
              ("coupling.pump", cfg.pump1.geometry)]
     if cfg.pump2 is not None:
         beams.append(("coupling.pump2", cfg.pump2.geometry))
-    key, geom = min(beams, key=lambda beam: beam[1].rayleigh_zR)
-    raise FieldError(key, f"a waist of {geom.waist_w0!r} um gives the coupling's shortest "
-                     f"Rayleigh range, {geom.rayleigh_zR:.4g} um, which the quadrature cannot "
-                     f"resolve over the {cfg.cell_length!r} um cell (residual estimate "
-                     f"{residual:.3e} after {nz} x {nt} nodes)")
+    return beams
+
+
+def _assemble_raw(cfg: CouplingConfig):
+    """Refine the quadrature grid until the matrix is stable to ``QUADRATURE_RTOL``.
+
+    Numpy's floating-point warnings are off on this thread.  A matrix norm
+    past the float range at any level, or a miss at the finest, raises one
+    FieldError naming the beam of ``_beam_keys`` with the smallest waist (the
+    largest 1/w normalisation) or, for a miss, the smallest Rayleigh range,
+    whose Gouy angle the z rule of ``_assemble_at`` follows; a tie names the
+    first of them.
+    """
+    with np.errstate(all="ignore"):  # a sum of 1/w^2 or the norm's squares may overflow
+        schedule, t_max = _node_schedule(cfg)
+        prev, residual = None, math.inf
+        for nz, nt in schedule:
+            cur = _assemble_at(cfg, nz, nt, t_max)
+            norm = float(np.linalg.norm(cur))
+            if not math.isfinite(norm):
+                break
+            if prev is not None:
+                residual = float(np.linalg.norm(cur - prev)) / max(norm, 1e-300)
+                if residual <= QUADRATURE_RTOL:
+                    return cur
+            prev = cur
+    beams = _beam_keys(cfg, "waist_w0")
+    if math.isfinite(norm):
+        key, geom = min(beams, key=lambda beam: beam[1].rayleigh_zR)
+        reason = (f"gives the coupling's shortest Rayleigh range, {geom.rayleigh_zR:.4g} um, "
+                  f"which the quadrature cannot resolve over the {cfg.cell_length!r} um cell "
+                  f"(residual estimate {residual:.3e} after {nz} x {nt} nodes)")
+    else:
+        key, geom = min(beams, key=lambda beam: beam[1].waist_w0)
+        reason = (f"is the coupling's narrowest, and takes its matrix past the float range "
+                  f"on {nz} x {nt} quadrature nodes")
+    raise FieldError(key, f"a waist of {geom.waist_w0!r} um {reason}")
 
 
 def coupling_element(signal: ModeIndex, idler: ModeIndex, cfg: CouplingConfig) -> complex:

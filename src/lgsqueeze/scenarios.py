@@ -30,6 +30,7 @@ from .coupling import (
     CouplingConfig,
     InteractionType,
     PumpSpec,
+    _beam_keys,
     assemble_squeeze_matrix,
     check_basis_size,
     drive_modes,
@@ -37,9 +38,9 @@ from .coupling import (
     pump_profile_count,
     scale_to_mean_photons,
 )
-from .eigenmodes import EigenDecomposition, decompose, eigenmode_pump, eigenmode_report
-from .modes import (BeamGeometry, FieldError, ModeBasis, QuadratureError, _finite_number,
-                    build_basis)
+from .eigenmodes import (EigenDecomposition, decompose, eigenmode_pump, eigenmode_report,
+                         is_normal)
+from .modes import BeamGeometry, FieldError, ModeBasis, _finite_number, build_basis
 from .squeeze_core import SqueezeMatrix, StateReport, state_report
 
 __all__ = [
@@ -404,9 +405,25 @@ def _run_psr_crosstalk(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _pdc_analysis(cfg: ScenarioConfig, coupling: CouplingConfig = None) -> ScenarioResult:
-    """Statistics, eigenmodes and pair dominance of ``coupling``, else ``cfg.coupling``."""
-    sq, gain, report = _analysed(coupling or cfg.coupling, cfg.n_target, cfg.seed_gain)
-    eigen = decompose(sq)
+    """Statistics, eigenmodes and pair dominance of ``coupling``, else ``cfg.coupling``.
+
+    A squeezing matrix that is not normal has no eigenmodes: the FieldError
+    names the first beam focused off the cell centre, in ``_beam_keys``
+    order, and with every focus at the centre ``coupling.pump.coefficients``.
+    """
+    coupling = coupling or cfg.coupling
+    sq, gain, report = _analysed(coupling, cfg.n_target, cfg.seed_gain)
+    try:
+        eigen = decompose(sq)
+    except ValueError as exc:
+        if is_normal(sq.xi)[0]:  # not decompose's refusal of a matrix that is not normal
+            raise
+        key, focus = next(((name, geom.focus_z) for name, geom in _beam_keys(coupling, "focus_z")
+                           if geom.focus_z), ("coupling.pump.coefficients", 0.0))
+        cause = (f"a focus {focus!r} um from the cell centre breaks" if focus else
+                 "with every focus at the cell centre, the pump's modes break")
+        raise FieldError(key, f"{exc}: {cause} the normality the eigenmode analysis "
+                         "needs") from None
     try:
         rows = eigenmode_report(eigen)
     except OverflowError:  # e^(2 lambda) of variance_plus is the first to overflow
@@ -496,7 +513,7 @@ def _run_waist_scan(cfg: ScenarioConfig) -> ScenarioResult:
                 cell = _at_waist(_at_waist(coupling, "pump", wp), "collection", wc)
                 sq, gain, report = _analysed(cell, cfg.n_target)
                 metric[i, j] = pair_dominance_metrics(report, sq.basis)["figure_metric"]
-            except (QuadratureError, ValueError, np.linalg.LinAlgError) as exc:
+            except (ValueError, np.linalg.LinAlgError) as exc:
                 # a numerical failure of this cell: record it and scan on
                 failures.append({"pump": float(wp), "collection": float(wc),
                                  "error": str(exc)})

@@ -15,6 +15,12 @@ config is given to ``cli.main --config`` and built in Python:
 The run-time refusals that name no key are listed in ``KNOWN`` with what is
 wrong in each; the sweep fails if it meets another one or if one of them no
 longer occurs.
+
+Every draw but a basis bound's is built at basis (0, 0), where xi is 1 x 1
+and always normal, and a drawn bound keeps every focus at the cell centre
+and a Gaussian pump; so the sweep cannot meet the eigenmode scenarios'
+refusal of a xi that is not normal, which ``tests/test_coupling.py``
+(``TestKeyedRefusal``) pins.
 """
 
 import contextlib

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import signal
 import threading
 import time
@@ -15,6 +16,7 @@ import pytest
 from scipy import integrate, optimize
 
 from lgsqueeze import coupling
+from lgsqueeze.cli import main as cli_main
 from lgsqueeze.coupling import (
     _T_MAX_MIN,
     _assemble_at,
@@ -310,6 +312,97 @@ def test_unresolvable_waist_names_the_narrowest_beam(beams, key):
                        "Rayleigh range, 3.952 um, which the quadrature cannot resolve") as err:
         assemble_squeeze_matrix(cfg)
     assert err.value.field == key
+
+
+def tiny(waist, wavelength=1e-300):
+    """A beam section whose 1/w^2 is near or past the float range at its focus."""
+    return {"wavelength": wavelength, "waist_w0": waist}
+
+
+class TestKeyedRefusal:
+    """A run whose assembly leaves the float range or misses the quadrature
+    tolerance, or whose eigenmode analysis meets a xi that is not normal,
+    exits 2 with one ``error: <key>: ...`` line and no numpy warning, at one
+    usable CPU and with every contraction split onto a worker thread, which
+    does not inherit the assembly's ``np.errstate``."""
+
+    @pytest.fixture(params=["one-cpu", "split"])
+    def run(self, request, monkeypatch, tmp_path, capsys):
+        if request.param == "split":
+            submitted = spy_on_submit(monkeypatch)
+            monkeypatch.setattr(coupling, "_RUN_WORK", 1)
+        else:
+            monkeypatch.setattr(coupling, "_usable_cpus", lambda: 1)
+
+        def run(config):
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = cli_main(["--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+            assert rc == 2
+            if request.param == "split":
+                assert submitted, "no contraction was split"
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1, err
+            return err[0]
+
+        return run
+
+    @pytest.mark.parametrize("name, beams, key, kind", [
+        # two tiny waists whose 1/w^4 takes the matrix past the float range
+        ("PsrSinglePhoton", {"pump": tiny(1e-100), "collection": tiny(1e-100)},
+         "coupling.collection.waist_w0", "narrowest"),
+        ("PsrSinglePhoton", {"pump": tiny(1e-150), "collection": tiny(1e-150)},
+         "coupling.collection.waist_w0", "narrowest"),
+        # the waist rule, not the Rayleigh range: the collection has the smaller
+        # waist and the pump, at a longer wavelength, the shorter Rayleigh range
+        ("PsrSinglePhoton", {"pump": tiny(1e-110, 1e-250), "collection": tiny(1e-120)},
+         "coupling.collection.waist_w0", "narrowest"),
+        ("PsrSinglePhoton", {"pump": tiny(1e-120), "collection": tiny(1e-110, 1e-250)},
+         "coupling.pump", "narrowest"),
+        # a sum of 1/w^2 that overflows, then a miss at the finest level
+        ("PsrSinglePhoton", {"pump": tiny(1e-154)}, "coupling.pump", "shortest"),
+        ("PsrSinglePhoton", {"collection": tiny(1e-154)}, "coupling.collection.waist_w0",
+         "shortest"),
+        ("PdcBenchmark", {"collection": tiny(1e-154)}, "coupling.collection.waist_w0",
+         "shortest"),
+        ("PdcBenchmark", {"pump": tiny(1e-154), "collection": tiny(1e-154)},
+         "coupling.collection.waist_w0", "shortest"),
+    ], ids=["psr-1e-100", "psr-1e-150", "collection-narrowest", "pump-narrowest",
+            "overflow-pump", "overflow-collection", "overflow-pdc-collection",
+            "overflow-pdc-both"])
+    def test_assembly_refusal_names_the_beam(self, run, name, beams, key, kind):
+        line = run({"scenario": name, "basis": {"ell_max": 0, "p_max": 1},
+                    "convergence_check": False, "coupling": {"cell_length": 1, **beams}})
+        reason = {"narrowest": r"is the coupling's narrowest, and takes its matrix past the "
+                               r"float range on 48 x 96 quadrature nodes",
+                  "shortest": r"gives the coupling's shortest Rayleigh range, .* um cell "
+                              r"\(residual estimate .*\)"}[kind]
+        assert re.fullmatch(rf"error: {re.escape(key)}: a waist of \S+ um {reason}", line), line
+
+    @pytest.mark.parametrize("name, config, key", [
+        ("PdcBenchmark", {"coupling": {"pump": {"focus_z": 5000}}}, "coupling.pump"),
+        ("PdcBenchmark", {"coupling": {"pump": {"geometry": {"focus_z": 5000}}}},
+         "coupling.pump"),
+        ("PdcEigenPump", {"coupling": {"collection": {"focus_z": 5000}}},
+         "coupling.collection.focus_z"),
+        ("PdcBenchmark", {"basis": {"ell_max": 1, "p_max": 1},
+                          "coupling": {"pump": {"focus_z": 100}}}, "coupling.pump"),
+        # a second pump off the centre of a four-wave PdcBenchmark
+        ("PdcBenchmark", {"basis": {"ell_max": 1, "p_max": 1}, "coupling": {
+            "single_pump": False, "pump2": {"focus_z": 300}}}, "coupling.pump2"),
+        # every focus centred; the pump mixes ell = 0 and ell = 1 with a phase
+        ("PdcBenchmark", {"basis": {"ell_max": 1, "p_max": 1}, "coupling": {"pump": {
+            "coefficients": {"re": [0, 0, 0.6, 0, 0, 0], "im": [0, 0, 0, 0, 0.8, 0]}}}},
+         "coupling.pump.coefficients"),
+    ], ids=["pump-focus", "pump-geometry-focus", "collection-focus", "pump-focus-basis-1-1",
+            "pump2-focus", "pump-coefficients"])
+    def test_non_normal_xi_names_the_beam(self, run, name, config, key):
+        line = run({"scenario": name, "convergence_check": False, **config})
+        assert re.fullmatch(rf"error: {re.escape(key)}: squeezing matrix is not normal "
+                            r"\(residual \S+ >= tol 1\.0e-08\): .* the normality the "
+                            r"eigenmode analysis needs", line), line
 
 
 PUMP_GEOM = BeamGeometry(wavelength=0.405, waist_w0=60.0, focus_z=500.0)

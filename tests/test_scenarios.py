@@ -9,7 +9,7 @@ import pytest
 from lgsqueeze import scenarios
 from lgsqueeze.coupling import (ASSEMBLY_BYTES_LIMIT, InteractionType, PumpSpec,
                                 _assemble_at, assemble_squeeze_matrix)
-from lgsqueeze.modes import FieldError, ModeIndex, QuadratureError
+from lgsqueeze.modes import FieldError, ModeIndex
 from lgsqueeze.report_io import (emit_result, load_report, report_from_dict, report_to_dict,
                                  resolved_config_dict, scenario_config_from_dict)
 from lgsqueeze.scenarios import default_config, run_scenario, scan_island
@@ -257,7 +257,7 @@ class TestWaistScan:
 
         def failing_corner(coupling):
             if coupling.pump1.geometry.waist_w0 == coupling.collection.waist_w0 == 100.0:
-                raise QuadratureError("no convergence", 1.0)
+                raise FieldError("coupling.pump", "a waist the quadrature cannot resolve")
             return assemble(coupling)
 
         monkeypatch.setattr(scenarios, "assemble_squeeze_matrix", failing_corner)
