@@ -117,7 +117,8 @@ class CouplingConfig:
     centred at z = 0, where each beam's ``focus_z`` is measured from.  At both
     cell ends every beam's width w, its 1/w^2 and the z^2 + zR^2 of its
     curvature phase stay finite and nonzero, else a FieldError names
-    ``cell_length``; each BeamGeometry checks its own at the centre.
+    ``cell_length``, and its reason the first beam of ``_beam_keys`` that
+    fails, with its waist; each BeamGeometry checks its own at the centre.
     """
 
     interaction: InteractionType
@@ -145,10 +146,11 @@ class CouplingConfig:
                 raise FieldError(f"{key}.coefficients", f"has shape {np.shape(coefficients)}, "
                                  f"not one entry per mode of the {self.basis.size}-mode basis")
         half = 0.5 * self.cell_length
-        beams = {d.geometry for d in self.drives} | {self.collection}
-        if not all(geom.finite_at([-half, half]) for geom in beams):
-            raise FieldError("cell_length", f"{self.cell_length!r} puts a beam's width or "
-                             "curvature at a cell end out of the finite, nonzero floats")
+        for key, geom in _beam_keys(self, "waist_w0"):
+            if not geom.finite_at([-half, half]):
+                raise FieldError("cell_length", f"{self.cell_length!r} puts the width or "
+                                 f"curvature at a cell end of the beam of {key}, a waist of "
+                                 f"{geom.waist_w0!r} um, out of the finite, nonzero floats")
 
     @property
     def drives(self) -> tuple:
@@ -170,42 +172,30 @@ def _usable_cpus() -> int:
 _RUN_WORK = 2 ** 18
 
 
-def _in_row_runs(n: int, work, row_work: int) -> list:
-    """``[work(lo, hi), ...]`` for rows 0..n cut into runs of near-equal size.
+def _contract(pump, left, right):
+    """``np.einsum("zt,pzt,qzt->pq", pump, left, right)``, in runs of its signal rows.
 
-    ``row_work`` is the work of one row, in array elements.  There is one
-    run per ``_RUN_WORK`` elements of the whole, but at most one per usable
-    CPU and one per row, and at least one; so small work stays whole on
-    the calling thread.  This thread does the first run and worker threads
-    the others, which overlap because numpy's loops release the GIL; so
-    ``work`` calls numpy only, and every function of the package stays on
-    the calling thread.  The results are in row order, and no run and no
-    worker thread outlives the call.
+    There is one run per ``_RUN_WORK`` elements of work, counting every idler
+    row, but at most one per usable CPU and one per signal row, and at least
+    one; so a small overlap is one call on the calling thread.  This thread
+    contracts the first run and worker threads the others, which overlap
+    because einsum releases the GIL.  Each output row comes from the same
+    einsum inner loop on the same operands, so the result is bit-identical
+    to one call whatever the CPU count, and no run or worker thread outlives
+    the call.
     """
-    runs = max(1, min(_usable_cpus(), n, n * row_work // _RUN_WORK))
+    spec, n = "zt,pzt,qzt->pq", len(left)
+    runs = max(1, min(_usable_cpus(), n, n * pump.size * len(right) // _RUN_WORK))
     if runs == 1:
-        return [work(0, n)]
-    from concurrent.futures import ThreadPoolExecutor
+        return np.einsum(spec, pump, left, right)
+    import concurrent.futures
 
     cuts = [n * i // runs for i in range(runs + 1)]
-    with ThreadPoolExecutor(runs - 1, thread_name_prefix="lgsqueeze") as workers:
-        rest = [workers.submit(work, cuts[i], cuts[i + 1]) for i in range(1, runs)]
-        first = work(cuts[0], cuts[1])
-    return [first] + [job.result() for job in rest]
-
-
-def _contract(spec: str, pump, left, right):
-    """``np.einsum(spec, pump, left, right)`` with its rows split by ``_in_row_runs``.
-
-    ``spec`` is ``"zt,pzt,qzt->pq"`` or the diagonal ``"zt,pzt,pzt->p"``,
-    which splits ``right`` with ``left``.  Each output row comes from the
-    same einsum inner loop on the same operands, so the result is
-    bit-identical to one call whatever the CPU count.
-    """
-    diagonal = spec.endswith("->p")
-    row_work = pump.size * (1 if diagonal else len(right))
-    return np.concatenate(_in_row_runs(len(left), lambda lo, hi: np.einsum(
-        spec, pump, left[lo:hi], right[lo:hi] if diagonal else right), row_work))
+    with concurrent.futures.ThreadPoolExecutor(runs - 1, thread_name_prefix="lgsqueeze") as pool:
+        rest = [pool.submit(np.einsum, spec, pump, left[lo:hi], right)
+                for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        first = np.einsum(spec, pump, left[:cuts[1]], right)
+    return np.concatenate([first] + [job.result() for job in rest])
 
 
 def _beam_on_grid(r, z_rel, geom: BeamGeometry):
@@ -447,12 +437,13 @@ def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
     # ones this overlap does not read, so at most two are alive at a time.
     # When no drive-index tuple carries net OAM every overlap reads one stack
     # and each is built once; otherwise a dropped stack a later overlap reads
-    # is rebuilt.  A stack is built on the calling thread.  Each overlap is
-    # contracted in runs of its signal rows (``_contract``, the assembly's one
-    # thread split), one per usable CPU once the overlap is large enough to
-    # pay for the hand-off (``_in_row_runs``), on views of the stacks it
-    # reads, so the threads add no stack and xi is the same bit for bit at
-    # any CPU count.
+    # is rebuilt.  A stack is built on the calling thread.  An off-diagonal
+    # overlap is contracted in runs of its signal rows (``_contract``, the
+    # program's one thread split), one per usable CPU once the overlap is
+    # large enough to pay for the hand-off, on views of the stacks it reads,
+    # so the threads add no stack and xi is the same bit for bit at any CPU
+    # count.  A single-beam coupling's diagonal overlap is one einsum call on
+    # the calling thread.
     for key in sorted(feeds, key=lambda k: (max(k), min(k), k)):
         for alpha in key:
             if alpha not in stacks:
@@ -463,10 +454,10 @@ def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
             pump = reduce(operator.mul, [c[a] for (c, _), a in zip(drives, combo)]) * measure
             for prof, a in zip(profiles, combo):
                 pump *= prof[a]
-            overlap = _contract(
-                "zt,pzt,pzt->p" if diag_only else "zt,pzt,qzt->pq",
-                pump, stacks[key[0]], stacks[key[1]],
-            )
+            if diag_only:
+                overlap = np.einsum("zt,pzt,pzt->p", pump, stacks[key[0]], stacks[key[1]])
+            else:
+                overlap = _contract(pump, stacks[key[0]], stacks[key[1]])
             for ell_s, ell_i in blocks:
                 if diag_only:
                     rows = np.arange(block[ell_s].start, block[ell_s].stop)

@@ -118,10 +118,12 @@ class BeamGeometry:
     """Gaussian-beam geometry: wavelength and waist in micrometers.
 
     ``focus_z`` is the axial position of the waist from the cell centre;
-    mode evaluations take z relative to the focus.  The Rayleigh range
-    ``rayleigh_zR`` = pi w0^2 / lambda is derived; it and its square must
-    be finite and > 0 and ``finite_at`` must hold at the focus, else
-    FieldError names ``waist_w0``, and at the cell centre, else it names
+    mode evaluations take z relative to the focus.  A paraxial beam has
+    pi w0 > lambda: its Rayleigh range ``rayleigh_zR`` = pi w0^2 / lambda
+    exceeds its waist and its far-field half-angle lambda / (pi w0) is
+    below 1 rad.  That, a Rayleigh range and square finite and > 0, and
+    ``finite_at`` at the focus must hold, else FieldError names
+    ``waist_w0``; ``finite_at`` at the cell centre must hold, else it names
     ``focus_z``.  A refused field raises FieldError naming it.
     """
 
@@ -135,6 +137,10 @@ class BeamGeometry:
                 raise FieldError(name, f"must be finite and > 0, got {getattr(self, name)!r}")
         if not _finite_number(self.focus_z):
             raise FieldError("focus_z", f"must be finite, got {self.focus_z!r}")
+        if math.pi * self.waist_w0 <= self.wavelength:
+            raise FieldError("waist_w0", f"waist_w0={self.waist_w0!r} and wavelength="
+                             f"{self.wavelength!r} are not paraxial: pi*w0 must exceed the "
+                             "wavelength, for a far-field half-angle lambda/(pi*w0) below 1 rad")
         try:
             zR = self.rayleigh_zR
         except OverflowError:  # w0 ** 2 past the float range

@@ -319,9 +319,10 @@ def resolved_config_dict(cfg) -> dict:
 def _built(path: str, build, *args, **kwargs):
     """``build(*args, **kwargs)``; a field it refuses is named by its key under ``path``.
 
-    BeamGeometry names ``waist_w0`` when the Rayleigh range pi*w0^2/lambda
-    leaves the float range.  A stock beam is in range, so when a geometry
-    section sets the wavelength and not the waist, the wavelength took it out.
+    BeamGeometry names ``waist_w0`` when pi*w0 is not above lambda or the
+    Rayleigh range pi*w0^2/lambda leaves the float range.  A stock beam
+    passes both, so when a geometry section sets the wavelength and not the
+    waist, the wavelength failed them.
     """
     try:
         return build(*args, **kwargs)

@@ -339,3 +339,60 @@ def test_a_waist_the_quadrature_cannot_resolve_is_refused_by_key(
     err = capsys.readouterr().err
     assert re.fullmatch(rf"error: {re.escape(named)}: a waist of \S+ um gives the coupling's "
                         r"shortest Rayleigh range, .* um cell \(residual estimate .*\)\n", err)
+
+
+def cli_exit(tmp_path, capsys, config):
+    """The exit status and stderr of ``cli.main --config`` on ``config``."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    rc = cli_main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+    return rc, capsys.readouterr().err
+
+
+PDC_00 = {"scenario": "PdcBenchmark", "basis": {"ell_max": 0, "p_max": 0}}
+NOT_PARAXIAL = (r"waist_w0=\S+ and wavelength=\S+ are not paraxial: pi\*w0 must exceed the "
+                r"wavelength, for a far-field half-angle lambda/\(pi\*w0\) below 1 rad")
+
+
+@pytest.mark.parametrize("config, named", [
+    ({**PDC_00, "coupling": {"pump": {"waist_w0": 1e-60}}}, "coupling.pump.waist_w0"),
+    ({**PDC_00, "coupling": {"pump": {"waist_w0": 1e-75}}}, "coupling.pump.waist_w0"),
+    ({**PDC_00, "coupling": {"collection": {"waist_w0": 1e-76}}},
+     "coupling.collection.waist_w0"),
+    # the stock waist at a wavelength the config set alone
+    ({**PDC_00, "coupling": {"collection": {"wavelength": 1000}}},
+     "coupling.collection.wavelength"),
+    ({"scenario": "WaistScan", "grid": {"collection": [0.1, 200.0]}}, "grid.collection"),
+], ids=["pump-1e-60", "pump-1e-75", "collection-1e-76", "collection-wavelength", "scan-grid"])
+def test_a_waist_that_is_not_paraxial_is_refused_by_key(tmp_path, capsys, config, named):
+    rc, err = cli_exit(tmp_path, capsys, config)
+    assert rc == 2 and re.fullmatch(rf"error: {re.escape(named)}: (\S+: )?{NOT_PARAXIAL}\n",
+                                    err), err
+
+
+def test_the_paraxial_bound_is_pi_w0_equal_to_the_wavelength(tmp_path, capsys):
+    # pi*w0 = lambda*(1 -+ 1e-9) for the 0.405 um pump in a 1 um cell
+    below, above = (0.405 * (1.0 + s * 1e-9) / math.pi for s in (-1, 1))
+    config = {**PDC_00, "coupling": {"cell_length": 1}}
+    config["coupling"]["pump"] = {"waist_w0": below}
+    rc, err = cli_exit(tmp_path, capsys, config)
+    assert rc == 2 and re.fullmatch(rf"error: coupling.pump.waist_w0: {NOT_PARAXIAL}\n", err), err
+    config["coupling"]["pump"] = {"waist_w0": above}
+    assert cli_exit(tmp_path, capsys, config) == (0, "")
+
+
+@pytest.mark.parametrize("coupling, named", [
+    ({"collection": {"wavelength": 1e-153, "waist_w0": 1e-152}}, "coupling.collection.waist_w0"),
+    ({"pump": {"wavelength": 1e-153, "waist_w0": 1e-152}}, "coupling.pump"),
+    ({"single_pump": False, "pump2": {"wavelength": 1e-153, "waist_w0": 1e-152}},
+     "coupling.pump2"),
+    # two beams fail: the first of collection, pump, pump2 is named
+    ({"pump": {"wavelength": 1e-153, "waist_w0": 1e-152},
+      "collection": {"wavelength": 1e-153, "waist_w0": 1e-152}}, "coupling.collection.waist_w0"),
+], ids=["collection", "pump", "pump2", "collection-first"])
+def test_a_cell_end_refusal_names_the_beam(tmp_path, capsys, coupling, named):
+    rc, err = cli_exit(tmp_path, capsys, {**PDC_00, "coupling": coupling})
+    assert rc == 2
+    assert err == (f"error: coupling.cell_length: 93084.22677303091 puts the width or curvature "
+                   f"at a cell end of the beam of {named}, a waist of 1e-152 um, out of the "
+                   "finite, nonzero floats\n"), err

@@ -323,8 +323,9 @@ class TestKeyedRefusal:
     """A run whose assembly leaves the float range or misses the quadrature
     tolerance, or whose eigenmode analysis meets a xi that is not normal,
     exits 2 with one ``error: <key>: ...`` line and no numpy warning, at one
-    usable CPU and with every contraction split onto a worker thread, which
-    does not inherit the assembly's ``np.errstate``."""
+    usable CPU and with every off-diagonal contraction split onto a worker
+    thread, which does not inherit the assembly's ``np.errstate``.  The
+    diagonal overlaps of PsrSinglePhoton's single-beam coupling never split."""
 
     @pytest.fixture(params=["one-cpu", "split"])
     def run(self, request, monkeypatch, tmp_path, capsys):
@@ -342,7 +343,7 @@ class TestKeyedRefusal:
                 rc = cli_main(["--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
             assert rc == 2
             if request.param == "split":
-                assert submitted, "no contraction was split"
+                assert bool(submitted) is (config["scenario"] != "PsrSinglePhoton"), submitted
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1, err
             return err[0]
@@ -355,6 +356,13 @@ class TestKeyedRefusal:
          "coupling.collection.waist_w0", "narrowest"),
         ("PsrSinglePhoton", {"pump": tiny(1e-150), "collection": tiny(1e-150)},
          "coupling.collection.waist_w0", "narrowest"),
+        # their twins on a four-wave PdcBenchmark, whose overlaps split
+        ("PdcBenchmark", {"single_pump": False, "pump": tiny(1e-100),
+                          "collection": tiny(1e-100)}, "coupling.collection.waist_w0",
+         "narrowest"),
+        ("PdcBenchmark", {"single_pump": False, "pump": tiny(1e-150),
+                          "collection": tiny(1e-150)}, "coupling.collection.waist_w0",
+         "narrowest"),
         # the waist rule, not the Rayleigh range: the collection has the smaller
         # waist and the pump, at a longer wavelength, the shorter Rayleigh range
         ("PsrSinglePhoton", {"pump": tiny(1e-110, 1e-250), "collection": tiny(1e-120)},
@@ -369,7 +377,8 @@ class TestKeyedRefusal:
          "shortest"),
         ("PdcBenchmark", {"pump": tiny(1e-154), "collection": tiny(1e-154)},
          "coupling.collection.waist_w0", "shortest"),
-    ], ids=["psr-1e-100", "psr-1e-150", "collection-narrowest", "pump-narrowest",
+    ], ids=["psr-1e-100", "psr-1e-150", "pdc-four-wave-1e-100", "pdc-four-wave-1e-150",
+            "collection-narrowest", "pump-narrowest",
             "overflow-pump", "overflow-collection", "overflow-pdc-collection",
             "overflow-pdc-both"])
     def test_assembly_refusal_names_the_beam(self, run, name, beams, key, kind):
@@ -661,13 +670,37 @@ def spy_on_submit(monkeypatch):
     return submitted
 
 
-class TestRowSplitContraction:
-    """Each overlap is contracted in one run of signal rows per usable CPU,
-    and the result is that of one einsum call, bit for bit, at any count.
-    ``_RUN_WORK`` is lowered to 1 where a test needs every size to split."""
+def einsum_by_run(monkeypatch, raising_row):
+    """Put a fake ``np.einsum`` in place for ``_contract`` on operands whose
+    signal rows hold their own row numbers: the run that starts at
+    ``raising_row`` raises at once, and each other run sleeps 0.2 s, then
+    records its (first row, end row) in the returned list."""
+    done = []
 
-    @pytest.mark.parametrize("spec", ["zt,pzt,qzt->pq", "zt,pzt,pzt->p"])
-    def test_equals_one_einsum_bit_for_bit(self, monkeypatch, spec):
+    def einsum(spec, pump, left, right):
+        lo, hi = int(left[0, 0, 0].real), int(left[-1, 0, 0].real) + 1
+        if lo == raising_row:
+            raise RuntimeError(f"the run from row {lo}")
+        time.sleep(0.2)
+        done.append((lo, hi))
+        return np.zeros((hi - lo, len(right)), dtype=complex)
+
+    monkeypatch.setattr(np, "einsum", einsum)
+    return done
+
+
+def numbered_rows(n):
+    """``_contract``'s operands on one node, with n signal rows numbered 0..n-1."""
+    return np.ones((1, 1)), np.arange(n, dtype=complex).reshape(n, 1, 1), np.ones((1, 1, 1))
+
+
+class TestRowSplitContraction:
+    """Each off-diagonal overlap is contracted in one run of signal rows per
+    usable CPU, and the result is that of one einsum call, bit for bit, at any
+    count; a diagonal overlap is one call on the calling thread.  ``_RUN_WORK``
+    is lowered to 1 where a test needs every size to split."""
+
+    def test_equals_one_einsum_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(20)
 
         def draw(*shape):
@@ -677,10 +710,10 @@ class TestRowSplitContraction:
         pump = draw(5, 37)
         for rows in range(1, 22):  # up to rows < CPUs, where every run is one row
             left, right = draw(rows, 5, 37), draw(rows, 5, 37)
-            want = np.einsum(spec, pump, left, right).view(np.uint64)
+            want = np.einsum("zt,pzt,qzt->pq", pump, left, right).view(np.uint64)
             for cpus in range(1, 5):
                 monkeypatch.setattr(coupling, "_usable_cpus", lambda: cpus)
-                got = _contract(spec, pump, left, right)
+                got = _contract(pump, left, right)
                 assert np.array_equal(got.view(np.uint64), want), (rows, cpus)
 
     @pytest.mark.parametrize("cfg", [
@@ -704,11 +737,15 @@ class TestRowSplitContraction:
         (1, 8, 4000, 1),
     ])
     def test_one_run_per_whole_run_work(self, monkeypatch, cpus, n, row_work, runs):
+        # row_work elements per signal row: a pump of row_work nodes, one idler row
+        submitted = spy_on_submit(monkeypatch)
         monkeypatch.setattr(coupling, "_RUN_WORK", 1000)
         monkeypatch.setattr(coupling, "_usable_cpus", lambda: cpus)
-        got = coupling._in_row_runs(n, lambda lo, hi: (lo, hi), row_work)
-        assert len(got) == runs and got[0][0] == 0 and got[-1][1] == n
-        assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
+        pump, left, right = (np.ones(shape + (1, row_work)) for shape in ((), (n,), (1,)))
+        assert _contract(pump, left, right).shape == (n, 1)
+        # the first run stays on this thread; the others are near-equal runs in row order
+        cuts = [n * i // runs for i in range(runs + 1)]
+        assert [len(job[3]) for job in submitted] == [b - a for a, b in zip(cuts[1:], cuts[2:])]
 
     @pytest.mark.parametrize("name, splits", [("WaistScan", False), ("PdcHeralding", True)])
     def test_small_work_stays_on_the_calling_thread(self, monkeypatch, name, splits):
@@ -717,6 +754,19 @@ class TestRowSplitContraction:
         submitted = spy_on_submit(monkeypatch)
         assemble_squeeze_matrix(default_config(name).coupling)
         assert bool(submitted) is splits
+
+    @pytest.mark.parametrize("cfg", [
+        default_config("PsrSinglePhoton").coupling,
+        default_config("PsrSinglePhoton", ell_max=4, p_max=8).coupling,
+        fwm_config(InteractionType.DEGENERATE_SINGLE_BEAM),
+        asymmetric_config("two-pump", InteractionType.DEGENERATE_SINGLE_BEAM),
+    ], ids=["PsrSinglePhoton", "PsrSinglePhoton-4-8", "degenerate", "two-pump-degenerate"])
+    def test_a_single_beam_coupling_never_splits(self, monkeypatch, cfg):
+        # its diagonal overlaps are one einsum call each on this thread
+        monkeypatch.setattr(coupling, "_RUN_WORK", 1)
+        submitted = spy_on_submit(monkeypatch)
+        assemble_squeeze_matrix(cfg)
+        assert submitted == []
 
     def test_profiles_fill_on_the_calling_thread(self, monkeypatch):
         # only the overlap contraction splits: a profile set of any size is
@@ -733,7 +783,7 @@ class TestRowSplitContraction:
         # 4 signal rows against 512 idler rows on 8 x 64 nodes: 2^20 elements
         submitted = spy_on_submit(monkeypatch)
         pump, left, right = (np.ones((rows, 8, 64), dtype=complex) for rows in (1, 4, 512))
-        _contract("zt,pzt,qzt->pq", pump[0], left, right)
+        _contract(pump[0], left, right)
         assert len(submitted) == 1
 
     def test_no_worker_thread_outlives_a_split(self, monkeypatch):
@@ -767,31 +817,17 @@ class TestRowSplitContraction:
     def test_no_run_outlives_the_call(self, monkeypatch):
         monkeypatch.setattr(coupling, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(coupling, "_RUN_WORK", 1)
-        done = []
-
-        def work(lo, hi):
-            if lo == 0:
-                raise RuntimeError("the calling thread's run")
-            time.sleep(0.2)
-            done.append((lo, hi))
-
-        with pytest.raises(RuntimeError, match="the calling thread's run"):
-            coupling._in_row_runs(2, work, 1)
+        done = einsum_by_run(monkeypatch, raising_row=0)  # the calling thread's run
+        with pytest.raises(RuntimeError, match="the run from row 0"):
+            _contract(*numbered_rows(2))
         assert done == [(1, 2)]
 
     def test_a_worker_raise_reaches_the_caller_after_every_run(self, monkeypatch):
         monkeypatch.setattr(coupling, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(coupling, "_RUN_WORK", 1)
-        done = []
-
-        def work(lo, hi):
-            if lo == 1:
-                raise RuntimeError("a worker's run")
-            time.sleep(0.2)
-            done.append((lo, hi))
-
-        with pytest.raises(RuntimeError, match="a worker's run"):
-            coupling._in_row_runs(3, work, 1)
+        done = einsum_by_run(monkeypatch, raising_row=1)  # a worker's run
+        with pytest.raises(RuntimeError, match="the run from row 1"):
+            _contract(*numbered_rows(3))
         assert sorted(done) == [(0, 1), (2, 3)]
 
 
