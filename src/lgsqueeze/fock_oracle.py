@@ -9,11 +9,13 @@ annihilation) and builds the exponent's lowering half A on them as one
 sparse matrix; the exponent is G = A - A^dag.  The vacuum vector evolves
 under a Chebyshev series of e^G (Tal-Ezer and Kosloff), summed by products
 of A and of a transposed view of it with a vector: it holds three state
-vectors and copies no matrix.  Every statistic is then a direct expectation
-value on the reached set and its one-ladder-step neighbours.  Both sets are
-numbered by an int32 index map over the box, and at most two stacks of
-ladder images are held, each filled one mode row at a time.  Feasible only
-for a handful of modes; each result carries a truncation-error estimate (the
+vectors and copies no matrix.  A is written straight into CSR arrays, so no
+COO copy of it is held.  Every statistic is then a direct expectation value
+on the reached set and the states one ladder step away.  Two beams conserve
+N_a - N_b, so those ladder images split into a part that lowers it and a
+part that raises it, on disjoint states; one stack of a part's images is
+held at a time, on just the states they land on.  Feasible only for a
+handful of modes; each result carries a truncation-error estimate (the
 amplitude on the highest occupation each excited mode reaches) so
 comparisons against closed forms can be judged honestly.
 """
@@ -25,10 +27,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 # Eager on purpose.  Imported lazily, scipy.sparse cut paper-suite setup_s
-# from 0.46 to 0.26 s but raised large-basis peak RSS from 145 to 188 MB.
-# The heap a 441-mode run frees then stays mapped under glibc's dynamic trim
-# threshold (with MALLOC_TRIM_THRESHOLD_=131072 both read 133-134 MB), and
-# the benchmark's reading of the 66 MB report.json lands on top of it.
+# from 0.46 to 0.26 s but raised large-basis peak RSS from 145 to 188 MB,
+# since every benchmark workload imports this module.  After a 441-mode pass
+# the lazy copy's main heap stays at 64-69 MB, 54-57 MB of it free, with no
+# Python object or array buffer in its top half: RSS stays at 122-125 MB,
+# against 76-78 MB eager.  What pins the heap's top is the blocks freed
+# during the pass into numpy's small-block data cache, which keeps blocks
+# under 1 KiB and never returns them; with that cache filled at start-up (a
+# diagnostic, not a fix) the lazy copy read 73-82 MB.  The benchmark's
+# whole-file read of the 66 MB report.json then lands on top of that heap.
 import scipy.sparse as sp
 
 __all__ = [
@@ -71,10 +78,14 @@ class TruncatedFockSpace:
         return (self.n_cut + 1) ** np.arange(self.n_modes - 1, -1, -1, dtype=np.int64)
 
     def occupations(self, states: np.ndarray = None) -> np.ndarray:
-        """Occupation of every mode in ``states`` (default: all), shape (len, n_modes)."""
+        """Occupation of every mode in ``states`` (default: all), shape
+        (len, n_modes), each mode's column contiguous."""
         if states is None:
             states = np.arange(self.dimension, dtype=np.int64)
-        return (states[:, None] // self.strides) % (self.n_cut + 1)
+        occ = np.empty((len(states), self.n_modes), dtype=np.int64, order="F")
+        for k, stride in enumerate(self.strides.tolist()):
+            np.remainder(states // stride, self.n_cut + 1, out=occ[:, k])
+        return occ
 
 
 @dataclass
@@ -139,35 +150,53 @@ def _reachable(terms: list, space: TruncatedFockSpace) -> np.ndarray:
 
 
 def _lowering_on(terms: list, space: TruncatedFockSpace, states: np.ndarray):
-    """Sparse A on ``states`` (sorted, closed under the pair moves), in one COO
-    pass, and the 1-norm of G = A - A^dag.
+    """Sparse A on ``states`` (sorted, closed under the pair moves), written
+    straight into CSR arrays, and the 1-norm of G = A - A^dag.
 
     Each A element lies above the diagonal (it lowers the index) and its
     partner -conj(c) in A^dag below it, so no two elements of G share a
-    position: a column of |G| sums to that column of |A| plus that row.
+    position: a column of |G| sums to that column of |A| plus that row.  A
+    counting pass keeps each term's rows and sums both by ``np.bincount``
+    in term order, as they summed over COO triplets; a fill pass then
+    writes the terms in ascending index step, so each row's columns come
+    out sorted, as scipy's conversion from COO triplets leaves them.
     """
     size = len(states)
     strides = space.strides
+    steps = [strides[p] + strides[q] for p, q, _ in terms]  # the index each term lowers by
     occ = space.occupations(states)
-    amps = [_pair_amplitude(occ, p, q) for p, q, _ in terms]
-    nnz = sum(np.count_nonzero(amp) for amp in amps)
-    rows = np.empty(nnz, dtype=np.int32)
-    cols = np.empty(nnz, dtype=np.int32)
-    vals = np.empty(nnz, dtype=complex)
     index = np.zeros(space.dimension, dtype=np.int32)  # a box state's position in states
     index[states] = np.arange(size, dtype=np.int32)
-    at = 0
-    for (p, q, c), amp in zip(terms, amps):
-        src = np.flatnonzero(amp)
-        span = slice(at, at + len(src))
-        rows[span] = index[states[src] - strides[p] - strides[q]]
-        cols[span] = src
-        vals[span] = c * amp[src]
-        at = span.stop
-    weight = np.abs(vals)
-    norm = float((np.bincount(cols, weight, size) + np.bincount(rows, weight, size)).max())
-    del occ, amps, index, weight  # the conversion below copies every element
-    return sp.csr_matrix((vals, (rows, cols)), shape=(size, size)), norm
+    runs = []  # each term's rows
+    col_sums, row_sums = np.zeros(size), np.zeros(size)
+    counts = np.zeros(size + 1, dtype=np.int32)
+    for (p, q, c), step in zip(terms, steps):
+        amp = _pair_amplitude(occ, p, q)
+        cols = np.flatnonzero(amp)
+        rows = index[states[cols] - step]
+        weight = np.abs(c * amp[cols])
+        col_sums += np.bincount(cols, weight, size)
+        row_sums += np.bincount(rows, weight, size)
+        counts[1:] += np.bincount(rows, minlength=size).astype(np.int32)
+        runs.append(rows)
+    norm = float((col_sums + row_sums).max())
+    del index, col_sums, row_sums
+    indptr = np.cumsum(counts, dtype=np.int32)
+    del counts
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1], dtype=complex)
+    fill = indptr[:-1].copy()  # the next free slot of each row
+    for t in np.argsort(steps):
+        p, q, c = terms[t]
+        rows = runs[t]
+        runs[t] = None  # each term's rows are dropped once written
+        amp = _pair_amplitude(occ, p, q)
+        cols = np.flatnonzero(amp)
+        at = fill[rows]
+        indices[at] = cols
+        data[at] = c * amp[cols]
+        fill[rows] = at + 1
+    return sp.csr_matrix((data, indices, indptr), shape=(size, size)), norm
 
 
 def _exponent_on(terms: list, space: TruncatedFockSpace, states: np.ndarray):
@@ -183,11 +212,15 @@ def _bessel_weights(radius: float) -> np.ndarray:
     K is the first order past ``radius`` where the tail bound
     2 (e radius / 2k)^k falls below 1e-17.  J_k comes from Miller's
     backward recurrence J_{k-1} = (2k / radius) J_k - J_{k+1}, started one
-    order past K and normalised by J_0 + 2 sum_k J_2k = 1.
+    order past K and normalised by J_0 + 2 sum_k J_2k = 1.  Where its start
+    2 (K + 1) / radius overflows, the weights are the vacuum limit
+    J_0 = 1, 2 J_1 = radius, exact far below rounding.
     """
     order = math.floor(radius) + 1
     while math.log(2.0) + order * math.log(math.e * radius / (2 * order)) >= math.log(1e-17):
         order += 1
+    if 2.0 * (order + 1) / radius == math.inf:
+        return np.array([1.0, radius])
     bessel = [0.0, 1.0]  # J_{K+2}, J_{K+1}, up to a common factor
     for k in range(order + 1, 0, -1):
         bessel.append(2.0 * k / radius * bessel[-1] - bessel[-2])
@@ -207,22 +240,26 @@ def _evolve_vacuum(lower, norm: float) -> np.ndarray:
     and e^G = e^{-iH} is a Chebyshev series in H / norm (Tal-Ezer and
     Kosloff).  With psi_k = (-i)^k T_k(H / norm) psi_0 the three-term
     recurrence reads psi_{k+1} = (2 / norm) G psi_k + psi_{k-1}, and G v is
-    A v - conj(A^T conj(v)), where A^T is a view: no matrix is copied.
+    A v - conj(A^T conj(v)), where A^T is a view: no matrix is copied.  A
+    norm so small that 2 / norm overflows leaves the series' first two
+    terms, 1 + G, exact far below rounding.
     """
     psi = np.zeros(lower.shape[0], dtype=complex)
     psi[0] = 1.0
     if norm == 0.0:
         return psi
-    weights = _bessel_weights(norm)
     transposed = lower.T  # a CSC view of A's arrays
 
-    def step(v: np.ndarray) -> np.ndarray:
-        """(2 / norm) G v"""
+    def step(v: np.ndarray, scale: float = 2.0 / norm) -> np.ndarray:
+        """scale G v"""
         out = lower @ v
         out -= (transposed @ v.conj()).conj()
-        out *= 2.0 / norm
+        out *= scale
         return out
 
+    if 2.0 / norm == math.inf:
+        return psi + step(psi, 1.0)
+    weights = _bessel_weights(norm)
     prev, cur = psi, 0.5 * step(psi)
     series = weights[0] * prev + weights[1] * cur
     for weight in weights[2:]:
@@ -251,32 +288,34 @@ def _expectation_matrix(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.array([[np.vdot(u, v) for v in right] for u in left])
 
 
-def _ladder_images(psi, occ, states, space: TruncatedFockSpace, n: int):
-    """a psi and b^dag psi, each stacked by mode, and the map that gives any
-    other one-step ladder image of psi, all on the reachable states' one-step
-    neighbours; the stacks are filled one mode row at a time."""
+def _ladder_stack(psi, occ, states, space: TruncatedFockSpace, ladders: list) -> np.ndarray:
+    """The one-step ladder images of psi, one row per ladder (k, raised):
+    a_k psi, or a_k^dag psi when raised, on just the states they land on.
+
+    Those states are numbered once by an int32 map over the box, which is
+    dropped before the stack is filled.
+    """
     strides = space.strides
-    marked = np.zeros(space.dimension, dtype=bool)
-    marked[states] = True
-    for k in range(space.n_modes):
-        marked[states[occ[:, k] > 0] - strides[k]] = True
-        marked[states[occ[:, k] < space.n_cut] + strides[k]] = True
-    index = np.cumsum(marked, dtype=np.int32) - 1  # a marked state's position among them
-    size = index[-1] + 1
 
-    def ladder(k: int, raised: bool) -> np.ndarray:
-        """a_k psi, or a_k^dag psi when ``raised``."""
+    def moved(k: int, raised: int):
+        """The reached states the ladder keeps, and the states it takes them to."""
         keep = occ[:, k] < space.n_cut if raised else occ[:, k] > 0
-        step = strides[k] if raised else -strides[k]
-        out = np.zeros(size, dtype=complex)
-        out[index[states[keep] + step]] = np.sqrt(occ[keep, k] + raised) * psi[keep]
-        return out
+        return keep, states[keep] + (strides[k] if raised else -strides[k])
 
-    images = np.empty((2, n, size), dtype=complex)
-    for k in range(n):
-        images[0, k] = ladder(k, False)
-        images[1, k] = ladder(k if space.n_modes == n else n + k, True)
-    return images, ladder
+    index = np.zeros(space.dimension, dtype=np.int32)
+    for ladder in ladders:
+        index[moved(*ladder)[1]] = 1
+    np.cumsum(index, out=index)  # one past a landing state's position among them
+    landings = []
+    for ladder in ladders:
+        keep, targets = moved(*ladder)
+        landings.append((keep, index[targets] - 1))
+    size = index[-1]
+    del index
+    stack = np.zeros((len(ladders), size), dtype=complex)
+    for row, ((k, raised), (keep, at)) in enumerate(zip(ladders, landings)):
+        stack[row, at] = np.sqrt(occ[keep, k] + raised) * psi[keep]
+    return stack
 
 
 def vacuum_statistics(xi: np.ndarray, space: TruncatedFockSpace) -> OracleReport:
@@ -299,10 +338,6 @@ def vacuum_statistics(xi: np.ndarray, space: TruncatedFockSpace) -> OracleReport
     shell = np.any((occ == top) & (top > 0), axis=1)
     bound = float(np.linalg.norm(psi[shell]))
 
-    (a_psi, bdag_psi), ladder = _ladder_images(psi, occ, states, space, n)
-    nbar = _expectation_matrix(a_psi, a_psi)
-    nbar_total = float(np.trace(nbar).real)
-
     # the number operators are diagonal: N psi is the occupation sum times psi
     na_psi = occ[:, :n].sum(axis=1) * psi
     nb_psi = na_psi if degenerate else occ[:, n:].sum(axis=1) * psi
@@ -311,25 +346,36 @@ def vacuum_statistics(xi: np.ndarray, space: TruncatedFockSpace) -> OracleReport
     number_variance = float(np.vdot(na_psi, na_psi).real) - mean_na ** 2
     number_covariance = float(np.vdot(na_psi, nb_psi).real) - mean_na * mean_nb
 
-    pair = _expectation_matrix(a_psi, bdag_psi)
-
-    # X1 psi and X2 psi overwrite the two stacks row by row: with u = a + b
-    # and w = a^dag + b^dag, X1 = (u + w)/2^{3/2} and X2 = -i (u - w)/2^{3/2}
-    # for two beams; single-beam, u = a and w = a^dag, and the scale is 1/2
+    # with u = a + b and w = a^dag + b^dag, X1 = (u + w)/2^{3/2} and
+    # X2 = -i (u - w)/2^{3/2} for two beams; single-beam, u = a and
+    # w = a^dag, and the scale is 1/2.  Two beams conserve N_a - N_b, so
+    # u psi and w psi each split into a part that lowers it (a psi and
+    # b^dag psi) and a part that raises it (b psi and a^dag psi), which land
+    # on disjoint states and are stacked one after the other
+    modes = range(n)
+    if degenerate:
+        parts = [([(k, 0) for k in modes], [(k, 1) for k in modes])]
+    else:
+        parts = [([(k, 0) for k in modes], [(n + k, 1) for k in modes]),
+                 ([(n + k, 0) for k in modes], [(k, 1) for k in modes])]
     scale = 0.5 if degenerate else 2.0 ** -1.5
-    for k in range(n):
-        u, w = a_psi[k], bdag_psi[k]
-        if not degenerate:
-            u += ladder(n + k, False)
-            w += ladder(k, True)
-        x2 = u - w
-        u += w
-        u *= scale
-        np.multiply(-1j * scale, x2, out=w)
-    x1_psi, x2_psi = a_psi, bdag_psi
-    v1 = _expectation_matrix(x1_psi, x1_psi)
-    v2 = _expectation_matrix(x2_psi, x2_psi)
-    cross = _expectation_matrix(x1_psi, x2_psi)
+    v1, v2, cross = (np.zeros((n, n), dtype=complex) for _ in range(3))
+    for number, (u_part, w_part) in enumerate(parts):
+        stack = _ladder_stack(psi, occ, states, space, u_part + w_part)
+        u, w = stack[:n], stack[n:]
+        if number == 0:  # a psi and b^dag psi
+            nbar = _expectation_matrix(u, u)
+            pair = _expectation_matrix(u, w)
+        # X1 psi and X2 psi overwrite the stack row by row
+        for k in modes:
+            x2 = u[k] - w[k]
+            u[k] += w[k]
+            u[k] *= scale
+            np.multiply(-1j * scale, x2, out=w[k])
+        v1 += _expectation_matrix(u, u)
+        v2 += _expectation_matrix(w, w)
+        cross += _expectation_matrix(u, w)
+        del stack, u, w, x2  # before the next part's stack is filled
     cov = cross.real  # 1/2 (<X1 X2~> + <X2 X1~>^T) elementwise
 
     return OracleReport(
@@ -338,7 +384,7 @@ def vacuum_statistics(xi: np.ndarray, space: TruncatedFockSpace) -> OracleReport
         var_X2=v2,
         cross_cov=cov,
         nbar_matrix=nbar,
-        nbar_total=nbar_total,
+        nbar_total=float(np.trace(nbar).real),
         number_variance=number_variance,
         number_covariance=number_covariance,
         pair_matrix=pair,

@@ -753,6 +753,21 @@ class TestCli:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "oracle_agreement.json" in manifest["outputs"]
 
+    def test_subnormal_seed_gain_oracle_run_reads_the_vacuum(self, tmp_path):
+        # a gain of 1e-322 gives the oracle an exponent whose 1-norm is
+        # subnormal, so 2 / norm overflows; the run must still compare finite
+        # numbers, print no warning and exit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli_main([
+                "--scenario", "PsrSinglePhoton", "--lmax", "0", "--pmax", "0",
+                "--seed-gain", "1e-322", "--out", str(tmp_path), "--oracle", "--quiet",
+            ])
+        assert rc == 0
+        agreement = json.loads((tmp_path / "oracle_agreement.json").read_text())
+        assert agreement["within_bound"]
+        assert agreement["truncation_bound"] == agreement["max_deviation"] == 0.0
+
     def test_two_beam_run_with_oracle(self, tmp_path):
         rc = cli_main([
             "--scenario", "FwmTwoPhoton", "--lmax", "0", "--pmax", "2",

@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.special
 from scipy.sparse.csgraph import breadth_first_order
 
@@ -15,6 +17,7 @@ from lgsqueeze.fock_oracle import (
     _evolve_vacuum,
     _exponent_on,
     _lowering_on,
+    _pair_amplitude,
     _pair_terms,
     _reachable,
     build_hamiltonian_exponent,
@@ -146,6 +149,58 @@ def propagated(xi, space):
     return _evolve_vacuum(*_lowering_on(_pair_terms(xi, space), space, states))
 
 
+def three_mode_draw():
+    """The 3-mode, cut-8 two-beam draw: 32661 of 531441 states reached."""
+    return random_symmetric(np.random.default_rng(5), 3, scale=0.4), TruncatedFockSpace(6, 8)
+
+
+def lowering_from_coo(terms, space, states):
+    """A on ``states`` built from COO triplets by scipy, and the 1-norm of
+    G = A - A^dag from the triplets' column and row sums."""
+    occ = space.occupations(states)
+    index = np.zeros(space.dimension, dtype=np.int64)
+    index[states] = np.arange(len(states))
+    rows, cols, vals = [], [], []
+    for p, q, c in terms:
+        amp = _pair_amplitude(occ, p, q)
+        src = np.flatnonzero(amp)
+        rows.append(index[states[src] - space.strides[p] - space.strides[q]])
+        cols.append(src)
+        vals.append(c * amp[src])
+    rows, cols, vals = (np.concatenate(part) for part in (rows, cols, vals))
+    size = len(states)
+    weight = np.abs(vals)
+    norm = (np.bincount(cols, weight, size) + np.bincount(rows, weight, size)).max()
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(size, size)), norm
+
+
+class TestLowering:
+    @staticmethod
+    def assert_same_as_coo(xi, space, states):
+        terms = _pair_terms(np.asarray(xi, dtype=complex), space)
+        lower, norm = _lowering_on(terms, space, states)
+        expected, expected_norm = lowering_from_coo(terms, space, states)
+        # the same arrays bit for bit, so every product with a vector, and
+        # the Chebyshev sums over them, add in the same order
+        assert lower.has_canonical_format
+        assert np.array_equal(lower.indptr, expected.indptr)
+        assert np.array_equal(lower.indices, expected.indices)
+        assert np.array_equal(lower.data, expected.data)
+        assert norm == expected_norm
+
+    @FULL_BOX_CASES
+    def test_matches_the_coo_built_matrix(self, xi, space):
+        terms = _pair_terms(np.asarray(xi, dtype=complex), space)
+        self.assert_same_as_coo(xi, space, _reachable(terms, space))
+        self.assert_same_as_coo(xi, space, np.arange(space.dimension, dtype=np.int64))
+
+    def test_matches_the_coo_built_matrix_on_the_three_mode_draw(self):
+        xi, space = three_mode_draw()
+        states = _reachable(_pair_terms(np.asarray(xi, dtype=complex), space), space)
+        assert len(states) == 32661
+        self.assert_same_as_coo(xi, space, states)
+
+
 class TestPropagator:
     @FULL_BOX_CASES
     def test_matches_a_dense_exponential(self, xi, space):
@@ -185,6 +240,11 @@ class TestPropagator:
         expected[1:] *= 2.0
         assert np.abs(weights - expected).max() < 5e-14
 
+    def test_a_subnormal_radius_gives_the_vacuum_limit_weights(self):
+        # Miller's start 2 (K + 1) / radius overflows below about 2.2e-308;
+        # e^{-i radius x} is then 1 - i radius x to far below rounding
+        assert np.array_equal(_bessel_weights(1e-310), [1.0, 1e-310])
+
     def test_leaves_the_global_random_state_alone(self):
         # no oracle call may move numpy's global RNG; scipy's expm_multiply
         # did at 1-norms past about 63 (this one is 358), through onenormest
@@ -201,6 +261,19 @@ class TestVacuumStatistics:
         assert np.allclose(rep.var_X1, np.eye(2) / 4, atol=1e-14)
         assert rep.nbar_total == pytest.approx(0.0, abs=1e-14)
         assert rep.truncation_bound == pytest.approx(0.0, abs=1e-14)
+
+    def test_a_subnormal_exponent_gives_the_vacuum_limit(self):
+        # 2 / norm overflows for this exponent; the state is then 1 + G on
+        # the vacuum, and no statistic may turn NaN or print a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = vacuum_statistics(np.array([[1e-310]]), TruncatedFockSpace(1, 4))
+        assert rep.scalar_var == (0.25, 0.25)
+        assert rep.var_X1[0, 0] == rep.var_X2[0, 0] == 0.25
+        assert rep.cross_cov[0, 0] == 0.0
+        assert rep.nbar_total == rep.number_variance == rep.truncation_bound == 0.0
+        # <a psi | a^dag psi> = -2 xi to first order, on a subnormal xi
+        assert rep.pair_matrix[0, 0] == pytest.approx(-2e-310, rel=1e-9)
 
     def test_single_mode_photon_number(self):
         rep = vacuum_statistics(np.array([[0.5]]), TruncatedFockSpace(2, 8))
@@ -274,20 +347,22 @@ class TestVacuumStatistics:
         restricted = gen[states][:, states]
         assert (_exponent_on(terms, space, states) != restricted).nnz == 0
 
-    def test_three_mode_draw_holds_at_most_23_mb(self):
-        # a 3-mode, cut-8 two-beam draw reaches 32661 of 531441 states, with
-        # 97245 one-step neighbours.  The peak (19.0 MB) is the two ladder
-        # stacks, 2 x 3 x 97245 x 16 B, while X1 psi and X2 psi overwrite
-        # them; A's elements and their CSR copy come next (16.7 MB).  Holding
-        # the full exponent and the copies expm_multiply made took it to 33.1 MB
-        xi = random_symmetric(np.random.default_rng(5), 3, scale=0.4)
+    def test_three_mode_draw_holds_at_most_11_5_mb(self):
+        # a 3-mode, cut-8 two-beam draw reaches 32661 of 531441 states.  The
+        # peak (9.4 MB) is the fill of A's CSR arrays (4.9 MB), with each
+        # term's rows and the occupations beside them; the Chebyshev sum (A
+        # and a few state vectors) and each of the two ladder-image stacks
+        # (6 x 32292 x 16 B) hold less.  A COO copy of A and two stacks on
+        # every one-step neighbour took it to 19.0 MB, and the copies
+        # expm_multiply made to 33.1 MB
+        xi, space = three_mode_draw()
         tracemalloc.start()
         try:
-            vacuum_statistics(xi, TruncatedFockSpace(6, 8))
+            vacuum_statistics(xi, space)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 23e6, peak
+        assert peak <= 11.5e6, peak
 
     def test_truncation_bound_reads_the_highest_reached_shell(self):
         # photon parity keeps a degenerate single mode off an odd cut: the
