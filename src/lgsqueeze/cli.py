@@ -41,14 +41,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _oracle_check(result) -> dict:
+def _oracle_check(result):
+    """The ``oracle_agreement`` summary of a run, and why it fails (None if it passes)."""
     from .coupling import InteractionType
-    from .fock_oracle import DIMENSION_GUARD, TruncatedFockSpace, vacuum_statistics
+    from .fock_oracle import (DIMENSION_GUARD, ORACLE_CAP, TruncatedFockSpace, deviations,
+                              vacuum_statistics)
     from .squeeze_core import VACUUM_VARIANCE, degenerate_statistics
 
     sq = result.squeeze
     n = sq.size
-    degenerate = sq.interaction is InteractionType.DEGENERATE_SINGLE_BEAM
+    single_beam = sq.interaction is InteractionType.DEGENERATE_SINGLE_BEAM
     # modes xi leaves out stay in vacuum and factor off the state exactly, so
     # the oracle runs on the coupled ones, at the deepest cut the state-vector
     # guard allows for their count; a zero xi keeps every mode
@@ -56,37 +58,33 @@ def _oracle_check(result) -> dict:
     if not coupled.size:
         coupled = np.arange(n)
     block = np.ix_(coupled, coupled)
-    n_modes = len(coupled) * (1 if degenerate else 2)
+    n_modes = len(coupled) * (1 if single_beam else 2)
     n_cut = min(300, int(DIMENSION_GUARD ** (1.0 / n_modes)) - 1)
     oracle = vacuum_statistics(sq.xi[block], TruncatedFockSpace(n_modes, n_cut))
 
     # the idle modes' exact values: vacuum quadrature variance, no photons, no pairs
-    idle = {"var_X1": VACUUM_VARIANCE, "var_X2": VACUUM_VARIANCE,
-            "nbar_matrix": 0.0, "pair_matrix": 0.0}
-    full = {}
-    for name, value in idle.items():
-        full[name] = value * np.eye(n, dtype=complex)
+    idle = VACUUM_VARIANCE * (n - len(coupled))
+    full = {"scalar_var": tuple(total + idle for total in oracle.scalar_var)}
+    for name in ("var_X1", "var_X2", "cross_cov", "nbar_matrix", "pair_matrix"):
+        full[name] = np.eye(n, dtype=complex) * (VACUUM_VARIANCE if name[:3] == "var" else 0.0)
         full[name][block] = getattr(oracle, name)
-    rep = degenerate_statistics(sq) if degenerate else result.report
-    # (key, oracle value, closed-form value); each deviation is scaled by the
-    # closed-form value where that exceeds 1
-    compared = [
-        ("var_X1", full["var_X1"], rep.var_X1),
-        ("var_X2", full["var_X2"], rep.var_X2),
-        ("nbar_matrix", full["nbar_matrix"], rep.nbar_matrix),
-        ("pair_modulus", np.abs(full["pair_matrix"]), np.abs(rep.pair_matrix)),
-        ("nbar_total", oracle.nbar_total, rep.nbar_total),
-        ("number_variance", oracle.number_variance, rep.number_variance),
-    ]
-    deviations = {key: float(np.abs(brute - closed).max() / max(1.0, np.abs(closed).max()))
-                  for key, brute, closed in compared}
-    worst = max(deviations.values())
-    return {
-        "truncation_bound": oracle.truncation_bound,
-        "max_deviation": worst,
-        "deviations": deviations,
-        "within_bound": worst <= max(oracle.truncation_bound, 1e-9),
+    rep = degenerate_statistics(sq) if single_beam else result.report
+    # each deviation is scaled by the closed-form value where that exceeds 1
+    scaled = {name: deviation / max(1.0, float(np.abs(getattr(rep, name)).max()))
+              for name, deviation in deviations(replace(oracle, **full), rep, single_beam).items()}
+    worst = max(scaled, key=scaled.get)
+    bound = oracle.truncation_bound
+    agreement = {
+        "truncation_bound": bound,
+        "max_deviation": scaled[worst],
+        "deviations": scaled,
+        "within_bound": bound <= ORACLE_CAP and scaled[worst] <= max(bound, 1e-9),
     }
+    failure = None if agreement["within_bound"] else (
+        f"--oracle: {worst} deviates from the truncated-Fock oracle by {scaled[worst]:.3g}, "
+        f"against its truncation bound {bound:.3g} (accepted up to {ORACLE_CAP:g}); a lower "
+        "n_target or a smaller basis brings the state within the oracle's cut")
+    return agreement, failure
 
 
 def _json_int(text: str):
@@ -129,9 +127,12 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         result = run_scenario(cfg)
         wall = time.perf_counter() - start
+        failure = None
         if args.oracle:
-            result.oracle_agreement = _oracle_check(result)
+            result.oracle_agreement, failure = _oracle_check(result)
         files = emit_result(result, cfg, out_dir, wall_time_s=wall)
+        if failure:  # the files are written for a look at the deviations
+            raise ValueError(failure)
     except FieldError as exc:  # set by a flag, or a seed gain the run refused
         flags = {"name": "--scenario", "basis.ell_max": "--lmax", "basis.p_max": "--pmax",
                  "seed_gain": "seed_gain" if args.seed_gain is None else "--seed-gain"}

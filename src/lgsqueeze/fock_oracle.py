@@ -23,7 +23,7 @@ comparisons against closed forms can be judged honestly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 # Eager on purpose.  Imported lazily, scipy.sparse cut paper-suite setup_s
@@ -43,9 +43,11 @@ __all__ = [
     "OracleReport",
     "build_hamiltonian_exponent",
     "vacuum_statistics",
+    "deviations",
 ]
 
 DIMENSION_GUARD = 600_000
+ORACLE_CAP = 1e-3  # the largest truncation bound a comparison accepts
 
 
 @dataclass
@@ -104,6 +106,10 @@ class OracleReport:
     truncation_bound: float
 
 
+# the statistics ``deviations`` compares: every field but the truncation bound
+COMPARED_FIELDS = tuple(f.name for f in fields(OracleReport) if f.name != "truncation_bound")
+
+
 def _pair_terms(xi: np.ndarray, space: TruncatedFockSpace) -> list:
     """Nonzero terms ``(p, q, c)`` of A with the exponent G = A - A^dag.
 
@@ -131,21 +137,28 @@ def _pair_amplitude(occ: np.ndarray, p: int, q: int) -> np.ndarray:
 
 
 def _reachable(terms: list, space: TruncatedFockSpace) -> np.ndarray:
-    """Sorted indices of the states the pair moves connect to the vacuum."""
+    """Sorted indices of the states the pair moves connect to the vacuum.
+
+    Each breadth-first level comes from the frontier's moves alone: every
+    unseen candidate is marked in ``seen`` with its position, and a state
+    moved to twice is kept where its mark stuck.
+    """
     strides = space.strides
-    seen = np.zeros(space.dimension, dtype=bool)
-    seen[0] = True
+    seen = np.zeros(space.dimension, dtype=np.int32)  # 0 until a state is reached
+    seen[0] = -1
     frontier = np.zeros(1, dtype=np.int64)
     while terms and frontier.size:
         occ = space.occupations(frontier)
-        level = np.zeros(space.dimension, dtype=bool)  # the next breadth-first level
+        moves = []
         for p, q, _ in terms:
             step = strides[p] + strides[q]
             up = (occ[:, p] + 1 + (p == q) <= space.n_cut) & (occ[:, q] < space.n_cut)
-            level[frontier[_pair_amplitude(occ, p, q) > 0] - step] = True
-            level[frontier[up] + step] = True
-        frontier = np.flatnonzero(level & ~seen)
-        seen[frontier] = True
+            moves += [frontier[_pair_amplitude(occ, p, q) > 0] - step, frontier[up] + step]
+        candidates = np.concatenate(moves)
+        fresh = candidates[seen[candidates] == 0]
+        marks = np.arange(1, fresh.size + 1, dtype=np.int32)
+        seen[fresh] = marks  # one of a repeated state's marks sticks
+        frontier = fresh[seen[fresh] == marks]
     return np.flatnonzero(seen)
 
 
@@ -390,3 +403,21 @@ def vacuum_statistics(xi: np.ndarray, space: TruncatedFockSpace) -> OracleReport
         pair_matrix=pair,
         truncation_bound=bound,
     )
+
+
+def deviations(oracle: OracleReport, report, single_beam: bool) -> dict:
+    """The largest |oracle - closed form| of every statistic the oracle measures.
+
+    ``report`` holds the closed forms of the same matrix under the oracle's
+    field names (a ``squeeze_core.StateReport``).  A single-beam report
+    (``degenerate_statistics``) keeps the oracle's conventions.  A two-beam
+    one (``state_report``) holds the published cross-covariance, twice the
+    symmetrized moment the oracle measures, and the pair matrix
+    1/2 P^dag sinh(2R), the negative of <a b> under this exponent.
+    """
+    factors = {} if single_beam else {"cross_cov": 2.0, "pair_matrix": -1.0}
+    return {
+        name: float(np.abs(factors.get(name, 1.0) * np.asarray(getattr(oracle, name))
+                           - getattr(report, name)).max())
+        for name in COMPARED_FIELDS
+    }

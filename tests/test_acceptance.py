@@ -13,7 +13,7 @@ import pytest
 
 from conftest import random_normal_symmetric, random_symmetric
 from lgsqueeze.coupling import InteractionType, assemble_squeeze_matrix
-from lgsqueeze.fock_oracle import TruncatedFockSpace, vacuum_statistics
+from lgsqueeze.fock_oracle import ORACLE_CAP, TruncatedFockSpace, deviations, vacuum_statistics
 from lgsqueeze.modes import BeamGeometry, ModeIndex, build_basis, transverse_inner_product
 from lgsqueeze.scenarios import default_config, run_scenario
 from lgsqueeze.squeeze_core import (
@@ -49,23 +49,9 @@ def test_criterion_1_oracle_equivalence():
         sq = SqueezeMatrix(xi=xi, basis=None, interaction=TWO_BEAM)
         rep = state_report(sq)
         oracle = vacuum_statistics(xi, TruncatedFockSpace(2 * n, 8))
-        tol = min(max(oracle.truncation_bound, 1e-12), 1e-3)
-        deviations = [
-            abs(oracle.scalar_var[0] - rep.scalar_var[0]),
-            abs(oracle.scalar_var[1] - rep.scalar_var[1]),
-            np.abs(oracle.var_X1 - rep.var_X1).max(),
-            np.abs(oracle.var_X2 - rep.var_X2).max(),
-            # the published cross-covariance convention is twice the
-            # symmetrized second moment
-            np.abs(2.0 * oracle.cross_cov - rep.cross_cov).max(),
-            np.abs(oracle.nbar_matrix - rep.nbar_matrix).max(),
-            abs(oracle.number_variance - rep.number_variance),
-            abs(oracle.number_covariance - rep.number_covariance),
-            # the closed-form pair matrix is the negative of the direct
-            # expectation under this exponent convention; moduli identical
-            np.abs(oracle.pair_matrix + rep.pair_matrix).max(),
-        ]
-        worst = max(worst, max(deviations) / tol)
+        tol = min(max(oracle.truncation_bound, 1e-12), ORACLE_CAP)
+        deviation = max(deviations(oracle, rep, single_beam=False).values())
+        worst = max(worst, deviation / tol)
     elapsed = time.perf_counter() - start
     _verdict(
         "criterion 1 (oracle equivalence)",

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -17,6 +18,7 @@ import pytest
 import lgsqueeze
 from lgsqueeze.cli import main as cli_main
 from lgsqueeze.coupling import CouplingConfig
+from lgsqueeze.fock_oracle import COMPARED_FIELDS
 from lgsqueeze.report_io import (
     _ATTRIBUTE,
     _TABLES,
@@ -43,6 +45,17 @@ LONG_INTEGER = "<4401-digit integer>"
 # keys a config once took and no longer does
 REMOVED_KEYS = ("chi_profile", "gain_scale", "medium", "rayleigh_zR", "strength")
 PSR_RAYLEIGH = default_config("PsrSinglePhoton").coupling.collection.rayleigh_zR
+# a single-beam state past the oracle's cut: 3 modes at n_target 2.66
+PSR_OUT_OF_CUT = {
+    "scenario": "PsrSinglePhoton", "basis": {"ell_max": 1, "p_max": 0},
+    "convergence_check": False, "n_target": 2.6645114782104375,
+    "coupling": {"pump": {"coefficients": {
+        "re": [0.7013084337165251, -0.3293988135623379, 0.09903412119212711],
+        "im": [-0.22587167745282133, 0.06204588697882083, -0.5787809935503772]}}},
+}
+ORACLE_REFUSAL = (r"error: --oracle: \w+ deviates from the truncated-Fock oracle by \S+, against "
+                  r"its truncation bound \S+ \(accepted up to 0.001\); a lower n_target or a "
+                  r"smaller basis brings the state within the oracle's cut\n")
 
 
 class TestConfigParsing:
@@ -749,7 +762,10 @@ class TestCli:
         assert rc == 0
         agreement = json.loads((tmp_path / "oracle_agreement.json").read_text())
         assert agreement["within_bound"]
-        jsonschema.validate(agreement, load_schema("oracle_agreement.schema.json"))
+        schema = load_schema("oracle_agreement.schema.json")
+        jsonschema.validate(agreement, schema)
+        # every statistic the oracle measures is compared, each by its own name
+        assert schema["properties"]["deviations"]["required"] == sorted(COMPARED_FIELDS)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "oracle_agreement.json" in manifest["outputs"]
 
@@ -769,13 +785,44 @@ class TestCli:
         assert agreement["truncation_bound"] == agreement["max_deviation"] == 0.0
 
     def test_two_beam_run_with_oracle(self, tmp_path):
+        # 2 modes, 4 oscillators at cut 26: a bound of 4.4e-5
         rc = cli_main([
-            "--scenario", "FwmTwoPhoton", "--lmax", "0", "--pmax", "2",
+            "--scenario", "PdcBenchmark", "--lmax", "0", "--pmax", "1",
             "--out", str(tmp_path), "--oracle", "--quiet",
         ])
         assert rc == 0
         agreement = json.loads((tmp_path / "oracle_agreement.json").read_text())
         assert agreement["within_bound"]
+        assert agreement["max_deviation"] <= agreement["truncation_bound"] < 1e-3
+
+    @pytest.mark.parametrize("scenario", ["FwmTwoPhoton", "PsrPCrosstalk"])
+    def test_two_beam_oracle_bound_over_the_cap_exits_2(self, tmp_path, capsys, scenario):
+        # 3 modes, 6 oscillators at cut 8: a bound of 8.4e-2, so a deviation
+        # of 4.8e-2 under it says little; the files are still written
+        rc = cli_main([
+            "--scenario", scenario, "--lmax", "0", "--pmax", "2",
+            "--out", str(tmp_path), "--oracle", "--quiet",
+        ])
+        assert rc == 2
+        assert re.fullmatch(ORACLE_REFUSAL, capsys.readouterr().err)
+        agreement = json.loads((tmp_path / "oracle_agreement.json").read_text())
+        assert not agreement["within_bound"] and agreement["truncation_bound"] > 1e-3
+        assert (tmp_path / "report.json").is_file()
+
+    def test_oracle_deviation_past_its_bound_exits_2(self, tmp_path, capsys):
+        # 21.5 photons in the single beam of a 3-mode PSR run: the oracle's
+        # cut of 83 is too low, and var_X1 deviates by 0.110 against a bound
+        # of 0.060
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(PSR_OUT_OF_CUT))
+        rc = cli_main(["--config", str(path), "--out", str(tmp_path / "o"), "--oracle",
+                       "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(ORACLE_REFUSAL, err) and "var_X1 deviates" in err, err
+        agreement = json.loads((tmp_path / "o" / "oracle_agreement.json").read_text())
+        assert agreement["max_deviation"] > agreement["truncation_bound"]
+        assert not agreement["within_bound"]
 
     def test_oracle_rejects_large_basis(self, tmp_path, capsys):
         rc = cli_main([

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from conftest import random_symmetric
 from lgsqueeze.coupling import InteractionType
 from lgsqueeze.fock_oracle import (
+    COMPARED_FIELDS,
     TruncatedFockSpace,
     _bessel_weights,
     _evolve_vacuum,
@@ -21,6 +23,7 @@ from lgsqueeze.fock_oracle import (
     _pair_terms,
     _reachable,
     build_hamiltonian_exponent,
+    deviations,
     vacuum_statistics,
 )
 from lgsqueeze.squeeze_core import (
@@ -39,9 +42,23 @@ FULL_BOX_CASES = pytest.mark.parametrize("xi, space", [
     (np.array([[0.3, 0.2], [0.2, 0.0]]), TruncatedFockSpace(4, 3)),
 ], ids=["two-beam", "degenerate-two-mode", "degenerate-odd-cut", "two-beam-sparse"])
 
-REPORT_FIELDS = ("scalar_var", "var_X1", "var_X2", "cross_cov", "nbar_matrix",
-                 "nbar_total", "number_variance", "number_covariance",
-                 "pair_matrix", "truncation_bound")
+REPORT_FIELDS = (*COMPARED_FIELDS, "truncation_bound")
+
+
+def agreement_case(single_beam: bool):
+    """An oracle report, the closed forms of the same matrix and the tolerance
+    they agree to: a two-mode draw, two-beam or single-beam."""
+    if single_beam:
+        xi = random_symmetric(np.random.default_rng(2), 2, scale=0.28)
+        rep = degenerate_statistics(SqueezeMatrix(
+            xi=xi, basis=None, interaction=InteractionType.DEGENERATE_SINGLE_BEAM))
+        oracle = vacuum_statistics(xi, TruncatedFockSpace(2, 24))
+        return oracle, rep, max(oracle.truncation_bound, 1e-8)
+    xi = random_symmetric(np.random.default_rng(1), 2, scale=0.45)
+    rep = state_report(SqueezeMatrix(xi=xi, basis=None,
+                                     interaction=InteractionType.FULL_CROSSTALK))
+    oracle = vacuum_statistics(xi, TruncatedFockSpace(4, 10))
+    return oracle, rep, max(oracle.truncation_bound, 1e-9)
 
 
 def full_box_statistics(xi, space):
@@ -280,21 +297,9 @@ class TestVacuumStatistics:
         assert rep.nbar_total == pytest.approx(math.sinh(0.5) ** 2, abs=1e-4)
 
     def test_two_mode_agreement_with_closed_forms(self):
-        rng = np.random.default_rng(1)
-        xi = random_symmetric(rng, 2, scale=0.45)
-        sq = SqueezeMatrix(xi=xi, basis=None, interaction=InteractionType.FULL_CROSSTALK)
-        rep = state_report(sq)
-        oracle = vacuum_statistics(xi, TruncatedFockSpace(4, 10))
-        tol = max(oracle.truncation_bound, 1e-9)
-        assert np.abs(oracle.var_X1 - rep.var_X1).max() < tol
-        assert np.abs(oracle.var_X2 - rep.var_X2).max() < tol
-        assert np.abs(oracle.nbar_matrix - rep.nbar_matrix).max() < tol
-        assert abs(oracle.number_variance - rep.number_variance) < tol
-        # sign convention: the closed-form pair matrix is the negative of the
-        # direct expectation under this exponent; moduli agree
-        assert np.abs(oracle.pair_matrix + rep.pair_matrix).max() < tol
-        # the published cross-covariance is twice the symmetrized moment
-        assert np.abs(2.0 * oracle.cross_cov - rep.cross_cov).max() < tol
+        oracle, rep, tol = agreement_case(single_beam=False)
+        found = deviations(oracle, rep, single_beam=False)
+        assert max(found.values()) < tol, found
 
     def test_degenerate_parameter_doubling(self):
         # a degenerate squeezer with matrix entry sigma behaves as a
@@ -307,19 +312,23 @@ class TestVacuumStatistics:
         )
 
     def test_degenerate_agreement_with_takagi_forms(self):
-        rng = np.random.default_rng(2)
-        xi = random_symmetric(rng, 2, scale=0.28)
-        sq = SqueezeMatrix(xi=xi, basis=None,
-                           interaction=InteractionType.DEGENERATE_SINGLE_BEAM)
-        rep = degenerate_statistics(sq)
-        oracle = vacuum_statistics(xi, TruncatedFockSpace(2, 24))
-        tol = max(oracle.truncation_bound, 1e-8)
-        assert np.abs(oracle.var_X1 - rep.var_X1).max() < tol
-        assert np.abs(oracle.var_X2 - rep.var_X2).max() < tol
-        assert np.abs(oracle.cross_cov - rep.cross_cov).max() < tol
-        assert np.abs(oracle.nbar_matrix - rep.nbar_matrix).max() < tol
-        assert np.abs(oracle.pair_matrix - rep.pair_matrix).max() < tol
-        assert abs(oracle.number_variance - rep.number_variance) < tol
+        oracle, rep, tol = agreement_case(single_beam=True)
+        found = deviations(oracle, rep, single_beam=True)
+        assert max(found.values()) < tol, found
+
+    @pytest.mark.parametrize("single_beam", [False, True], ids=["two-beam", "single-beam"])
+    @pytest.mark.parametrize("name, slip", [
+        ("pair_matrix", lambda pair: -pair),
+        ("cross_cov", lambda cov: 0.5 * cov),
+    ], ids=["pair-matrix-negated", "cross-cov-halved"])
+    def test_a_closed_form_off_by_a_convention_fails(self, single_beam, name, slip):
+        # a check on the pair moduli alone, or one that skips cross_cov,
+        # passes both slips
+        oracle, rep, tol = agreement_case(single_beam)
+        slipped = replace(rep, **{name: slip(getattr(rep, name))})
+        found = deviations(oracle, slipped, single_beam)
+        assert found[name] > 100 * tol
+        assert max(value for key, value in found.items() if key != name) < tol
 
     @FULL_BOX_CASES
     def test_matches_full_space_brute_force(self, xi, space):
