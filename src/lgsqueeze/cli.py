@@ -99,7 +99,7 @@ def _json_int(text: str):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
-    from .report_io import emit_result, scenario_config_from_dict
+    from .report_io import emit_result, report_to_dict, scenario_config_from_dict
     from .scenarios import (FieldError, coupling_on_basis, default_config, run_scenario,
                             scenario_basis)
 
@@ -129,6 +129,7 @@ def main(argv=None) -> int:
         wall = time.perf_counter() - start
         failure = None
         if args.oracle:
+            report_to_dict(result.report)  # a non-finite report is refused before the oracle
             result.oracle_agreement, failure = _oracle_check(result)
         files = emit_result(result, cfg, out_dir, wall_time_s=wall)
         if failure:  # the files are written for a look at the deviations

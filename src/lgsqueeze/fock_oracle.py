@@ -6,18 +6,22 @@ two-beam exponent conserves N_a - N_b, and a degenerate one only reaches
 the occupations its nonzero pair terms connect.  The oracle finds those
 states by a breadth-first search over the pair moves (creation and
 annihilation) and builds the exponent's lowering half A on them as one
-sparse matrix; the exponent is G = A - A^dag.  The vacuum vector evolves
-under a Chebyshev series of e^G (Tal-Ezer and Kosloff), summed by products
-of A and of a transposed view of it with a vector: it holds three state
-vectors and copies no matrix.  A is written straight into CSR arrays, so no
-COO copy of it is held.  Every statistic is then a direct expectation value
-on the reached set and the states one ladder step away.  Two beams conserve
-N_a - N_b, so those ladder images split into a part that lowers it and a
-part that raises it, on disjoint states; one stack of a part's images is
-held at a time, on just the states they land on.  Feasible only for a
-handful of modes; each result carries a truncation-error estimate (the
-amplitude on the highest occupation each excited mode reaches) so
-comparisons against closed forms can be judged honestly.
+sparse matrix; the exponent is G = A - A^dag.  A pair move changes the
+pair grade floor(N / 2) by one, so G only links states of even grade to
+states of odd grade; A numbers the even ones first and splits into its two
+off-diagonal blocks.  The vacuum vector evolves under a Chebyshev series of
+e^G (Tal-Ezer and Kosloff), whose k-th term lives on the grade of k's
+parity: each product works on one block and a transposed view of the other
+with a half-length vector, and no matrix is copied.  A is written straight
+into CSR arrays, so no COO copy of it is held.  Every statistic is then a
+direct expectation value on the reached set and the states one ladder step
+away.  Two beams conserve N_a - N_b, so those ladder images split into a
+part that lowers it and a part that raises it, on disjoint states; one
+stack of a part's images is held at a time, on just the states they land
+on.  Feasible only for a handful of modes; each result carries a
+truncation-error estimate (the amplitude on the highest occupation each
+excited mode reaches) so comparisons against closed forms can be judged
+honestly.
 """
 
 from __future__ import annotations
@@ -162,59 +166,83 @@ def _reachable(terms: list, space: TruncatedFockSpace) -> np.ndarray:
     return np.flatnonzero(seen)
 
 
-def _lowering_on(terms: list, space: TruncatedFockSpace, states: np.ndarray):
-    """Sparse A on ``states`` (sorted, closed under the pair moves), written
-    straight into CSR arrays, and the 1-norm of G = A - A^dag.
+def _lowering_on(terms: list, space: TruncatedFockSpace, states: np.ndarray,
+                 occ: np.ndarray):
+    """Sparse A on ``states`` (sorted, closed under the pair moves, with
+    occupations ``occ``), written straight into CSR arrays in grade order;
+    the 1-norm of G = A - A^dag; each sorted position's place in that
+    order; and the count of states of even pair grade floor(N / 2), which
+    come first, each grade in state order.
 
-    Each A element lies above the diagonal (it lowers the index) and its
-    partner -conj(c) in A^dag below it, so no two elements of G share a
+    A pair move changes the total photon number N by two, so it changes the
+    grade by one: both diagonal blocks of A in grade order are empty.  Each
+    A element takes its column's state to a lower one and its partner
+    -conj(c) in A^dag the other way, so no two elements of G share a
     position: a column of |G| sums to that column of |A| plus that row.  A
-    counting pass keeps each term's rows and sums both by ``np.bincount``
-    in term order, as they summed over COO triplets; a fill pass then
-    writes the terms in ascending index step, so each row's columns come
-    out sorted, as scipy's conversion from COO triplets leaves them.
+    counting pass keeps each term's rows and sums both by ``np.bincount`` in
+    term order, as they summed over COO triplets; a fill pass then writes
+    the terms in ascending index step, with each row's next free slot kept
+    in ``indptr`` itself.  A row's columns all have the other grade, in
+    which grade order is state order, so they come out sorted, as scipy's
+    conversion from COO triplets leaves them; they are written as sorted
+    positions and renumbered once each term's rows are dropped.  A
+    non-finite 1-norm raises ValueError before the fill.
     """
     size = len(states)
     strides = space.strides
     steps = [strides[p] + strides[q] for p, q, _ in terms]  # the index each term lowers by
-    occ = space.occupations(states)
-    index = np.zeros(space.dimension, dtype=np.int32)  # a box state's position in states
-    index[states] = np.arange(size, dtype=np.int32)
+    odd = occ.sum(axis=1) & 2 > 0  # where the grade is odd
+    n_even = size - np.count_nonzero(odd)
+    rank = np.empty(size, dtype=np.int32)  # each sorted position's place in grade order
+    rank[~odd] = np.arange(n_even)
+    rank[odd] = np.arange(n_even, size)
+    del odd
+    index = np.zeros(space.dimension, dtype=np.int32)  # a box state's place in grade order
+    index[states] = rank
     runs = []  # each term's rows
     col_sums, row_sums = np.zeros(size), np.zeros(size)
     counts = np.zeros(size + 1, dtype=np.int32)
-    for (p, q, c), step in zip(terms, steps):
-        amp = _pair_amplitude(occ, p, q)
-        cols = np.flatnonzero(amp)
-        rows = index[states[cols] - step]
-        weight = np.abs(c * amp[cols])
-        col_sums += np.bincount(cols, weight, size)
-        row_sums += np.bincount(rows, weight, size)
-        counts[1:] += np.bincount(rows, minlength=size).astype(np.int32)
-        runs.append(rows)
-    norm = float((col_sums + row_sums).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is refused below
+        for (p, q, c), step in zip(terms, steps):
+            amp = _pair_amplitude(occ, p, q)
+            cols = np.flatnonzero(amp)
+            rows = index[states[cols] - step]
+            weight = np.abs(c * amp[cols])
+            col_sums += np.bincount(rank[cols], weight, size)
+            row_sums += np.bincount(rows, weight, size)
+            counts[1:] += np.bincount(rows, minlength=size).astype(np.int32)
+            runs.append(rows)
+        norm = float((col_sums + row_sums).max())
+    if not math.isfinite(norm):
+        raise ValueError(f"the exponent's 1-norm is {norm}; the oracle needs a finite one")
     del index, col_sums, row_sums
     indptr = np.cumsum(counts, dtype=np.int32)
     del counts
     indices = np.empty(indptr[-1], dtype=np.int32)
     data = np.empty(indptr[-1], dtype=complex)
-    fill = indptr[:-1].copy()  # the next free slot of each row
+    fill = indptr[:-1]  # each row's next free slot, and its end once written
     for t in np.argsort(steps):
         p, q, c = terms[t]
         rows = runs[t]
         runs[t] = None  # each term's rows are dropped once written
         amp = _pair_amplitude(occ, p, q)
         cols = np.flatnonzero(amp)
+        amp = amp[cols]
         at = fill[rows]
         indices[at] = cols
-        data[at] = c * amp[cols]
+        data[at] = c * amp
         fill[rows] = at + 1
-    return sp.csr_matrix((data, indices, indptr), shape=(size, size)), norm
+    indptr[1:] = indptr[:-1]  # each row's end, one place on, is the next one's start
+    indptr[0] = 0
+    indices = rank[indices]  # within a row's grade, state order is kept
+    return sp.csr_matrix((data, indices, indptr), shape=(size, size)), norm, rank, n_even
 
 
 def _exponent_on(terms: list, space: TruncatedFockSpace, states: np.ndarray):
-    """Sparse G = A - A^dag on ``states`` (sorted, closed under the pair moves)."""
-    lower = _lowering_on(terms, space, states)[0]
+    """Sparse G = A - A^dag on ``states`` (sorted, closed under the pair
+    moves), in their order."""
+    lower, _, rank, _ = _lowering_on(terms, space, states, space.occupations(states))
+    lower = lower[rank][:, rank]
     return lower - lower.conj().T
 
 
@@ -244,43 +272,70 @@ def _bessel_weights(radius: float) -> np.ndarray:
     return weights / (weights[0] + weights[2::2].sum())
 
 
-def _evolve_vacuum(lower, norm: float) -> np.ndarray:
-    """e^G applied to state 0, for G = A - A^dag with lowering half ``lower``
-    and 1-norm ``norm``.
+def _evolve_vacuum(lower, norm: float, rank: np.ndarray, n_even: int) -> np.ndarray:
+    """e^G applied to state 0, in sorted state order, for G = A - A^dag with
+    lowering half ``lower``, 1-norm ``norm``, grade order ``rank`` and
+    ``n_even`` states of even grade, as ``_lowering_on`` returns them.
 
     G is anti-Hermitian, so its inf-norm equals its 1-norm and bounds its
     spectral norm: H = iG is Hermitian with its spectrum in [-norm, norm],
     and e^G = e^{-iH} is a Chebyshev series in H / norm (Tal-Ezer and
     Kosloff).  With psi_k = (-i)^k T_k(H / norm) psi_0 the three-term
-    recurrence reads psi_{k+1} = (2 / norm) G psi_k + psi_{k-1}, and G v is
-    A v - conj(A^T conj(v)), where A^T is a view: no matrix is copied.  A
-    norm so small that 2 / norm overflows leaves the series' first two
-    terms, 1 + G, exact far below rounding.
+    recurrence reads psi_{k+1} = (2 / norm) G psi_k + psi_{k-1}.  G only
+    links the two grades and the vacuum's is even, so psi_k lives on the
+    grade of k's parity, and the series is kept as two half sums, put back
+    in sorted state order at the end.  In grade order A = [[0, E], [O, 0]],
+    and G takes an even v to O v - conj(E^T conj(v)) and an odd one to
+    E v - conj(O^T conj(v)).  E and O are views of A's arrays, with E's
+    column indices shifted in place while the series is summed (only O's
+    row pointers are new), and their transposes are views of them: no
+    matrix is copied, and beside A the sum holds three half-length state
+    vectors and the series.  Each entry of a product adds the same terms in
+    the same order as a product with the whole of A would.  A norm so small
+    that 2 / norm overflows leaves the series' first two terms, 1 + G, exact
+    far below rounding.
     """
-    psi = np.zeros(lower.shape[0], dtype=complex)
-    psi[0] = 1.0
+    size = lower.shape[0]
     if norm == 0.0:
+        psi = np.zeros(size, dtype=complex)
+        psi[0] = 1.0
         return psi
-    transposed = lower.T  # a CSC view of A's arrays
+    cut = lower.indptr[n_even]
+    lower.indices[:cut] -= n_even  # E's columns, numbered within the odd grade
+    even_rows = sp.csr_matrix((lower.data[:cut], lower.indices[:cut], lower.indptr[:n_even + 1]),
+                              shape=(n_even, size - n_even))
+    odd_rows = sp.csr_matrix((lower.data[cut:], lower.indices[cut:], lower.indptr[n_even:] - cut),
+                             shape=(size - n_even, n_even))
+    # G's block from each grade to the other: a matrix and a transposed view
+    blocks = ((odd_rows, even_rows.T), (even_rows, odd_rows.T))
 
-    def step(v: np.ndarray, scale: float = 2.0 / norm) -> np.ndarray:
-        """scale G v"""
-        out = lower @ v
+    def step(v: np.ndarray, grade: int, scale: float = 2.0 / norm) -> np.ndarray:
+        """scale G v, for v of ``grade``'s parity"""
+        matrix, transposed = blocks[grade]
+        out = matrix @ v
         out -= (transposed @ v.conj()).conj()
         out *= scale
         return out
 
+    vacuum = np.zeros(n_even, dtype=complex)
+    vacuum[0] = 1.0
+    series = np.empty(size, dtype=complex)  # in grade order
+    sums = [series[:n_even], series[n_even:]]  # a half sum on each grade
     if 2.0 / norm == math.inf:
-        return psi + step(psi, 1.0)
-    weights = _bessel_weights(norm)
-    prev, cur = psi, 0.5 * step(psi)
-    series = weights[0] * prev + weights[1] * cur
-    for weight in weights[2:]:
-        ahead = step(cur)
-        ahead += prev
-        prev, cur = cur, ahead
-        series += weight * cur
-    return series
+        sums[0][:] = vacuum
+        sums[1][:] = step(vacuum, 0, 1.0)
+    else:
+        weights = _bessel_weights(norm)
+        prev, cur = vacuum, 0.5 * step(vacuum, 0)
+        np.multiply(weights[0], prev, out=sums[0])
+        np.multiply(weights[1], cur, out=sums[1])
+        for k, weight in enumerate(weights[2:], 2):
+            ahead = step(cur, 1 - k % 2)
+            ahead += prev
+            prev, cur = cur, ahead
+            sums[k % 2] += weight * cur
+    lower.indices[:cut] += n_even
+    return series[rank]
 
 
 def build_hamiltonian_exponent(xi: np.ndarray, space: TruncatedFockSpace):
@@ -337,16 +392,17 @@ def vacuum_statistics(xi: np.ndarray, space: TruncatedFockSpace) -> OracleReport
     The truncation bound is the L2 amplitude of the state on basis states
     where some excited mode sits at the highest occupation any reachable
     state gives it (the cut, unless a conservation law stops short of it);
-    a caller compares it with the deviation it can accept.
+    a caller compares it with the deviation it can accept.  An exponent
+    whose 1-norm is not finite raises ValueError.
     """
     xi = np.asarray(xi, dtype=complex)
     n = xi.shape[0]
     terms = _pair_terms(xi, space)
     states = _reachable(terms, space)
-    psi = _evolve_vacuum(*_lowering_on(terms, space, states))
+    occ = space.occupations(states)  # shared by A's build and the statistics
+    psi = _evolve_vacuum(*_lowering_on(terms, space, states, occ))
     degenerate = space.n_modes == n
 
-    occ = space.occupations(states)
     top = occ.max(axis=0)
     shell = np.any((occ == top) & (top > 0), axis=1)
     bound = float(np.linalg.norm(psi[shell]))

@@ -784,6 +784,23 @@ class TestCli:
         assert agreement["within_bound"]
         assert agreement["truncation_bound"] == agreement["max_deviation"] == 0.0
 
+    @pytest.mark.parametrize("gain", ["1e5", "1e150", "1e306"])
+    def test_overflowing_seed_gain_oracle_run_exits_2_before_the_oracle(self, tmp_path, gain):
+        # the report is non-finite at these gains; the oracle must not run on
+        # it first: a series at 1-norm 1.5e8 ran for minutes at 1e5 and 1e150,
+        # and the 1-norm overflowed to inf at 1e306.  Its own process and
+        # timeout, so that a run which hangs fails the test
+        proc = subprocess.run(
+            [sys.executable, "-m", "lgsqueeze", "--scenario", "PsrSinglePhoton", "--lmax",
+             "0", "--pmax", "0", "--seed-gain", gain, "--oracle", "--quiet", "--out", "out"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == ("error: non-finite value in report.scalar_var; a report must "
+                               "hold only finite numbers\n")
+        assert not (tmp_path / "out").exists()
+
     def test_two_beam_run_with_oracle(self, tmp_path):
         # 2 modes, 4 oscillators at cut 26: a bound of 4.4e-5
         rc = cli_main([

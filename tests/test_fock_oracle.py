@@ -163,7 +163,8 @@ def propagated(xi, space):
     """The Chebyshev propagator's e^G applied to the vacuum, on the whole box."""
     xi = np.asarray(xi, dtype=complex)
     states = np.arange(space.dimension, dtype=np.int64)
-    return _evolve_vacuum(*_lowering_on(_pair_terms(xi, space), space, states))
+    terms = _pair_terms(xi, space)
+    return _evolve_vacuum(*_lowering_on(terms, space, states, space.occupations(states)))
 
 
 def three_mode_draw():
@@ -171,9 +172,17 @@ def three_mode_draw():
     return random_symmetric(np.random.default_rng(5), 3, scale=0.4), TruncatedFockSpace(6, 8)
 
 
-def lowering_from_coo(terms, space, states):
-    """A on ``states`` built from COO triplets by scipy, and the 1-norm of
-    G = A - A^dag from the triplets' column and row sums."""
+def grade_order(space, states):
+    """Each position of ``states`` in grade order (even floor(N / 2) first,
+    each grade in state order), and the count of even ones."""
+    odd = space.occupations(states).sum(axis=1) // 2 % 2
+    return np.argsort(np.argsort(odd, kind="stable")), int(np.sum(odd == 0))
+
+
+def lowering_from_coo(terms, space, states, rank):
+    """A on ``states`` built from COO triplets by scipy, each state numbered
+    by ``rank``, and the 1-norm of G = A - A^dag from the triplets' column
+    and row sums."""
     occ = space.occupations(states)
     index = np.zeros(space.dimension, dtype=np.int64)
     index[states] = np.arange(len(states))
@@ -181,8 +190,8 @@ def lowering_from_coo(terms, space, states):
     for p, q, c in terms:
         amp = _pair_amplitude(occ, p, q)
         src = np.flatnonzero(amp)
-        rows.append(index[states[src] - space.strides[p] - space.strides[q]])
-        cols.append(src)
+        rows.append(rank[index[states[src] - space.strides[p] - space.strides[q]]])
+        cols.append(rank[src])
         vals.append(c * amp[src])
     rows, cols, vals = (np.concatenate(part) for part in (rows, cols, vals))
     size = len(states)
@@ -195,8 +204,11 @@ class TestLowering:
     @staticmethod
     def assert_same_as_coo(xi, space, states):
         terms = _pair_terms(np.asarray(xi, dtype=complex), space)
-        lower, norm = _lowering_on(terms, space, states)
-        expected, expected_norm = lowering_from_coo(terms, space, states)
+        lower, norm, rank, n_even = _lowering_on(terms, space, states,
+                                                 space.occupations(states))
+        expected_rank, expected_n_even = grade_order(space, states)
+        assert np.array_equal(rank, expected_rank) and n_even == expected_n_even
+        expected, expected_norm = lowering_from_coo(terms, space, states, rank)
         # the same arrays bit for bit, so every product with a vector, and
         # the Chebyshev sums over them, add in the same order
         assert lower.has_canonical_format
@@ -204,6 +216,9 @@ class TestLowering:
         assert np.array_equal(lower.indices, expected.indices)
         assert np.array_equal(lower.data, expected.data)
         assert norm == expected_norm
+        # a pair move changes the grade by one: A only links the two grades
+        assert lower.nnz > 0 or not terms
+        assert lower[:n_even, :n_even].nnz == lower[n_even:, n_even:].nnz == 0
 
     @FULL_BOX_CASES
     def test_matches_the_coo_built_matrix(self, xi, space):
@@ -215,6 +230,14 @@ class TestLowering:
         xi, space = three_mode_draw()
         states = _reachable(_pair_terms(np.asarray(xi, dtype=complex), space), space)
         assert len(states) == 32661
+        self.assert_same_as_coo(xi, space, states)
+
+    def test_matches_the_coo_built_matrix_on_a_degenerate_three_mode_draw(self):
+        # every mode pair is a term: 14896 of 29791 states, grades 0 to 45
+        xi = random_symmetric(np.random.default_rng(7), 3, scale=0.5)
+        space = TruncatedFockSpace(3, 30)
+        states = _reachable(_pair_terms(np.asarray(xi, dtype=complex), space), space)
+        assert len(states) == 14896
         self.assert_same_as_coo(xi, space, states)
 
 
@@ -231,6 +254,18 @@ class TestPropagator:
         dense = scipy.linalg.expm(build_hamiltonian_exponent(xi, space).toarray())[:, 0]
         assert np.abs(propagated(xi, space) - dense).max() < 1e-13
 
+    def test_leaves_the_lowering_half_as_it_found_it(self):
+        # the even-grade rows' column indices are shifted in place for the sum
+        xi, space = np.array([[0.3, 0.2], [0.2, 0.0]]), TruncatedFockSpace(4, 6)
+        states = np.arange(space.dimension, dtype=np.int64)
+        built = _lowering_on(_pair_terms(xi.astype(complex), space), space, states,
+                             space.occupations(states))
+        lower = built[0]
+        before = [part.copy() for part in (lower.data, lower.indices, lower.indptr)]
+        _evolve_vacuum(*built)
+        for part, kept in zip((lower.data, lower.indices, lower.indptr), before):
+            assert np.array_equal(part, kept)
+
     def test_zero_exponent_returns_the_vacuum(self):
         psi = propagated(np.zeros((2, 2)), TruncatedFockSpace(4, 3))
         vacuum = np.zeros(4 ** 4, dtype=complex)
@@ -241,7 +276,7 @@ class TestPropagator:
         xi = random_symmetric(np.random.default_rng(4), 2, scale=0.5)
         space = TruncatedFockSpace(4, 4)
         states = np.arange(space.dimension, dtype=np.int64)
-        _, norm = _lowering_on(_pair_terms(xi, space), space, states)
+        norm = _lowering_on(_pair_terms(xi, space), space, states, space.occupations(states))[1]
         gen = build_hamiltonian_exponent(xi, space)
         assert norm == pytest.approx(abs(gen).sum(axis=0).max(), rel=1e-15)
 
@@ -291,6 +326,13 @@ class TestVacuumStatistics:
         assert rep.nbar_total == rep.number_variance == rep.truncation_bound == 0.0
         # <a psi | a^dag psi> = -2 xi to first order, on a subnormal xi
         assert rep.pair_matrix[0, 0] == pytest.approx(-2e-310, rel=1e-9)
+
+    @pytest.mark.parametrize("entry", [1e308, np.inf, np.nan])
+    def test_a_non_finite_one_norm_is_refused(self, entry):
+        # 1e308 times a pair amplitude overflows; the Chebyshev series would
+        # need its Bessel weights at an infinite radius
+        with pytest.raises(ValueError, match="1-norm"):
+            vacuum_statistics(np.array([[entry]]), TruncatedFockSpace(1, 4))
 
     def test_single_mode_photon_number(self):
         rep = vacuum_statistics(np.array([[0.5]]), TruncatedFockSpace(2, 8))
