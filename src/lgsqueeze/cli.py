@@ -41,8 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _oracle_check(result):
-    """The ``oracle_agreement`` summary of a run, and why it fails (None if it passes)."""
+def _oracle_check(result, knob: str):
+    """The ``oracle_agreement`` summary of a run, and why it fails (None if it
+    passes); ``knob`` names what set the run's gain."""
     from .coupling import InteractionType
     from .fock_oracle import (DIMENSION_GUARD, ORACLE_CAP, TruncatedFockSpace, deviations,
                               vacuum_statistics)
@@ -83,7 +84,7 @@ def _oracle_check(result):
     failure = None if agreement["within_bound"] else (
         f"--oracle: {worst} deviates from the truncated-Fock oracle by {scaled[worst]:.3g}, "
         f"against its truncation bound {bound:.3g} (accepted up to {ORACLE_CAP:g}); a lower "
-        "n_target or a smaller basis brings the state within the oracle's cut")
+        f"{knob} or a smaller basis brings the state within the oracle's cut")
     return agreement, failure
 
 
@@ -98,6 +99,7 @@ def _json_int(text: str):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    seed_knob = "seed_gain" if args.seed_gain is None else "--seed-gain"  # sets a seed gain
 
     from .report_io import emit_result, report_to_dict, scenario_config_from_dict
     from .scenarios import (FieldError, coupling_on_basis, default_config, run_scenario,
@@ -130,13 +132,14 @@ def main(argv=None) -> int:
         failure = None
         if args.oracle:
             report_to_dict(result.report)  # a non-finite report is refused before the oracle
-            result.oracle_agreement, failure = _oracle_check(result)
+            result.oracle_agreement, failure = _oracle_check(
+                result, "n_target" if cfg.seed_gain is None else seed_knob)
         files = emit_result(result, cfg, out_dir, wall_time_s=wall)
         if failure:  # the files are written for a look at the deviations
             raise ValueError(failure)
     except FieldError as exc:  # set by a flag, or a seed gain the run refused
         flags = {"name": "--scenario", "basis.ell_max": "--lmax", "basis.p_max": "--pmax",
-                 "seed_gain": "seed_gain" if args.seed_gain is None else "--seed-gain"}
+                 "seed_gain": seed_knob}
         flag = flags.get(exc.field, exc.field)
         print(f"error: {flag}: {exc.reason}", file=sys.stderr)
         return 2

@@ -5,15 +5,14 @@ pairs, so the vacuum explores a small part of the truncated space: a
 two-beam exponent conserves N_a - N_b, and a degenerate one only reaches
 the occupations its nonzero pair terms connect.  The oracle finds those
 states by a breadth-first search over the pair moves (creation and
-annihilation) and builds the exponent's lowering half A on them as one
-sparse matrix; the exponent is G = A - A^dag.  A pair move changes the
-pair grade floor(N / 2) by one, so G only links states of even grade to
-states of odd grade; A numbers the even ones first and splits into its two
-off-diagonal blocks.  The vacuum vector evolves under a Chebyshev series of
-e^G (Tal-Ezer and Kosloff), whose k-th term lives on the grade of k's
-parity: each product works on one block and a transposed view of the other
-with a half-length vector, and no matrix is copied.  A is written straight
-into CSR arrays, so no COO copy of it is held.  Every statistic is then a
+annihilation); the exponent is G = A - A^dag with A its lowering half.  A
+pair move changes the pair grade floor(N / 2) by one, so G only links
+states of even grade to states of odd grade.  The reached states are put
+in grade order once, even ones first: A is written straight into the CSR
+arrays of its two off-diagonal blocks, and the vacuum vector evolves under
+a Chebyshev series of e^G (Tal-Ezer and Kosloff), whose k-th term lives on
+one grade parity, so each product works on one block and a transposed
+view of the other with a half-length vector.  Every statistic is then a
 direct expectation value on the reached set and the states one ladder step
 away.  Two beams conserve N_a - N_b, so those ladder images split into a
 part that lowers it and a part that raises it, on disjoint states; one
@@ -166,17 +165,25 @@ def _reachable(terms: list, space: TruncatedFockSpace) -> np.ndarray:
     return np.flatnonzero(seen)
 
 
-def _lowering_on(terms: list, space: TruncatedFockSpace, states: np.ndarray,
-                 occ: np.ndarray):
-    """Sparse A on ``states`` (sorted, closed under the pair moves, with
-    occupations ``occ``), written straight into CSR arrays in grade order;
-    the 1-norm of G = A - A^dag; each sorted position's place in that
-    order; and the count of states of even pair grade floor(N / 2), which
-    come first, each grade in state order.
+def _in_grade_order(space: TruncatedFockSpace, states: np.ndarray):
+    """``states`` in grade order: those of even pair grade floor(N / 2)
+    first, then the odd ones, each grade in state order; their occupations;
+    and the count of even ones."""
+    odd = space.occupations(states).sum(axis=1) & 2 > 0
+    ordered = np.concatenate([states[~odd], states[odd]])
+    return ordered, space.occupations(ordered), len(states) - np.count_nonzero(odd)
 
-    A pair move changes the total photon number N by two, so it changes the
-    grade by one: both diagonal blocks of A in grade order are empty.  Each
-    A element takes its column's state to a lower one and its partner
+
+def _lowering_on(terms: list, space: TruncatedFockSpace, states: np.ndarray,
+                 occ: np.ndarray, n_even: int):
+    """A's blocks E and O and the 1-norm of G = A - A^dag on ``states``
+    (closed under the pair moves), ``occ`` and ``n_even`` as
+    ``_in_grade_order`` returns them.
+
+    A pair move changes N by two, so the grade by one: in grade order
+    A = [[0, E], [O, 0]], and E (even rows) and O (odd rows) are CSR
+    matrices with rows and columns numbered within their grade.  Each A
+    element takes its column's state to a lower one and its partner
     -conj(c) in A^dag the other way, so no two elements of G share a
     position: a column of |G| sums to that column of |A| plus that row.  A
     counting pass keeps each term's rows and sums both by ``np.bincount`` in
@@ -184,21 +191,14 @@ def _lowering_on(terms: list, space: TruncatedFockSpace, states: np.ndarray,
     the terms in ascending index step, with each row's next free slot kept
     in ``indptr`` itself.  A row's columns all have the other grade, in
     which grade order is state order, so they come out sorted, as scipy's
-    conversion from COO triplets leaves them; they are written as sorted
-    positions and renumbered once each term's rows are dropped.  A
-    non-finite 1-norm raises ValueError before the fill.
+    conversion from COO triplets leaves them.  A non-finite 1-norm raises
+    ValueError before the fill.
     """
     size = len(states)
     strides = space.strides
     steps = [strides[p] + strides[q] for p, q, _ in terms]  # the index each term lowers by
-    odd = occ.sum(axis=1) & 2 > 0  # where the grade is odd
-    n_even = size - np.count_nonzero(odd)
-    rank = np.empty(size, dtype=np.int32)  # each sorted position's place in grade order
-    rank[~odd] = np.arange(n_even)
-    rank[odd] = np.arange(n_even, size)
-    del odd
     index = np.zeros(space.dimension, dtype=np.int32)  # a box state's place in grade order
-    index[states] = rank
+    index[states] = np.arange(size, dtype=np.int32)
     runs = []  # each term's rows
     col_sums, row_sums = np.zeros(size), np.zeros(size)
     counts = np.zeros(size + 1, dtype=np.int32)
@@ -208,7 +208,7 @@ def _lowering_on(terms: list, space: TruncatedFockSpace, states: np.ndarray,
             cols = np.flatnonzero(amp)
             rows = index[states[cols] - step]
             weight = np.abs(c * amp[cols])
-            col_sums += np.bincount(rank[cols], weight, size)
+            col_sums += np.bincount(cols, weight, size)
             row_sums += np.bincount(rows, weight, size)
             counts[1:] += np.bincount(rows, minlength=size).astype(np.int32)
             runs.append(rows)
@@ -228,21 +228,28 @@ def _lowering_on(terms: list, space: TruncatedFockSpace, states: np.ndarray,
         amp = _pair_amplitude(occ, p, q)
         cols = np.flatnonzero(amp)
         amp = amp[cols]
+        cols[np.searchsorted(cols, n_even):] -= n_even  # odd columns, counted within their grade
         at = fill[rows]
         indices[at] = cols
         data[at] = c * amp
         fill[rows] = at + 1
     indptr[1:] = indptr[:-1]  # each row's end, one place on, is the next one's start
     indptr[0] = 0
-    indices = rank[indices]  # within a row's grade, state order is kept
-    return sp.csr_matrix((data, indices, indptr), shape=(size, size)), norm, rank, n_even
+    cut = indptr[n_even]
+    even_rows = sp.csr_matrix((data[:cut], indices[:cut], indptr[:n_even + 1]),
+                              shape=(n_even, size - n_even))
+    odd_rows = sp.csr_matrix((data[cut:], indices[cut:], indptr[n_even:] - cut),
+                             shape=(size - n_even, n_even))
+    return even_rows, odd_rows, norm
 
 
 def _exponent_on(terms: list, space: TruncatedFockSpace, states: np.ndarray):
     """Sparse G = A - A^dag on ``states`` (sorted, closed under the pair
     moves), in their order."""
-    lower, _, rank, _ = _lowering_on(terms, space, states, space.occupations(states))
-    lower = lower[rank][:, rank]
+    ordered, occ, n_even = _in_grade_order(space, states)
+    even_rows, odd_rows, _ = _lowering_on(terms, space, ordered, occ, n_even)
+    back = np.argsort(ordered)  # each sorted state's place in grade order
+    lower = sp.bmat([[None, even_rows], [odd_rows, None]], format="csr")[back][:, back]
     return lower - lower.conj().T
 
 
@@ -272,10 +279,10 @@ def _bessel_weights(radius: float) -> np.ndarray:
     return weights / (weights[0] + weights[2::2].sum())
 
 
-def _evolve_vacuum(lower, norm: float, rank: np.ndarray, n_even: int) -> np.ndarray:
-    """e^G applied to state 0, in sorted state order, for G = A - A^dag with
-    lowering half ``lower``, 1-norm ``norm``, grade order ``rank`` and
-    ``n_even`` states of even grade, as ``_lowering_on`` returns them.
+def _evolve_vacuum(even_rows, odd_rows, norm: float) -> np.ndarray:
+    """e^G applied to state 0, in grade order, for G = A - A^dag with A's
+    blocks E = ``even_rows`` and O = ``odd_rows`` and 1-norm ``norm``, as
+    ``_lowering_on`` returns them.
 
     G is anti-Hermitian, so its inf-norm equals its 1-norm and bounds its
     spectral norm: H = iG is Hermitian with its spectrum in [-norm, norm],
@@ -283,33 +290,21 @@ def _evolve_vacuum(lower, norm: float, rank: np.ndarray, n_even: int) -> np.ndar
     Kosloff).  With psi_k = (-i)^k T_k(H / norm) psi_0 the three-term
     recurrence reads psi_{k+1} = (2 / norm) G psi_k + psi_{k-1}.  G only
     links the two grades and the vacuum's is even, so psi_k lives on the
-    grade of k's parity, and the series is kept as two half sums, put back
-    in sorted state order at the end.  In grade order A = [[0, E], [O, 0]],
-    and G takes an even v to O v - conj(E^T conj(v)) and an odd one to
-    E v - conj(O^T conj(v)).  E and O are views of A's arrays, with E's
-    column indices shifted in place while the series is summed (only O's
-    row pointers are new), and their transposes are views of them: no
-    matrix is copied, and beside A the sum holds three half-length state
-    vectors and the series.  Each entry of a product adds the same terms in
-    the same order as a product with the whole of A would.  A norm so small
-    that 2 / norm overflows leaves the series' first two terms, 1 + G, exact
-    far below rounding.
+    grade of k's parity, and the series is kept as two half sums, the even
+    one first.  With A = [[0, E], [O, 0]], G takes an even v to
+    O v - conj(E^T conj(v)) and an odd one to E v - conj(O^T conj(v)).  The
+    transposes are views of E and O, and neither block is written: beside
+    them the sum holds three half-length state vectors and the series.  Each
+    entry of a product adds the same terms in the same order as a product
+    with the whole of A would.  A zero norm, or one so small that 2 / norm
+    overflows, leaves 1 + G, the series' first two terms, exact far below
+    rounding.
     """
-    size = lower.shape[0]
-    if norm == 0.0:
-        psi = np.zeros(size, dtype=complex)
-        psi[0] = 1.0
-        return psi
-    cut = lower.indptr[n_even]
-    lower.indices[:cut] -= n_even  # E's columns, numbered within the odd grade
-    even_rows = sp.csr_matrix((lower.data[:cut], lower.indices[:cut], lower.indptr[:n_even + 1]),
-                              shape=(n_even, size - n_even))
-    odd_rows = sp.csr_matrix((lower.data[cut:], lower.indices[cut:], lower.indptr[n_even:] - cut),
-                             shape=(size - n_even, n_even))
+    n_even, n_odd = even_rows.shape
     # G's block from each grade to the other: a matrix and a transposed view
     blocks = ((odd_rows, even_rows.T), (even_rows, odd_rows.T))
 
-    def step(v: np.ndarray, grade: int, scale: float = 2.0 / norm) -> np.ndarray:
+    def step(v: np.ndarray, grade: int, scale: float) -> np.ndarray:
         """scale G v, for v of ``grade``'s parity"""
         matrix, transposed = blocks[grade]
         out = matrix @ v
@@ -319,23 +314,23 @@ def _evolve_vacuum(lower, norm: float, rank: np.ndarray, n_even: int) -> np.ndar
 
     vacuum = np.zeros(n_even, dtype=complex)
     vacuum[0] = 1.0
-    series = np.empty(size, dtype=complex)  # in grade order
+    series = np.empty(n_even + n_odd, dtype=complex)
     sums = [series[:n_even], series[n_even:]]  # a half sum on each grade
-    if 2.0 / norm == math.inf:
+    if norm == 0.0 or 2.0 / norm == math.inf:
         sums[0][:] = vacuum
         sums[1][:] = step(vacuum, 0, 1.0)
     else:
+        scale = 2.0 / norm
         weights = _bessel_weights(norm)
-        prev, cur = vacuum, 0.5 * step(vacuum, 0)
+        prev, cur = vacuum, 0.5 * step(vacuum, 0, scale)
         np.multiply(weights[0], prev, out=sums[0])
         np.multiply(weights[1], cur, out=sums[1])
         for k, weight in enumerate(weights[2:], 2):
-            ahead = step(cur, 1 - k % 2)
+            ahead = step(cur, 1 - k % 2, scale)
             ahead += prev
             prev, cur = cur, ahead
             sums[k % 2] += weight * cur
-    lower.indices[:cut] += n_even
-    return series[rank]
+    return series
 
 
 def build_hamiltonian_exponent(xi: np.ndarray, space: TruncatedFockSpace):
@@ -398,9 +393,8 @@ def vacuum_statistics(xi: np.ndarray, space: TruncatedFockSpace) -> OracleReport
     xi = np.asarray(xi, dtype=complex)
     n = xi.shape[0]
     terms = _pair_terms(xi, space)
-    states = _reachable(terms, space)
-    occ = space.occupations(states)  # shared by A's build and the statistics
-    psi = _evolve_vacuum(*_lowering_on(terms, space, states, occ))
+    states, occ, n_even = _in_grade_order(space, _reachable(terms, space))
+    psi = _evolve_vacuum(*_lowering_on(terms, space, states, occ, n_even))
     degenerate = space.n_modes == n
 
     top = occ.max(axis=0)

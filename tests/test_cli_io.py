@@ -53,6 +53,7 @@ PSR_OUT_OF_CUT = {
         "re": [0.7013084337165251, -0.3293988135623379, 0.09903412119212711],
         "im": [-0.22587167745282133, 0.06204588697882083, -0.5787809935503772]}}},
 }
+# the refusal of a calibrated run; a seeded one names the seed gain's knob
 ORACLE_REFUSAL = (r"error: --oracle: \w+ deviates from the truncated-Fock oracle by \S+, against "
                   r"its truncation bound \S+ \(accepted up to 0.001\); a lower n_target or a "
                   r"smaller basis brings the state within the oracle's cut\n")
@@ -840,6 +841,26 @@ class TestCli:
         agreement = json.loads((tmp_path / "o" / "oracle_agreement.json").read_text())
         assert agreement["max_deviation"] > agreement["truncation_bound"]
         assert not agreement["within_bound"]
+
+    @pytest.mark.parametrize("knob", ["n_target", "seed_gain", "--seed-gain"])
+    def test_oracle_refusal_names_the_knob_that_set_the_gain(self, tmp_path, capsys, knob):
+        # a seeded run ignores n_target, and refuses a config that sets it:
+        # the refusal names the flag or config key that set the gain.  A seed
+        # gain of 3 puts 6.9e5 photons in the one mode, far past the cut of 300
+        config, flags = PSR_OUT_OF_CUT, []
+        if knob != "n_target":
+            config = {"scenario": "PsrSinglePhoton", "basis": {"ell_max": 0, "p_max": 0}}
+            if knob == "seed_gain":
+                config["seed_gain"] = 3
+            else:
+                flags = ["--seed-gain", "3"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        rc = cli_main(["--config", str(path), "--out", str(tmp_path / "o"), "--oracle",
+                       "--quiet", *flags])
+        assert rc == 2
+        assert re.fullmatch(ORACLE_REFUSAL.replace("n_target", re.escape(knob)),
+                            capsys.readouterr().err)
 
     def test_oracle_rejects_large_basis(self, tmp_path, capsys):
         rc = cli_main([

@@ -18,6 +18,7 @@ from lgsqueeze.fock_oracle import (
     _bessel_weights,
     _evolve_vacuum,
     _exponent_on,
+    _in_grade_order,
     _lowering_on,
     _pair_amplitude,
     _pair_terms,
@@ -159,12 +160,20 @@ class TestExponent:
         assert abs((gen + gen.conj().T)).max() == 0.0
 
 
+def whole_box_blocks(xi, space):
+    """The whole box in grade order and A's blocks and 1-norm on it."""
+    ordered, occ, n_even = _in_grade_order(space, np.arange(space.dimension, dtype=np.int64))
+    terms = _pair_terms(np.asarray(xi, dtype=complex), space)
+    return ordered, _lowering_on(terms, space, ordered, occ, n_even)
+
+
 def propagated(xi, space):
-    """The Chebyshev propagator's e^G applied to the vacuum, on the whole box."""
-    xi = np.asarray(xi, dtype=complex)
-    states = np.arange(space.dimension, dtype=np.int64)
-    terms = _pair_terms(xi, space)
-    return _evolve_vacuum(*_lowering_on(terms, space, states, space.occupations(states)))
+    """The Chebyshev propagator's e^G applied to the vacuum, on the whole box
+    in state order."""
+    ordered, blocks = whole_box_blocks(xi, space)
+    psi = np.empty(space.dimension, dtype=complex)
+    psi[ordered] = _evolve_vacuum(*blocks)
+    return psi
 
 
 def three_mode_draw():
@@ -204,21 +213,25 @@ class TestLowering:
     @staticmethod
     def assert_same_as_coo(xi, space, states):
         terms = _pair_terms(np.asarray(xi, dtype=complex), space)
-        lower, norm, rank, n_even = _lowering_on(terms, space, states,
-                                                 space.occupations(states))
-        expected_rank, expected_n_even = grade_order(space, states)
-        assert np.array_equal(rank, expected_rank) and n_even == expected_n_even
+        ordered, occ, n_even = _in_grade_order(space, states)
+        rank, expected_n_even = grade_order(space, states)
+        assert n_even == expected_n_even and np.array_equal(ordered[rank], states)
+        assert np.array_equal(occ, space.occupations(ordered))
+        even_rows, odd_rows, norm = _lowering_on(terms, space, ordered, occ, n_even)
         expected, expected_norm = lowering_from_coo(terms, space, states, rank)
-        # the same arrays bit for bit, so every product with a vector, and
-        # the Chebyshev sums over them, add in the same order
-        assert lower.has_canonical_format
-        assert np.array_equal(lower.indptr, expected.indptr)
-        assert np.array_equal(lower.indices, expected.indices)
-        assert np.array_equal(lower.data, expected.data)
-        assert norm == expected_norm
         # a pair move changes the grade by one: A only links the two grades
-        assert lower.nnz > 0 or not terms
-        assert lower[:n_even, :n_even].nnz == lower[n_even:, n_even:].nnz == 0
+        assert expected.nnz > 0 or not terms
+        assert expected[:n_even, :n_even].nnz == expected[n_even:, n_even:].nnz == 0
+        # each block holds A's arrays in grade order bit for bit, so every
+        # product with a vector, and the Chebyshev sums over them, add in the
+        # same order
+        for block, part in ((even_rows, expected[:n_even, n_even:]),
+                            (odd_rows, expected[n_even:, :n_even])):
+            assert block.has_canonical_format and block.shape == part.shape
+            assert np.array_equal(block.indptr, part.indptr)
+            assert np.array_equal(block.indices, part.indices)
+            assert np.array_equal(block.data, part.data)
+        assert norm == expected_norm
 
     @FULL_BOX_CASES
     def test_matches_the_coo_built_matrix(self, xi, space):
@@ -254,17 +267,16 @@ class TestPropagator:
         dense = scipy.linalg.expm(build_hamiltonian_exponent(xi, space).toarray())[:, 0]
         assert np.abs(propagated(xi, space) - dense).max() < 1e-13
 
-    def test_leaves_the_lowering_half_as_it_found_it(self):
-        # the even-grade rows' column indices are shifted in place for the sum
+    def test_reads_the_blocks_without_writing_them(self):
+        # every array of both blocks read-only: a write into one raises
         xi, space = np.array([[0.3, 0.2], [0.2, 0.0]]), TruncatedFockSpace(4, 6)
-        states = np.arange(space.dimension, dtype=np.int64)
-        built = _lowering_on(_pair_terms(xi.astype(complex), space), space, states,
-                             space.occupations(states))
-        lower = built[0]
-        before = [part.copy() for part in (lower.data, lower.indices, lower.indptr)]
-        _evolve_vacuum(*built)
-        for part, kept in zip((lower.data, lower.indices, lower.indptr), before):
-            assert np.array_equal(part, kept)
+        ordered, (even_rows, odd_rows, norm) = whole_box_blocks(xi, space)
+        for block in (even_rows, odd_rows):
+            for part in (block.data, block.indices, block.indptr):
+                part.flags.writeable = False
+        psi = np.empty(space.dimension, dtype=complex)
+        psi[ordered] = _evolve_vacuum(even_rows, odd_rows, norm)
+        assert np.array_equal(psi, propagated(xi, space))
 
     def test_zero_exponent_returns_the_vacuum(self):
         psi = propagated(np.zeros((2, 2)), TruncatedFockSpace(4, 3))
@@ -275,8 +287,7 @@ class TestPropagator:
     def test_norm_is_the_exponent_one_norm(self):
         xi = random_symmetric(np.random.default_rng(4), 2, scale=0.5)
         space = TruncatedFockSpace(4, 4)
-        states = np.arange(space.dimension, dtype=np.int64)
-        norm = _lowering_on(_pair_terms(xi, space), space, states, space.occupations(states))[1]
+        norm = whole_box_blocks(xi, space)[1][2]
         gen = build_hamiltonian_exponent(xi, space)
         assert norm == pytest.approx(abs(gen).sum(axis=0).max(), rel=1e-15)
 
