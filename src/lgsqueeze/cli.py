@@ -45,8 +45,8 @@ def _oracle_check(result, knob: str):
     """The ``oracle_agreement`` summary of a run, and why it fails (None if it
     passes); ``knob`` names what set the run's gain."""
     from .coupling import InteractionType
-    from .fock_oracle import (DIMENSION_GUARD, ORACLE_CAP, TruncatedFockSpace, deviations,
-                              vacuum_statistics)
+    from .fock_oracle import (COMPARED_FIELDS, DIMENSION_GUARD, ORACLE_CAP, TruncatedFockSpace,
+                              deviations, vacuum_statistics)
     from .squeeze_core import VACUUM_VARIANCE, degenerate_statistics
 
     sq = result.squeeze
@@ -66,9 +66,10 @@ def _oracle_check(result, knob: str):
     # the idle modes' exact values: vacuum quadrature variance, no photons, no pairs
     idle = VACUUM_VARIANCE * (n - len(coupled))
     full = {"scalar_var": tuple(total + idle for total in oracle.scalar_var)}
-    for name in ("var_X1", "var_X2", "cross_cov", "nbar_matrix", "pair_matrix"):
-        full[name] = np.eye(n, dtype=complex) * (VACUUM_VARIANCE if name[:3] == "var" else 0.0)
-        full[name][block] = getattr(oracle, name)
+    for name in COMPARED_FIELDS:
+        if np.ndim(getattr(oracle, name)) == 2:  # a matrix over the modes
+            full[name] = np.eye(n, dtype=complex) * (VACUUM_VARIANCE if name[:3] == "var" else 0.0)
+            full[name][block] = getattr(oracle, name)
     rep = degenerate_statistics(sq) if single_beam else result.report
     # each deviation is scaled by the closed-form value where that exceeds 1
     scaled = {name: deviation / max(1.0, float(np.abs(getattr(rep, name)).max()))

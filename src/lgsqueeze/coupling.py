@@ -15,7 +15,7 @@ import itertools
 import math
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -37,6 +37,7 @@ __all__ = [
     "InteractionType",
     "PumpSpec",
     "CouplingConfig",
+    "SqueezeMatrix",
     "coupling_element",
     "drive_modes",
     "oam_feeds",
@@ -156,6 +157,33 @@ class CouplingConfig:
     def drives(self) -> tuple:
         """The drive fields of the overlap: (pump1,) or (pump1, pump2 or pump1)."""
         return (self.pump1,) if self.single_pump else (self.pump1, self.pump2 or self.pump1)
+
+
+@dataclass
+class SqueezeMatrix:
+    """Complex squeezing matrix, checked square and finite on construction.
+
+    Rows are signal modes, columns idler modes, both ordered per the basis.
+    It holds no factors: ``squeeze_core``'s statistics factor ``xi`` when they
+    run, so a matrix that is only rescaled is never factored.
+    """
+
+    xi: np.ndarray
+    basis: ModeBasis
+    interaction: InteractionType
+
+    def __post_init__(self):
+        self.xi = np.asarray(self.xi, dtype=complex)
+        if self.xi.ndim != 2 or self.xi.shape[0] != self.xi.shape[1]:
+            raise ValueError(f"xi must be square, got shape {self.xi.shape}")
+        if self.basis is not None and self.basis.size != self.xi.shape[0]:
+            raise ValueError("basis size does not match matrix dimension")
+        if not np.all(np.isfinite(self.xi)):
+            raise ValueError("xi must be finite")
+
+    @property
+    def size(self) -> int:
+        return self.xi.shape[0]
 
 
 def _usable_cpus() -> int:
@@ -413,11 +441,6 @@ def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
         stack = _profiles_on_grid([ModeIndex(alpha, p) for p in range(n_p)], r, collection)
         return np.conj(stack, out=stack)
 
-    block = {}  # ell -> slice of positions in basis order
-    for ell in range(-basis.ell_max, basis.ell_max + 1):
-        start = (ell + basis.ell_max) * n_p
-        block[ell] = slice(start, start + n_p)
-
     diag_only = cfg.interaction is InteractionType.DEGENERATE_SINGLE_BEAM
     fed = oam_feeds(drives, basis, cfg.interaction)
     # (|ell_s|, |ell_i|) -> drive-index tuple -> the (ell_s, ell_i) blocks it
@@ -459,11 +482,12 @@ def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
             else:
                 overlap = _contract(pump, stacks[key[0]], stacks[key[1]])
             for ell_s, ell_i in blocks:
+                row, col = (basis.position(ModeIndex(ell, 0)) for ell in (ell_s, ell_i))
                 if diag_only:
-                    rows = np.arange(block[ell_s].start, block[ell_s].stop)
+                    rows = np.arange(row, row + n_p)
                     xi[rows, rows] += overlap
                 else:
-                    xi[block[ell_s], block[ell_i]] += overlap
+                    xi[row:row + n_p, col:col + n_p] += overlap
     return xi
 
 
@@ -525,7 +549,7 @@ def coupling_element(signal: ModeIndex, idler: ModeIndex, cfg: CouplingConfig) -
     return complex(assemble_squeeze_matrix(cfg).xi[s, i])
 
 
-def assemble_squeeze_matrix(cfg: CouplingConfig):
+def assemble_squeeze_matrix(cfg: CouplingConfig) -> SqueezeMatrix:
     """Assemble the full squeezing matrix for ``cfg``.
 
     Rows index the signal mode, columns the idler mode, both in the basis
@@ -533,8 +557,6 @@ def assemble_squeeze_matrix(cfg: CouplingConfig):
     only by its gain, calibrated or seeded.  For the degenerate interaction
     it is diagonal, and so symmetric.
     """
-    from .squeeze_core import SqueezeMatrix
-
     return SqueezeMatrix(xi=_assemble_raw(cfg), basis=cfg.basis, interaction=cfg.interaction)
 
 
@@ -635,7 +657,7 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> 
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
-def scale_to_mean_photons(sq, n_target: float):
+def scale_to_mean_photons(sq: SqueezeMatrix, n_target: float):
     """Rescale a squeezing matrix so the mean photon number equals ``n_target``.
 
     Solves sum_i sinh^2(s sigma_i) = n_target for the positive scalar s on
@@ -648,8 +670,6 @@ def scale_to_mean_photons(sq, n_target: float):
     FieldError naming ``n_target`` when the target is not finite and > 0,
     no finite s brackets the root or the target is not reached.
     """
-    from .squeeze_core import SqueezeMatrix
-
     if not 0 < n_target < math.inf:
         raise FieldError("n_target", f"must be finite and > 0, got {n_target!r}")
     sigma = np.linalg.svd(sq.xi, compute_uv=False)
@@ -681,4 +701,4 @@ def scale_to_mean_photons(sq, n_target: float):
     if abs(excess(s)) > tol:
         raise FieldError("n_target", f"the photon number of the rescaled matrix did not "
                          f"reach {tol:.3g} of {n_target!r}")
-    return SqueezeMatrix(xi=s * sq.xi, basis=sq.basis, interaction=sq.interaction), float(s)
+    return replace(sq, xi=s * sq.xi), float(s)

@@ -1,8 +1,8 @@
 """Named simulation scenarios: PSR, FWM, PDC, waist scan and heralding.
 
 ``_SCENARIOS`` is the one place a scenario's facts live (runner, stock
-coupling and basis, re-run, scan grid and pump rule); nothing else in this
-module compares scenario names.
+coupling and basis, re-run, scan grid, pump rule and calibration baseline);
+nothing else in this module compares scenario names or runners.
 
 The PSR/FWM family shares one geometry (795 nm pump, 80 um waist, cell three
 Rayleigh ranges long, all foci at the cell centre) and one calibration
@@ -30,6 +30,7 @@ from .coupling import (
     CouplingConfig,
     InteractionType,
     PumpSpec,
+    SqueezeMatrix,
     _beam_keys,
     assemble_squeeze_matrix,
     check_basis_size,
@@ -41,7 +42,7 @@ from .coupling import (
 from .eigenmodes import (EigenDecomposition, decompose, eigenmode_pump, eigenmode_report,
                          is_normal)
 from .modes import BeamGeometry, FieldError, ModeBasis, _finite_number, build_basis
-from .squeeze_core import SqueezeMatrix, StateReport, state_report
+from .squeeze_core import StateReport, state_report
 
 __all__ = [
     "SCENARIO_NAMES",
@@ -74,7 +75,6 @@ HERALDING_P_MAX = 20
 DEFAULT_GRID_RANGE = (50.0, 800.0)
 DEFAULT_GRID_POINTS = 8
 _GRID_KEYS = ("pump", "collection", "points")
-_BASELINE = InteractionType.DEGENERATE_SINGLE_BEAM  # what _run_psr_crosstalk calibrates on
 
 
 def _psr_coupling(interaction: InteractionType, basis) -> CouplingConfig:
@@ -100,6 +100,7 @@ class _Scenario:
     rerun: bool = False  # convergence_check re-runs it at a larger basis
     scan: bool = False  # it takes a scan grid, and so no seed_gain
     pump: str = "config"  # or its own "gaussian" or "eigenmode" pump (a profile per mode)
+    baseline: InteractionType = None  # the interaction whose calibrated gain the run takes
 
 
 def _scenario(name) -> _Scenario:
@@ -178,10 +179,9 @@ class ScenarioConfig:
                                      f"is not used: {self.name} sets its own pump modes")
         profiles = basis.size if scenario.pump == "eigenmode" else pump_profile_count(coupling)
         check_basis_size(basis.ell_max, basis.p_max, profiles)
-        # every coupling the run analyses must feed a block, else its xi is zero
-        baseline = [_BASELINE] if scenario.run is _run_psr_crosstalk else []
+        # every coupling the run analyses, its baseline too, must feed a block, else xi is zero
         drives = drive_modes(coupling)
-        for interaction in [coupling.interaction, *baseline]:
+        for interaction in filter(None, (coupling.interaction, scenario.baseline)):
             feeds = oam_feeds(drives, basis, interaction)
             if not any(feeds.values()):
                 raise FieldError("coupling.pump.coefficients", (
@@ -257,8 +257,9 @@ def scan_island(scan: dict) -> dict:
 
     The anchor maps to the grid cells bracketing it (nearest in log space);
     the island is the connected superlevel set of the metric at the best
-    anchor cell's value, grown with 8-neighbour connectivity.  Reports
-    whether the global argmax belongs to that island.
+    finite anchor cell's value, grown with 8-neighbour connectivity.  Reports
+    whether the global argmax belongs to that island.  With no finite anchor,
+    a FieldError names ``grid`` and the first anchor's ``scan["failures"]`` error.
     """
     pump = np.asarray(scan["pump_waists"])
     coll = np.asarray(scan["collection_waists"])
@@ -274,7 +275,14 @@ def scan_island(scan: dict) -> dict:
 
     anchors = [(i, j) for i in bracket(pump, PDC_PUMP_WAIST)
                for j in bracket(coll, PDC_COLLECTION_WAIST)]
-    best_anchor = max(anchors, key=lambda ij: metric[ij])
+    finite = [ij for ij in anchors if np.isfinite(metric[ij])]
+    if not finite:
+        i, j = anchors[0]
+        error = next((f["error"] for f in scan.get("failures", ())
+                      if (f["pump"], f["collection"]) == (pump[i], coll[j])), "no finite metric")
+        raise FieldError("grid", f"the cell nearest the benchmark waists, pump {pump[i]:g} um "
+                         f"and collection {coll[j]:g} um, failed: {error}")
+    best_anchor = max(finite, key=lambda ij: metric[ij])
     threshold = float(metric[best_anchor])
 
     member = metric >= threshold
@@ -317,7 +325,7 @@ def _analysed(coupling: CouplingConfig, n_target: float, gain: float = None):
         if not np.all(np.isfinite(xi)):
             raise FieldError("seed_gain", f"{gain!r} takes the coupling matrix past the "
                              "float range")
-        sq = SqueezeMatrix(xi=xi, basis=sq.basis, interaction=sq.interaction)
+        sq = replace(sq, xi=xi)
     return sq, float(gain), state_report(sq)
 
 
@@ -386,7 +394,7 @@ def _run_psr_single(cfg: ScenarioConfig) -> ScenarioResult:
 
 def _run_psr_crosstalk(cfg: ScenarioConfig) -> ScenarioResult:
     """PsrPCrosstalk / FwmTwoPhoton at the gain of their own no-crosstalk baseline."""
-    baseline = replace(cfg.coupling, interaction=_BASELINE)
+    baseline = replace(cfg.coupling, interaction=_scenario(cfg.name).baseline)
     base_sq, gain, base = _analysed(baseline, cfg.n_target, cfg.seed_gain)
     sq, gain, report = _analysed(cfg.coupling, cfg.n_target, gain)
     u00 = _u00_variance(report, sq)
@@ -554,9 +562,11 @@ _SCENARIOS = {
         _run_psr_single, partial(_psr_coupling, InteractionType.DEGENERATE_SINGLE_BEAM),
         rerun=True),
     "PsrPCrosstalk": _Scenario(
-        _run_psr_crosstalk, partial(_psr_coupling, InteractionType.P_CROSSTALK_ONLY), rerun=True),
+        _run_psr_crosstalk, partial(_psr_coupling, InteractionType.P_CROSSTALK_ONLY), rerun=True,
+        baseline=InteractionType.DEGENERATE_SINGLE_BEAM),
     "FwmTwoPhoton": _Scenario(
-        _run_psr_crosstalk, partial(_psr_coupling, InteractionType.FULL_CROSSTALK), rerun=True),
+        _run_psr_crosstalk, partial(_psr_coupling, InteractionType.FULL_CROSSTALK), rerun=True,
+        baseline=InteractionType.DEGENERATE_SINGLE_BEAM),
     "PdcBenchmark": _Scenario(
         _pdc_analysis, partial(_pdc_coupling, PDC_PUMP_WAIST), rerun=True),
     "PdcEigenPump": _Scenario(
@@ -578,7 +588,7 @@ def _convergence_check(cfg: ScenarioConfig) -> dict:
         raise ValueError(f"convergence_check: {exc.reason} of the re-run") from None
     result = _scenario(cfg.name).run(replace(cfg, coupling=coupling))
     return {
-        "basis": "ell_max=2,p_max=4",
+        "basis": f"ell_max={coupling.basis.ell_max},p_max={coupling.basis.p_max}",
         "nbar_total": result.report.nbar_total,
         "u00_variance_x1": _u00_variance(result.report, result.squeeze),
     }

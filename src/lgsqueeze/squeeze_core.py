@@ -18,8 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coupling import InteractionType
-from .modes import ModeBasis
+from .coupling import InteractionType, SqueezeMatrix
 
 __all__ = [
     "SqueezeMatrix",
@@ -111,37 +110,6 @@ def _polar_functions(xi: np.ndarray):
         return (vecs * fn(vals)) @ vecs.conj().T
 
     return phase, of_r
-
-
-@dataclass
-class SqueezeMatrix:
-    """Complex squeezing matrix, checked square and finite on construction.
-
-    Rows are signal modes, columns idler modes, both ordered per the basis.
-    It holds no factors: ``state_report`` and ``bogoliubov_matrix`` factor
-    ``xi`` when they run, so a matrix that is only rescaled is never factored.
-    """
-
-    xi: np.ndarray
-    basis: ModeBasis
-    interaction: InteractionType
-
-    def __post_init__(self):
-        self.xi = np.asarray(self.xi, dtype=complex)
-        if self.xi.ndim != 2 or self.xi.shape[0] != self.xi.shape[1]:
-            raise ValueError(f"xi must be square, got shape {self.xi.shape}")
-        if self.basis is not None and self.basis.size != self.xi.shape[0]:
-            raise ValueError("basis size does not match matrix dimension")
-        if not np.all(np.isfinite(self.xi)):
-            raise ValueError("xi must be finite")
-
-    @property
-    def size(self) -> int:
-        return self.xi.shape[0]
-
-    def is_symmetric(self) -> bool:
-        scale = max(np.linalg.norm(self.xi), 1e-300)
-        return np.linalg.norm(self.xi - self.xi.T) / scale < SYMMETRY_RTOL
 
 
 @dataclass
@@ -282,10 +250,10 @@ def degenerate_statistics(sq: SqueezeMatrix) -> StateReport:
     """
     if sq.interaction is not InteractionType.DEGENERATE_SINGLE_BEAM:
         raise ValueError("degenerate statistics require a degenerate-interaction matrix")
-    if not sq.is_symmetric():
+    scale = max(np.linalg.norm(sq.xi), 1e-300)
+    if not np.linalg.norm(sq.xi - sq.xi.T) / scale < SYMMETRY_RTOL:
         raise ValueError("degenerate statistics require a symmetric matrix")
-    rep = state_report(SqueezeMatrix(xi=2.0 * sq.xi, basis=sq.basis,
-                                     interaction=sq.interaction))
+    rep = state_report(replace(sq, xi=2.0 * sq.xi))
     number_variance = 2.0 * rep.number_variance
     return replace(
         rep,

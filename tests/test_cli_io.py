@@ -813,16 +813,25 @@ class TestCli:
         assert agreement["within_bound"]
         assert agreement["max_deviation"] <= agreement["truncation_bound"] < 1e-3
 
-    @pytest.mark.parametrize("scenario", ["FwmTwoPhoton", "PsrPCrosstalk"])
-    def test_two_beam_oracle_bound_over_the_cap_exits_2(self, tmp_path, capsys, scenario):
+    @pytest.mark.parametrize("scenario, flags, knob", [
         # 3 modes, 6 oscillators at cut 8: a bound of 8.4e-2, so a deviation
-        # of 4.8e-2 under it says little; the files are still written
+        # of 4.8e-2 under it says little
+        ("FwmTwoPhoton", ["--pmax", "2"], "n_target"),
+        ("PsrPCrosstalk", ["--pmax", "2"], "n_target"),
+        # 34.6 photons on 2 oscillators at cut 300: the bound of 4.6e-3
+        # under-reads the var_X1 deviation of 4.9e-2 tenfold, and only the
+        # cap refuses the run (at seed gain 0.6 the bound is 3e-14 and it passes)
+        ("FwmTwoPhoton", ["--pmax", "0", "--seed-gain", "1"], "--seed-gain"),
+    ], ids=["FwmTwoPhoton", "PsrPCrosstalk", "FwmTwoPhoton-seed-gain-1"])
+    def test_two_beam_oracle_bound_over_the_cap_exits_2(self, tmp_path, capsys, scenario,
+                                                        flags, knob):
+        # the files are still written
         rc = cli_main([
-            "--scenario", scenario, "--lmax", "0", "--pmax", "2",
+            "--scenario", scenario, "--lmax", "0", *flags,
             "--out", str(tmp_path), "--oracle", "--quiet",
         ])
         assert rc == 2
-        assert re.fullmatch(ORACLE_REFUSAL, capsys.readouterr().err)
+        assert re.fullmatch(ORACLE_REFUSAL.replace("n_target", knob), capsys.readouterr().err)
         agreement = json.loads((tmp_path / "oracle_agreement.json").read_text())
         assert not agreement["within_bound"] and agreement["truncation_bound"] > 1e-3
         assert (tmp_path / "report.json").is_file()

@@ -252,18 +252,41 @@ class TestWaistScan:
     def test_no_cell_failures(self, waist_scan):
         assert waist_scan.scan["failures"] == []
 
-    def test_numerical_failure_is_recorded_per_cell(self, monkeypatch):
+    @staticmethod
+    def fail_at(monkeypatch, pump, collection):
+        """Make the cell of the ``pump`` and ``collection`` waists fail."""
         assemble = scenarios.assemble_squeeze_matrix
 
-        def failing_corner(coupling):
-            if coupling.pump1.geometry.waist_w0 == coupling.collection.waist_w0 == 100.0:
+        def failing_cell(coupling):
+            waists = (coupling.pump1.geometry.waist_w0, coupling.collection.waist_w0)
+            if waists == (pump, collection):
                 raise FieldError("coupling.pump", "a waist the quadrature cannot resolve")
             return assemble(coupling)
 
-        monkeypatch.setattr(scenarios, "assemble_squeeze_matrix", failing_corner)
+        monkeypatch.setattr(scenarios, "assemble_squeeze_matrix", failing_cell)
+
+    def test_numerical_failure_is_recorded_per_cell(self, monkeypatch):
+        self.fail_at(monkeypatch, 100.0, 100.0)
         scan = run_scenario(small_scan()).scan
         assert [(f["pump"], f["collection"]) for f in scan["failures"]] == [(100.0, 100.0)]
         assert math.isnan(scan["metric"][0][0])
+
+    def test_failed_anchor_gives_way_to_the_finite_ones(self, monkeypatch):
+        # 200 um lies as far from 100 as from 400 in log space, so all four
+        # cells are anchors; the failed first one must not set the threshold
+        self.fail_at(monkeypatch, 100.0, 100.0)
+        grid = {"pump": [100.0, 400.0], "collection": [100.0, 400.0], "points": 2}
+        scan = run_scenario(replace(small_scan(), scan_grid=grid)).scan
+        metric = np.asarray(scan["metric"], dtype=float)
+        assert math.isnan(metric[0, 0])
+        assert scan["island"]["threshold"] == np.nanmax(metric)
+        assert scan["island"]["anchor_cell"] != [0, 0]
+
+    def test_failed_only_anchor_names_grid(self, monkeypatch):
+        self.fail_at(monkeypatch, 200.0, 200.0)
+        with pytest.raises(FieldError, match="quadrature cannot resolve") as caught:
+            run_scenario(small_scan())
+        assert caught.value.field == "grid"
 
     def test_programming_error_is_not_a_failed_cell(self, monkeypatch):
         def broken(report, basis):

@@ -1,5 +1,6 @@
 """What a run imports, and the ``python -m lgsqueeze`` entry point."""
 
+import ast
 import importlib
 import json
 import os
@@ -87,3 +88,34 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"lgsqueeze.{info.name}")
         stale = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not stale, f"lgsqueeze.{info.name}.__all__ names missing {stale}"
+
+
+# imports a function may make when it runs, beside every one of the command
+# line's (they give the benchmark tracer the bindings it replaces): the
+# package's lazy Fock oracle, and modules only a rare path needs
+CALL_TIME_IMPORTS = {("__init__.py", ".fock_oracle"), ("*", "scipy.linalg"),
+                     ("*", "concurrent.futures"), ("*", "decimal")}
+
+
+def imported(node):
+    """The modules an import statement names, a relative one with its dots."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    dots = "." * node.level
+    if node.module is None:  # from . import name
+        return [dots + alias.name for alias in node.names]
+    return [dots + node.module]
+
+
+def test_package_modules_import_at_module_top():
+    late = set()  # a nested function's imports are walked twice
+    for path in sorted(Path(lgsqueeze.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        functions = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in (node for func in functions for node in ast.walk(func)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                late |= {f"{path.name}:{node.lineno} {name}" for name in imported(node)
+                         if not {(path.name, name), ("*", name)} & CALL_TIME_IMPORTS}
+    assert not late, f"imports inside a function: {sorted(late)}"
