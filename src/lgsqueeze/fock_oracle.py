@@ -14,13 +14,15 @@ a Chebyshev series of e^G (Tal-Ezer and Kosloff), whose k-th term lives on
 one grade parity, so each product works on one block and a transposed
 view of the other with a half-length vector.  Every statistic is then a
 direct expectation value on the reached set and the states one ladder step
-away.  Two beams conserve N_a - N_b, so those ladder images split into a
-part that lowers it and a part that raises it, on disjoint states; one
-stack of a part's images is held at a time, on just the states they land
-on.  Feasible only for a handful of modes; each result carries a
-truncation-error estimate (the amplitude on the highest occupation each
-excited mode reaches) so comparisons against closed forms can be judged
-honestly.
+away, with no BLAS call: the number moments and the truncation bound are
+sums over |psi|^2, and each matrix moment a sum of blocks of one Gram
+matrix per stack of ladder images.  Two beams conserve N_a - N_b, so those
+images split into a part that lowers it and a part that raises it, on
+disjoint states; one part's stack is held at a time, on just the states
+its images land on.  Feasible only for a handful of modes; each result
+carries a truncation-error estimate (the amplitude on the highest
+occupation each excited mode reaches) so comparisons against closed forms
+can be judged honestly.
 """
 
 from __future__ import annotations
@@ -346,9 +348,13 @@ def build_hamiltonian_exponent(xi: np.ndarray, space: TruncatedFockSpace):
     return _exponent_on(_pair_terms(xi, space), space, states)
 
 
-def _expectation_matrix(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """<left_i | right_j> for stacked state vectors, conjugating no copy of ``left``."""
-    return np.array([[np.vdot(u, v) for v in right] for u in left])
+def _gram(stack: np.ndarray) -> np.ndarray:
+    """<s_i | s_j> for the rows s of a complex ``stack``, by einsum over views
+    of it: the real part from its float64 view, the imaginary part from its
+    ``.real`` and ``.imag``, with no copy and no BLAS call."""
+    skew = np.einsum("ik,jk->ij", stack.real, stack.imag)
+    flat = stack.view(np.float64)
+    return np.einsum("ik,jk->ij", flat, flat) + 1j * (skew - skew.T)
 
 
 def _ladder_stack(psi, occ, states, space: TruncatedFockSpace, ladders: list) -> np.ndarray:
@@ -387,7 +393,8 @@ def vacuum_statistics(xi: np.ndarray, space: TruncatedFockSpace) -> OracleReport
     The truncation bound is the L2 amplitude of the state on basis states
     where some excited mode sits at the highest occupation any reachable
     state gives it (the cut, unless a conservation law stops short of it);
-    a caller compares it with the deviation it can accept.  An exponent
+    a caller compares it with the deviation it can accept.  No statistic
+    calls BLAS, so the call leaves a BLAS thread pool asleep.  An exponent
     whose 1-norm is not finite raises ValueError.
     """
     xi = np.asarray(xi, dtype=complex)
@@ -397,49 +404,42 @@ def vacuum_statistics(xi: np.ndarray, space: TruncatedFockSpace) -> OracleReport
     psi = _evolve_vacuum(*_lowering_on(terms, space, states, occ, n_even))
     degenerate = space.n_modes == n
 
-    top = occ.max(axis=0)
-    shell = np.any((occ == top) & (top > 0), axis=1)
-    bound = float(np.linalg.norm(psi[shell]))
-
-    # the number operators are diagonal: N psi is the occupation sum times psi
-    na_psi = occ[:, :n].sum(axis=1) * psi
-    nb_psi = na_psi if degenerate else occ[:, n:].sum(axis=1) * psi
-    mean_na = float(np.vdot(psi, na_psi).real)
-    mean_nb = float(np.vdot(psi, nb_psi).real)
-    number_variance = float(np.vdot(na_psi, na_psi).real) - mean_na ** 2
-    number_covariance = float(np.vdot(na_psi, nb_psi).real) - mean_na * mean_nb
-
     # with u = a + b and w = a^dag + b^dag, X1 = (u + w)/2^{3/2} and
     # X2 = -i (u - w)/2^{3/2} for two beams; single-beam, u = a and
     # w = a^dag, and the scale is 1/2.  Two beams conserve N_a - N_b, so
     # u psi and w psi each split into a part that lowers it (a psi and
     # b^dag psi) and a part that raises it (b psi and a^dag psi), which land
-    # on disjoint states and are stacked one after the other
+    # on disjoint states: the Gram matrix of [u psi; w psi] is the sum of
+    # the parts' ones (each part's stack dropped once read), and each
+    # moment a sum of its blocks
     modes = range(n)
     if degenerate:
         parts = [([(k, 0) for k in modes], [(k, 1) for k in modes])]
     else:
         parts = [([(k, 0) for k in modes], [(n + k, 1) for k in modes]),
                  ([(n + k, 0) for k in modes], [(k, 1) for k in modes])]
-    scale = 0.5 if degenerate else 2.0 ** -1.5
-    v1, v2, cross = (np.zeros((n, n), dtype=complex) for _ in range(3))
-    for number, (u_part, w_part) in enumerate(parts):
-        stack = _ladder_stack(psi, occ, states, space, u_part + w_part)
-        u, w = stack[:n], stack[n:]
-        if number == 0:  # a psi and b^dag psi
-            nbar = _expectation_matrix(u, u)
-            pair = _expectation_matrix(u, w)
-        # X1 psi and X2 psi overwrite the stack row by row
-        for k in modes:
-            x2 = u[k] - w[k]
-            u[k] += w[k]
-            u[k] *= scale
-            np.multiply(-1j * scale, x2, out=w[k])
-        v1 += _expectation_matrix(u, u)
-        v2 += _expectation_matrix(w, w)
-        cross += _expectation_matrix(u, w)
-        del stack, u, w, x2  # before the next part's stack is filled
-    cov = cross.real  # 1/2 (<X1 X2~> + <X2 X1~>^T) elementwise
+    grams = [_gram(_ladder_stack(psi, occ, states, space, u + w)) for u, w in parts]
+    nbar, pair = grams[0][:n, :n], grams[0][:n, n:]  # from a psi and b^dag psi
+    gram = sum(grams)
+    uu, uw, wu, ww = gram[:n, :n], gram[:n, n:], gram[n:, :n], gram[n:, n:]
+    square = 0.25 if degenerate else 0.125  # the scale squared
+    v1 = square * (uu + uw + wu + ww)
+    v2 = square * (uu - uw - wu + ww)
+    # 1/2 (<X1 X2~> + <X2 X1~>^T) elementwise: the real part of
+    # <X1 psi | X2 psi> = -i (uu - uw + wu - ww) times the scale squared
+    cov = square * (uu - uw + wu - ww).imag
+
+    # the number operators are diagonal: their moments are sums over |psi|^2
+    prob = psi.real ** 2 + psi.imag ** 2
+    top = occ.max(axis=0)
+    shell = np.any((occ == top) & (top > 0), axis=1)
+    bound = math.sqrt(prob[shell].sum())
+    na = occ[:, :n].sum(axis=1)
+    nb = na if degenerate else occ[:, n:].sum(axis=1)
+    weighted = prob * na
+    mean_na, mean_nb = float(weighted.sum()), float((prob * nb).sum())
+    number_variance = float((weighted * na).sum()) - mean_na ** 2
+    number_covariance = float((weighted * nb).sum()) - mean_na * mean_nb
 
     return OracleReport(
         scalar_var=(float(np.trace(v1).real), float(np.trace(v2).real)),

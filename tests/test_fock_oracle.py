@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -409,22 +410,47 @@ class TestVacuumStatistics:
         restricted = gen[states][:, states]
         assert (_exponent_on(terms, space, states) != restricted).nnz == 0
 
-    def test_three_mode_draw_holds_at_most_11_5_mb(self):
-        # a 3-mode, cut-8 two-beam draw reaches 32661 of 531441 states.  The
-        # peak (9.4 MB) is the fill of A's CSR arrays (4.9 MB), with each
-        # term's rows and the occupations beside them; the Chebyshev sum (A
-        # and a few state vectors) and each of the two ladder-image stacks
-        # (6 x 32292 x 16 B) hold less.  A COO copy of A and two stacks on
-        # every one-step neighbour took it to 19.0 MB, and the copies
-        # expm_multiply made to 33.1 MB
-        xi, space = three_mode_draw()
+    @staticmethod
+    def traced_peak(xi, space):
+        """The traced-memory peak of one oracle call, in bytes."""
         tracemalloc.start()
         try:
             vacuum_statistics(xi, space)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 11.5e6, peak
+
+    def test_three_mode_draw_holds_at_most_11_5_mb(self):
+        # a 3-mode, cut-8 two-beam draw reaches 32661 of 531441 states.  The
+        # peak (9.1 MB) is the fill of A's CSR arrays (4.9 MB), with each
+        # term's rows and the occupations beside them; the Chebyshev sum (A
+        # and a few state vectors) and each of the two ladder-image stacks
+        # (6 x 32292 x 16 B), read in place into a 6 x 6 Gram matrix, hold
+        # less.  A COO copy of A and two stacks on every one-step neighbour
+        # took it to 19.0 MB, and the copies expm_multiply made to 33.1 MB
+        assert self.traced_peak(*three_mode_draw()) <= 11.5e6
+
+    def test_three_coupled_degenerate_modes_at_the_cli_cut_hold_at_most_31_7_mb(self):
+        # cut 83 is the --oracle check's cut for 3 coupled degenerate modes:
+        # 74088 states reached, and the ladder stack (6 x 222264 x 16 B,
+        # 21.3 MB) sets the peak (29.6 MB).  Its Gram matrix reads it in
+        # place; writing X1 psi and X2 psi over it row by row read 33.3 MB,
+        # and a conjugated copy of it would add the stack again
+        xi, space = np.diag([0.05, 0.03, 0.02]), TruncatedFockSpace(3, 83)
+        assert self.traced_peak(xi, space) <= 31.7e6
+
+    def test_leaves_the_blas_pool_asleep(self):
+        # no statistic calls BLAS: a BLAS call on state-length vectors
+        # (np.vdot, np.linalg.norm) wakes an OpenBLAS thread pool, whose idle
+        # worker then spun for about 0.15 s after the 3-mode draw, CPU time
+        # burnt by a thread other than the caller's.  The first sleep lets
+        # an earlier test's workers go idle, the second lets a spin show
+        time.sleep(0.5)
+        process, thread = time.process_time(), time.thread_time()
+        vacuum_statistics(*three_mode_draw())
+        time.sleep(0.3)
+        others = (time.process_time() - process) - (time.thread_time() - thread)
+        assert others < 0.03, others
 
     def test_truncation_bound_reads_the_highest_reached_shell(self):
         # photon parity keeps a degenerate single mode off an odd cut: the
