@@ -11,6 +11,11 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import scenarios, squeeze_core
+from .coupling import InteractionType
+from .modes import FieldError
+from .squeeze_core import VACUUM_VARIANCE
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -44,10 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _oracle_check(result, knob: str):
     """The ``oracle_agreement`` summary of a run, and why it fails (None if it
     passes); ``knob`` names what set the run's gain."""
-    from .coupling import InteractionType
     from .fock_oracle import (COMPARED_FIELDS, DIMENSION_GUARD, ORACLE_CAP, TruncatedFockSpace,
                               deviations, vacuum_statistics)
-    from .squeeze_core import VACUUM_VARIANCE, degenerate_statistics
 
     sq = result.squeeze
     n = sq.size
@@ -70,7 +73,7 @@ def _oracle_check(result, knob: str):
         if np.ndim(getattr(oracle, name)) == 2:  # a matrix over the modes
             full[name] = np.eye(n, dtype=complex) * (VACUUM_VARIANCE if name[:3] == "var" else 0.0)
             full[name][block] = getattr(oracle, name)
-    rep = degenerate_statistics(sq) if single_beam else result.report
+    rep = squeeze_core.degenerate_statistics(sq) if single_beam else result.report
     # each deviation is scaled by the closed-form value where that exceeds 1
     scaled = {name: deviation / max(1.0, float(np.abs(getattr(rep, name)).max()))
               for name, deviation in deviations(replace(oracle, **full), rep, single_beam).items()}
@@ -101,24 +104,24 @@ def _json_int(text: str):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     seed_knob = "seed_gain" if args.seed_gain is None else "--seed-gain"  # sets a seed gain
-
-    from .report_io import emit_result, report_to_dict, scenario_config_from_dict
-    from .scenarios import (FieldError, coupling_on_basis, default_config, run_scenario,
-                            scenario_basis)
+    # not at module top: loaded ahead of scipy.sparse, report_io leaves a large
+    # run's heap pinned (see fock_oracle's scipy.sparse import)
+    from . import report_io
 
     try:
         if args.config:
             with open(args.config, encoding="utf-8") as handle:
                 data = json.load(handle, parse_int=_json_int)
-            cfg = scenario_config_from_dict(data)
+            cfg = report_io.scenario_config_from_dict(data)
         else:
-            cfg = default_config(args.scenario)
+            cfg = scenarios.default_config(args.scenario)
         changes = {}
         if args.lmax is not None or args.pmax is not None:
             old = cfg.coupling.basis
-            basis = scenario_basis(cfg.name, old.ell_max if args.lmax is None else args.lmax,
-                                   old.p_max if args.pmax is None else args.pmax)
-            changes["coupling"] = coupling_on_basis(cfg.coupling, basis)
+            basis = scenarios.scenario_basis(
+                cfg.name, old.ell_max if args.lmax is None else args.lmax,
+                old.p_max if args.pmax is None else args.pmax)
+            changes["coupling"] = scenarios.coupling_on_basis(cfg.coupling, basis)
         if args.seed_gain is not None:
             changes["seed_gain"] = args.seed_gain
         cfg = replace(cfg, **changes)
@@ -128,14 +131,15 @@ def main(argv=None) -> int:
 
         out_dir = args.out or os.environ.get("OUT_DIR") or "out"
         start = time.perf_counter()
-        result = run_scenario(cfg)
+        result = scenarios.run_scenario(cfg)
         wall = time.perf_counter() - start
         failure = None
         if args.oracle:
-            report_to_dict(result.report)  # a non-finite report is refused before the oracle
+            # a non-finite report is refused before the oracle
+            report_io.report_to_dict(result.report)
             result.oracle_agreement, failure = _oracle_check(
                 result, "n_target" if cfg.seed_gain is None else seed_knob)
-        files = emit_result(result, cfg, out_dir, wall_time_s=wall)
+        files = report_io.emit_result(result, cfg, out_dir, wall_time_s=wall)
         if failure:  # the files are written for a look at the deviations
             raise ValueError(failure)
     except FieldError as exc:  # set by a flag, or a seed gain the run refused

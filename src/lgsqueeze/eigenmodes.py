@@ -96,8 +96,6 @@ def _canonicalize_cluster(vectors: np.ndarray) -> np.ndarray:
         if norm > 1e-8:
             out.append(v / norm)
         col += 1
-    if len(out) < k:  # pathological subspace alignment; keep the original basis
-        return vectors
     return np.column_stack(out)
 
 
@@ -106,8 +104,7 @@ def _fix_phases(u: np.ndarray) -> np.ndarray:
     for j in range(u.shape[1]):
         i = int(np.argmax(np.abs(u[:, j])))
         pivot = u[i, j]
-        if abs(pivot) > 0:
-            u[:, j] *= np.conj(pivot) / abs(pivot)
+        u[:, j] *= np.conj(pivot) / abs(pivot)
     return u
 
 

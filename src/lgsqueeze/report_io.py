@@ -394,7 +394,9 @@ def emit_result(result, cfg, out_dir, wall_time_s: float = 0.0) -> list:
     carrying timing information, so all data files are reproducible byte
     for byte from the resolved configuration it embeds.  Every number
     outside the WaistScan grid must be finite: otherwise ValueError names
-    the field and no file is written.
+    the field and no file is written.  Every run writes the same files but
+    ``scan_grid.csv`` and ``oracle_agreement.json``; an earlier run's copy of
+    either, which this run did not write, is removed.
     """
     report = result.report
     report_doc = {
@@ -482,6 +484,8 @@ def emit_result(result, cfg, out_dir, wall_time_s: float = 0.0) -> list:
         "outputs": sorted(written),
         "convergence_check": report_doc.get("convergence_check"),
     })
+    for name in {"scan_grid.csv", "oracle_agreement.json"}.difference(written):
+        (out / name).unlink(missing_ok=True)
     return written
 
 

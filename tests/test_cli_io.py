@@ -770,15 +770,30 @@ class TestCli:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "oracle_agreement.json" in manifest["outputs"]
 
-    def test_subnormal_seed_gain_oracle_run_reads_the_vacuum(self, tmp_path):
+    @pytest.mark.parametrize("first", [
+        ["--scenario", "PsrSinglePhoton", "--lmax", "0", "--pmax", "0", "--oracle"],
+        ["--scenario", "WaistScan", "--lmax", "0", "--pmax", "0"],
+    ], ids=["oracle", "waist-scan"])
+    def test_a_run_leaves_no_file_of_an_earlier_run(self, tmp_path, first):
+        # an earlier run's oracle_agreement.json or scan_grid.csv left beside
+        # this run's files would read as this run's
+        for argv in (first, ["--scenario", "PsrSinglePhoton", "--lmax", "0", "--pmax", "0"]):
+            assert cli_main([*argv, "--out", str(tmp_path), "--quiet"]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            manifest["outputs"] + ["manifest.json"])
+
+    @pytest.mark.parametrize("gain, p_max", [("1e-322", "0"), ("0", "1")])
+    def test_subnormal_seed_gain_oracle_run_reads_the_vacuum(self, tmp_path, gain, p_max):
         # a gain of 1e-322 gives the oracle an exponent whose 1-norm is
-        # subnormal, so 2 / norm overflows; the run must still compare finite
+        # subnormal, so 2 / norm overflows; a gain of 0 leaves xi zero, so the
+        # oracle keeps both modes.  Each run must still compare finite
         # numbers, print no warning and exit 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = cli_main([
-                "--scenario", "PsrSinglePhoton", "--lmax", "0", "--pmax", "0",
-                "--seed-gain", "1e-322", "--out", str(tmp_path), "--oracle", "--quiet",
+                "--scenario", "PsrSinglePhoton", "--lmax", "0", "--pmax", p_max,
+                "--seed-gain", gain, "--out", str(tmp_path), "--oracle", "--quiet",
             ])
         assert rc == 0
         agreement = json.loads((tmp_path / "oracle_agreement.json").read_text())

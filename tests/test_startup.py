@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import lgsqueeze
+from lgsqueeze import cli
 
 SRC = str(Path(lgsqueeze.__file__).resolve().parent.parent)
 SCIPY_PARTS = ("scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.sparse.linalg")
@@ -90,11 +92,13 @@ def test_every_exported_name_resolves():
         assert not stale, f"lgsqueeze.{info.name}.__all__ names missing {stale}"
 
 
-# imports a function may make when it runs, beside every one of the command
-# line's (they give the benchmark tracer the bindings it replaces): the
-# package's lazy Fock oracle, and modules only a rare path needs
-CALL_TIME_IMPORTS = {("__init__.py", ".fock_oracle"), ("*", "scipy.linalg"),
-                     ("*", "concurrent.futures"), ("*", "decimal")}
+# imports a function may make when it runs: the lazy Fock oracle of the
+# package and of the command line's --oracle check (only it loads
+# scipy.sparse); the command line's report_io, loaded on its first run to keep
+# a large run's heap unpinned (see cli.main); and modules only a rare path needs
+CALL_TIME_IMPORTS = {("__init__.py", ".fock_oracle"), ("cli.py", ".fock_oracle"),
+                     ("cli.py", ".report_io"), ("*", "scipy.linalg"), ("*", "concurrent.futures"),
+                     ("*", "decimal")}
 
 
 def imported(node):
@@ -110,8 +114,6 @@ def imported(node):
 def test_package_modules_import_at_module_top():
     late = set()  # a nested function's imports are walked twice
     for path in sorted(Path(lgsqueeze.__file__).parent.glob("*.py")):
-        if path.name == "cli.py":
-            continue
         functions = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for node in (node for func in functions for node in ast.walk(func)):
@@ -119,3 +121,32 @@ def test_package_modules_import_at_module_top():
                 late |= {f"{path.name}:{node.lineno} {name}" for name in imported(node)
                          if not {(path.name, name), ("*", name)} & CALL_TIME_IMPORTS}
     assert not late, f"imports inside a function: {sorted(late)}"
+
+
+# perfbench is not a package, so its tracer is loaded by path
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_tracing", Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py")
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
+
+
+def test_the_benchmark_tracer_sees_every_layer_of_a_run(tmp_path):
+    # the tracer replaces module attributes, so a layer another module bound
+    # by name at import would run unseen and read as zero calls
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.begin_pass()
+        for run, argv in enumerate((["PsrSinglePhoton", "--lmax", "1", "--pmax", "0", "--oracle"],
+                                    ["PdcBenchmark", "--lmax", "0", "--pmax", "1"])):
+            assert cli.main(["--scenario", *argv, "--out", str(tmp_path / str(run)),
+                             "--quiet"]) == 0
+        figures = tracer.end_pass()
+    finally:
+        tracer.uninstall()
+    layers = ("cli.main", "scenarios.run_scenario", "coupling.assemble_squeeze_matrix",
+              "coupling.scale_to_mean_photons", "squeeze_core.polar_decompose",
+              "squeeze_core.state_report", "squeeze_core.degenerate_statistics",
+              "eigenmodes.decompose", "fock_oracle.vacuum_statistics", "report_io.emit_result")
+    unseen = [layer for layer in layers if figures[f"{layer}.calls"] < 1]
+    assert not unseen, unseen
