@@ -250,8 +250,9 @@ def _profiles_on_grid(entries, r, beam):
     are built in several calls computes its shared factors once.  The
     entries of one |ell| share one Laguerre recurrence over the whole grid,
     on the calling thread, which fills each row of order p as L_p comes out,
-    in the operand order (c/w)*base*ring*L_p*gouy; so it holds two orders,
-    never the ladder.  Returns a complex array of shape (len(entries), nz, nt).
+    in the operand order (c/w)*base*ring*L_p*gouy; so it holds the
+    recurrence's three buffers, never the ladder.  Returns a complex array
+    of shape (len(entries), nz, nt).
     """
     w, targ, psi, base = beam
     out = np.empty((len(entries),) + r.shape, dtype=complex)
@@ -361,12 +362,13 @@ def _assembly_floor_bytes(ell_max: int, p_max: int, pump_profiles: int) -> int:
     ``pump_profiles`` pump profiles, on the fewest nodes the finest level of
     ``_node_schedule`` can have: no Gouy swing, the smallest radial cutoff
     and only the two collection fields' radial orders.  It needs no mode
-    list.  Beside these the assembly holds seven to eight grid-sized complex
+    list.  Beside these the assembly holds up to five grid-sized complex
     arrays' worth of working arrays, whatever the basis: the grid and its
-    measure, the collection beam's factors, a ring factor, the pump product
-    and the Laguerre recurrence's two orders and temporaries
-    (``TestStreamedAssembly`` names each).  The floor leaves them out, so it
-    stays a floor; no array grows with p_max beyond the stacks.
+    measure, the collection beam's factors, a ring factor and the Laguerre
+    recurrence's three real buffers while a stack is filled, and the pump
+    product only while its overlap is contracted (``TestStreamedAssembly``
+    names each).  The floor leaves them out, so it stays a floor; no array
+    grows with p_max beyond the stacks.
     """
     n_p = p_max + 1
     n = (2 * ell_max + 1) * n_p
@@ -481,6 +483,8 @@ def _assemble_at(cfg: CouplingConfig, nz: int, nt: int, t_max: float):
                 overlap = np.einsum("zt,pzt,pzt->p", pump, stacks[key[0]], stacks[key[1]])
             else:
                 overlap = _contract(pump, stacks[key[0]], stacks[key[1]])
+            # read once: the next product or stack is built without this one
+            del pump
             for ell_s, ell_i in blocks:
                 row, col = (basis.position(ModeIndex(ell, 0)) for ell in (ell_s, ell_i))
                 if diag_only:
@@ -502,6 +506,16 @@ def _beam_keys(cfg: CouplingConfig, field: str) -> list:
     return beams
 
 
+def _frobenius(matrix: np.ndarray) -> float:
+    """The Frobenius norm of a complex matrix, by einsum over its float64 view.
+
+    It makes no BLAS call: ``np.linalg.norm`` is a BLAS dot product, which
+    wakes a BLAS thread pool once the matrix has about 10^4 entries.
+    """
+    flat = matrix.view(np.float64)
+    return math.sqrt(np.einsum("ij,ij->", flat, flat))
+
+
 def _assemble_raw(cfg: CouplingConfig):
     """Refine the quadrature grid until the matrix is stable to ``QUADRATURE_RTOL``.
 
@@ -517,11 +531,11 @@ def _assemble_raw(cfg: CouplingConfig):
         prev, residual = None, math.inf
         for nz, nt in schedule:
             cur = _assemble_at(cfg, nz, nt, t_max)
-            norm = float(np.linalg.norm(cur))
+            norm = _frobenius(cur)
             if not math.isfinite(norm):
                 break
             if prev is not None:
-                residual = float(np.linalg.norm(cur - prev)) / max(norm, 1e-300)
+                residual = _frobenius(cur - prev) / max(norm, 1e-300)
                 if residual <= QUADRATURE_RTOL:
                     return cur
             prev = cur

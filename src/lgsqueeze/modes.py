@@ -192,17 +192,26 @@ def laguerre_ladder(alpha: int, t, p_max: int) -> np.ndarray:
 
 
 def _laguerre_orders(alpha: int, t, p_max: int):
-    """Yield L_0^alpha(t), ..., L_p_max^alpha(t) in turn, holding two orders.
+    """Yield L_0^alpha(t), ..., L_p_max^alpha(t) in turn, in three rotating buffers.
 
-    Each yielded array is new, so a caller may keep it.  ``t`` is a float array.
+    The recurrence runs in place, so a yielded order is overwritten two steps
+    later: a caller that keeps one copies it.  ``t`` is a float array.
     """
     cur = np.ones(t.shape)
     yield cur
     if p_max >= 1:
-        prev, cur = cur, 1.0 + alpha - t
+        # an array even for a 0-d t, so the recurrence below stays in place
+        prev, cur = cur, np.subtract(1.0 + alpha, t, out=np.empty(t.shape))
         yield cur
+    spare = np.empty(t.shape) if p_max >= 2 else None
     for k in range(1, p_max):
-        prev, cur = cur, ((2 * k + 1 + alpha - t) * cur - (k + alpha) * prev) / (k + 1)
+        # ((2k + 1 + alpha - t) * cur - (k + alpha) * prev) / (k + 1), operand for operand
+        np.subtract(2 * k + 1 + alpha, t, out=spare)
+        spare *= cur
+        prev *= k + alpha
+        spare -= prev
+        spare /= k + 1
+        prev, cur, spare = cur, spare, prev
         yield cur
 
 

@@ -308,12 +308,14 @@ def scan_island(scan: dict) -> dict:
     }
 
 
-def _analysed(coupling: CouplingConfig, n_target: float, gain: float = None):
-    """Assemble ``coupling``, scale it by ``gain`` or else calibrate it to
-    ``n_target``, and report the state: the one path to ``(sq, gain, report)``;
+def _scaled(coupling: CouplingConfig, n_target: float, gain: float = None,
+            sq: SqueezeMatrix = None):
+    """Assemble ``coupling``, unless ``sq`` is it assembled, and scale it by
+    ``gain`` or else calibrate it to ``n_target``: the one path to ``(sq, gain)``;
     a gain that takes the matrix past the float range names ``seed_gain``,
     and a zero matrix, which has underflowed, the cell length it scales with."""
-    sq = assemble_squeeze_matrix(coupling)
+    if sq is None:
+        sq = assemble_squeeze_matrix(coupling)
     if not np.any(sq.xi):
         raise FieldError("coupling.cell_length", f"{coupling.cell_length!r} is so short "
                          "that the coupling matrix underflows to zero")
@@ -326,7 +328,13 @@ def _analysed(coupling: CouplingConfig, n_target: float, gain: float = None):
             raise FieldError("seed_gain", f"{gain!r} takes the coupling matrix past the "
                              "float range")
         sq = replace(sq, xi=xi)
-    return sq, float(gain), state_report(sq)
+    return sq, float(gain)
+
+
+def _analysed(coupling: CouplingConfig, n_target: float, gain: float = None):
+    """``_scaled``, then the state's report: ``(sq, gain, report)``."""
+    sq, gain = _scaled(coupling, n_target, gain)
+    return sq, gain, state_report(sq)
 
 
 def _u00_variance(report: StateReport, sq: SqueezeMatrix) -> float:
@@ -482,17 +490,22 @@ def _run_pdc_eigen_pump(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _run_pdc_heralding(cfg: ScenarioConfig) -> ScenarioResult:
-    sq, gain, report = _analysed(cfg.coupling, cfg.n_target, cfg.seed_gain)
+    sq, gain = _scaled(cfg.coupling, cfg.n_target, cfg.seed_gain)
+    # reference: the benchmark pump waist at the same extended basis, calibrated
+    # to the run's photon number (the target, or what a seed gain gave).  It is
+    # assembled before the run's report, whose BLAS calls wake a thread pool
+    # that would spin on a CPU the reference's split contraction could use
+    ref = _at_waist(cfg.coupling, "pump", PDC_PUMP_WAIST)
+    ref_sq = assemble_squeeze_matrix(ref)
+    report = state_report(sq)
     metrics = {"nbar_total": report.nbar_total, "calibrated_gain": gain}
     metrics.update(pair_dominance_metrics(report, sq.basis))
-    # reference: the benchmark pump waist at the same extended basis, calibrated
-    # to the run's photon number (the target, or what a seed gain gave)
-    ref = _at_waist(cfg.coupling, "pump", PDC_PUMP_WAIST)
     target = cfg.n_target if cfg.seed_gain is None else report.nbar_total
     if not 0.0 < target < math.inf:
         raise FieldError("seed_gain", f"{cfg.seed_gain!r} gives photon number {target!r}; "
                          "the benchmark reference needs a positive, finite one")
-    ref_sq, _, ref_report = _analysed(ref, target)
+    ref_sq, _ = _scaled(ref, target, sq=ref_sq)
+    ref_report = state_report(ref_sq)
     ref_metrics = pair_dominance_metrics(ref_report, ref_sq.basis)
     metrics["benchmark_diag_dominance"] = ref_metrics["diag_dominance"]
     metrics["benchmark_n00_share"] = ref_metrics["n00_share"]

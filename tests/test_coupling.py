@@ -199,6 +199,27 @@ class TestAssembly:
         b = assemble_squeeze_matrix(fwm_config()).xi
         assert np.array_equal(a, b)
 
+    def test_leaves_the_blas_pool_asleep(self, monkeypatch):
+        # the refinement's norms make no BLAS call: np.linalg.norm of a matrix
+        # of about 10^4 entries or more is a BLAS dot product, which woke an
+        # OpenBLAS thread pool whose idle worker then spun for about 0.13 s.
+        # With one usable CPU no split thread runs, so CPU time burnt off the
+        # calling thread is the pool's.  The quadrature rules are computed
+        # first: numpy's rule is an eigenvalue solve, which wakes the pool
+        # once per node count and process.  The first sleep lets earlier
+        # workers go idle, the second lets a spin show
+        monkeypatch.setattr(coupling, "_usable_cpus", lambda: 1)
+        cfg = default_config("PdcBenchmark", ell_max=10, p_max=4).coupling  # 105 modes
+        for level in _node_schedule(cfg)[0]:
+            for nodes in level:
+                _leggauss(nodes)
+        time.sleep(0.5)
+        process, thread = time.process_time(), time.thread_time()
+        assemble_squeeze_matrix(cfg)
+        time.sleep(0.3)
+        others = (time.process_time() - process) - (time.thread_time() - thread)
+        assert others < 0.03, others
+
     def test_pump_coefficient_validation(self):
         basis = build_basis(1, 2)
         bad_norm = np.zeros(basis.size, dtype=complex)
@@ -643,10 +664,9 @@ class TestStreamedAssembly:
         working = {
             "r and the measure, both real": 1.0,
             "the pump profile": 1.0,
-            "the pump product of the previous overlap": 1.0,
             "the collection beam's real Laguerre argument and complex envelope": 1.5,
             "the real ring factor of |ell| = 1": 0.5,
-            "two real Laguerre orders and three real recurrence temporaries": 2.5,
+            "the Laguerre recurrence's three real buffers": 1.5,
             "the nz- and nt-long vectors, per-row factors and einsum's buffers": 0.5,
         }
         bound = 16 * (n * n + (n_p + sum(working.values())) * nz * nt)

@@ -220,6 +220,17 @@ class TestPdcHeralding:
     def test_extended_basis_in_use(self, pdc_heralding):
         assert pdc_heralding.squeeze.basis.p_max == 20
 
+    def test_both_matrices_are_assembled_before_the_first_report(self, monkeypatch):
+        # a report's BLAS calls wake a thread pool, which would then spin
+        # beside the reference's split contraction
+        calls = []
+        for name in ("assemble_squeeze_matrix", "state_report"):
+            real = getattr(scenarios, name)
+            monkeypatch.setattr(scenarios, name, lambda arg, real=real, name=name:
+                                calls.append(name) or real(arg))
+        run_scenario(default_config("PdcHeralding", ell_max=0, p_max=2))
+        assert calls[:3] == ["assemble_squeeze_matrix"] * 2 + ["state_report"], calls
+
     def test_seeded_reference_holds_the_run_photon_number(self, monkeypatch):
         cfg = default_config("PdcHeralding", ell_max=0, p_max=2)
         gain = run_scenario(cfg).gain
