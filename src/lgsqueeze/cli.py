@@ -1,4 +1,5 @@
-"""Command-line entry point: run a scenario and emit its report files."""
+"""Command-line entry point: run a scenario and emit its report files; under
+``--oracle``, ``fock_oracle.check_run`` judges the run and the CLI prints its verdict."""
 
 from __future__ import annotations
 
@@ -9,12 +10,8 @@ import sys
 import time
 from dataclasses import replace
 
-import numpy as np
-
-from . import scenarios, squeeze_core
-from .coupling import InteractionType
+from . import scenarios
 from .modes import FieldError
-from .squeeze_core import VACUUM_VARIANCE
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,56 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--oracle",
         action="store_true",
-        help="cross-check against the truncated-Fock oracle (basis size <= 3)",
+        help="cross-check against the truncated-Fock oracle (a few-mode basis only)",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress the summary")
     return parser
-
-
-def _oracle_check(result, knob: str):
-    """The ``oracle_agreement`` summary of a run, and why it fails (None if it
-    passes); ``knob`` names what set the run's gain."""
-    from .fock_oracle import (COMPARED_FIELDS, DIMENSION_GUARD, ORACLE_CAP, TruncatedFockSpace,
-                              deviations, vacuum_statistics)
-
-    sq = result.squeeze
-    n = sq.size
-    single_beam = sq.interaction is InteractionType.DEGENERATE_SINGLE_BEAM
-    # modes xi leaves out stay in vacuum and factor off the state exactly, so
-    # the oracle runs on the coupled ones, at the deepest cut the state-vector
-    # guard allows for their count; a zero xi keeps every mode
-    coupled = np.flatnonzero(np.any(sq.xi != 0, axis=0) | np.any(sq.xi != 0, axis=1))
-    if not coupled.size:
-        coupled = np.arange(n)
-    block = np.ix_(coupled, coupled)
-    n_modes = len(coupled) * (1 if single_beam else 2)
-    n_cut = min(300, int(DIMENSION_GUARD ** (1.0 / n_modes)) - 1)
-    oracle = vacuum_statistics(sq.xi[block], TruncatedFockSpace(n_modes, n_cut))
-
-    # the idle modes' exact values: vacuum quadrature variance, no photons, no pairs
-    idle = VACUUM_VARIANCE * (n - len(coupled))
-    full = {"scalar_var": tuple(total + idle for total in oracle.scalar_var)}
-    for name in COMPARED_FIELDS:
-        if np.ndim(getattr(oracle, name)) == 2:  # a matrix over the modes
-            full[name] = np.eye(n, dtype=complex) * (VACUUM_VARIANCE if name[:3] == "var" else 0.0)
-            full[name][block] = getattr(oracle, name)
-    rep = squeeze_core.degenerate_statistics(sq) if single_beam else result.report
-    # each deviation is scaled by the closed-form value where that exceeds 1
-    scaled = {name: deviation / max(1.0, float(np.abs(getattr(rep, name)).max()))
-              for name, deviation in deviations(replace(oracle, **full), rep, single_beam).items()}
-    worst = max(scaled, key=scaled.get)
-    bound = oracle.truncation_bound
-    agreement = {
-        "truncation_bound": bound,
-        "max_deviation": scaled[worst],
-        "deviations": scaled,
-        "within_bound": bound <= ORACLE_CAP and scaled[worst] <= max(bound, 1e-9),
-    }
-    failure = None if agreement["within_bound"] else (
-        f"--oracle: {worst} deviates from the truncated-Fock oracle by {scaled[worst]:.3g}, "
-        f"against its truncation bound {bound:.3g} (accepted up to {ORACLE_CAP:g}); a lower "
-        f"{knob} or a smaller basis brings the state within the oracle's cut")
-    return agreement, failure
 
 
 def _json_int(text: str):
@@ -125,9 +76,13 @@ def main(argv=None) -> int:
         if args.seed_gain is not None:
             changes["seed_gain"] = args.seed_gain
         cfg = replace(cfg, **changes)
-        if args.oracle and cfg.coupling.basis.size > 3:
-            raise ValueError("--oracle: the cross-check needs a basis of <= 3 modes, "
-                             f"got {cfg.coupling.basis.size}")
+        if args.oracle:
+            from . import fock_oracle  # loads scipy.sparse, which no other run needs
+
+            limit, size = fock_oracle.CHECK_MAX_MODES, cfg.coupling.basis.size
+            if size > limit:
+                raise ValueError(f"--oracle: the cross-check needs a basis of <= {limit} modes, "
+                                 f"got {size}")
 
         out_dir = args.out or os.environ.get("OUT_DIR") or "out"
         start = time.perf_counter()
@@ -137,8 +92,9 @@ def main(argv=None) -> int:
         if args.oracle:
             # a non-finite report is refused before the oracle
             report_io.report_to_dict(result.report)
-            result.oracle_agreement, failure = _oracle_check(
-                result, "n_target" if cfg.seed_gain is None else seed_knob)
+            result.oracle_agreement, failure = fock_oracle.check_run(
+                result.squeeze, result.report,
+                "n_target" if cfg.seed_gain is None else seed_knob)
         files = report_io.emit_result(result, cfg, out_dir, wall_time_s=wall)
         if failure:  # the files are written for a look at the deviations
             raise ValueError(failure)

@@ -22,13 +22,14 @@ disjoint states; one part's stack is held at a time, on just the states
 its images land on.  Feasible only for a handful of modes; each result
 carries a truncation-error estimate (the amplitude on the highest
 occupation each excited mode reaches) so comparisons against closed forms
-can be judged honestly.
+can be judged honestly.  ``check_run`` judges a run that way, the one place
+of the ``--oracle`` check's mode limit, cut, padding, scaling and verdict.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 # Eager on purpose.  Imported lazily, scipy.sparse cut paper-suite setup_s
@@ -43,16 +44,21 @@ import numpy as np
 # whole-file read of the 66 MB report.json then lands on top of that heap.
 import scipy.sparse as sp
 
+from . import squeeze_core
+from .coupling import InteractionType
+
 __all__ = [
     "TruncatedFockSpace",
     "OracleReport",
     "build_hamiltonian_exponent",
     "vacuum_statistics",
     "deviations",
+    "check_run",
 ]
 
 DIMENSION_GUARD = 600_000
 ORACLE_CAP = 1e-3  # the largest truncation bound a comparison accepts
+CHECK_MAX_MODES = 3  # the largest basis check_run takes
 
 
 @dataclass
@@ -245,16 +251,6 @@ def _lowering_on(terms: list, space: TruncatedFockSpace, states: np.ndarray,
     return even_rows, odd_rows, norm
 
 
-def _exponent_on(terms: list, space: TruncatedFockSpace, states: np.ndarray):
-    """Sparse G = A - A^dag on ``states`` (sorted, closed under the pair
-    moves), in their order."""
-    ordered, occ, n_even = _in_grade_order(space, states)
-    even_rows, odd_rows, _ = _lowering_on(terms, space, ordered, occ, n_even)
-    back = np.argsort(ordered)  # each sorted state's place in grade order
-    lower = sp.bmat([[None, even_rows], [odd_rows, None]], format="csr")[back][:, back]
-    return lower - lower.conj().T
-
-
 def _bessel_weights(radius: float) -> np.ndarray:
     """(2 - delta_k0) J_k(radius) for k = 0..K, the Chebyshev weights of
     e^{-i radius x} = sum_k (-i)^k w_k T_k(x) on [-1, 1].
@@ -341,11 +337,19 @@ def build_hamiltonian_exponent(xi: np.ndarray, space: TruncatedFockSpace):
     For a two-beam space (n_modes == 2 n) the exponent is
     b~ xi^dag a - a~^dag xi b^dag with signal modes first; for a degenerate
     space (n_modes == n) the idler operators are replaced by the signal
-    ones.  Matrix elements follow from ladder-operator algebra exactly.
+    ones.  Matrix elements follow from ladder-operator algebra exactly, term
+    by term over the whole box in state order, apart from the grade-order
+    fill this is the reference for.
     """
-    xi = np.asarray(xi, dtype=complex)
-    states = np.arange(space.dimension, dtype=np.int64)
-    return _exponent_on(_pair_terms(xi, space), space, states)
+    dim = space.dimension
+    occ, strides = space.occupations(), space.strides
+    lower = sp.csr_matrix((dim, dim), dtype=complex)  # A
+    for p, q, c in _pair_terms(np.asarray(xi, dtype=complex), space):
+        amp = np.sqrt(occ[:, p] * (occ[:, q] - (p == q)))  # sqrt(n_p (n_q - delta_pq))
+        upper = np.flatnonzero(amp)
+        lower += sp.csr_matrix((c * amp[upper], (upper - strides[p] - strides[q], upper)),
+                               shape=(dim, dim))
+    return lower - lower.conj().T
 
 
 def _gram(stack: np.ndarray) -> np.ndarray:
@@ -471,3 +475,48 @@ def deviations(oracle: OracleReport, report, single_beam: bool) -> dict:
                            - getattr(report, name)).max())
         for name in COMPARED_FIELDS
     }
+
+
+def check_run(sq, report, knob: str):
+    """The ``oracle_agreement`` summary of a run's squeezing matrix ``sq``
+    (at most ``CHECK_MAX_MODES`` modes) against its two-beam closed forms
+    ``report``, and why it fails (None if it passes); ``knob`` names what
+    set the run's gain."""
+    n = sq.size
+    single_beam = sq.interaction is InteractionType.DEGENERATE_SINGLE_BEAM
+    # modes xi leaves out stay in vacuum and factor off the state exactly, so
+    # the oracle runs on the coupled ones, at the deepest cut the state-vector
+    # guard allows for their count; a zero xi keeps every mode
+    coupled = np.flatnonzero(np.any(sq.xi != 0, axis=0) | np.any(sq.xi != 0, axis=1))
+    if not coupled.size:
+        coupled = np.arange(n)
+    block = np.ix_(coupled, coupled)
+    n_modes = len(coupled) * (1 if single_beam else 2)
+    n_cut = min(300, int(DIMENSION_GUARD ** (1.0 / n_modes)) - 1)
+    oracle = vacuum_statistics(sq.xi[block], TruncatedFockSpace(n_modes, n_cut))
+
+    # the idle modes' exact values: vacuum quadrature variance, no photons, no pairs
+    vacuum = squeeze_core.VACUUM_VARIANCE
+    idle = vacuum * (n - len(coupled))
+    full = {"scalar_var": tuple(total + idle for total in oracle.scalar_var)}
+    for name in COMPARED_FIELDS:
+        if np.ndim(getattr(oracle, name)) == 2:  # a matrix over the modes
+            full[name] = np.eye(n, dtype=complex) * (vacuum if name[:3] == "var" else 0.0)
+            full[name][block] = getattr(oracle, name)
+    rep = squeeze_core.degenerate_statistics(sq) if single_beam else report
+    # each deviation is scaled by the closed-form value where that exceeds 1
+    scaled = {name: deviation / max(1.0, float(np.abs(getattr(rep, name)).max()))
+              for name, deviation in deviations(replace(oracle, **full), rep, single_beam).items()}
+    worst = max(scaled, key=scaled.get)
+    bound = oracle.truncation_bound
+    agreement = {
+        "truncation_bound": bound,
+        "max_deviation": scaled[worst],
+        "deviations": scaled,
+        "within_bound": bound <= ORACLE_CAP and scaled[worst] <= max(bound, 1e-9),
+    }
+    failure = None if agreement["within_bound"] else (
+        f"--oracle: {worst} deviates from the truncated-Fock oracle by {scaled[worst]:.3g}, "
+        f"against its truncation bound {bound:.3g} (accepted up to {ORACLE_CAP:g}); a lower "
+        f"{knob} or a smaller basis brings the state within the oracle's cut")
+    return agreement, failure

@@ -183,8 +183,10 @@ class ScenarioConfig:
         drives = drive_modes(coupling)
         for interaction in filter(None, (coupling.interaction, scenario.baseline)):
             feeds = oam_feeds(drives, basis, interaction)
-            if not any(feeds.values()):
-                raise FieldError("coupling.pump.coefficients", (
+            if not any(feeds.values()):  # named by the first drive that carries OAM
+                key = next((key for key, (_, modes) in zip(("pump", "pump2"), drives)
+                            if any(mode.ell for mode in modes)), "pump")
+                raise FieldError(f"coupling.{key}.coefficients", (
                     f"leave xi zero: the drives' net OAM {', '.join(map(str, feeds))} feeds "
                     f"no block of {interaction.value}"
                     + ("" if interaction is coupling.interaction else

@@ -450,6 +450,25 @@ def test_drives_that_leave_the_baseline_zero_exit_2(tmp_path, capsys, flags):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("scenario, blocks", [
+    ("FwmTwoPhoton", "DegenerateSingleBeam, the baseline FwmTwoPhoton calibrates on"),
+    ("PsrSinglePhoton", "DegenerateSingleBeam"),
+    ("PsrPCrosstalk", "PCrosstalkOnly"),
+])
+def test_a_zero_feed_set_by_pump2_alone_names_pump2(tmp_path, capsys, scenario, blocks):
+    # the stock pump is the Gaussian l = 0 mode; only pump2's (1, 2) mode
+    # carries the net OAM 1 that leaves xi zero, so the refusal names pump2
+    config = {"scenario": scenario, "coupling": {"pump2": {"coefficients": {
+        "re": [0] * 8 + [1], "im": [0] * 9}}}}
+    path = tmp_path / "pump2.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: coupling.pump2.coefficients: leave xi zero: the drives' net OAM 1 "
+                   f"feeds no block of {blocks}\n"), err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("scenario, key, value", [
     ("PdcBenchmark", "coupling.pump.coefficients", [math.nan] + [0.0] * 8),
     ("PdcBenchmark", "coupling.pump.coefficients", [0.6, 0.8]),

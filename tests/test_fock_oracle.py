@@ -12,13 +12,13 @@ import scipy.special
 from scipy.sparse.csgraph import breadth_first_order
 
 from conftest import random_symmetric
+from lgsqueeze import fock_oracle
 from lgsqueeze.coupling import InteractionType
 from lgsqueeze.fock_oracle import (
     COMPARED_FIELDS,
     TruncatedFockSpace,
     _bessel_weights,
     _evolve_vacuum,
-    _exponent_on,
     _in_grade_order,
     _lowering_on,
     _pair_amplitude,
@@ -140,6 +140,15 @@ class TestSpace:
 
 
 class TestExponent:
+    @pytest.fixture(autouse=True)
+    def without_the_fill(self, monkeypatch):
+        # the reference exponent the fill is checked against is built without it
+        def fill(*args):
+            raise AssertionError("the reference exponent used the grade-order fill")
+
+        monkeypatch.setattr(fock_oracle, "_lowering_on", fill)
+        monkeypatch.setattr(fock_oracle, "_in_grade_order", fill)
+
     def test_zero_matrix_gives_zero_operator(self):
         gen = build_hamiltonian_exponent(np.zeros((1, 1)), TruncatedFockSpace(2, 3))
         assert gen.nnz == 0
@@ -400,15 +409,19 @@ class TestVacuumStatistics:
     @FULL_BOX_CASES
     def test_search_and_exponent_match_the_full_box(self, xi, space):
         # the search finds the vacuum's component of the full-box exponent's
-        # graph, and the exponent on it is the full-box one restricted to it
+        # graph, and the fill's blocks on it, in grade order, are the full-box
+        # exponent restricted to it and put in grade order
         gen = build_hamiltonian_exponent(xi, space)
         component = breadth_first_order(abs(gen), 0, directed=False,
                                          return_predecessors=False)
         terms = _pair_terms(np.asarray(xi, dtype=complex), space)
         states = _reachable(terms, space)
         assert np.array_equal(states, np.sort(component))
-        restricted = gen[states][:, states]
-        assert (_exponent_on(terms, space, states) != restricted).nnz == 0
+        ordered, occ, n_even = _in_grade_order(space, states)
+        even_rows, odd_rows, _ = _lowering_on(terms, space, ordered, occ, n_even)
+        lower = scipy.sparse.bmat([[None, even_rows], [odd_rows, None]], format="csr")
+        restricted = gen[ordered][:, ordered]
+        assert (lower - lower.conj().T != restricted).nnz == 0
 
     @staticmethod
     def traced_peak(xi, space):
